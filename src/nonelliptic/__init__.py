@@ -32,7 +32,6 @@ from .ecoracle import (
     CurveFp,
     CurveQ,
     count_points,
-    counting_backend,
     falsify_curve,
     trace_of_frobenius,
     trace_set,
@@ -75,7 +74,6 @@ __all__ = [
     "closed_form_scan",
     "conductor_bound_test",
     "count_points",
-    "counting_backend",
     "dump_form",
     "dump_report",
     "embedding_choices",

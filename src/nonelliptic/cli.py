@@ -68,9 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "oracle", help="exhaustive Frobenius trace set over all curves over F_p"
     )
     p_oracle.add_argument("p", type=int)
-    p_oracle.add_argument("--cap", type=int, default=None,
-                          help="coefficient bound (default: the whole field)")
-    p_oracle.add_argument("--workers", type=int, default=1)
     p_oracle.add_argument("--format", choices=("text", "json"), default="text")
 
     p_falsify = sub.add_parser(
@@ -136,10 +133,9 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _check_workers(args)
-    traces = ecoracle.trace_set(args.p, cap=args.cap, workers=args.workers)
+    traces = ecoracle.trace_set(args.p)
     if args.format == "json":
-        payload = {"p": args.p, "cap": args.cap or args.p, "traces": sorted(traces)}
+        payload = {"p": args.p, "cap": args.p, "traces": sorted(traces)}
         sys.stdout.write(data_io.canonical_json(payload))
     else:
         listing = ", ".join(str(t) for t in sorted(traces))

@@ -1,40 +1,27 @@
-"""Brute-force elliptic-curve oracle: exhaustive point counts over small F_p
-and a falsifier pitting concrete curves over Q against a certified
+"""Elliptic-curve oracle over small F_p: point counts, the Frobenius trace
+census and a falsifier pitting concrete curves over Q against a certified
 representation.
 
 General Weierstrass coefficients (a1, a2, a3, a4, a6) are used throughout so
-p = 2 and p = 3 need no special casing. The inner loops live in a compiled
-kernel when available; a pure-Python twin is selected at import otherwise
-(or when NONELLIPTIC_PURE=1 is set).
+p = 2 and p = 3 need no special casing. Point counts enumerate (x, y)
+directly. The trace census is exhaustive over the invariants (b2, b4, b6)
+(Silverman, AEC III.1): for odd p every curve has trace
+-sum_x chi(4x^3 + b2*x^2 + 2*b4*x + b6) and a discriminant that is a
+polynomial in b2, b4, b6, so the p^3 triples give the same trace set as the
+p^5 coefficient tuples.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter
 
-from .arith import is_prime
+from .arith import is_prime, legendre
 from .repmodel import ResidualRep
 
-from . import _counting_py
-
-if os.environ.get("NONELLIPTIC_PURE") == "1":
-    _counting = _counting_py
-else:
-    try:
-        from . import _counting_fast as _counting  # type: ignore[no-redef]
-    except ImportError:
-        _counting = _counting_py
-
-# O(p^6) per trace_set even in the kernel; beyond this the census is not a
-# reasonable oracle.
+# The census costs O(p^4); beyond this it is not a reasonable oracle.
 ENUMERATION_BUDGET = 50
-
-
-def counting_backend() -> str:
-    """Name of the active kernel: "cython" or "pure"."""
-    return _counting.BACKEND
 
 
 def weierstrass_discriminant(a1: int, a2: int, a3: int, a4: int, a6: int) -> int:
@@ -89,50 +76,73 @@ class CurveQ:
         return CurveFp(p, self.a1 % p, self.a2 % p, self.a3 % p, self.a4 % p, self.a6 % p)
 
 
+def count_affine(p: int, a1: int, a2: int, a3: int, a4: int, a6: int) -> int:
+    """Number of affine solutions of y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6
+    over F_p, by direct (x, y) enumeration."""
+    n = 0
+    for x in range(p):
+        rhs = (x * x * x + a2 * x * x + a4 * x + a6) % p
+        c = (a1 * x + a3) % p
+        for y in range(p):
+            if (y * y + c * y) % p == rhs:
+                n += 1
+    return n
+
+
 def count_points(curve: CurveFp) -> int:
     """#E(F_p) including the point at infinity, by exhaustive enumeration."""
-    return 1 + _counting.count_affine(
-        curve.p, curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
-    )
+    return 1 + count_affine(curve.p, curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
 
 
 def trace_of_frobenius(curve: CurveFp) -> int:
     return curve.p + 1 - count_points(curve)
 
 
-def _shard(args):
-    p, cap, lo, hi = args
-    return _counting.trace_set_range(p, cap, lo, hi)
+def _disc_times_4(b2: int, b4: int, b6: int) -> int:
+    """4 * discriminant in terms of b2, b4, b6, using 4*b8 = b2*b6 - b4^2.
 
-
-def trace_set(p: int, cap: int | None = None, workers: int = 1) -> set[int]:
-    """Set of Frobenius traces over ALL nonsingular general-Weierstrass curves
-    over F_p (coefficients below `cap`, default the whole field).
-
-    The coefficient space may be sharded by a1 across worker processes; the
-    result is an order-independent union.
+    Exact over Z: it equals 4 * weierstrass_discriminant(a) whenever the b's
+    come from the tuple a.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    return b2 * b2 * b4 * b4 - b2**3 * b6 - 32 * b4**3 - 108 * b6 * b6 + 36 * b2 * b4 * b6
+
+
+def trace_set(p: int) -> set[int]:
+    """Set of Frobenius traces over ALL nonsingular general-Weierstrass curves
+    over F_p.
+
+    For odd p the census runs over every triple (b2, b4, b6) in F_p^3
+    (Silverman, AEC III.1). Completing the square,
+    4*(y^2 + a1*x*y + a3*y - x^3 - a2*x^2 - a4*x - a6)
+    = (2y + a1*x + a3)^2 - (4x^3 + b2*x^2 + 2*b4*x + b6), so a curve's trace
+    is -sum_x chi(4x^3 + b2*x^2 + 2*b4*x + b6) with chi the Legendre symbol,
+    and the curve is singular exactly when 4*disc(b2, b4, b6) = 0 mod p.
+    Every triple comes from a1 = a3 = 0, so the triples give the same trace
+    set as all p^5 tuples, at O(p^4) cost. p = 2 enumerates its 32 tuples.
+    """
     if p > ENUMERATION_BUDGET:
         raise ValueError(
             f"oracle scale exceeded: enumeration budget is p <= {ENUMERATION_BUDGET}"
         )
-    if cap is None:
-        cap = p
-    if cap < 1:
-        raise ValueError("coefficient bound must be >= 1")
-    hi = min(cap, p)
-    if workers <= 1 or hi == 1:
-        return set(_counting.trace_set_range(p, cap, 0, hi))
-    workers = min(workers, hi)
-    bounds = [(hi * i) // workers for i in range(workers + 1)]
-    jobs = [(p, cap, bounds[i], bounds[i + 1]) for i in range(workers)]
-    out: set[int] = set()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_shard, jobs):
-            out |= part
-    return out
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p == 2:
+        return {
+            2 - count_affine(2, *a)
+            for a in product(range(2), repeat=5)
+            if weierstrass_discriminant(*a) % 2
+        }
+    chi = [legendre(v, p) for v in range(p)]
+    # shifted[b6][v] = chi(v + b6), so adding b6 costs no reduction mod p
+    shifted = [chi[b6:] + chi[:b6] for b6 in range(p)]
+    traces = set()
+    for b2, b4 in product(range(p), repeat=2):
+        # base(row) picks row[4x^3 + b2*x^2 + 2*b4*x mod p] for every x
+        base = itemgetter(*[(4 * x**3 + b2 * x * x + 2 * b4 * x) % p for x in range(p)])
+        for b6 in range(p):
+            if _disc_times_4(b2, b4, b6) % p:
+                traces.add(-sum(base(shifted[b6])))
+    return traces
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 
 
@@ -149,6 +150,16 @@ def test_oracle_json(capsys):
     code, out, _ = run(capsys, "oracle", "3", "--format", "json")
     assert code == 0
     assert json.loads(out)["traces"] == list(range(-3, 4))
+
+
+def test_oracle_rejects_huge_p_quickly(capsys):
+    # 2^61 - 1: the budget check must come before the primality test
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "2305843009213693951")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "oracle scale exceeded" in err
 
 
 def test_falsify_witness(capsys):

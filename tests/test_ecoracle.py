@@ -3,24 +3,19 @@ import random
 
 import pytest
 
-from nonelliptic import _counting_py
-from nonelliptic.arith import hasse_interval, legendre
+from nonelliptic.arith import hasse_interval, legendre, primes_in_range
 from nonelliptic.ecoracle import (
+    ENUMERATION_BUDGET,
     CurveFp,
     CurveQ,
+    _disc_times_4,
     count_points,
-    counting_backend,
     falsify_curve,
     trace_of_frobenius,
     trace_set,
     weierstrass_discriminant,
 )
 from nonelliptic.repmodel import residual_rep, twist_to_det_chi
-
-try:
-    from nonelliptic import _counting_fast
-except ImportError:
-    _counting_fast = None
 
 
 # --- count_points --------------------------------------------------------------
@@ -107,9 +102,55 @@ def test_trace_set_at_2_by_full_enumeration():
     assert trace_set(2) == expected
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def census_over_all_tuples(p):
+    """Traces p + 1 - #E over all nonsingular tuples (a1, ..., a6) in F_p^5.
+
+    The O(p^6) reference census: an independent check of the (b2, b4, b6)
+    census in trace_set. The y-census is hoisted into a table
+    ytab[c][v] = #{y : y^2 + c*y = v}, so each curve's point count is a sum
+    of table entries over x.
+    """
+    ytab = [[0] * p for _ in range(p)]
+    for c in range(p):
+        for y in range(p):
+            ytab[c][(y * y + c * y) % p] += 1
+    traces = set()
+    for a1, a2, a3, a4 in itertools.product(range(p), repeat=4):
+        crow = [ytab[(a1 * x + a3) % p] for x in range(p)]
+        mid = [(x**3 + a2 * x * x + a4 * x) % p for x in range(p)]
+        for a6 in range(p):
+            if weierstrass_discriminant(a1, a2, a3, a4, a6) % p == 0:
+                continue
+            n = sum(crow[x][(mid[x] + a6) % p] for x in range(p))
+            traces.add(p - n)  # p + 1 - (n + 1)
+    return traces
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_trace_set_equals_census_over_all_tuples(p):
+    assert trace_set(p) == census_over_all_tuples(p)
+
+
+@pytest.mark.parametrize("p", primes_in_range(2, ENUMERATION_BUDGET))
 def test_trace_set_equals_hasse_interval(p):
     assert trace_set(p) == hasse_interval(p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_b_invariants_give_trace_and_discriminant(p):
+    # the two facts the (b2, b4, b6) census rests on, on random general tuples
+    rng = random.Random(1000 + p)
+    for _ in range(40):
+        a1, a2, a3, a4, a6 = (rng.randrange(p) for _ in range(5))
+        b2 = a1 * a1 + 4 * a2
+        b4 = 2 * a4 + a1 * a3
+        b6 = a3 * a3 + 4 * a6
+        disc = weierstrass_discriminant(a1, a2, a3, a4, a6)
+        assert 4 * disc == _disc_times_4(b2, b4, b6)  # exact, so also mod p
+        if disc % p == 0:
+            continue
+        charsum = sum(legendre(4 * x**3 + b2 * x * x + 2 * b4 * x + b6, p) for x in range(p))
+        assert trace_of_frobenius(CurveFp(p, a1, a2, a3, a4, a6)) == -charsum
 
 
 def test_trace_set_budget():
@@ -117,36 +158,6 @@ def test_trace_set_budget():
         trace_set(53)
     with pytest.raises(ValueError, match="not prime"):
         trace_set(10)
-
-
-def test_trace_set_workers_agree():
-    assert trace_set(7, workers=3) == trace_set(7)
-    assert trace_set(11, workers=2) == trace_set(11)
-
-
-def test_trace_set_cap_restricts_coefficients():
-    # cap=1 allows only the all-zero tuple, which is singular: empty set
-    assert trace_set(5, cap=1) == set()
-    assert trace_set(5, cap=2) <= trace_set(5)
-
-
-@pytest.mark.skipif(_counting_fast is None, reason="compiled kernel not built")
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_backends_agree_on_trace_sets(p):
-    assert _counting_fast.trace_set_range(p, p, 0, p) == _counting_py.trace_set_range(p, p, 0, p)
-
-
-@pytest.mark.skipif(_counting_fast is None, reason="compiled kernel not built")
-def test_backends_agree_on_counts():
-    rng = random.Random(0)
-    for _ in range(200):
-        p = rng.choice([2, 3, 5, 7, 11, 13])
-        coeffs = [rng.randrange(p) for _ in range(5)]
-        assert _counting_fast.count_affine(p, *coeffs) == _counting_py.count_affine(p, *coeffs)
-
-
-def test_backend_reports_a_name():
-    assert counting_backend() in ("cython", "pure")
 
 
 # --- falsify_curve ------------------------------------------------------------------
