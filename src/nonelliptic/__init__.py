@@ -5,13 +5,10 @@ machine-checkable witnesses."""
 
 from .arith import (
     Factorization,
-    Residue,
     hasse_interval,
     is_prime,
     isqrt,
     legendre,
-    mod_inv,
-    mod_pow,
     primes_in_range,
     trial_factor,
 )
@@ -64,7 +61,6 @@ __all__ = [
     "Factorization",
     "NewformData",
     "QuadInt",
-    "Residue",
     "ResidualRep",
     "TwistSpec",
     "available_witness_primes",
@@ -85,8 +81,6 @@ __all__ = [
     "isqrt",
     "legendre",
     "load_form",
-    "mod_inv",
-    "mod_pow",
     "non_elliptic_trace_test",
     "norm_discriminant",
     "parse_form",

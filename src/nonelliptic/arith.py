@@ -1,9 +1,9 @@
 """Exact integer and modular arithmetic primitives.
 
-Everything here is deterministic and desk-scale: primality is decided by
-trial division, factorization by trial division up to the integer square
-root, and all values are exact Python integers. Inputs are guarded so that
-quantities like p**3 or a_p**2 stay far away from any overflow concern.
+Everything here is deterministic and exact: primality is decided by a
+Miller-Rabin test with a proven base set (correct for every n below
+MILLER_RABIN_LIMIT, an error above it), factorization by trial division up
+to the integer square root, and all values are exact Python integers.
 """
 
 from __future__ import annotations
@@ -11,27 +11,72 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 # Trial division is the only factoring strategy; refuse anything that could
 # make it run for hours.
 TRIAL_DIVISION_LIMIT = 2**64
 
 
+# The first 13 primes: trial divisors, then Miller-Rabin bases.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# (psi_t, t): psi_t is the least strong pseudoprime to all of the first t
+# prime bases, so those t bases decide every n < psi_t (Jaeschke, Math. Comp.
+# 61 (1993) for t <= 8; Jiang & Deng, Math. Comp. 83 (2014) for t = 9..11;
+# Sorenson & Webster, Math. Comp. 86 (2017) for t = 12, 13).
+_MILLER_RABIN_BASES = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
+MILLER_RABIN_LIMIT = _MILLER_RABIN_BASES[-1][0]
+
+
+def _strong_probable_prime(n: int, base: int, d: int, s: int) -> bool:
+    """n - 1 = d * 2**s with d odd: does n pass the strong test to `base`?"""
+    x = pow(base, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (inputs are desk-scale)."""
+    """Deterministic primality: trial division by the first 13 primes, then
+    Miller-Rabin with the smallest proven base set for n.
+
+    Raises ValueError for n >= MILLER_RABIN_LIMIT with no prime factor <= 41:
+    no base set is proven there.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < _SMALL_PRIMES[-1] ** 2:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(
+            f"{n} exceeds the proven Miller-Rabin range (< {MILLER_RABIN_LIMIT})"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    t = next(t for bound, t in _MILLER_RABIN_BASES if n < bound)
+    return all(_strong_probable_prime(n, a, d, s) for a in _SMALL_PRIMES[:t])
 
 
 def require_odd_prime(ell: int) -> None:
@@ -43,31 +88,16 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p <= hi, by an Eratosthenes sieve."""
     if hi < 2 or hi < lo:
         return []
-    sieve = bytearray(b"\x01") * (hi + 1)
+    # From bytes: a failed bytearray repeat makes CPython print a stray
+    # SystemError to stderr next to the MemoryError.
+    sieve = bytearray(b"\x01" * (hi + 1))
     sieve[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(hi) + 1):
         if sieve[p]:
             start = p * p
             sieve[start : hi + 1 : p] = b"\x00" * ((hi - start) // p + 1)
-    return [n for n in range(max(lo, 2), hi + 1) if sieve[n]]
-
-
-@dataclass(frozen=True)
-class Residue:
-    """A canonical representative in [0, ell) of an integer mod an odd prime."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        require_odd_prime(self.modulus)
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(
-                f"residue value {self.value} outside [0, {self.modulus})"
-            )
-
-    def __int__(self) -> int:
-        return self.value
+    lo = max(lo, 2)
+    return list(compress(range(lo, hi + 1), sieve[lo:]))
 
 
 @dataclass(frozen=True)
@@ -103,27 +133,6 @@ class Factorization:
 
     def __str__(self) -> str:
         return "*".join(f"{q}^{e}" if e > 1 else str(q) for q, e in self.factors)
-
-
-def mod_pow(base: int, exp: int, ell: int) -> Residue:
-    """base**exp reduced mod the odd prime ell.
-
-    exp = 0 always gives 1, including base ≡ 0 (the 0**0 = 1 empty-product
-    convention).
-    """
-    require_odd_prime(ell)
-    if exp < 0:
-        raise ValueError("exponent must be non-negative")
-    return Residue(pow(base % ell, exp, ell), ell)
-
-
-def mod_inv(a: int, ell: int) -> Residue:
-    """The inverse of a mod the odd prime ell; a ≡ 0 is not invertible."""
-    require_odd_prime(ell)
-    a = a % ell
-    if a == 0:
-        raise ValueError(f"{a} not invertible mod {ell}")
-    return Residue(pow(a, -1, ell), ell)
 
 
 def legendre(a: int, ell: int) -> int:

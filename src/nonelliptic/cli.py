@@ -5,7 +5,8 @@ is a first-class outcome):
 
     0   everything requested was proved / expectations met
     2   at least one requested verdict is Inconclusive
-    1   error (bad input, inert prime, bad-reduction prime, schema violation)
+    1   error (bad input, inert prime, bad-reduction prime, schema violation,
+        out of memory)
 """
 
 from __future__ import annotations
@@ -216,6 +217,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory; the request is too large (narrow the range)",
+              file=sys.stderr)
     return EXIT_ERROR
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Residue, legendre, require_odd_prime, trial_factor
+from .arith import legendre, require_odd_prime, trial_factor
 
 
 class NotSplitError(ValueError):
@@ -118,28 +118,46 @@ def splits(d: int, ell: int) -> bool:
     return legendre(d, ell) == 1
 
 
-def embedding_choices(d: int, ell: int) -> tuple[EmbeddingChoice, EmbeddingChoice]:
-    """Both square roots of d mod a split ell, smaller root first.
+def _sqrt_mod(a: int, ell: int) -> int:
+    """A square root of a mod the odd prime ell, for a a nonzero square mod
+    ell, by Tonelli-Shanks (Shanks 1973): O(log(ell)**2) multiplications."""
+    a %= ell
+    q, s = ell - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (ell - 1) // 2, ell) != ell - 1:
+        z += 1
+    # Invariants: r**2 == a*t, t**(2**(m-1)) == 1 and c has order 2**m.
+    m, c, t, r = s, pow(z, q, ell), pow(a, q, ell), pow(a, (q + 1) // 2, ell)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % ell
+            i += 1
+        b = pow(c, 1 << (m - i - 1), ell)
+        m, c = i, b * b % ell
+        t, r = t * c % ell, r * b % ell
+    return r
 
-    Found by exhaustive search over [0, ell); ell is desk-scale by assumption.
-    """
+
+def embedding_choices(d: int, ell: int) -> tuple[EmbeddingChoice, EmbeddingChoice]:
+    """Both square roots of d mod a split ell, smaller root first."""
     if not splits(d, ell):
         raise NotSplitError(
             f"no rational embedding: {ell} is inert in Q(sqrt({d}))"
         )
-    roots = [r for r in range(ell) if (r * r - d) % ell == 0]
-    assert len(roots) == 2, roots
-    return (
-        EmbeddingChoice(ell, roots[0], d),
-        EmbeddingChoice(ell, roots[1], d),
-    )
+    r = _sqrt_mod(d, ell)
+    lo, hi = sorted((r, ell - r))
+    return EmbeddingChoice(ell, lo, d), EmbeddingChoice(ell, hi, d)
 
 
-def reduce_mod(v: QuadInt, e: EmbeddingChoice) -> Residue:
+def reduce_mod(v: QuadInt, e: EmbeddingChoice) -> int:
     """Image of v = x + y*sqrt(d) in F_ell under the embedding, (x + y*root) mod ell."""
     if v.d is not None and v.d != e.d:
         raise ValueError(f"value lives in Q(sqrt({v.d})), embedding in Q(sqrt({e.d}))")
-    return Residue((v.x + v.y * e.root) % e.ell, e.ell)
+    return (v.x + v.y * e.root) % e.ell
 
 
 def norm_discriminant(a: QuadInt, p: int, k: int) -> int:

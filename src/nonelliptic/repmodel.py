@@ -157,7 +157,7 @@ def residual_rep(
         if p == ell:
             continue
         if embedding is not None:
-            traces[p] = reduce_mod(a, embedding).value
+            traces[p] = reduce_mod(a, embedding)
         else:
             traces[p] = a.x % ell
 

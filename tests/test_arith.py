@@ -2,13 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nonelliptic.arith import (
+    MILLER_RABIN_LIMIT,
     Factorization,
-    Residue,
     hasse_interval,
+    is_prime,
     isqrt,
     legendre,
-    mod_inv,
-    mod_pow,
     primes_in_range,
     trial_factor,
 )
@@ -40,7 +39,9 @@ def naive_is_prime(n):
     return True
 
 
-# --- mod_pow -----------------------------------------------------------------
+# --- modular powers and inverses ---------------------------------------------
+# The scan and check() use the built-in three-argument pow; these pin the
+# behaviour they rely on against the naive oracle.
 
 @pytest.mark.parametrize(
     "base,exp,ell,expected",
@@ -52,50 +53,130 @@ def naive_is_prime(n):
 )
 def test_mod_pow_examples(base, exp, ell, expected):
     assert naive_pow(base, exp, ell) == expected
-    assert mod_pow(base, exp, ell).value == expected
+    assert pow(base, exp, ell) == expected
 
 
 def test_mod_pow_zero_exponent_convention():
-    # 0^0 = 1 by the empty-product convention, documented in the API
-    assert mod_pow(0, 0, 11).value == 1
-    assert mod_pow(11, 0, 11).value == 1
+    # 0^0 = 1 by the empty-product convention
+    assert pow(0, 0, 11) == 1
+    assert pow(11, 0, 11) == 1
 
 
 def test_mod_pow_agrees_with_naive_everywhere():
     for ell in (3, 7, 11, 41, 97):
         for base in range(0, 50, 3):
             for exp in range(0, 50, 7):
-                assert mod_pow(base, exp, ell).value == naive_pow(base, exp, ell)
+                assert pow(base, exp, ell) == naive_pow(base, exp, ell)
 
 
 def test_mod_pow_rejects_bad_input():
+    # The odd-prime guard lives in legendre; pow refuses what has no value.
     with pytest.raises(ValueError):
-        mod_pow(2, 3, 10)  # composite modulus
+        legendre(2, 10)  # composite modulus
     with pytest.raises(ValueError):
-        mod_pow(2, 3, 2)  # even prime
+        legendre(2, 2)  # even prime
     with pytest.raises(ValueError):
-        mod_pow(2, -1, 11)
+        pow(2, -1, 22)  # 2 has no inverse mod 22
 
-
-# --- mod_inv -----------------------------------------------------------------
 
 @pytest.mark.parametrize("a,ell,expected", [(4, 11, 3), (1, 11, 1), (1, 13, 1), (4, 7, 2)])
 def test_mod_inv_examples(a, ell, expected):
     assert (a * expected) % ell == 1
-    assert mod_inv(a, ell).value == expected
+    assert pow(a, -1, ell) == expected
 
 
 def test_mod_inv_of_zero_rejected():
     with pytest.raises(ValueError, match="not invertible"):
-        mod_inv(0, 11)
+        pow(0, -1, 11)
     with pytest.raises(ValueError, match="not invertible"):
-        mod_inv(22, 11)
+        pow(22, -1, 11)
 
 
 def test_mod_inv_inverts_everything():
     for ell in (7, 11, 13):
         for a in range(1, ell):
-            assert (a * mod_inv(a, ell).value) % ell == 1
+            assert (a * pow(a, -1, ell)) % ell == 1
+
+
+# --- is_prime ------------------------------------------------------------------
+
+# psi_t, the least strong pseudoprime to all of the first t prime bases, for
+# t = 1..7, 9 and 12 (Jaeschke 1993; Jiang & Deng 2014; Sorenson & Webster
+# 2017), with its factorization.
+STRONG_PSEUDOPRIMES = [
+    (2047, (23, 89)),
+    (1373653, (829, 1657)),
+    (25326001, (2251, 11251)),
+    (3215031751, (151, 751, 28351)),
+    (2152302898747, (6763, 10627, 29947)),
+    (3474749660383, (1303, 16927, 157543)),
+    (341550071728321, (10670053, 32010157)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (318665857834031151167461, (399165290221, 798330580441)),
+]
+
+SMALL_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n, base):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_equals_the_sieve_below_one_million():
+    limit = 10**6
+    primes = set(primes_in_range(2, limit - 1))
+    assert len(primes) == 78498
+    # the uncached function: a million cache entries would hold ~100 MB
+    uncached = is_prime.__wrapped__
+    for n in range(-2, limit):
+        assert uncached(n) == (n in primes), n
+
+
+@pytest.mark.parametrize("n,factors", STRONG_PSEUDOPRIMES)
+def test_is_prime_rejects_strong_pseudoprimes(n, factors):
+    prod = 1
+    for q in factors:
+        assert q > 1
+        prod *= q
+    assert prod == n
+    # every psi_t passes the strong test to base 2
+    assert strong_probable_prime(n, 2)
+    assert is_prime(n) is False
+
+
+def test_is_prime_on_large_primes():
+    assert is_prime(2**61 - 1) is True
+    assert is_prime(2**61 + 1) is False  # divisible by 3
+    # A Proth prime just below the bound: p = k*2^60 + 1 with k < 2^60 is prime
+    # iff some a has a^((p-1)/2) = -1 (mod p) (Proth 1878); a = 5 works.
+    k = 2877021
+    p = k * 2**60 + 1
+    assert k < 2**60 and p < MILLER_RABIN_LIMIT
+    assert pow(5, (p - 1) // 2, p) == p - 1
+    assert is_prime(p) is True
+    assert is_prime(p + 2) is False
+
+
+def test_is_prime_raises_above_the_proven_bound():
+    assert MILLER_RABIN_LIMIT == 3317044064679887385961981
+    # the bound is psi_13, itself a strong pseudoprime to the first 13 bases
+    assert 1287836182261 * 2575672364521 == MILLER_RABIN_LIMIT
+    assert all(strong_probable_prime(MILLER_RABIN_LIMIT, a) for a in SMALL_BASES)
+    for n in (MILLER_RABIN_LIMIT, 2**89 - 1):
+        with pytest.raises(ValueError, match="Miller-Rabin"):
+            is_prime(n)
+    # multiples of a small prime are decided before the bound applies
+    assert is_prime(2**100) is False
 
 
 # --- legendre ----------------------------------------------------------------
@@ -220,18 +301,6 @@ def test_hasse_interval_symmetric_contains_zero(p):
         assert t * t <= 4 * p
     bound = max(interval)
     assert (bound + 1) ** 2 > 4 * p
-
-
-# --- Residue ------------------------------------------------------------------
-
-def test_residue_validation():
-    assert int(Residue(3, 11)) == 3
-    with pytest.raises(ValueError):
-        Residue(11, 11)
-    with pytest.raises(ValueError):
-        Residue(-1, 11)
-    with pytest.raises(ValueError):
-        Residue(1, 9)
 
 
 def test_primes_in_range():

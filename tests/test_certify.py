@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -313,6 +314,18 @@ def test_check_rejects_tampered_conductor():
     bad["witness"]["violation"] = None
     bad["verdict"] = INCONCLUSIVE
     assert not check(Certificate.from_dict(bad))
+
+
+def test_check_is_fast_at_huge_ell(schoen_form):
+    # ell = 2^61 - 1: primality of ell is the only costly part of the check
+    ell = 2**61 - 1
+    cert = irreducibility_by_discriminant(residual_rep(schoen_form, ell), 7)
+    forged = cert.to_dict()
+    forged["ell"] = 2**89 - 1  # beyond the proven primality range
+    start = time.perf_counter()
+    assert check(cert)
+    assert not check(Certificate.from_dict(forged))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_check_never_raises_on_garbage():

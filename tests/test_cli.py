@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
+import pytest
 
+import nonelliptic
 from nonelliptic.cli import main
 
 SCHOEN = str(resources.files("nonelliptic.data").joinpath("schoen_s4_25.json"))
@@ -114,6 +120,35 @@ def test_certify_root_override(capsys):
     assert "square root" in err
 
 
+M61 = 2**61 - 1
+
+
+def test_certify_huge_ell_finishes_quickly(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "certify", "-i", SCHOEN, "--ell", str(M61))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "all proved: yes" in out
+
+
+def test_certify_large_split_ell_quickly(capsys):
+    # 2 is a square mod 2^61 - 1 (2^62 = 2), so both embeddings are certified
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "certify", "-i", SQRT2, "--ell", str(M61))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert f"root={2**31}" in out and f"root={M61 - 2**31}" in out
+
+
+def test_certify_ell_beyond_primality_bound(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "certify", "-i", SCHOEN, "--ell", str(2**89 - 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "Miller-Rabin" in err
+
+
 def test_certify_schema_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"id": "x", "level": 10, "weight": 2, "field": {"type": "rational"}, "eigenvalues": {}, "extra": 1}')
@@ -134,10 +169,71 @@ def test_scan_empty_membership(capsys):
     assert "(none)" in out
 
 
+SCAN_7_10000_TEXT = """\
+closed-form scan over primes ell in [7, 10000]
+  primes scanned: 1226
+  membership 2^(ell-3) in {1, 4, 9} (mod ell) holds at: 7
+    ell=7: residue 2 (9 = 2 mod 7; the per-prime trace test is the authority here)
+  Fermat cross-check 2^(ell-3) == 4^(-1) mod ell: ok for every scanned ell
+"""
+
+SCAN_11_97_TEXT = """\
+closed-form scan over primes ell in [11, 97]
+  primes scanned: 21
+  membership 2^(ell-3) in {1, 4, 9} (mod ell) holds at: (none)
+  Fermat cross-check 2^(ell-3) == 4^(-1) mod ell: ok for every scanned ell
+"""
+
+
+def scan_json(ell_min, ell_max, scanned, holds, residues):
+    body = json.dumps({
+        "ell_max": ell_max,
+        "ell_min": ell_min,
+        "fermat_crosscheck_ok": True,
+        "hold_residues": residues,
+        "membership_holds": holds,
+        "scanned": scanned,
+    }, indent=2)
+    return body + "\n"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("7", "10000"), SCAN_7_10000_TEXT),
+    (("11", "97"), SCAN_11_97_TEXT),
+    (("7", "10000", "--format", "json"), scan_json(7, 10000, 1226, [7], {"7": 2})),
+    (("11", "97", "--format", "json"), scan_json(11, 97, 21, [], {})),
+])
+def test_scan_report_bytes(capsys, argv, expected):
+    code, out, err = run(capsys, "scan", *argv)
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_scan_bad_range(capsys):
     code, _, err = run(capsys, "scan", "3", "5")
     assert code == 1
     assert "must satisfy" in err
+
+
+def test_scan_out_of_memory_exits_1():
+    # The sieve for 10^11 needs ~93 GiB; the child's own address-space limit
+    # makes the allocation fail at once, before it touches any memory.
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(nonelliptic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nonelliptic", "scan", "7", "100000000000"],
+        env=env, preexec_fn=limit_address_space, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_oracle(capsys):

@@ -1,11 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from nonelliptic.arith import primes_in_range
+
 from nonelliptic.quadfield import (
     EmbeddingChoice,
     NotSplitError,
     QuadInt,
     RamifiedError,
+    _sqrt_mod,
     embedding_choices,
     norm_discriminant,
     reduce_mod,
@@ -57,6 +60,36 @@ def test_embedding_roots_sum_to_ell(d, ell):
     assert r1.root < r2.root
 
 
+def linear_search_roots(d, ell):
+    """The square roots of d mod ell by exhaustive search, in increasing order."""
+    return [r for r in range(ell) if (r * r - d) % ell == 0]
+
+
+@pytest.mark.parametrize("d", [-7, -2, -1, 2, 3, 5, 6])
+def test_sqrt_mod_equals_linear_search_below_3000(d):
+    for ell in primes_in_range(3, 2999):
+        roots = linear_search_roots(d, ell)
+        if len(roots) != 2:
+            continue  # ell ramified or inert for d
+        r = _sqrt_mod(d, ell)
+        assert sorted((r, ell - r)) == roots, (d, ell)
+        if d > 1:
+            assert [e.root for e in embedding_choices(d, ell)] == roots, (d, ell)
+
+
+def test_embedding_choices_rejects_non_real_d():
+    # only real quadratic fields are supported, as before the root search changed
+    for d in (-7, -2, -1):
+        with pytest.raises(ValueError):
+            embedding_choices(d, 3001)
+
+
+def test_embedding_choices_at_a_large_split_prime():
+    ell = 2**61 - 1  # 2**62 = 2 (mod ell), so 2**31 is a root of 2
+    r1, r2 = embedding_choices(2, ell)
+    assert (r1.root, r2.root) == (2**31, ell - 2**31)
+
+
 def test_embedding_choice_validation():
     with pytest.raises(ValueError):
         EmbeddingChoice(7, 5, 2)  # 25 != 2 mod 7
@@ -66,9 +99,9 @@ def test_embedding_choice_validation():
 
 def test_reduce_examples():
     e3 = EmbeddingChoice(7, 3, 2)
-    assert reduce_mod(QuadInt(0, 6, 2), e3).value == 4   # 18 = 4 (mod 7)
-    assert reduce_mod(QuadInt(-4), e3).value == 3        # rational, any embedding
-    assert reduce_mod(QuadInt(0), e3).value == 0
+    assert reduce_mod(QuadInt(0, 6, 2), e3) == 4   # 18 = 4 (mod 7)
+    assert reduce_mod(QuadInt(-4), e3) == 3        # rational, any embedding
+    assert reduce_mod(QuadInt(0), e3) == 0
 
 
 def test_reduce_rejects_mismatched_field():
@@ -89,9 +122,9 @@ quadints = st.builds(
 def test_reduce_is_a_ring_homomorphism(u, v):
     for e in embedding_choices(2, 7) + embedding_choices(2, 17):
         ell = e.ell
-        assert reduce_mod(u + v, e).value == (reduce_mod(u, e).value + reduce_mod(v, e).value) % ell
-        assert reduce_mod(u * v, e).value == (reduce_mod(u, e).value * reduce_mod(v, e).value) % ell
-        assert reduce_mod(-u, e).value == (-reduce_mod(u, e).value) % ell
+        assert reduce_mod(u + v, e) == (reduce_mod(u, e) + reduce_mod(v, e)) % ell
+        assert reduce_mod(u * v, e) == (reduce_mod(u, e) * reduce_mod(v, e)) % ell
+        assert reduce_mod(-u, e) == (-reduce_mod(u, e)) % ell
 
 
 def test_quadint_arithmetic_mixes_rational_and_surd():
@@ -133,6 +166,6 @@ def test_discriminant_residue_is_embedding_independent(a):
     for ell, p, k in ((7, 29, 2), (17, 29, 2), (7, 13, 2)):
         delta = norm_discriminant(a, p, k)
         for e in embedding_choices(2, ell):
-            tr = reduce_mod(a, e).value
+            tr = reduce_mod(a, e)
             assert (tr * tr - 4 * p ** (k - 1)) % ell == delta % ell
         assert legendre(delta, ell) in (-1, 0, 1)
