@@ -3,7 +3,8 @@
 Everything here is deterministic and exact: primality is decided by a
 Miller-Rabin test with a proven base set (correct for every n below
 MILLER_RABIN_LIMIT, an error above it), factorization by trial division up
-to the integer square root, and all values are exact Python integers.
+to TRIAL_DIVISION_BOUND with a proven-prime cofactor (an error otherwise),
+and all values are exact Python integers.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from itertools import compress
 # Trial division is the only factoring strategy; refuse anything that could
 # make it run for hours.
 TRIAL_DIVISION_LIMIT = 2**64
+# Trial divisors stop here (about 0.1 s of work); the cofactor left over must
+# then be provably prime.
+TRIAL_DIVISION_BOUND = 10**6
 
 
 # The first 13 primes: trial divisors, then Miller-Rabin bases.
@@ -153,7 +157,14 @@ def isqrt(n: int) -> int:
 
 
 def trial_factor(n: int) -> Factorization:
-    """Complete factorization of n >= 2 by trial division."""
+    """Complete factorization of n >= 2 by trial division up to
+    TRIAL_DIVISION_BOUND.
+
+    The cofactor left after the last divisor d has no prime factor below d:
+    it is prime if it is below d**2, or if is_prime proves it. Otherwise n
+    has two prime factors above the bound, and ValueError is raised instead
+    of dividing on for hours.
+    """
     if n < 2:
         raise ValueError(f"cannot factor {n}: need n >= 2")
     if n > TRIAL_DIVISION_LIMIT:
@@ -161,7 +172,7 @@ def trial_factor(n: int) -> Factorization:
     factors: list[tuple[int, int]] = []
     rest = n
     d = 2
-    while d * d <= rest:
+    while d * d <= rest and d <= TRIAL_DIVISION_BOUND:
         if rest % d == 0:
             e = 0
             while rest % d == 0:
@@ -170,6 +181,11 @@ def trial_factor(n: int) -> Factorization:
             factors.append((d, e))
         d += 1 if d == 2 else 2
     if rest > 1:
+        if d * d <= rest and not is_prime(rest):
+            raise ValueError(
+                f"cannot factor {n}: the cofactor {rest} has no prime factor "
+                f"up to the trial-division bound {TRIAL_DIVISION_BOUND}"
+            )
         factors.append((rest, 1))
     return Factorization(n, tuple(factors))
 

@@ -9,11 +9,11 @@ are sound but not complete), never an error.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import data_io
 from .arith import (
+    Factorization,
     is_prime,
     isqrt,
     legendre,
@@ -128,12 +128,9 @@ def reducibility_obstruction(
     """
     # epsilon has conductor c with c^2 dividing the level, so epsilon(p) = 1
     # is guaranteed by p ≡ 1 modulo prod q^floor(v_q(N)/2).
-    if form.level == 1:
-        modulus = 1
-    else:
-        modulus = 1
-        for q, e in trial_factor(form.level).factors:
-            modulus *= q ** (e // 2)
+    modulus = 1
+    for q, e in form.level_factorization.factors:
+        modulus *= q ** (e // 2)
     if (p - 1) % modulus != 0:
         raise ValueError(
             f"witness prime invalid: need p = 1 (mod {modulus}) to trivialize "
@@ -224,20 +221,26 @@ def non_elliptic_trace_test(rep: ResidualRep, p: int) -> Certificate:
 
 
 def conductor_bound_test(
-    conductor: int, ell: int | None = None, form_id: str | None = None
+    conductor: int | Factorization,
+    ell: int | None = None,
+    form_id: str | None = None,
 ) -> Certificate:
     """Non-ellipticity by conductor size: an elliptic curve over Q has
     v_2 <= 8, v_3 <= 5 and v_p <= 2 (p > 3) in its conductor, so an
     established equality conductor violating a bound rules every curve out.
 
-    The caller is responsible for only passing conductors known to be exact
-    (not mere divisors)."""
+    The conductor may come already factored, so that testing one conductor
+    at many ell factors it once. The caller is responsible for only passing
+    conductors known to be exact (not mere divisors)."""
+    fac = conductor if isinstance(conductor, Factorization) else None
+    if fac is not None:
+        conductor = fac.n
     if conductor < 1:
         raise ValueError("conductor must be positive")
     factors: list[list[int]] = []
     violation = None
     if conductor > 1:
-        fac = trial_factor(conductor)
+        fac = fac or trial_factor(conductor)
         factors = [list(qe) for qe in fac.factors]
         for q, e in fac.factors:
             bound = ELLIPTIC_CONDUCTOR_BOUNDS.get(q, DEFAULT_CONDUCTOR_BOUND)
@@ -574,8 +577,9 @@ def certify_at_ell(
     conductor_cert: Certificate | None = None
     if not any(c.verdict == NON_ELLIPTIC for c in trace_tests):
         if form.claimed_conductor_equality:
+            # rep.serre_conductor is the level, factored once per form
             conductor_cert = conductor_bound_test(
-                rep.serre_conductor, ell=ell, form_id=form.form_id
+                form.level_factorization, ell=ell, form_id=form.form_id
             )
         else:
             notes.append(
@@ -592,21 +596,6 @@ def certify_at_ell(
         conductor=conductor_cert,
         notes=tuple(notes),
     )
-
-
-def _certify_job(args) -> list[dict]:
-    form, ell, root, witness_prime = args
-    if form.d is None:
-        runs = [certify_at_ell(form, ell, None, witness_prime)]
-    else:
-        if root is None:
-            embeddings = list(embedding_choices(form.d, ell))
-        else:
-            embeddings = [e for e in embedding_choices(form.d, ell) if e.root == root]
-            if not embeddings:
-                raise ValueError(f"--root {root} is not a square root of {form.d} mod {ell}")
-        runs = [certify_at_ell(form, ell, e, witness_prime) for e in embeddings]
-    return [r.to_dict() for r in runs]
 
 
 @dataclass(frozen=True)
@@ -691,26 +680,34 @@ def certify_form(
     ells: list[int],
     root: int | None = None,
     witness_prime: int | None = None,
-    workers: int = 1,
 ) -> CertifyReport:
-    """Certification pipeline over a list of ells (sorted, deterministic)."""
+    """Certification pipeline over a list of ells (sorted, deterministic):
+    one run per ell, or one per embedding (root) over a quadratic field."""
     ells = sorted(set(ells))
-    jobs = [(form, ell, root, witness_prime) for ell in ells]
-    if workers <= 1 or len(jobs) <= 1:
-        results = [_certify_job(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = list(pool.map(_certify_job, jobs))
-    runs = tuple(r for group in results for r in group)
-    return CertifyReport(form_id=form.form_id, ells=tuple(ells), runs=runs)
+    runs: list[dict] = []
+    for ell in ells:
+        if form.d is None:
+            embeddings = [None]
+        else:
+            embeddings = embedding_choices(form.d, ell)
+            if root is not None:
+                embeddings = [e for e in embeddings if e.root == root]
+                if not embeddings:
+                    raise ValueError(
+                        f"--root {root} is not a square root of {form.d} mod {ell}"
+                    )
+        for e in embeddings:
+            runs.append(certify_at_ell(form, ell, e, witness_prime).to_dict())
+    return CertifyReport(form_id=form.form_id, ells=tuple(ells), runs=tuple(runs))
 
 
 # ---------------------------------------------------------------------------
 # bundled end-to-end verification against the expectations table
 # ---------------------------------------------------------------------------
 
-def _w4_ell_entry(args) -> dict:
-    form, ell, exceptional, trace_p = args
+def _w4_ell_entry(
+    form: NewformData, ell: int, exceptional: frozenset[int], trace_p: int
+) -> dict:
     rep = residual_rep(form, ell)
     entry: dict = {"ell": ell}
     if ell in exceptional:
@@ -846,7 +843,6 @@ _FAMILY_NOTE = (
 
 def full_paper_verification(
     ell_max: int = 1000,
-    workers: int = 1,
     forms: dict[str, NewformData] | None = None,
     expectations: dict | None = None,
 ) -> VerificationReport:
@@ -870,14 +866,11 @@ def full_paper_verification(
     )
     certs.append(family_cert)
 
-    sample = primes_in_range(6, ell_max)
-    jobs = [(form4, ell, exceptional, exp4["trace_test_witness_prime"]) for ell in sample]
-    if workers <= 1 or len(jobs) <= 1:
-        per_ell = [_w4_ell_entry(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, 8)) as pool:
-            per_ell = list(pool.map(_w4_ell_entry, jobs, chunksize=16))
-    per_ell.sort(key=lambda e: e["ell"])
+    trace_p = exp4["trace_test_witness_prime"]
+    per_ell = [
+        _w4_ell_entry(form4, ell, exceptional, trace_p)
+        for ell in primes_in_range(6, ell_max)
+    ]
     for entry in per_ell:
         if entry.get("discriminant"):
             certs.append(Certificate.from_dict(entry["discriminant"]))

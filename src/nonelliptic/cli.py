@@ -42,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--ell-max", type=int, default=1000,
                           help="upper bound of the per-ell sample (default 1000)")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.add_argument("--workers", type=int, default=1)
 
     p_certify = sub.add_parser(
         "certify", help="certify irreducibility + non-ellipticity for user data"
@@ -56,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_certify.add_argument("--root", type=int,
                            help="embedding root override (quadratic fields; default: both roots)")
     p_certify.add_argument("--format", choices=("text", "json"), default="text")
-    p_certify.add_argument("--workers", type=int, default=1)
 
     p_scan = sub.add_parser(
         "scan", help="closed-form scan: 2^(ell-3) in {1,4,9} mod ell over a prime range"
@@ -84,43 +82,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_workers(args) -> None:
-    if getattr(args, "workers", 1) < 1:
-        raise ValueError("--workers must be >= 1")
-
-
-def _requested_ells(args) -> list[int]:
+def _requested_ells(args, form) -> list[int]:
+    """The ells to certify: the single --ell, or the primes in
+    [--ell-min, --ell-max], over Q(sqrt(d)) only the split ones. A single
+    inert or ramified --ell fails later, with its own error."""
     if args.ell is not None:
-        ells = [args.ell]
-    elif args.ell_min is not None and args.ell_max is not None:
-        ells = primes_in_range(args.ell_min, args.ell_max)
-        if not ells:
-            raise ValueError(f"no primes in [{args.ell_min}, {args.ell_max}]")
-    else:
+        if args.ell <= 5 or not is_prime(args.ell):
+            raise ValueError(f"ell={args.ell} must be a prime > 5")
+        return [args.ell]
+    if args.ell_min is None or args.ell_max is None:
         raise ValueError("give either --ell or both --ell-min and --ell-max")
-    for ell in ells:
-        if ell <= 5 or not is_prime(ell):
-            raise ValueError(f"ell={ell} must be a prime > 5")
+    # The sieve is exact, so only the lower end needs checking.
+    ells = primes_in_range(args.ell_min, args.ell_max)
+    if not ells:
+        raise ValueError(f"no primes in [{args.ell_min}, {args.ell_max}]")
+    if ells[0] <= 5:
+        raise ValueError(f"ell={ells[0]} must be a prime > 5")
+    if form.d is not None:
+        # Euler's criterion: split iff d is a nonzero square mod ell
+        ells = [ell for ell in ells if pow(form.d, (ell - 1) // 2, ell) == 1]
+        if not ells:
+            raise ValueError(
+                f"no prime in [{args.ell_min}, {args.ell_max}] splits in "
+                f"Q(sqrt({form.d}))"
+            )
     return ells
 
 
 def _cmd_verify_paper(args) -> int:
-    _check_workers(args)
-    report = certify.full_paper_verification(ell_max=args.ell_max, workers=args.workers)
+    report = certify.full_paper_verification(ell_max=args.ell_max)
     sys.stdout.write(data_io.dump_report(report, args.format))
     return EXIT_PROVED if report.passed else EXIT_ERROR
 
 
 def _cmd_certify(args) -> int:
-    _check_workers(args)
     form = data_io.load_form(args.input)
-    ells = _requested_ells(args)
+    ells = _requested_ells(args, form)
     report = certify.certify_form(
-        form,
-        ells,
-        root=args.root,
-        witness_prime=args.witness_prime,
-        workers=args.workers,
+        form, ells, root=args.root, witness_prime=args.witness_prime
     )
     sys.stdout.write(data_io.dump_report(report, args.format))
     return EXIT_PROVED if report.all_proved else EXIT_INCONCLUSIVE

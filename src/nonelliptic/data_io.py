@@ -10,9 +10,9 @@ warning is the useful signal.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from importlib import resources
-
-import jsonschema
+from json.encoder import encode_basestring_ascii
 
 from .arith import is_prime
 from .quadfield import QuadInt, ensure_squarefree
@@ -28,18 +28,26 @@ def _load_packaged(name: str) -> dict:
         return json.load(fp)
 
 
-_SCHEMA = _load_packaged("form_record.schema.json")
 BUNDLED_FORMS = ("schoen_s4_25", "s2_512_sqrt2")
+
+
+@lru_cache(maxsize=None)
+def _schema() -> dict:
+    return _load_packaged("form_record.schema.json")
 
 
 def parse_form(text: str | bytes) -> NewformData:
     """Parse and validate one FormRecord; errors carry the offending path."""
+    # Imported here, not at module level: jsonschema is about half of the
+    # package's import time, and only commands that read a form need it.
+    import jsonschema
+
     try:
         record = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
     try:
-        jsonschema.validate(record, _SCHEMA)
+        jsonschema.validate(record, _schema())
     except jsonschema.ValidationError as exc:
         raise SchemaError(f"schema violation at {exc.json_path}: {exc.message}") from None
 
@@ -116,9 +124,72 @@ def load_expectations() -> dict:
     return _load_packaged("expectations.json")
 
 
+# Exact type -> JSON text, as json.dumps writes it. Anything else (floats,
+# subclasses) is left to json.dumps itself.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(obj, indent: str, emit) -> None:
+    """Emit obj as json.dumps(sort_keys=True, indent=2, ensure_ascii=True)
+    writes it when it sits at nesting `indent`."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        emit(scalar(obj))
+    elif isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        if not obj:
+            emit("{}")
+            return
+        inner = indent + "  "
+        sep, comma = "{\n" + inner, ",\n" + inner
+        for key in sorted(obj):
+            value = obj[key]
+            scalar = _SCALARS.get(type(value))
+            if scalar is None:
+                emit(f"{sep}{encode_basestring_ascii(key)}: ")
+                _write_json(value, inner, emit)
+            else:
+                emit(f"{sep}{encode_basestring_ascii(key)}: {scalar(value)}")
+            sep = comma
+        emit(f"\n{indent}}}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = indent + "  "
+        sep, comma = "[\n" + inner, ",\n" + inner
+        if all(type(v) in _SCALARS for v in obj):
+            emit(sep + comma.join([_SCALARS[type(v)](v) for v in obj]))
+        else:
+            for value in obj:
+                emit(sep)
+                _write_json(value, inner, emit)
+                sep = comma
+        emit(f"\n{indent}]")
+    else:
+        # Strings in JSON text never hold a raw newline, so every newline is
+        # a line break that needs the enclosing indent.
+        text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True)
+        emit(text.replace("\n", "\n" + indent))
+
+
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """Deterministic JSON: sorted keys, two-space indent, ASCII only,
+    trailing newline.
+
+    Byte for byte json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=True) + "\n", written directly: with an indent, json uses
+    its pure-Python generator encoder, which takes about twice as long on a
+    large certify report.
+    """
+    chunks: list[str] = []
+    _write_json(obj, "", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def dump_report(report, fmt: str = "text") -> str:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .arith import is_prime, require_odd_prime, trial_factor
+from .arith import Factorization, is_prime, require_odd_prime, trial_factor
 from .quadfield import EmbeddingChoice, QuadInt, embedding_choices, reduce_mod
 
 
@@ -75,11 +76,16 @@ class NewformData:
                 stacklevel=3,
             )
 
+    @cached_property
+    def level_factorization(self) -> Factorization:
+        """The level's prime factorization, computed once per form."""
+        if self.level == 1:
+            return Factorization(1, ())
+        return trial_factor(self.level)
+
     @property
     def bad_primes(self) -> tuple[int, ...]:
-        if self.level == 1:
-            return ()
-        return trial_factor(self.level).primes()
+        return self.level_factorization.primes()
 
     def good_primes(self) -> list[int]:
         return sorted(self.eigenvalues)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -267,6 +269,21 @@ def test_trial_factor_reconstructs_with_prime_increasing_factors(n):
         prev = q
         prod *= q**e
     assert prod == n
+
+
+def test_trial_factor_cofactor_above_the_bound():
+    big = 2**61 - 1  # prime, accepted by is_prime
+    assert trial_factor(2 * big).factors == ((2, 1), (big, 1))
+    assert trial_factor(999983**2).factors == ((999983, 2),)  # divisor below the bound
+    assert trial_factor(1000003).factors == ((1000003, 1),)  # below the bound squared
+
+
+@pytest.mark.parametrize("n", [1000000007 * 1000000009, 1000003**2])
+def test_trial_factor_refuses_two_factors_above_the_bound(n):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="trial-division bound"):
+        trial_factor(n)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_factorization_invariants_enforced():

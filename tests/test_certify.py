@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from nonelliptic.arith import primes_in_range
+from nonelliptic.arith import Factorization, primes_in_range, trial_factor
 from nonelliptic.certify import (
     INCONCLUSIVE,
     IRREDUCIBLE,
@@ -235,6 +235,31 @@ def test_conductor_bound_examples():
     assert conductor_bound_test(3**6).witness["violation"] == {"p": 3, "exponent": 6, "bound": 5}
     assert conductor_bound_test(7**3).witness["violation"] == {"p": 7, "exponent": 3, "bound": 2}
     assert conductor_bound_test(7**2 * 11).verdict == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("n", [1, 25, 512, 2560, 3**6, 7**3, 7**2 * 11])
+def test_conductor_bound_takes_a_factorization(n):
+    fac = trial_factor(n) if n > 1 else Factorization(1, ())
+    assert conductor_bound_test(fac, ell=11, form_id="f") == conductor_bound_test(
+        n, ell=11, form_id="f"
+    )
+
+
+def test_certify_form_factors_the_level_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return trial_factor(n)
+
+    monkeypatch.setattr("nonelliptic.certify.trial_factor", counting)
+    monkeypatch.setattr("nonelliptic.repmodel.trial_factor", counting)
+    # no eigenvalues: every ell falls through to the conductor bound
+    form = NewformData(form_id="bare", level=2560, weight=2, d=None, eigenvalues={},
+                       claimed_conductor_equality=True)
+    report = certify_form(form, [7, 11, 13, 17, 19])
+    assert [r["conductor"]["witness"]["conductor"] for r in report.runs] == [2560] * 5
+    assert calls == [2560]
 
 
 @pytest.mark.parametrize("n", [512, 2560, 3**6, 7**3])

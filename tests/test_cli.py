@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nonelliptic
+from nonelliptic.arith import primes_in_range
 from nonelliptic.cli import main
 
 SCHOEN = str(resources.files("nonelliptic.data").joinpath("schoen_s4_25.json"))
@@ -45,11 +47,12 @@ def test_verify_paper_json_deterministic(capsys):
     assert payload["passed"] is True
 
 
-def test_verify_paper_workers_identical_output(capsys):
-    _, out1, _ = run(capsys, "verify-paper", "--ell-max", "80", "--format", "json")
-    _, out2, _ = run(capsys, "verify-paper", "--ell-max", "80", "--format", "json",
-                     "--workers", "3")
-    assert out1 == out2
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_paper_identical_across_runs(capsys, fmt):
+    first = run(capsys, "verify-paper", "--ell-max", "80", "--format", fmt)
+    second = run(capsys, "verify-paper", "--ell-max", "80", "--format", fmt)
+    assert first == second
+    assert first[0] == 0
 
 
 def test_certify_weight4_at_11(capsys):
@@ -103,12 +106,69 @@ def test_certify_range(capsys):
         assert f"ell={ell}" in out
 
 
-def test_certify_range_workers_identical(capsys):
-    _, out1, _ = run(capsys, "certify", "-i", SCHOEN, "--ell-min", "11",
-                     "--ell-max", "31", "--format", "json")
-    _, out2, _ = run(capsys, "certify", "-i", SCHOEN, "--ell-min", "11",
-                     "--ell-max", "31", "--format", "json", "--workers", "2")
-    assert out1 == out2
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_certify_range_identical_across_runs(capsys, fmt):
+    argv = ("certify", "-i", SCHOEN, "--ell-min", "11", "--ell-max", "31",
+            "--format", fmt)
+    first = run(capsys, *argv)
+    assert first == run(capsys, *argv)
+    assert first[0] == 0
+
+
+# sha256 of the report as written before the direct JSON writer replaced
+# json.dumps(indent=2): the bytes must not move.
+SCHOEN_7_3000_JSON_SHA256 = (
+    "dbec122deac1817d6af849b3171316e3e933719b944084a38a7364f660ea363d"
+)
+
+
+def test_certify_range_report_bytes_pinned(capsys):
+    code, out, err = run(capsys, "certify", "-i", SCHOEN, "--ell-min", "7",
+                         "--ell-max", "3000", "--format", "json")
+    assert (code, err) == (2, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SCHOEN_7_3000_JSON_SHA256
+
+
+def test_certify_range_over_quadratic_field_takes_split_ells(capsys):
+    code, out, err = run(capsys, "certify", "-i", SQRT2, "--ell-min", "7",
+                         "--ell-max", "200", "--format", "json")
+    assert code in (0, 2) and err == ""
+    report = json.loads(out)
+    split = [ell for ell in primes_in_range(7, 200) if pow(2, (ell - 1) // 2, ell) == 1]
+    assert report["ells"] == split == [7, 17, 23, 31, 41, 47, 71, 73, 79, 89, 97,
+                                       103, 113, 127, 137, 151, 167, 191, 193, 199]
+    assert [r["ell"] for r in report["runs"]] == [ell for ell in split for _ in (0, 1)]
+    # each run is the one a single --ell gives
+    _, single, _ = run(capsys, "certify", "-i", SQRT2, "--ell", "23", "--format", "json")
+    assert json.loads(single)["runs"] == [r for r in report["runs"] if r["ell"] == 23]
+
+
+def test_certify_range_without_split_ell_exits_1(capsys):
+    code, out, err = run(capsys, "certify", "-i", SQRT2, "--ell-min", "11",
+                         "--ell-max", "13")
+    assert (code, out) == (1, "")
+    assert err == "error: no prime in [11, 13] splits in Q(sqrt(2))\n"
+
+
+def test_certify_range_rejects_small_ell(capsys):
+    code, out, err = run(capsys, "certify", "-i", SCHOEN, "--ell-min", "2",
+                         "--ell-max", "30")
+    assert (code, out, err) == (1, "", "error: ell=2 must be a prime > 5\n")
+
+
+def test_certify_unfactorable_level_exits_quickly(tmp_path, capsys):
+    # the level is the product of two primes above the trial-division bound;
+    # at ell = 7 the trace test is inconclusive, so the conductor is needed
+    probe = json.loads(Path(SCHOEN).read_text())
+    probe.update(id="probe", level=1000000007 * 1000000009,
+                 claimed_conductor_equality=True)
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(probe))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "certify", "-i", str(path), "--ell", "7")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot factor 1000000016000000063")
 
 
 def test_certify_root_override(capsys):
@@ -288,7 +348,28 @@ def test_falsify_json(capsys):
     assert payload["witness"] == {"p": 2, "curve_trace": 0, "rep_trace": 5}
 
 
-def test_workers_must_be_positive(capsys):
-    code, _, err = run(capsys, "verify-paper", "--ell-max", "20", "--workers", "0")
-    assert code == 1
-    assert "--workers" in err
+@pytest.mark.parametrize("argv", [
+    ("verify-paper", "--ell-max", "20", "--workers", "2"),
+    ("certify", "-i", SCHOEN, "--ell", "11", "--workers", "2"),
+], ids=["verify-paper", "certify"])
+def test_workers_flag_is_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
+def test_import_leaves_out_jsonschema_and_process_pools():
+    src = str(Path(nonelliptic.__file__).resolve().parents[1])
+    code = (
+        "import sys, nonelliptic.cli\n"
+        "heavy = ('jsonschema', 'concurrent.futures', 'multiprocessing')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "nonelliptic.cli.main(['certify', '-i', sys.argv[1], '--ell', '11'])\n"
+        "print('jsonschema' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, SCHOEN], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "True"  # parsing a form loads the schema validator

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nonelliptic.data_io import (
     SchemaError,
@@ -146,3 +147,42 @@ def test_canonical_json_sorts_keys():
     assert canonical_json({"b": 1, "a": 2}).index('"a"') < canonical_json(
         {"b": 1, "a": 2}
     ).index('"b"')
+
+
+JSON_TEXT = st.text() | st.sampled_from(
+    ["", "é", "\u2028", "\ud800", "\x00\x1f\x7f", '"\\/\b\f\n\r\t', "\U0001f600"]
+)
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.dictionaries(JSON_TEXT, inner, max_size=5)
+        | st.dictionaries(st.integers(), inner, max_size=3)
+    ),
+    max_leaves=30,
+)
+
+
+@given(JSON_TREES)
+def test_canonical_json_equals_json_dumps(obj):
+    expected = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    assert canonical_json(obj) == expected
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), [[]], [{}], {"a": {}}, {"a": []}, [True, 1, False, 0, None],
+    {"b": [1, "x", None], "a": [[1, 2], {"k": 1.5}]}, {1: [2], 3: {"a": 1}},
+    {"x": {2: "two", 1: "one"}}, [float("nan"), float("inf"), -0.0],
+])
+def test_canonical_json_edge_cases(obj):
+    expected = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    assert canonical_json(obj) == expected
+
+
+def test_canonical_json_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        canonical_json({"a": {1: 1, "b": 2}})
+    with pytest.raises(TypeError):
+        canonical_json([object()])
