@@ -37,15 +37,12 @@ from .quadfield import (
     EmbeddingChoice,
     QuadInt,
     embedding_choices,
-    norm_discriminant,
     reduce_mod,
     splits,
 )
 from .repmodel import (
     NewformData,
     ResidualRep,
-    TwistSpec,
-    available_witness_primes,
     residual_rep,
     twist,
     twist_to_det_chi,
@@ -62,8 +59,6 @@ __all__ = [
     "NewformData",
     "QuadInt",
     "ResidualRep",
-    "TwistSpec",
-    "available_witness_primes",
     "bundled_form",
     "certify_form",
     "check",
@@ -82,7 +77,6 @@ __all__ = [
     "legendre",
     "load_form",
     "non_elliptic_trace_test",
-    "norm_discriminant",
     "parse_form",
     "primes_in_range",
     "reduce_mod",

@@ -126,12 +126,6 @@ class Factorization:
         if prod != self.n:
             raise ValueError(f"factors reconstruct {prod}, not {self.n}")
 
-    def exponent_of(self, q: int) -> int:
-        for prime, e in self.factors:
-            if prime == q:
-                return e
-        return 0
-
     def primes(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.factors)
 

@@ -9,10 +9,12 @@ are sound but not complete), never an error.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import data_io
 from .arith import (
+    TRIAL_DIVISION_BOUND,
     Factorization,
     is_prime,
     isqrt,
@@ -21,7 +23,7 @@ from .arith import (
     require_odd_prime,
     trial_factor,
 )
-from .quadfield import embedding_choices
+from .quadfield import EmbeddingChoice, embedding_choices
 from .repmodel import (
     InsufficientDataError,
     NewformData,
@@ -185,6 +187,9 @@ def excluded_trace_set(p: int, ell: int) -> list[int]:
     take: the Hasse interval |t| <= 2 sqrt(p) plus the level-raising values
     ±(p+1)."""
     bound = isqrt(4 * p)
+    if 2 * bound + 1 >= ell:
+        # the interval alone already meets every residue class
+        return list(range(ell))
     excluded = {t % ell for t in range(-bound, bound + 1)}
     excluded.add((p + 1) % ell)
     excluded.add(-(p + 1) % ell)
@@ -386,13 +391,17 @@ def _check_obstruction(cert: Certificate) -> bool:
     modulus = 1
     n = level
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= TRIAL_DIVISION_BOUND:
         e = 0
         while n % d == 0:
             n //= d
             e += 1
         modulus *= d ** (e // 2)
-        d += 1
+        d += 1 if d == 2 else 2
+    # A cofactor below d**2 is 1 or prime; at or above it, only a proof of
+    # primality shows it adds nothing to the modulus.
+    if d * d <= n and not is_prime(n):
+        return False
     if (p - 1) % modulus != 0:
         return False
     if m_value != abs(1 + p ** (k - 1) - a_p):
@@ -675,6 +684,21 @@ class CertifyReport:
         return "\n".join(lines)
 
 
+def select_embeddings(
+    form: NewformData, ell: int, root: int | None = None
+) -> Sequence[EmbeddingChoice | None]:
+    """The embeddings to certify at ell: [None] over Q; over Q(sqrt(d)) both
+    square roots of d mod ell, smaller first, or only `root` when given."""
+    if form.d is None:
+        return [None]
+    embeddings = embedding_choices(form.d, ell)
+    if root is not None:
+        embeddings = [e for e in embeddings if e.root == root]
+        if not embeddings:
+            raise ValueError(f"--root {root} is not a square root of {form.d} mod {ell}")
+    return embeddings
+
+
 def certify_form(
     form: NewformData,
     ells: list[int],
@@ -684,52 +708,17 @@ def certify_form(
     """Certification pipeline over a list of ells (sorted, deterministic):
     one run per ell, or one per embedding (root) over a quadratic field."""
     ells = sorted(set(ells))
-    runs: list[dict] = []
-    for ell in ells:
-        if form.d is None:
-            embeddings = [None]
-        else:
-            embeddings = embedding_choices(form.d, ell)
-            if root is not None:
-                embeddings = [e for e in embeddings if e.root == root]
-                if not embeddings:
-                    raise ValueError(
-                        f"--root {root} is not a square root of {form.d} mod {ell}"
-                    )
-        for e in embeddings:
-            runs.append(certify_at_ell(form, ell, e, witness_prime).to_dict())
+    runs = [
+        certify_at_ell(form, ell, e, witness_prime).to_dict()
+        for ell in ells
+        for e in select_embeddings(form, ell, root)
+    ]
     return CertifyReport(form_id=form.form_id, ells=tuple(ells), runs=tuple(runs))
 
 
 # ---------------------------------------------------------------------------
 # bundled end-to-end verification against the expectations table
 # ---------------------------------------------------------------------------
-
-def _w4_ell_entry(
-    form: NewformData, ell: int, exceptional: frozenset[int], trace_p: int
-) -> dict:
-    rep = residual_rep(form, ell)
-    entry: dict = {"ell": ell}
-    if ell in exceptional:
-        cert = None
-        last = None
-        for p in rep.witness_primes():
-            c = irreducibility_by_discriminant(rep, p)
-            last = c
-            if c.verdict == IRREDUCIBLE:
-                cert = c
-                break
-        entry["irreducible_route"] = "discriminant"
-        entry["discriminant"] = (cert or last).to_dict() if (cert or last) else None
-        entry["irreducible"] = cert is not None
-    else:
-        entry["irreducible_route"] = "family"
-        entry["irreducible"] = True
-    twisted = twist_to_det_chi(rep)
-    entry["twist_exponent"] = twisted.twist_exponent
-    entry["trace_test"] = non_elliptic_trace_test(twisted, trace_p).to_dict()
-    return entry
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -764,7 +753,9 @@ class VerificationReport:
         n_irr = sum(1 for e in per_ell if e["irreducible"])
         n_disc = sum(1 for e in per_ell if e["irreducible_route"] == "discriminant")
         inconclusive = [
-            e["ell"] for e in per_ell if e["trace_test"]["verdict"] != NON_ELLIPTIC
+            e["ell"]
+            for e in per_ell
+            if not (e["trace_test"] and e["trace_test"]["verdict"] == NON_ELLIPTIC)
         ]
         lines = [
             "== bundled verification ==",
@@ -846,8 +837,9 @@ def full_paper_verification(
     forms: dict[str, NewformData] | None = None,
     expectations: dict | None = None,
 ) -> VerificationReport:
-    """Run both bundled pipelines end to end and diff every step against the
-    versioned expectations table. Any mismatch makes passed False."""
+    """Certify the bundled forms with `certify_form` and diff every step
+    against the versioned expectations table. Any mismatch makes passed
+    False."""
     if expectations is None:
         expectations = data_io.load_expectations()
     if forms is None:
@@ -867,14 +859,24 @@ def full_paper_verification(
     certs.append(family_cert)
 
     trace_p = exp4["trace_test_witness_prime"]
-    per_ell = [
-        _w4_ell_entry(form4, ell, exceptional, trace_p)
-        for ell in primes_in_range(6, ell_max)
-    ]
-    for entry in per_ell:
-        if entry.get("discriminant"):
-            certs.append(Certificate.from_dict(entry["discriminant"]))
-        certs.append(Certificate.from_dict(entry["trace_test"]))
+    per_ell = []
+    for run in certify_form(form4, primes_in_range(6, ell_max), witness_prime=trace_p).runs:
+        # Outside the exceptional set the family obstruction proves
+        # irreducibility; inside it the run's discriminant test must.
+        entry: dict = {"ell": run["ell"]}
+        if run["ell"] in exceptional:
+            entry["irreducible_route"] = "discriminant"
+            entry["discriminant"] = run["irreducible"]
+            entry["irreducible"] = run["proved_irreducible"]
+        else:
+            entry["irreducible_route"] = "family"
+            entry["irreducible"] = True
+        entry["twist_exponent"] = run["twist_exponent"]
+        entry["trace_test"] = run["trace_tests"][0] if run["trace_tests"] else None
+        per_ell.append(entry)
+        for key in ("discriminant", "trace_test"):
+            if entry.get(key):
+                certs.append(Certificate.from_dict(entry[key]))
 
     scan_exp = exp4["scan"]
     scan = closed_form_scan(scan_exp["ell_min"], scan_exp["ell_max"])
@@ -911,10 +913,12 @@ def full_paper_verification(
         if not entry["irreducible"]:
             mismatches.append(f"ell={ell}: irreducibility not certified")
         expected_verdict = INCONCLUSIVE if ell in inconclusive_exp else NON_ELLIPTIC
-        got = entry["trace_test"]["verdict"]
-        if got != expected_verdict:
+        if entry["trace_test"] is None:
+            mismatches.append(f"ell={ell}: no trace test at p={trace_p}")
+        elif entry["trace_test"]["verdict"] != expected_verdict:
             mismatches.append(
-                f"ell={ell}: trace test {got}, expected {expected_verdict}"
+                f"ell={ell}: trace test {entry['trace_test']['verdict']}, "
+                f"expected {expected_verdict}"
             )
     for ell_str, pin in exp4["pinned_discriminant"].items():
         ell = int(ell_str)
@@ -942,16 +946,15 @@ def full_paper_verification(
     form2 = forms["weight2_level512"]
     split_exp = exp2["split"]
     ell2 = split_exp["ell"]
-    emb_pair = embedding_choices(form2.d, ell2)
-    roots = [e.root for e in emb_pair]
-
     disc_exp = exp2["pinned_discriminant"]
-    disc_certs = {}
-    for emb in emb_pair:
-        rep = residual_rep(form2, ell2, emb)
-        cert = irreducibility_by_discriminant(rep, disc_exp["witness_prime"])
-        disc_certs[f"root_{emb.root}"] = cert.to_dict()
-        certs.append(cert)
+    runs2 = certify_form(form2, [ell2], witness_prime=disc_exp["witness_prime"]).runs
+    roots = [run["embedding_root"] for run in runs2]
+    disc_certs = {
+        f"root_{run['embedding_root']}": run["irreducible"]
+        for run in runs2
+        if run["irreducible"]
+    }
+    certs.extend(Certificate.from_dict(c) for c in disc_certs.values())
 
     conductor_certs = {}
     for n_str in exp2["conductor_violations"]:
@@ -974,7 +977,14 @@ def full_paper_verification(
 
     if roots != split_exp["roots"]:
         mismatches.append(f"split roots {roots}, expected {split_exp['roots']}")
-    for key, cert_d in disc_certs.items():
+    for run in runs2:
+        key = f"root_{run['embedding_root']}"
+        cert_d = run["irreducible"]
+        if cert_d is None:
+            mismatches.append(
+                f"{key}: no discriminant certificate at p={disc_exp['witness_prime']}"
+            )
+            continue
         w = cert_d["witness"]
         if cert_d["verdict"] != IRREDUCIBLE:
             mismatches.append(f"{key}: discriminant verdict {cert_d['verdict']}")

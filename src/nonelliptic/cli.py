@@ -16,8 +16,13 @@ import sys
 
 from . import certify, data_io, ecoracle
 from .arith import is_prime, primes_in_range
-from .quadfield import NotSplitError, RamifiedError, embedding_choices
-from .repmodel import BadReductionError, InsufficientDataError
+from .quadfield import NotSplitError, RamifiedError
+from .repmodel import (
+    BadReductionError,
+    InsufficientDataError,
+    residual_rep,
+    twist_to_det_chi,
+)
 
 EXIT_PROVED = 0
 EXIT_ERROR = 1
@@ -82,14 +87,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_ell(ell: int) -> int:
+    """A single requested ell must be a prime above 5."""
+    if ell <= 5 or not is_prime(ell):
+        raise ValueError(f"ell={ell} must be a prime > 5")
+    return ell
+
+
 def _requested_ells(args, form) -> list[int]:
     """The ells to certify: the single --ell, or the primes in
     [--ell-min, --ell-max], over Q(sqrt(d)) only the split ones. A single
     inert or ramified --ell fails later, with its own error."""
     if args.ell is not None:
-        if args.ell <= 5 or not is_prime(args.ell):
-            raise ValueError(f"ell={args.ell} must be a prime > 5")
-        return [args.ell]
+        return [_check_ell(args.ell)]
     if args.ell_min is None or args.ell_max is None:
         raise ValueError("give either --ell or both --ell-min and --ell-max")
     # The sieve is exact, so only the lower end needs checking.
@@ -156,17 +166,12 @@ def _cmd_falsify(args) -> int:
     curve = ecoracle.CurveQ(*coeffs)
 
     form = data_io.load_form(args.input)
-    ell = args.ell
-    if ell <= 5 or not is_prime(ell):
-        raise ValueError(f"ell={ell} must be a prime > 5")
+    ell = _check_ell(args.ell)
+    # Without --root, residual_rep takes the smaller root after its own
+    # bad-reduction check, so that error comes first.
     embedding = None
-    if form.d is not None and args.root is not None:
-        matches = [e for e in embedding_choices(form.d, ell) if e.root == args.root]
-        if not matches:
-            raise ValueError(f"--root {args.root} is not a square root of {form.d} mod {ell}")
-        embedding = matches[0]
-    from .repmodel import residual_rep, twist_to_det_chi
-
+    if args.root is not None:
+        embedding = certify.select_embeddings(form, ell, args.root)[0]
     rep = residual_rep(form, ell, embedding)
     twisted = twist_to_det_chi(rep)
     result = ecoracle.falsify_curve(curve, twisted)

@@ -23,9 +23,8 @@ class SchemaError(ValueError):
     """The byte stream does not validate against the FormRecord schema."""
 
 
-def _load_packaged(name: str) -> dict:
-    with resources.files("nonelliptic.data").joinpath(name).open("rb") as fp:
-        return json.load(fp)
+def _packaged(name: str) -> bytes:
+    return resources.files("nonelliptic.data").joinpath(name).read_bytes()
 
 
 BUNDLED_FORMS = ("schoen_s4_25", "s2_512_sqrt2")
@@ -33,7 +32,7 @@ BUNDLED_FORMS = ("schoen_s4_25", "s2_512_sqrt2")
 
 @lru_cache(maxsize=None)
 def _schema() -> dict:
-    return _load_packaged("form_record.schema.json")
+    return json.loads(_packaged("form_record.schema.json"))
 
 
 def parse_form(text: str | bytes) -> NewformData:
@@ -116,12 +115,12 @@ def bundled_form(form_id: str) -> NewformData:
     """One of the two datasets shipped with the package."""
     if form_id not in BUNDLED_FORMS:
         raise KeyError(f"no bundled form {form_id!r}; available: {BUNDLED_FORMS}")
-    return parse_form(json.dumps(_load_packaged(f"{form_id}.json")))
+    return parse_form(_packaged(f"{form_id}.json"))
 
 
 def load_expectations() -> dict:
     """The versioned expectations table the bundled verification diffs against."""
-    return _load_packaged("expectations.json")
+    return json.loads(_packaged("expectations.json"))
 
 
 # Exact type -> JSON text, as json.dumps writes it. Anything else (floats,

@@ -47,33 +47,6 @@ class QuadInt:
     def is_rational(self) -> bool:
         return self.y == 0
 
-    def _joint_d(self, other: "QuadInt") -> int | None:
-        if self.d is None:
-            return other.d
-        if other.d is None or other.d == self.d:
-            return self.d
-        raise ValueError(f"mixed quadratic fields: d={self.d} vs d={other.d}")
-
-    def __add__(self, other: "QuadInt") -> "QuadInt":
-        d = self._joint_d(other)
-        return QuadInt(self.x + other.x, self.y + other.y, d)
-
-    def __sub__(self, other: "QuadInt") -> "QuadInt":
-        d = self._joint_d(other)
-        return QuadInt(self.x - other.x, self.y - other.y, d)
-
-    def __neg__(self) -> "QuadInt":
-        return QuadInt(-self.x, -self.y, self.d)
-
-    def __mul__(self, other: "QuadInt") -> "QuadInt":
-        d = self._joint_d(other)
-        dd = 0 if d is None else d
-        return QuadInt(
-            self.x * other.x + dd * self.y * other.y,
-            self.x * other.y + self.y * other.x,
-            d,
-        )
-
     def square_if_rational(self) -> int:
         """The rational integer value of self**2, defined only when x*y = 0."""
         if self.x != 0 and self.y != 0:
@@ -159,20 +132,3 @@ def reduce_mod(v: QuadInt, e: EmbeddingChoice) -> int:
         raise ValueError(f"value lives in Q(sqrt({v.d})), embedding in Q(sqrt({e.d}))")
     return (v.x + v.y * e.root) % e.ell
 
-
-def norm_discriminant(a: QuadInt, p: int, k: int) -> int:
-    """The exact integer a**2 - 4*p**(k-1), the discriminant of the Frobenius
-    characteristic polynomial x**2 - a*x + p**(k-1).
-
-    Defined only when a**2 is rational (x = 0 or y = 0); otherwise the caller
-    must reduce into F_ell first and work with residues.
-    """
-    if k < 2:
-        raise ValueError(f"weight {k} must be >= 2")
-    try:
-        square = a.square_if_rational()
-    except ValueError:
-        raise ValueError(
-            "discriminant not rational; supply embedding first"
-        ) from None
-    return square - 4 * p ** (k - 1)

@@ -83,13 +83,6 @@ class NewformData:
             return Factorization(1, ())
         return trial_factor(self.level)
 
-    @property
-    def bad_primes(self) -> tuple[int, ...]:
-        return self.level_factorization.primes()
-
-    def good_primes(self) -> list[int]:
-        return sorted(self.eigenvalues)
-
 
 @dataclass(frozen=True)
 class ResidualRep:
@@ -184,19 +177,6 @@ def residual_rep(
     )
 
 
-@dataclass(frozen=True)
-class TwistSpec:
-    """Exponent t of the cyclotomic twist: traces gain p**t, det gains 2t."""
-
-    ell: int
-    exponent: int
-
-    def __post_init__(self) -> None:
-        require_odd_prime(self.ell)
-        if not 0 <= self.exponent < self.ell - 1:
-            raise ValueError("twist exponent must be reduced mod ell-1")
-
-
 def twist(rep: ResidualRep, t: int) -> ResidualRep:
     """Tensor by the t-th power of the cyclotomic character."""
     ell = rep.ell
@@ -212,7 +192,7 @@ def twist(rep: ResidualRep, t: int) -> ResidualRep:
     )
 
 
-def det_chi_twist_exponent(det_exponent: int, ell: int) -> TwistSpec:
+def det_chi_twist_exponent(det_exponent: int, ell: int) -> int:
     """The twist exponent t with det_exponent + 2t ≡ 1 (mod ell-1).
 
     Solvable iff det_exponent is odd. Of the two solutions mod ell-1 we take
@@ -224,21 +204,12 @@ def det_chi_twist_exponent(det_exponent: int, ell: int) -> TwistSpec:
         raise ValueError(
             f"no determinant-chi twist exists: exponent {det_exponent} is even"
         )
-    t = ((1 - det_exponent) // 2) % ((ell - 1) // 2)
-    return TwistSpec(ell, t)
+    return ((1 - det_exponent) // 2) % ((ell - 1) // 2)
 
 
 def twist_to_det_chi(rep: ResidualRep) -> ResidualRep:
     """The cyclotomic twist of rep whose determinant is chi itself."""
-    spec = det_chi_twist_exponent(rep.det_exponent, rep.ell)
-    out = twist(rep, spec.exponent)
+    out = twist(rep, det_chi_twist_exponent(rep.det_exponent, rep.ell))
     assert out.det_exponent == 1
     return out
 
-
-def available_witness_primes(rep: ResidualRep, predicate=None) -> list[int]:
-    """Sorted stored primes, optionally filtered by a predicate on p."""
-    ps = rep.witness_primes()
-    if predicate is None:
-        return ps
-    return [p for p in ps if predicate(p)]

@@ -2,6 +2,7 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonelliptic.arith import Factorization, primes_in_range, trial_factor
 from nonelliptic.certify import (
@@ -20,7 +21,7 @@ from nonelliptic.certify import (
     reducibility_obstruction,
     serre_bound_predicate,
 )
-from nonelliptic.data_io import bundled_form, dump_report
+from nonelliptic.data_io import bundled_form, dump_report, load_expectations
 from nonelliptic.quadfield import QuadInt, embedding_choices
 from nonelliptic.repmodel import (
     InsufficientDataError,
@@ -183,6 +184,15 @@ def test_excluded_set_closed_under_negation(ell, p):
     assert excluded == {(-t) % ell for t in excluded}
 
 
+@settings(max_examples=500)
+@given(p=st.integers(min_value=2, max_value=1999), ell=st.integers(min_value=2, max_value=199))
+def test_excluded_set_equals_its_definition(p, ell):
+    # every t with t^2 <= 4p (all lie within |t| <= p + 1), and ±(p + 1)
+    hasse = [t for t in range(-p - 1, p + 2) if t * t <= 4 * p]
+    literal = {t % ell for t in hasse} | {(p + 1) % ell, -(p + 1) % ell}
+    assert excluded_trace_set(p, ell) == sorted(literal)
+
+
 # --- closed-form scan ------------------------------------------------------------
 
 def test_scan_full_range():
@@ -341,6 +351,28 @@ def test_check_rejects_tampered_conductor():
     assert not check(Certificate.from_dict(bad))
 
 
+def test_check_obstruction_with_unfactorable_level_is_false_quickly(schoen_form):
+    d = reducibility_obstruction(schoen_form, 11)[0].to_dict()
+    unfactorable = json.loads(json.dumps(d))
+    unfactorable["witness"]["level"] = 1000000007 * 1000000009
+    prime_cofactor = json.loads(json.dumps(d))
+    prime_cofactor["witness"]["level"] = 25 * (2**61 - 1)  # 5^2 * a prime > 10^12
+    start = time.perf_counter()
+    assert not check(Certificate.from_dict(unfactorable))
+    assert check(Certificate.from_dict(prime_cofactor))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_check_trace_at_a_huge_witness_prime_is_quick():
+    p = 2**61 - 1  # p = 14 (mod 17): the trace test is available
+    excluded = list(range(17))  # the Hasse interval covers every residue
+    witness = {"p": p, "trace": 3, "excluded": excluded}
+    start = time.perf_counter()
+    assert check(Certificate(INCONCLUSIVE, "TraceObstruction", 17, witness))
+    assert not check(Certificate(NON_ELLIPTIC, "TraceObstruction", 17, witness))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_check_is_fast_at_huge_ell(schoen_form):
     # ell = 2^61 - 1: primality of ell is the only costly part of the check
     ell = 2**61 - 1
@@ -389,6 +421,27 @@ def test_full_verification_detects_tampering():
     )
     assert not report.passed
     assert report.mismatches
+
+
+def test_full_verification_reports_missing_tests_as_mismatches():
+    # p = 29 = 1 (mod 7) leaves ell = 7 without a trace test, and the
+    # weight-2 form stores no a_17 for the discriminant test
+    expectations = load_expectations()
+    expectations["weight4_level25"]["trace_test_witness_prime"] = 29
+    expectations["weight2_level512"]["pinned_discriminant"]["witness_prime"] = 17
+    schoen = bundled_form("schoen_s4_25")
+    with29 = NewformData(schoen.form_id, 25, 4, None, schoen.eigenvalues | {29: QuadInt(0)})
+    report = full_paper_verification(
+        ell_max=20,
+        forms={"weight4_level25": with29, "weight2_level512": bundled_form("s2_512_sqrt2")},
+        expectations=expectations,
+    )
+    assert not report.passed
+    assert "ell=7: no trace test at p=29" in report.mismatches
+    assert "root_3: no discriminant certificate at p=17" in report.mismatches
+    assert "root_4: no discriminant certificate at p=17" in report.mismatches
+    assert "mismatches:" in dump_report(report, "text")
+    assert json.loads(dump_report(report, "json"))["passed"] is False
 
 
 def test_certify_form_pipeline(schoen_form, sqrt2_form):

@@ -209,6 +209,23 @@ def test_certify_ell_beyond_primality_bound(capsys):
     assert "Miller-Rabin" in err
 
 
+def test_certify_huge_witness_prime_finishes_quickly(tmp_path, capsys):
+    # the Hasse interval at p = 2^61 - 1 covers every residue mod 17
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps({
+        "id": "probe", "level": 25, "weight": 4, "field": {"type": "rational"},
+        "eigenvalues": {str(M61): {"x": 1, "y": 0}},
+    }))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "certify", "-i", str(probe), "--ell", "17",
+                         "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (2, "")
+    (trace_test,) = json.loads(out)["runs"][0]["trace_tests"]
+    assert trace_test["verdict"] == "Inconclusive"
+    assert trace_test["witness"]["excluded"] == list(range(17))
+
+
 def test_certify_schema_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"id": "x", "level": 10, "weight": 2, "field": {"type": "rational"}, "eigenvalues": {}, "extra": 1}')
@@ -338,6 +355,33 @@ def test_falsify_malformed_curve(capsys):
                        "--ell", "11")
     assert code == 1
     assert "five comma-separated" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("-i", SCHOEN, "--ell", "9"), "ell=9 must be a prime > 5"),
+    (("-i", SCHOEN, "--ell", "5"), "ell=5 must be a prime > 5"),
+    (("-i", SQRT2, "--ell", "7", "--root", "5"), "--root 5 is not a square root of 2 mod 7"),
+    (("-i", SQRT2, "--ell", "11"),
+     "inert prime: no rational embedding: 11 is inert in Q(sqrt(2))"),
+    (("-i", SQRT2, "--ell", "11", "--root", "3"),
+     "inert prime: no rational embedding: 11 is inert in Q(sqrt(2))"),
+], ids=["composite-ell", "small-ell", "bad-root", "inert", "inert-with-root"])
+def test_falsify_input_errors(capsys, argv, message):
+    code, out, err = run(capsys, "falsify", "--curve", "0,0,1,0,0", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_falsify_checks_bad_reduction_before_the_split(tmp_path, capsys):
+    # 11 divides the level and is inert in Q(sqrt(2)): without --root the
+    # bad-reduction error comes first, with --root the root match runs first
+    form = tmp_path / "level77.json"
+    form.write_text(json.dumps({
+        "id": "t", "level": 77, "weight": 2, "field": {"type": "quadratic", "d": 2},
+        "eigenvalues": {"3": {"x": 0, "y": 1}},
+    }))
+    base = ("falsify", "--curve", "0,0,1,0,0", "-i", str(form), "--ell", "11")
+    assert run(capsys, *base)[2] == "error: bad reduction prime: 11 divides the level 77\n"
+    assert run(capsys, *base, "--root", "3")[2].startswith("error: inert prime")
 
 
 def test_falsify_json(capsys):

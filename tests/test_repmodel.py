@@ -6,7 +6,6 @@ from nonelliptic.repmodel import (
     InsufficientDataError,
     NewformData,
     RamanujanBoundWarning,
-    available_witness_primes,
     residual_rep,
     twist,
     twist_to_det_chi,
@@ -127,14 +126,6 @@ def test_twist_of_even_exponent_rejected(sqrt2_form):
         twist_to_det_chi(bad)
 
 
-def test_available_witness_primes(schoen_form):
-    rep13 = residual_rep(schoen_form, 13)
-    assert available_witness_primes(rep13) == [2, 3, 7, 11]
-    assert available_witness_primes(rep13, lambda p: p % 5 == 1) == [11]
-    rep11 = residual_rep(schoen_form, 11)
-    assert available_witness_primes(rep11, lambda p: p % 5 == 1) == []
-
-
 def test_trace_at_missing_prime_is_insufficient_data(schoen_form):
     rep = residual_rep(schoen_form, 11)
     with pytest.raises(InsufficientDataError, match="insufficient data"):
@@ -157,5 +148,5 @@ def test_ramanujan_violation_warns_but_loads():
 
 
 def test_bad_primes(schoen_form, sqrt2_form):
-    assert schoen_form.bad_primes == (5,)
-    assert sqrt2_form.bad_primes == (2,)
+    assert schoen_form.level_factorization.primes() == (5,)
+    assert sqrt2_form.level_factorization.primes() == (2,)
