@@ -121,6 +121,9 @@ class Factorization:
                 raise ValueError("factors must be strictly increasing")
             if e < 1:
                 raise ValueError(f"exponent {e} must be positive")
+            # q**e >= 2**(e*(bits(q)-1)) > n already: refuse before computing it
+            if e * (q.bit_length() - 1) >= self.n.bit_length():
+                raise ValueError(f"{q}^{e} exceeds {self.n}")
             prev = q
             prod *= q**e
         if prod != self.n:
@@ -128,9 +131,6 @@ class Factorization:
 
     def primes(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.factors)
-
-    def __str__(self) -> str:
-        return "*".join(f"{q}^{e}" if e > 1 else str(q) for q, e in self.factors)
 
 
 def legendre(a: int, ell: int) -> int:

@@ -362,35 +362,45 @@ def closed_form_scan(ell_min: int, ell_max: int) -> ScanReport:
 # independent re-verification of certificates
 # ---------------------------------------------------------------------------
 
-def _euler_legendre(a: int, ell: int) -> int:
-    a %= ell
-    if a == 0:
-        return 0
-    return 1 if pow(a, (ell - 1) // 2, ell) == 1 else -1
+# Each checker rebuilds, from the witness's input fields and with `arith`
+# primitives only, the witness the producer would emit, and compares it whole:
+# a changed, reordered or extra field fails. Inputs must be exact ints (a level
+# of 26.5 or True would slip through the arithmetic), and guards refuse any
+# step whose cost the certificate's own size does not bound.
+
+def _ints(*values) -> bool:
+    return all(type(v) is int for v in values)
+
+
+def _claimed_factors(n: int, factors) -> list[list[int]]:
+    """A witness's factor list of n, validated by Factorization."""
+    fac = Factorization(n, tuple(tuple(qe) for qe in factors))
+    return [list(qe) for qe in fac.factors]
 
 
 def _check_discriminant(cert: Certificate) -> bool:
-    ell = cert.ell
-    w = cert.witness
-    p, tr, m, delta = w["p"], w["trace"], w["det_exponent"], w["delta"]
-    if not (is_prime(ell) and ell % 2 and is_prime(p) and 0 <= tr < ell):
+    ell, w = cert.ell, cert.witness
+    p, tr, m = w["p"], w["trace"], w["det_exponent"]
+    if not (_ints(ell, p, tr, m) and is_prime(p) and p % ell and 0 <= tr < ell
+            and 1 <= m <= ell - 2):
         return False
-    if delta != (tr * tr - 4 * pow(p, m, ell)) % ell:
-        return False
-    sym = _euler_legendre(delta, ell)
-    if sym != w["legendre"]:
-        return False
-    return cert.verdict == (IRREDUCIBLE if sym == -1 else INCONCLUSIVE)
+    delta = (tr * tr - 4 * pow(p, m, ell)) % ell
+    sym = legendre(delta, ell)  # raises unless ell is an odd prime
+    want = {"p": p, "trace": tr, "det_exponent": m, "delta": delta, "legendre": sym}
+    return w == want and cert.verdict == (IRREDUCIBLE if sym == -1 else INCONCLUSIVE)
 
 
 def _check_obstruction(cert: Certificate) -> bool:
     w = cert.witness
-    p, a_p, k, level, m_value = w["p"], w["a_p"], w["weight"], w["level"], w["M"]
-    if not is_prime(p) or level < 1 or k < 2:
+    p, a_p, k, level = w["p"], w["a_p"], w["weight"], w["level"]
+    if not (_ints(p, a_p, k, level) and is_prime(p) and level >= 1 and level % p
+            and k >= 2):
         return False
-    modulus = 1
-    n = level
-    d = 2
+    # p**(k-1) >= 2**((k-1)*(bits(p)-1)) > M + |a_p| + 1 cannot give the
+    # claimed M: refuse before computing the power.
+    if (k - 1) * (p.bit_length() - 1) >= (w["M"] + abs(a_p) + 1).bit_length():
+        return False
+    modulus, n, d = 1, level, 2
     while d * d <= n and d <= TRIAL_DIVISION_BOUND:
         e = 0
         while n % d == 0:
@@ -404,59 +414,50 @@ def _check_obstruction(cert: Certificate) -> bool:
         return False
     if (p - 1) % modulus != 0:
         return False
-    if m_value != abs(1 + p ** (k - 1) - a_p):
-        return False
-    if cert.verdict == INCONCLUSIVE:
-        return m_value == 0
-    if cert.verdict != IRREDUCIBLE or m_value == 0:
-        return False
-    prod = 1
-    primes = set()
-    for q, e in w["factors"]:
-        if not is_prime(q) or e < 1:
-            return False
-        prod *= q**e
-        primes.add(q)
-    if prod != m_value:
-        return False
-    return w["exceptional"] == sorted(primes | {p})
+    m_value = abs(1 + p ** (k - 1) - a_p)
+    factors = _claimed_factors(m_value, w["factors"]) if m_value else []
+    exceptional = sorted({q for q, _ in factors} | {p}) if m_value else []
+    want = {"p": p, "a_p": a_p, "weight": k, "level": level, "M": m_value,
+            "factors": factors, "exceptional": exceptional}
+    return w == want and cert.verdict == (IRREDUCIBLE if m_value else INCONCLUSIVE)
 
 
 def _check_trace(cert: Certificate) -> bool:
-    ell = cert.ell
-    w = cert.witness
+    ell, w = cert.ell, cert.witness
     p, tr = w["p"], w["trace"]
-    if not (is_prime(ell) and ell % 2 and is_prime(p) and 0 <= tr < ell):
+    # p = ell has no Frobenius; p = 1 (mod ell) has no ramification dichotomy
+    if not (_ints(ell, p, tr) and is_prime(ell) and ell % 2 and is_prime(p)
+            and 0 <= tr < ell and p % ell > 1):
         return False
-    if p % ell == 1:
+    # The size excluded_trace_set(p, ell) must have, known before building it:
+    # every residue when the Hasse interval |t| <= B fills F_ell, else its
+    # 2B+1 residues plus ±(p+1) when those fall outside it.
+    bound, r = isqrt(4 * p), (p + 1) % ell
+    if 2 * bound + 1 >= ell:
+        size = ell
+    else:
+        size = 2 * bound + 1 + (2 if bound < r < ell - bound else 0)
+    if len(w["excluded"]) != size:
         return False
-    if w["excluded"] != excluded_trace_set(p, ell):
-        return False
-    outside = tr not in w["excluded"]
-    return cert.verdict == (NON_ELLIPTIC if outside else INCONCLUSIVE)
+    excluded = excluded_trace_set(p, ell)
+    want = {"p": p, "trace": tr, "excluded": excluded}
+    return w == want and cert.verdict == (INCONCLUSIVE if tr in excluded else NON_ELLIPTIC)
 
 
 def _check_conductor(cert: Certificate) -> bool:
     w = cert.witness
     conductor = w["conductor"]
-    if conductor < 1:
+    if not (_ints(conductor) and conductor >= 1):
         return False
-    prod = 1
-    prev = 1
-    first_violation = None
-    for q, e in w["factors"]:
-        if not is_prime(q) or e < 1 or q <= prev:
-            return False
-        prev = q
-        prod *= q**e
+    factors = _claimed_factors(conductor, w["factors"])
+    violation = None
+    for q, e in factors:
         bound = ELLIPTIC_CONDUCTOR_BOUNDS.get(q, DEFAULT_CONDUCTOR_BOUND)
-        if first_violation is None and e > bound:
-            first_violation = {"p": q, "exponent": e, "bound": bound}
-    if prod != conductor:
-        return False
-    if w["violation"] != first_violation:
-        return False
-    return cert.verdict == (NON_ELLIPTIC if first_violation else INCONCLUSIVE)
+        if e > bound:
+            violation = {"p": q, "exponent": e, "bound": bound}
+            break
+    want = {"conductor": conductor, "factors": factors, "violation": violation}
+    return w == want and cert.verdict == (NON_ELLIPTIC if violation else INCONCLUSIVE)
 
 
 _CHECKERS = {
@@ -468,10 +469,11 @@ _CHECKERS = {
 
 
 def check(cert: Certificate) -> bool:
-    """Recompute a certificate's witness arithmetic from scratch.
+    """Rebuild a certificate's witness from its input fields and compare the
+    whole record, verdict included.
 
     Pure and total: malformed or tampered certificates return False, they
-    never raise.
+    never raise, and the cost is bounded by the certificate's size.
     """
     try:
         checker = _CHECKERS[cert.method]
@@ -586,7 +588,7 @@ def certify_at_ell(
     conductor_cert: Certificate | None = None
     if not any(c.verdict == NON_ELLIPTIC for c in trace_tests):
         if form.claimed_conductor_equality:
-            # rep.serre_conductor is the level, factored once per form
+            # the Serre conductor is the level, factored once per form
             conductor_cert = conductor_bound_test(
                 form.level_factorization, ell=ell, form_id=form.form_id
             )

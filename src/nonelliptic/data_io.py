@@ -88,9 +88,7 @@ def parse_form(text: str | bytes) -> NewformData:
 
 
 def load_form(path) -> NewformData:
-    """Load a FormRecord from a filesystem path or an open binary file."""
-    if hasattr(path, "read"):
-        return parse_form(path.read())
+    """Load a FormRecord from a filesystem path."""
     with open(path, "rb") as fp:
         return parse_form(fp.read())
 

@@ -9,6 +9,7 @@ need F_{ell**2} values and are rejected with a distinct error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .arith import legendre, require_odd_prime, trial_factor
 
@@ -21,7 +22,10 @@ class RamifiedError(ValueError):
     """ell divides d: neither split nor inert."""
 
 
+@lru_cache(maxsize=None)
 def ensure_squarefree(d: int) -> None:
+    """Raise ValueError unless d > 1 is square-free. Cached: `certify` asks
+    again at every split ell, and each answer is a trial factorization."""
     if d < 2:
         raise ValueError(f"quadratic discriminant d={d} must be > 1")
     if any(e > 1 for _, e in trial_factor(d).factors):
@@ -54,13 +58,6 @@ class QuadInt:
                 "square is not rational; supply an embedding first"
             )
         return self.x * self.x + (self.d or 0) * self.y * self.y
-
-    def __str__(self) -> str:
-        if self.y == 0:
-            return str(self.x)
-        surd = f"sqrt({self.d})"
-        ypart = surd if self.y == 1 else f"-{surd}" if self.y == -1 else f"{self.y}*{surd}"
-        return ypart if self.x == 0 else f"{self.x}+{ypart}" if self.y > 0 else f"{self.x}{ypart}"
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@ induce.
 
 A residual representation is described purely by data: the reduced traces of
 Frobenius at the stored good primes, the exponent m of the cyclotomic
-character giving the determinant, and the known prime-to-ell conductor. The
-eigenvalue map is sparse; every downstream operation must tolerate missing
-primes and say so instead of inventing values.
+character giving the determinant, and the source form, whose level is the
+prime-to-ell (Serre) conductor. The eigenvalue map is sparse; every
+downstream operation must tolerate missing primes and say so instead of
+inventing values.
 """
 
 from __future__ import annotations
@@ -96,8 +97,6 @@ class ResidualRep:
     ell: int
     det_exponent: int
     traces: dict[int, int]
-    serre_conductor: int
-    conductor_is_exact: bool
     source: NewformData
     embedding: EmbeddingChoice | None = None
     twist_exponent: int = 0
@@ -108,10 +107,11 @@ class ResidualRep:
             raise ValueError(
                 f"determinant exponent {self.det_exponent} outside [1, {self.ell - 2}]"
             )
-        if self.serre_conductor % self.ell == 0:
+        level = self.source.level
+        if level % self.ell == 0:
             raise ValueError("Serre conductor must be prime to ell")
         for p, t in self.traces.items():
-            if p % self.ell == 0 or self.serre_conductor % p == 0:
+            if p % self.ell == 0 or level % p == 0:
                 raise ValueError(f"trace key {p} not coprime to N*ell")
             if not 0 <= t < self.ell:
                 raise ValueError(f"trace at {p} not reduced mod {self.ell}")
@@ -170,8 +170,6 @@ def residual_rep(
         ell=ell,
         det_exponent=m,
         traces=traces,
-        serre_conductor=form.level,
-        conductor_is_exact=form.claimed_conductor_equality,
         source=form,
         embedding=embedding,
     )

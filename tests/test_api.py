@@ -1,6 +1,7 @@
 """The public surface of the package, pinned: a name added to or dropped from
 `nonelliptic.__all__` must change this list too."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -58,6 +59,7 @@ REMOVED = [
     ("nonelliptic.arith", "Residue"),
     ("nonelliptic.arith", "mod_pow"),
     ("nonelliptic.arith", "mod_inv"),
+    ("nonelliptic.certify", "_euler_legendre"),
 ]
 
 REMOVED_MEMBERS = [
@@ -91,3 +93,15 @@ def test_removed_helper_does_not_import(module, name):
                          ids=[f"{c}.{m}" for c, m in REMOVED_MEMBERS])
 def test_removed_member_is_gone(cls, member):
     assert not hasattr(getattr(nonelliptic, cls), member)
+
+
+# hasattr cannot see these: object.__str__ always exists, and a dataclass
+# field without a default is no class attribute.
+@pytest.mark.parametrize("cls", ["Factorization", "QuadInt"])
+def test_str_override_is_gone(cls):
+    assert "__str__" not in vars(getattr(nonelliptic, cls))
+
+
+@pytest.mark.parametrize("field", ["serre_conductor", "conductor_is_exact"])
+def test_removed_residual_rep_field_is_gone(field):
+    assert field not in {f.name for f in dataclasses.fields(nonelliptic.ResidualRep)}

@@ -293,6 +293,25 @@ def test_factorization_invariants_enforced():
         Factorization(12, ((3, 1), (2, 2)))  # not increasing
     with pytest.raises(ValueError):
         Factorization(12, ((2, 2),))  # product mismatch
+    with pytest.raises(ValueError):
+        Factorization(12, ((2, 1), (2, 1), (3, 1)))  # a prime split in two
+    with pytest.raises(ValueError):
+        Factorization(12, ((2, 0), (2, 2), (3, 1)))  # exponent 0
+
+
+def test_factorization_refuses_a_huge_exponent_before_the_power():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds"):
+        Factorization(512, ((3, 10**8),))
+    with pytest.raises(ValueError, match="exceeds"):
+        Factorization(2**64, ((2, 65),))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 31, 127, 1000003])
+def test_factorization_accepts_every_exact_prime_power(q):
+    for e in range(1, 70):
+        assert Factorization(q**e, ((q, e),)).factors == ((q, e),)
 
 
 # --- hasse_interval -----------------------------------------------------------

@@ -1,13 +1,20 @@
+import functools
 import json
 import time
+import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nonelliptic.arith import Factorization, primes_in_range, trial_factor
+from nonelliptic import quadfield
 from nonelliptic.certify import (
     INCONCLUSIVE,
     IRREDUCIBLE,
+    METHOD_CONDUCTOR,
+    METHOD_DISCRIMINANT,
+    METHOD_OBSTRUCTION,
+    METHOD_TRACE,
     NON_ELLIPTIC,
     Certificate,
     certify_form,
@@ -22,10 +29,11 @@ from nonelliptic.certify import (
     serre_bound_predicate,
 )
 from nonelliptic.data_io import bundled_form, dump_report, load_expectations
-from nonelliptic.quadfield import QuadInt, embedding_choices
+from nonelliptic.quadfield import QuadInt, embedding_choices, ensure_squarefree, splits
 from nonelliptic.repmodel import (
     InsufficientDataError,
     NewformData,
+    ResidualRep,
     residual_rep,
     twist_to_det_chi,
 )
@@ -388,6 +396,229 @@ def test_check_is_fast_at_huge_ell(schoen_form):
 def test_check_never_raises_on_garbage():
     assert not check(Certificate("Irreducible", "NoSuchMethod", 11, {}))
     assert not check(Certificate("Irreducible", "TraceObstruction", None, {}))
+
+
+
+# --- check() rebuilds each witness and compares it whole --------------------------------
+
+def _tampered(cert: Certificate, **witness) -> Certificate:
+    d = json.loads(json.dumps(cert.to_dict()))
+    d["witness"].update(witness)
+    return Certificate.from_dict(d)
+
+
+@functools.lru_cache(maxsize=None)
+def bundled_certificates() -> tuple[Certificate, ...]:
+    """Certificates of all four methods, with both verdicts, from the bundled
+    forms (plus an M = 0 obstruction and a few conductors)."""
+    schoen, sqrt2 = bundled_form("schoen_s4_25"), bundled_form("s2_512_sqrt2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        degenerate = NewformData("t", 25, 4, None, {31: QuadInt(1 + 31**3)})
+    certs = [reducibility_obstruction(f, p)[0] for f, p in ((schoen, 11), (degenerate, 31))]
+    certs += certify_form(schoen, primes_in_range(7, 60)).certificates()
+    certs += certify_form(sqrt2, [7, 17, 23, 31, 41, 47]).certificates()
+    certs += [conductor_bound_test(n) for n in (1, 275, 1375)]
+    return tuple(certs)
+
+
+def test_bundled_certificates_cover_every_method_and_verdict():
+    kinds = {(c.method, c.verdict) for c in bundled_certificates()}
+    assert kinds == {
+        (METHOD_DISCRIMINANT, IRREDUCIBLE), (METHOD_DISCRIMINANT, INCONCLUSIVE),
+        (METHOD_OBSTRUCTION, IRREDUCIBLE), (METHOD_OBSTRUCTION, INCONCLUSIVE),
+        (METHOD_TRACE, NON_ELLIPTIC), (METHOD_TRACE, INCONCLUSIVE),
+        (METHOD_CONDUCTOR, NON_ELLIPTIC), (METHOD_CONDUCTOR, INCONCLUSIVE),
+    }
+    assert all(check(_tampered(c)) for c in bundled_certificates())
+
+
+# The witness fields a producer takes as input; every other field is derived.
+INPUT_FIELDS = {"p", "trace", "det_exponent", "a_p", "weight", "level", "conductor"}
+_PROBE = NewformData("probe", 1, 2, None, {})
+
+
+def _produced(cert: Certificate) -> Certificate | None:
+    """What the producing code emits from the certificate's input fields, or
+    None where it refuses them."""
+    w = cert.witness
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if cert.method == METHOD_DISCRIMINANT:
+                rep = ResidualRep(cert.ell, w["det_exponent"], {w["p"]: w["trace"]}, _PROBE)
+                return irreducibility_by_discriminant(rep, w["p"])
+            if cert.method == METHOD_TRACE:
+                rep = ResidualRep(cert.ell, 1, {w["p"]: w["trace"]}, _PROBE)
+                return non_elliptic_trace_test(rep, w["p"])
+            if cert.method == METHOD_OBSTRUCTION:
+                eigenvalues = {w["p"]: QuadInt(w["a_p"])}
+                form = NewformData("probe", w["level"], w["weight"], None, eigenvalues)
+                return reducibility_obstruction(form, w["p"])[0]
+            return conductor_bound_test(w["conductor"])
+    except Exception:
+        return None
+
+
+# Integers stay below 2**64, where trial_factor (and so the producer) works.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**63, 2**63)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _near(value) -> st.SearchStrategy:
+    """Values one small edit away from `value`, at any depth."""
+    if type(value) is int:
+        return st.one_of(
+            st.integers(value - 40, value + 40),
+            st.sampled_from(primes_in_range(2, 100)),
+            st.integers(-3, 12).map(lambda m: m * value),
+        )
+    if isinstance(value, list) and value:
+        at = st.integers(0, len(value) - 1)
+        return st.one_of(
+            st.permutations(value).map(list),
+            at.map(lambda i: value[:i] + value[i + 1:]),
+            st.tuples(at, JSON_VALUES).map(lambda t: value[: t[0]] + [t[1]] + value[t[0]:]),
+            at.flatmap(lambda i: _near(value[i]).map(lambda v: value[:i] + [v] + value[i + 1:])),
+        )
+    if isinstance(value, dict) and value:
+        return st.sampled_from(sorted(value)).flatmap(
+            lambda k: _near(value[k]).map(lambda v: value | {k: v})
+        )
+    return JSON_VALUES
+
+
+def _a_certificate(data) -> Certificate:
+    method = data.draw(st.sampled_from(
+        [METHOD_DISCRIMINANT, METHOD_OBSTRUCTION, METHOD_TRACE, METHOD_CONDUCTOR]))
+    return data.draw(st.sampled_from([c for c in bundled_certificates() if c.method == method]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_tampering_a_witness_field_fails_check(data):
+    """Replace one witness field by a different JSON value. A derived field
+    then always fails; a changed input field passes only where the producer,
+    run on the changed inputs, emits this very record (trace -> ell - trace
+    leaves delta alone, for one)."""
+    cert = _a_certificate(data)
+    key = data.draw(st.sampled_from(sorted(cert.witness)))
+    value = data.draw(_near(cert.witness[key]) | JSON_VALUES)
+    assume(value != cert.witness[key])
+    tampered = _tampered(cert, **{key: value})
+    if check(tampered):
+        assert key in INPUT_FIELDS
+        produced = _produced(tampered)
+        assert produced is not None
+        assert (produced.verdict, produced.witness) == (tampered.verdict, tampered.witness)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_an_extra_witness_key_fails_check(data):
+    cert = _a_certificate(data)
+    key = data.draw(st.text(max_size=8).filter(lambda k: k not in cert.witness))
+    assert not check(_tampered(cert, **{key: data.draw(JSON_VALUES)}))
+
+
+def test_check_rejects_a_reordered_factor_list(schoen_form):
+    cert, _ = reducibility_obstruction(schoen_form, 11)
+    assert cert.witness["factors"] == [[5, 3], [11, 1]]
+    assert not check(_tampered(cert, factors=[[11, 1], [5, 3]]))
+    assert not check(_tampered(conductor_bound_test(1375), factors=[[11, 1], [5, 3]]))
+
+
+def test_check_rejects_a_split_factor_list(schoen_form):
+    cert, _ = reducibility_obstruction(schoen_form, 11)
+    assert not check(_tampered(cert, factors=[[5, 1], [5, 2], [11, 1]]))
+    assert not check(_tampered(conductor_bound_test(1375), factors=[[5, 1], [5, 2], [11, 1]]))
+
+
+def test_check_accepts_changed_inputs_that_rebuild_the_same_record(schoen_form):
+    # Internal consistency is all check() sees: a_11 = 2*(1 + 11^3) + 43 gives
+    # the same M, and ell - trace the same discriminant. Binding a certificate
+    # to its form's eigenvalues is a separate check.
+    cert, _ = reducibility_obstruction(schoen_form, 11)
+    assert check(_tampered(cert, a_p=2 * (1 + 11**3) + 43))
+    disc = irreducibility_by_discriminant(residual_rep(schoen_form, 11), 2)
+    assert check(_tampered(disc, trace=11 - disc.witness["trace"]))
+
+
+def test_check_rejects_inputs_no_producer_emits(schoen_form):
+    # Frobenius at a prime of bad reduction, or at ell itself, says nothing.
+    cert, _ = reducibility_obstruction(schoen_form, 11)
+    assert not check(_tampered(cert, level=5 * 11))
+    disc = irreducibility_by_discriminant(residual_rep(schoen_form, 13), 3).to_dict()
+    tr, m = disc["witness"]["trace"], disc["witness"]["det_exponent"]
+    disc["verdict"] = INCONCLUSIVE
+    disc["witness"] |= {"p": 13, "delta": tr * tr % 13, "legendre": 1}
+    assert not check(Certificate.from_dict(disc))
+    # p^(m ± 12) = p^m (mod 13), but det_exponent lives in [1, ell - 2]
+    disc = irreducibility_by_discriminant(residual_rep(schoen_form, 13), 3)
+    for exponent in (m + 12, m - 12):
+        assert not check(_tampered(disc, det_exponent=exponent))
+    tw = twist_to_det_chi(residual_rep(schoen_form, 7))
+    trace = non_elliptic_trace_test(tw, 2)
+    assert check(trace) and trace.witness["excluded"] == list(range(7))
+    assert not check(_tampered(trace, p=7))
+
+
+def test_check_rejects_non_integer_inputs(schoen_form):
+    cert, _ = reducibility_obstruction(schoen_form, 11)
+    for level in (26.5, 25.0, True, "25"):
+        assert not check(_tampered(cert, level=level))
+    trace = non_elliptic_trace_test(twist_to_det_chi(residual_rep(schoen_form, 11)), 2)
+    assert not check(_tampered(trace, trace=float(trace.witness["trace"])))
+
+
+def test_check_refuses_a_huge_weight_quickly(schoen_form):
+    cert, _ = reducibility_obstruction(schoen_form, 11)
+    start = time.perf_counter()
+    assert not check(_tampered(cert, weight=10**7))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_check_refuses_a_huge_factor_exponent_quickly(schoen_form):
+    cert, _ = reducibility_obstruction(schoen_form, 11)
+    start = time.perf_counter()
+    assert not check(_tampered(conductor_bound_test(512), factors=[[3, 10**8]]))
+    assert not check(_tampered(cert, factors=[[3, 10**8]]))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_check_refuses_a_short_excluded_list_at_a_huge_prime_quickly():
+    # excluded_trace_set(p, ell) has about 4*10^9 entries here
+    p, ell = 10**18 + 9, 10**10 + 19
+    witness = {"p": p, "trace": 5 * 10**9, "excluded": [0, 1, 2]}
+    start = time.perf_counter()
+    assert not check(Certificate(NON_ELLIPTIC, METHOD_TRACE, ell, witness))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_check_accepts_every_genuine_trace_witness():
+    # The size check before excluded_trace_set must agree with it everywhere.
+    for p in primes_in_range(2, 3000):
+        for ell in primes_in_range(3, 400):
+            if p % ell > 1:
+                excluded = excluded_trace_set(p, ell)
+                witness = {"p": p, "trace": 0, "excluded": excluded}
+                assert check(Certificate(INCONCLUSIVE, METHOD_TRACE, ell, witness)), (p, ell)
+
+
+def test_certify_proves_d_square_free_once(monkeypatch):
+    d = 10**9 + 7  # prime, so square-free
+    ensure_squarefree.cache_clear()
+    calls = []
+    factor = quadfield.trial_factor
+    monkeypatch.setattr(quadfield, "trial_factor", lambda n: calls.append(n) or factor(n))
+    form = NewformData("t", 512, 2, d, {3: QuadInt(1, 1, d), 5: QuadInt(1)})
+    report = certify_form(form, [ell for ell in primes_in_range(7, 3000) if splits(d, ell)])
+    assert len(report.runs) > 200
+    assert calls == [d]
 
 
 # --- full bundled verification --------------------------------------------------------

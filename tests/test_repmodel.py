@@ -16,8 +16,8 @@ def test_residual_rep_of_weight4_form_at_11(schoen_form):
     rep = residual_rep(schoen_form, 11)
     assert rep.traces == {2: 1, 3: 7, 7: 6}  # a_11 dropped: p = ell
     assert rep.det_exponent == 3
-    assert rep.serre_conductor == 25
-    assert rep.conductor_is_exact is False
+    assert rep.source.level == 25
+    assert rep.source.claimed_conductor_equality is False
     assert rep.embedding is None
 
 
@@ -27,7 +27,7 @@ def test_residual_rep_of_weight2_form_at_7(sqrt2_form):
     assert rep.traces[29] == 4  # 6*3 = 18 = 4 (mod 7)
     assert rep.det_exponent == 1
     assert 7 not in rep.traces  # a_7 dropped: p = ell
-    assert rep.conductor_is_exact is True
+    assert rep.source.claimed_conductor_equality is True
 
     other = residual_rep(sqrt2_form, 7, embedding_choices(2, 7)[1])
     assert other.traces[29] == (6 * 4) % 7 == 3
