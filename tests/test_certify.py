@@ -552,13 +552,11 @@ def test_check_rejects_inputs_no_producer_emits(schoen_form):
     # Frobenius at a prime of bad reduction, or at ell itself, says nothing.
     cert, _ = reducibility_obstruction(schoen_form, 11)
     assert not check(_tampered(cert, level=5 * 11))
-    disc = irreducibility_by_discriminant(residual_rep(schoen_form, 13), 3).to_dict()
-    tr, m = disc["witness"]["trace"], disc["witness"]["det_exponent"]
-    disc["verdict"] = INCONCLUSIVE
-    disc["witness"] |= {"p": 13, "delta": tr * tr % 13, "legendre": 1}
-    assert not check(Certificate.from_dict(disc))
-    # p^(m ± 12) = p^m (mod 13), but det_exponent lives in [1, ell - 2]
     disc = irreducibility_by_discriminant(residual_rep(schoen_form, 13), 3)
+    tr, m = disc.witness["trace"], disc.witness["det_exponent"]
+    at_ell = _tampered(disc, p=13, delta=tr * tr % 13, legendre=1).witness
+    assert not check(Certificate(INCONCLUSIVE, METHOD_DISCRIMINANT, 13, at_ell))
+    # p^(m ± 12) = p^m (mod 13), but det_exponent lives in [1, ell - 2]
     for exponent in (m + 12, m - 12):
         assert not check(_tampered(disc, det_exponent=exponent))
     tw = twist_to_det_chi(residual_rep(schoen_form, 7))
