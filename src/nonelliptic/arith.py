@@ -56,14 +56,18 @@ def _strong_probable_prime(n: int, base: int, d: int, s: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
+# typed: 7.0 and True must not hit the cache entries of 7 and 1
+@lru_cache(maxsize=None, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic primality: trial division by the first 13 primes, then
     Miller-Rabin with the smallest proven base set for n.
 
-    Raises ValueError for n >= MILLER_RABIN_LIMIT with no prime factor <= 41:
-    no base set is proven there.
+    Raises TypeError unless n is exactly an int, and ValueError for
+    n >= MILLER_RABIN_LIMIT with no prime factor <= 41: no base set is
+    proven there.
     """
+    if type(n) is not int:
+        raise TypeError(f"is_prime needs an int, not {type(n).__name__}")
     if n < 2:
         return False
     for q in _SMALL_PRIMES:

@@ -237,6 +237,8 @@ def conductor_bound_test(
     The conductor may come already factored, so that testing one conductor
     at many ell factors it once. The caller is responsible for only passing
     conductors known to be exact (not mere divisors)."""
+    if ell is not None and not (type(ell) is int and ell != 2 and is_prime(ell)):
+        raise ValueError(f"ell={ell!r} is not an odd prime")
     fac = conductor if isinstance(conductor, Factorization) else None
     if fac is not None:
         conductor = fac.n
@@ -299,7 +301,7 @@ class ScanReport:
             "ell_min": self.ell_min,
             "ell_max": self.ell_max,
             "scanned": self.scanned,
-            "membership_holds": list(self.holds),
+            "membership_holds": self.holds,
             "hold_residues": {str(ell): r for ell, r in sorted(self.hold_residues.items())},
             "fermat_crosscheck_ok": self.fermat_ok,
         }
@@ -393,8 +395,9 @@ def _check_discriminant(cert: Certificate) -> bool:
 def _check_obstruction(cert: Certificate) -> bool:
     w = cert.witness
     p, a_p, k, level = w["p"], w["a_p"], w["weight"], w["level"]
-    if not (_ints(p, a_p, k, level) and is_prime(p) and level >= 1 and level % p
-            and k >= 2):
+    # the obstruction holds for every ell at once, so it names none
+    if not (cert.ell is None and _ints(p, a_p, k, level) and is_prime(p) and level >= 1
+            and level % p and k >= 2):
         return False
     # p**(k-1) >= 2**((k-1)*(bits(p)-1)) > M + |a_p| + 1 cannot give the
     # claimed M: refuse before computing the power.
@@ -445,9 +448,10 @@ def _check_trace(cert: Certificate) -> bool:
 
 
 def _check_conductor(cert: Certificate) -> bool:
-    w = cert.witness
+    ell, w = cert.ell, cert.witness
     conductor = w["conductor"]
-    if not (_ints(conductor) and conductor >= 1):
+    if not ((ell is None or (_ints(ell) and ell % 2 and is_prime(ell)))
+            and _ints(conductor) and conductor >= 1):
         return False
     factors = _claimed_factors(conductor, w["factors"])
     violation = None
@@ -510,25 +514,21 @@ class EllCertification:
         return self.conductor is not None and self.conductor.verdict == NON_ELLIPTIC
 
     def certificates(self) -> list[Certificate]:
-        out = list(self.trace_tests)
-        if self.irreducible is not None:
-            out.append(self.irreducible)
-        if self.conductor is not None:
-            out.append(self.conductor)
-        return out
+        out = [*self.trace_tests, self.irreducible, self.conductor]
+        return [c for c in out if c is not None]
 
     def to_dict(self) -> dict:
         return {
             "ell": self.ell,
             "embedding_root": self.embedding_root,
-            "irreducible": self.irreducible.to_dict() if self.irreducible else None,
-            "irreducible_tried": list(self.irreducible_tried),
+            "irreducible": self.irreducible,
+            "irreducible_tried": self.irreducible_tried,
             "proved_irreducible": self.proved_irreducible,
             "twist_exponent": self.twist_exponent,
-            "trace_tests": [c.to_dict() for c in self.trace_tests],
-            "conductor": self.conductor.to_dict() if self.conductor else None,
+            "trace_tests": self.trace_tests,
+            "conductor": self.conductor,
             "proved_non_elliptic": self.proved_non_elliptic,
-            "notes": list(self.notes),
+            "notes": self.notes,
         }
 
 
@@ -549,7 +549,7 @@ def certify_at_ell(
     candidates = [witness_prime] if witness_prime is not None else rep.witness_primes()
     notes: list[str] = []
 
-    best: Certificate | None = None
+    irreducible: Certificate | None = None
     tried: list[int] = []
     for p in candidates:
         try:
@@ -559,10 +559,9 @@ def certify_at_ell(
             continue
         tried.append(p)
         if cert.verdict == IRREDUCIBLE:
-            best = cert
+            irreducible = cert
             break
-        best = best or cert
-    irreducible = best
+        irreducible = irreducible or cert
 
     twist_exponent: int | None = None
     trace_tests: list[Certificate] = []
@@ -613,39 +612,32 @@ def certify_at_ell(
 class CertifyReport:
     form_id: str
     ells: tuple[int, ...]
-    runs: tuple[dict, ...]
+    runs: tuple[EllCertification, ...]
 
     @property
     def all_proved(self) -> bool:
-        return all(r["proved_irreducible"] and r["proved_non_elliptic"] for r in self.runs)
+        return all(r.proved_irreducible and r.proved_non_elliptic for r in self.runs)
 
     def certificates(self) -> list[Certificate]:
-        out = []
-        for r in self.runs:
-            for key in ("irreducible", "conductor"):
-                if r[key]:
-                    out.append(Certificate.from_dict(r[key]))
-            out.extend(Certificate.from_dict(c) for c in r["trace_tests"])
-        return out
+        return [c for r in self.runs for c in r.certificates()]
 
     def to_dict(self) -> dict:
         return {
             "form": self.form_id,
-            "ells": list(self.ells),
+            "ells": self.ells,
             "all_proved": self.all_proved,
-            "runs": list(self.runs),
+            "runs": self.runs,
         }
 
     def to_text(self) -> str:
         lines = [f"certify form={self.form_id}"]
         for r in self.runs:
-            root = r["embedding_root"]
-            head = f"ell={r['ell']}"
-            if root is not None:
-                head += f" root={root}"
+            head = f"ell={r.ell}"
+            if r.embedding_root is not None:
+                head += f" root={r.embedding_root}"
             lines.append(f"  {head}")
-            if r["irreducible"] and r["proved_irreducible"]:
-                w = r["irreducible"]["witness"]
+            if r.proved_irreducible:
+                w = r.irreducible.witness
                 lines.append(
                     f"    irreducible: yes, discriminant witness p={w['p']} "
                     f"(delta={w['delta']}, legendre={w['legendre']})"
@@ -653,33 +645,30 @@ class CertifyReport:
             else:
                 lines.append(
                     "    irreducible: not established "
-                    f"(witness primes tried: {r['irreducible_tried']})"
+                    f"(witness primes tried: {list(r.irreducible_tried)})"
                 )
-            if r["twist_exponent"] is not None:
-                lines.append(f"    twist to determinant chi: exponent {r['twist_exponent']}")
-            proved = False
-            for c in r["trace_tests"]:
-                w = c["witness"]
-                if c["verdict"] == NON_ELLIPTIC:
-                    lines.append(
-                        f"    non-elliptic: yes, trace witness p={w['p']} "
-                        f"(trace={w['trace']}, excluded={w['excluded']})"
-                    )
-                    proved = True
-                    break
-            if not proved and r["conductor"] and r["conductor"]["verdict"] == NON_ELLIPTIC:
-                v = r["conductor"]["witness"]["violation"]
+            if r.twist_exponent is not None:
+                lines.append(f"    twist to determinant chi: exponent {r.twist_exponent}")
+            trace = next((c for c in r.trace_tests if c.verdict == NON_ELLIPTIC), None)
+            if trace is not None:
+                w = trace.witness
                 lines.append(
-                    f"    non-elliptic: yes, conductor {r['conductor']['witness']['conductor']} "
+                    f"    non-elliptic: yes, trace witness p={w['p']} "
+                    f"(trace={w['trace']}, excluded={w['excluded']})"
+                )
+            elif r.proved_non_elliptic:
+                w = r.conductor.witness
+                v = w["violation"]
+                lines.append(
+                    f"    non-elliptic: yes, conductor {w['conductor']} "
                     f"violates v_{v['p']} <= {v['bound']} (exponent {v['exponent']})"
                 )
-                proved = True
-            if not proved:
+            else:
                 lines.append("    non-elliptic: not established (all tests inconclusive)")
-            for note in r["notes"]:
+            for note in r.notes:
                 lines.append(f"    note: {note}")
             verdictline = (
-                "proved" if r["proved_irreducible"] and r["proved_non_elliptic"] else "inconclusive"
+                "proved" if r.proved_irreducible and r.proved_non_elliptic else "inconclusive"
             )
             lines.append(f"    overall: {verdictline}")
         lines.append(f"all proved: {'yes' if self.all_proved else 'no'}")
@@ -711,7 +700,7 @@ def certify_form(
     one run per ell, or one per embedding (root) over a quadratic field."""
     ells = sorted(set(ells))
     runs = [
-        certify_at_ell(form, ell, e, witness_prime).to_dict()
+        certify_at_ell(form, ell, e, witness_prime)
         for ell in ells
         for e in select_embeddings(form, ell, root)
     ]
@@ -739,14 +728,14 @@ class VerificationReport:
             "expectations_version": self.expectations_version,
             "ell_max": self.ell_max,
             "passed": self.passed,
-            "mismatches": list(self.mismatches),
+            "mismatches": self.mismatches,
             "sections": self.sections,
         }
 
     def to_text(self) -> str:
         s4 = self.sections["weight4_level25"]
         s2 = self.sections["weight2_level512"]
-        fam = s4["family_obstruction"]["witness"]
+        fam = s4["family_obstruction"].witness
         factors = "*".join(
             f"{q}^{e}" if e > 1 else str(q) for q, e in fam["factors"]
         )
@@ -757,7 +746,7 @@ class VerificationReport:
         inconclusive = [
             e["ell"]
             for e in per_ell
-            if not (e["trace_test"] and e["trace_test"]["verdict"] == NON_ELLIPTIC)
+            if not (e["trace_test"] and e["trace_test"].verdict == NON_ELLIPTIC)
         ]
         lines = [
             "== bundled verification ==",
@@ -774,7 +763,7 @@ class VerificationReport:
         ]
         for e in per_ell:
             if e["irreducible_route"] == "discriminant" and e["discriminant"]:
-                w = e["discriminant"]["witness"]
+                w = e["discriminant"].witness
                 lines.append(
                     f"    ell={e['ell']}: discriminant witness p={w['p']}, "
                     f"delta={w['delta']}, legendre={w['legendre']}"
@@ -799,18 +788,18 @@ class VerificationReport:
         )
         for root_key in sorted(s2["discriminant"]):
             c = s2["discriminant"][root_key]
-            w = c["witness"]
+            w = c.witness
             lines.append(
-                f"  discriminant under root {c['inputs']['embedding_root']}: "
-                f"p={w['p']}, delta={w['delta']}, legendre={w['legendre']} -> {c['verdict']}"
+                f"  discriminant under root {c.inputs['embedding_root']}: "
+                f"p={w['p']}, delta={w['delta']}, legendre={w['legendre']} -> {c.verdict}"
             )
         for n_key in sorted(s2["conductor"], key=int):
             c = s2["conductor"][n_key]
-            v = c["witness"]["violation"]
+            v = c.witness["violation"]
             desc = (
-                f"violates v_{v['p']} <= {v['bound']} (exponent {v['exponent']}) -> {c['verdict']}"
+                f"violates v_{v['p']} <= {v['bound']} (exponent {v['exponent']}) -> {c.verdict}"
                 if v
-                else f"-> {c['verdict']}"
+                else f"-> {c.verdict}"
             )
             lines.append(f"  conductor {n_key}: {desc}")
         for p_key in sorted(s2["serre_predicate"]):
@@ -865,31 +854,29 @@ def full_paper_verification(
     for run in certify_form(form4, primes_in_range(6, ell_max), witness_prime=trace_p).runs:
         # Outside the exceptional set the family obstruction proves
         # irreducibility; inside it the run's discriminant test must.
-        entry: dict = {"ell": run["ell"]}
-        if run["ell"] in exceptional:
+        entry: dict = {"ell": run.ell}
+        if run.ell in exceptional:
             entry["irreducible_route"] = "discriminant"
-            entry["discriminant"] = run["irreducible"]
-            entry["irreducible"] = run["proved_irreducible"]
+            entry["discriminant"] = run.irreducible
+            entry["irreducible"] = run.proved_irreducible
         else:
             entry["irreducible_route"] = "family"
             entry["irreducible"] = True
-        entry["twist_exponent"] = run["twist_exponent"]
-        entry["trace_test"] = run["trace_tests"][0] if run["trace_tests"] else None
+        entry["twist_exponent"] = run.twist_exponent
+        entry["trace_test"] = run.trace_tests[0] if run.trace_tests else None
         per_ell.append(entry)
-        for key in ("discriminant", "trace_test"):
-            if entry.get(key):
-                certs.append(Certificate.from_dict(entry[key]))
+        certs.extend(c for c in (entry.get("discriminant"), entry["trace_test"]) if c)
 
     scan_exp = exp4["scan"]
     scan = closed_form_scan(scan_exp["ell_min"], scan_exp["ell_max"])
 
     section4 = {
         "form": form4.form_id,
-        "family_obstruction": family_cert.to_dict(),
+        "family_obstruction": family_cert,
         "family_note": _FAMILY_NOTE,
         "exceptional": sorted(exceptional),
         "per_ell": per_ell,
-        "scan": scan.to_dict(),
+        "scan": scan,
         "scan_text": scan.to_text(),
     }
 
@@ -917,9 +904,9 @@ def full_paper_verification(
         expected_verdict = INCONCLUSIVE if ell in inconclusive_exp else NON_ELLIPTIC
         if entry["trace_test"] is None:
             mismatches.append(f"ell={ell}: no trace test at p={trace_p}")
-        elif entry["trace_test"]["verdict"] != expected_verdict:
+        elif entry["trace_test"].verdict != expected_verdict:
             mismatches.append(
-                f"ell={ell}: trace test {entry['trace_test']['verdict']}, "
+                f"ell={ell}: trace test {entry['trace_test'].verdict}, "
                 f"expected {expected_verdict}"
             )
     for ell_str, pin in exp4["pinned_discriminant"].items():
@@ -933,9 +920,9 @@ def full_paper_verification(
             continue
         for key in ("p", "delta", "legendre"):
             want = pin["witness_prime"] if key == "p" else pin[key]
-            if got["witness"][key] != want:
+            if got.witness[key] != want:
                 mismatches.append(
-                    f"ell={ell}: discriminant witness {key}={got['witness'][key]}, "
+                    f"ell={ell}: discriminant witness {key}={got.witness[key]}, "
                     f"expected {want}"
                 )
     if list(scan.holds) != scan_exp["holds"]:
@@ -950,18 +937,18 @@ def full_paper_verification(
     ell2 = split_exp["ell"]
     disc_exp = exp2["pinned_discriminant"]
     runs2 = certify_form(form2, [ell2], witness_prime=disc_exp["witness_prime"]).runs
-    roots = [run["embedding_root"] for run in runs2]
+    roots = [run.embedding_root for run in runs2]
     disc_certs = {
-        f"root_{run['embedding_root']}": run["irreducible"]
+        f"root_{run.embedding_root}": run.irreducible
         for run in runs2
-        if run["irreducible"]
+        if run.irreducible
     }
-    certs.extend(Certificate.from_dict(c) for c in disc_certs.values())
+    certs.extend(disc_certs.values())
 
     conductor_certs = {}
     for n_str in exp2["conductor_violations"]:
         cert = conductor_bound_test(int(n_str), ell=ell2, form_id=form2.form_id)
-        conductor_certs[n_str] = cert.to_dict()
+        conductor_certs[n_str] = cert
         certs.append(cert)
 
     serre = {
@@ -980,23 +967,23 @@ def full_paper_verification(
     if roots != split_exp["roots"]:
         mismatches.append(f"split roots {roots}, expected {split_exp['roots']}")
     for run in runs2:
-        key = f"root_{run['embedding_root']}"
-        cert_d = run["irreducible"]
+        key = f"root_{run.embedding_root}"
+        cert_d = run.irreducible
         if cert_d is None:
             mismatches.append(
                 f"{key}: no discriminant certificate at p={disc_exp['witness_prime']}"
             )
             continue
-        w = cert_d["witness"]
-        if cert_d["verdict"] != IRREDUCIBLE:
-            mismatches.append(f"{key}: discriminant verdict {cert_d['verdict']}")
+        w = cert_d.witness
+        if cert_d.verdict != IRREDUCIBLE:
+            mismatches.append(f"{key}: discriminant verdict {cert_d.verdict}")
         if w["delta"] != disc_exp["delta"] or w["legendre"] != disc_exp["legendre"]:
             mismatches.append(
                 f"{key}: delta={w['delta']} legendre={w['legendre']}, expected "
                 f"delta={disc_exp['delta']} legendre={disc_exp['legendre']}"
             )
     for n_str, triple in exp2["conductor_violations"].items():
-        v = conductor_certs[n_str]["witness"]["violation"]
+        v = conductor_certs[n_str].witness["violation"]
         got_triple = [v["p"], v["exponent"], v["bound"]] if v else None
         if got_triple != triple:
             mismatches.append(

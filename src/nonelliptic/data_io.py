@@ -35,6 +35,11 @@ def _schema() -> dict:
     return json.loads(_packaged("form_record.schema.json"))
 
 
+def _reject_float(literal: str):
+    # the schema's "integer" admits 4.0, which must not reach the arithmetic
+    raise SchemaError(f"schema violation: number {literal} is not an integer literal")
+
+
 def parse_form(text: str | bytes) -> NewformData:
     """Parse and validate one FormRecord; errors carry the offending path."""
     # Imported here, not at module level: jsonschema is about half of the
@@ -42,7 +47,7 @@ def parse_form(text: str | bytes) -> NewformData:
     import jsonschema
 
     try:
-        record = json.loads(text)
+        record = json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
     try:
@@ -131,9 +136,14 @@ _SCALARS = {
 }
 
 
+def _record(obj) -> dict:
+    """json's default=: a record is written as its to_dict()."""
+    return obj.to_dict() if hasattr(obj, "to_dict") else json.JSONEncoder().default(obj)
+
+
 def _write_json(obj, indent: str, emit) -> None:
-    """Emit obj as json.dumps(sort_keys=True, indent=2, ensure_ascii=True)
-    writes it when it sits at nesting `indent`."""
+    """Emit obj as json.dumps(default=_record, sort_keys=True, indent=2,
+    ensure_ascii=True) writes it when it sits at nesting `indent`."""
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
         emit(scalar(obj))
@@ -167,21 +177,22 @@ def _write_json(obj, indent: str, emit) -> None:
                 _write_json(value, inner, emit)
                 sep = comma
         emit(f"\n{indent}]")
+    elif hasattr(obj, "to_dict"):
+        _write_json(obj.to_dict(), indent, emit)
     else:
         # Strings in JSON text never hold a raw newline, so every newline is
         # a line break that needs the enclosing indent.
-        text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True)
+        text = json.dumps(obj, default=_record, sort_keys=True, indent=2, ensure_ascii=True)
         emit(text.replace("\n", "\n" + indent))
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, two-space indent, ASCII only,
-    trailing newline.
-
-    Byte for byte json.dumps(obj, sort_keys=True, indent=2,
-    ensure_ascii=True) + "\n", written directly: with an indent, json uses
-    its pure-Python generator encoder, which takes about twice as long on a
-    large certify report.
+    trailing newline; a record (anything with to_dict) is written as its
+    to_dict(). Byte for byte json.dumps(obj, default=lambda o: o.to_dict(),
+    sort_keys=True, indent=2, ensure_ascii=True) + "\n", written directly:
+    with an indent, json uses its pure-Python generator encoder, which takes
+    about twice as long on a large certify report.
     """
     chunks: list[str] = []
     _write_json(obj, "", chunks.append)
@@ -190,18 +201,13 @@ def canonical_json(obj) -> str:
 
 
 def dump_report(report, fmt: str = "text") -> str:
-    """Serialize a report object (anything with to_dict/to_text, or a dict).
+    """Serialize a report object (anything with to_dict and to_text).
 
     Canonical in both formats: stable ordering, no timestamps, so identical
     inputs give byte-identical output.
     """
     if fmt == "json":
-        payload = report.to_dict() if hasattr(report, "to_dict") else report
-        return canonical_json(payload)
-    if fmt == "text":
-        if hasattr(report, "to_text"):
-            return report.to_text() + "\n"
-        if isinstance(report, dict) and not report:
-            return ""
         return canonical_json(report)
+    if fmt == "text":
+        return report.to_text() + "\n"
     raise ValueError(f"unknown report format {fmt!r}")

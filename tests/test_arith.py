@@ -169,6 +169,14 @@ def test_is_prime_on_large_primes():
     assert is_prime(p + 2) is False
 
 
+@pytest.mark.parametrize("n", [7.0, 26.5, True])
+def test_is_prime_rejects_non_ints(n):
+    # cached first: a float or bool equal to a cached int must not hit its entry
+    assert is_prime(7) and not is_prime(1)
+    with pytest.raises(TypeError):
+        is_prime(n)
+
+
 def test_is_prime_raises_above_the_proven_bound():
     assert MILLER_RABIN_LIMIT == 3317044064679887385961981
     # the bound is psi_13, itself a strong pseudoprime to the first 13 bases

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import time
@@ -276,7 +277,7 @@ def test_certify_form_factors_the_level_once(monkeypatch):
     form = NewformData(form_id="bare", level=2560, weight=2, d=None, eigenvalues={},
                        claimed_conductor_equality=True)
     report = certify_form(form, [7, 11, 13, 17, 19])
-    assert [r["conductor"]["witness"]["conductor"] for r in report.runs] == [2560] * 5
+    assert [r.conductor.witness["conductor"] for r in report.runs] == [2560] * 5
     assert calls == [2560]
 
 
@@ -433,8 +434,9 @@ def test_bundled_certificates_cover_every_method_and_verdict():
     assert all(check(_tampered(c)) for c in bundled_certificates())
 
 
-# The witness fields a producer takes as input; every other field is derived.
-INPUT_FIELDS = {"p", "trace", "det_exponent", "a_p", "weight", "level", "conductor"}
+# The fields a producer takes as input, ell and witness fields; every other
+# witness field is derived.
+INPUT_FIELDS = {"ell", "p", "trace", "det_exponent", "a_p", "weight", "level", "conductor"}
 _PROBE = NewformData("probe", 1, 2, None, {})
 
 
@@ -455,7 +457,7 @@ def _produced(cert: Certificate) -> Certificate | None:
                 eigenvalues = {w["p"]: QuadInt(w["a_p"])}
                 form = NewformData("probe", w["level"], w["weight"], None, eigenvalues)
                 return reducibility_obstruction(form, w["p"])[0]
-            return conductor_bound_test(w["conductor"])
+            return conductor_bound_test(w["conductor"], ell=cert.ell)
     except Exception:
         return None
 
@@ -501,20 +503,25 @@ def _a_certificate(data) -> Certificate:
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_tampering_a_witness_field_fails_check(data):
-    """Replace one witness field by a different JSON value. A derived field
-    then always fails; a changed input field passes only where the producer,
-    run on the changed inputs, emits this very record (trace -> ell - trace
-    leaves delta alone, for one)."""
+    """Replace ell or one witness field by a different JSON value. A derived
+    field then always fails; a changed input field passes only where the
+    producer, run on the changed inputs, emits this very record (trace ->
+    ell - trace leaves delta alone, for one)."""
     cert = _a_certificate(data)
-    key = data.draw(st.sampled_from(sorted(cert.witness)))
-    value = data.draw(_near(cert.witness[key]) | JSON_VALUES)
-    assume(value != cert.witness[key])
-    tampered = _tampered(cert, **{key: value})
+    key = data.draw(st.sampled_from(sorted(cert.witness) + ["ell"]))
+    old = cert.ell if key == "ell" else cert.witness[key]
+    value = data.draw(_near(old) | JSON_VALUES)
+    assume(value != old)
+    if key == "ell":
+        tampered = dataclasses.replace(_tampered(cert), ell=value)
+    else:
+        tampered = _tampered(cert, **{key: value})
     if check(tampered):
         assert key in INPUT_FIELDS
         produced = _produced(tampered)
         assert produced is not None
-        assert (produced.verdict, produced.witness) == (tampered.verdict, tampered.witness)
+        assert (produced.verdict, produced.ell, produced.witness) == (
+            tampered.verdict, tampered.ell, tampered.witness)
 
 
 @settings(max_examples=100, deadline=None)
@@ -630,7 +637,7 @@ def test_full_verification_passes():
     assert s4["exceptional"] == [5, 11]
     entry11 = next(e for e in s4["per_ell"] if e["ell"] == 11)
     assert entry11["irreducible_route"] == "discriminant"
-    assert entry11["discriminant"]["witness"]["p"] == 2
+    assert entry11["discriminant"].witness["p"] == 2
 
 
 def test_full_verification_detects_tampering():
@@ -676,7 +683,7 @@ def test_full_verification_reports_missing_tests_as_mismatches():
 def test_certify_form_pipeline(schoen_form, sqrt2_form):
     report = certify_form(schoen_form, [11, 13])
     assert report.all_proved
-    assert [r["ell"] for r in report.runs] == [11, 13]
+    assert [r.ell for r in report.runs] == [11, 13]
     assert all(check(c) for c in report.certificates())
 
     report = certify_form(schoen_form, [7])
@@ -684,9 +691,9 @@ def test_certify_form_pipeline(schoen_form, sqrt2_form):
 
     report = certify_form(sqrt2_form, [7])  # both embeddings
     assert report.all_proved
-    assert [r["embedding_root"] for r in report.runs] == [3, 4]
+    assert [r.embedding_root for r in report.runs] == [3, 4]
     # non-ellipticity comes through the conductor route at ell = 7
-    assert all(r["conductor"]["verdict"] == NON_ELLIPTIC for r in report.runs)
+    assert all(r.conductor.verdict == NON_ELLIPTIC for r in report.runs)
 
 
 def test_certify_form_with_empty_eigenvalue_map():
@@ -695,17 +702,17 @@ def test_certify_form_with_empty_eigenvalue_map():
     report = certify_form(form, [11])
     assert not report.all_proved
     run = report.runs[0]
-    assert run["irreducible"] is None
-    assert run["trace_tests"] == []
+    assert run.irreducible is None
+    assert run.trace_tests == ()
 
 
 def test_certify_form_with_pinned_witness(sqrt2_form):
     report = certify_form(sqrt2_form, [7], root=3, witness_prime=29)
     assert len(report.runs) == 1
     run = report.runs[0]
-    assert run["irreducible"]["witness"]["p"] == 29
-    assert run["irreducible"]["witness"]["delta"] == 5
-    assert run["proved_non_elliptic"]  # conductor route
+    assert run.irreducible.witness["p"] == 29
+    assert run.irreducible.witness["delta"] == 5
+    assert run.proved_non_elliptic  # conductor route
 
 
 def test_report_serialization_is_deterministic():

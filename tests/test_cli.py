@@ -12,6 +12,7 @@ import pytest
 import nonelliptic
 from nonelliptic.arith import primes_in_range
 from nonelliptic.cli import main
+from nonelliptic.data_io import SchemaError, parse_form
 
 SCHOEN = str(resources.files("nonelliptic.data").joinpath("schoen_s4_25.json"))
 SQRT2 = str(resources.files("nonelliptic.data").joinpath("s2_512_sqrt2.json"))
@@ -115,18 +116,28 @@ def test_certify_range_identical_across_runs(capsys, fmt):
     assert first[0] == 0
 
 
-# sha256 of the report as written before the direct JSON writer replaced
-# json.dumps(indent=2): the bytes must not move.
-SCHOEN_7_3000_JSON_SHA256 = (
-    "dbec122deac1817d6af849b3171316e3e933719b944084a38a7364f660ea363d"
+# sha256 of each report as written before the direct JSON writer replaced
+# json.dumps(indent=2), and before the text report read run objects instead
+# of dicts: the bytes must not move. Together the text reports take every
+# branch of CertifyReport.to_text (irreducibility not established, notes,
+# the trace route, the conductor route).
+PINNED_CERTIFY_REPORTS = [
+    (SCHOEN, "3000", "json", "dbec122deac1817d6af849b3171316e3e933719b944084a38a7364f660ea363d"),
+    (SCHOEN, "3000", "text", "125e38c61a97b6a24a7c7037b65272518975b61bc272a827b4409bb3590ebdb6"),
+    (SQRT2, "200", "json", "07aab601c553eeefa59f0641d6098c08e15d2bea2f5b2c2ef53ac582943c8c9b"),
+    (SQRT2, "200", "text", "a93414284c0c56205f24c718f83810cee9a9d8c9f85db3d0aa19e0b7d0bde2da"),
+]
+
+
+@pytest.mark.parametrize(
+    "form,ell_max,fmt,sha256", PINNED_CERTIFY_REPORTS,
+    ids=[f"{Path(f).stem}-7..{m}-{fmt}" for f, m, fmt, _ in PINNED_CERTIFY_REPORTS],
 )
-
-
-def test_certify_range_report_bytes_pinned(capsys):
-    code, out, err = run(capsys, "certify", "-i", SCHOEN, "--ell-min", "7",
-                         "--ell-max", "3000", "--format", "json")
+def test_certify_range_report_bytes_pinned(capsys, form, ell_max, fmt, sha256):
+    code, out, err = run(capsys, "certify", "-i", form, "--ell-min", "7",
+                         "--ell-max", ell_max, "--format", fmt)
     assert (code, err) == (2, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == SCHOEN_7_3000_JSON_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_certify_range_over_quadratic_field_takes_split_ells(capsys):
@@ -232,6 +243,28 @@ def test_certify_schema_error(tmp_path, capsys):
     code, _, err = run(capsys, "certify", "-i", str(bad), "--ell", "7")
     assert code == 1
     assert "invalid form record" in err
+
+
+# The schema's "integer" admits 4.0: a float must not reach the arithmetic.
+@pytest.mark.parametrize("form,old,literal", [
+    (SCHOEN, '"level": 25', "25.0"),
+    (SCHOEN, '"weight": 4', "4.0"),
+    (SQRT2, '"d": 2', "2.0"),
+    (SCHOEN, '"2": {"x": 1', "1.0"),
+    (SQRT2, '"3": {"x": 0, "y": 1', "1.0"),
+    (SCHOEN, '"level": 25', "1e1"),
+])
+def test_certify_rejects_non_integer_numbers(tmp_path, capsys, form, old, literal):
+    text = Path(form).read_text()
+    assert text.count(old) == 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace(old, old[: old.rindex(" ") + 1] + literal))
+    message = f"schema violation: number {literal} is not an integer literal"
+    with pytest.raises(SchemaError) as exc:
+        parse_form(bad.read_bytes())
+    assert str(exc.value) == message
+    code, out, err = run(capsys, "certify", "-i", str(bad), "--ell", "17")
+    assert (code, out, err) == (1, "", f"error: invalid form record: {message}\n")
 
 
 def test_scan_full(capsys):
