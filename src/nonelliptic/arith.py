@@ -123,8 +123,9 @@ class Factorization:
                 raise ValueError(f"factor {q} is not prime")
             if q <= prev:
                 raise ValueError("factors must be strictly increasing")
-            if e < 1:
-                raise ValueError(f"exponent {e} must be positive")
+            # exactly int: 9.0 == 9 would pass every test below
+            if type(e) is not int or e < 1:
+                raise ValueError(f"exponent {e!r} must be a positive int")
             # q**e >= 2**(e*(bits(q)-1)) > n already: refuse before computing it
             if e * (q.bit_length() - 1) >= self.n.bit_length():
                 raise ValueError(f"{q}^{e} exceeds {self.n}")

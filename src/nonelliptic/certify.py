@@ -618,9 +618,6 @@ class CertifyReport:
     def all_proved(self) -> bool:
         return all(r.proved_irreducible and r.proved_non_elliptic for r in self.runs)
 
-    def certificates(self) -> list[Certificate]:
-        return [c for r in self.runs for c in r.certificates()]
-
     def to_dict(self) -> dict:
         return {
             "form": self.form_id,

@@ -10,17 +10,16 @@ warning is the useful signal.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+import re
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 
-from .arith import is_prime
 from .quadfield import QuadInt, ensure_squarefree
-from .repmodel import NewformData
+from .repmodel import FormDataError, NewformData
 
 
 class SchemaError(ValueError):
-    """The byte stream does not validate against the FormRecord schema."""
+    """The byte stream is not a valid FormRecord."""
 
 
 def _packaged(name: str) -> bytes:
@@ -30,66 +29,82 @@ def _packaged(name: str) -> bytes:
 BUNDLED_FORMS = ("schoen_s4_25", "s2_512_sqrt2")
 
 
-@lru_cache(maxsize=None)
-def _schema() -> dict:
-    return json.loads(_packaged("form_record.schema.json"))
-
-
 def _reject_float(literal: str):
     # the schema's "integer" admits 4.0, which must not reach the arithmetic
     raise SchemaError(f"schema violation: number {literal} is not an integer literal")
 
 
-def parse_form(text: str | bytes) -> NewformData:
-    """Parse and validate one FormRecord; errors carry the offending path."""
-    # Imported here, not at module level: jsonschema is about half of the
-    # package's import time, and only commands that read a form need it.
-    import jsonschema
+_PRIME_KEY = re.compile("[1-9][0-9]*")
+_JSON_TYPE = {int: "integer", str: "string", bool: "boolean", dict: "object"}
 
+
+def _violation(path: str, reason: str) -> SchemaError:
+    return SchemaError(f"schema violation at {path}: {reason}")
+
+
+def _typed(value, kind: type, path: str):
+    """value itself if its type is exactly `kind`: true is not an integer."""
+    if type(value) is not kind:
+        raise _violation(path, f"{value!r} is not of type {_JSON_TYPE[kind]!r}")
+    return value
+
+
+def _members(value, path: str, required: tuple, optional: tuple = ()) -> dict:
+    """value as an object with every required key and no key outside optional."""
+    for key in _typed(value, dict, path):
+        if key not in required and key not in optional:
+            raise _violation(path, f"Additional properties are not allowed ({key!r} was unexpected)")
+    for key in required:
+        if key not in value:
+            raise _violation(path, f"{key!r} is a required property")
+    return value
+
+
+def parse_form(text: str | bytes) -> NewformData:
+    """Parse and validate one FormRecord in one walk: the wire format of
+    data/form_record.schema.json here, the mathematics in NewformData and
+    QuadInt. Errors carry the JSON path of the offending value."""
     try:
         record = json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
-    try:
-        jsonschema.validate(record, _schema())
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"schema violation at {exc.json_path}: {exc.message}") from None
-
-    level = record["level"]
+    _members(record, "$", ("id", "level", "weight", "field", "eigenvalues"),
+             ("claimed_conductor_equality", "notes"))
+    if not _typed(record["id"], str, "$.id"):
+        raise _violation("$.id", "'' should be non-empty")
+    level = _typed(record["level"], int, "$.level")
+    weight = _typed(record["weight"], int, "$.weight")
     field = record["field"]
-    d = field["d"] if field["type"] == "quadratic" else None
-    if d is not None:
+    if field == {"type": "rational"}:
+        d = None
+    elif type(field) is dict and field.get("type") == "quadratic":
+        d = _typed(_members(field, "$.field", ("type", "d"))["d"], int, "$.field.d")
         try:
             ensure_squarefree(d)
         except ValueError as exc:
-            raise SchemaError(f"schema violation at $.field.d: {exc}") from None
+            raise _violation("$.field.d", str(exc)) from None
+    else:
+        raise _violation("$.field", f"{field!r} is neither {{'type': 'rational'}} "
+                                    f"nor {{'type': 'quadratic', 'd': <integer>}}")
     eigenvalues: dict[int, QuadInt] = {}
-    for p_str, val in record["eigenvalues"].items():
-        p = int(p_str)
-        if not is_prime(p):
-            raise SchemaError(f"schema violation at $.eigenvalues.{p_str}: {p} is not prime")
-        if level % p == 0:
-            raise SchemaError(
-                f"schema violation at $.eigenvalues.{p_str}: {p} divides the level {level}"
-            )
-        if d is None and val["y"] != 0:
-            raise SchemaError(
-                f"schema violation at $.eigenvalues.{p_str}: rational field with y != 0"
-            )
-        eigenvalues[p] = QuadInt(val["x"], val["y"], d if val["y"] != 0 else None)
-
+    for key, entry in _typed(record["eigenvalues"], dict, "$.eigenvalues").items():
+        if not _PRIME_KEY.fullmatch(key):
+            raise _violation("$.eigenvalues", f"key {key!r} does not match '[1-9][0-9]*'")
+        path = f"$.eigenvalues.{key}"
+        _members(entry, path, ("x", "y"))
+        x, y = _typed(entry["x"], int, path + ".x"), _typed(entry["y"], int, path + ".y")
+        try:
+            eigenvalues[int(key)] = QuadInt(x, y, d if y != 0 else None)
+        except ValueError as exc:
+            raise _violation(path, str(exc)) from None
+    claimed = _typed(record.get("claimed_conductor_equality", False), bool,
+                     "$.claimed_conductor_equality")
+    notes = _typed(record.get("notes", ""), str, "$.notes")
     try:
-        return NewformData(
-            form_id=record["id"],
-            level=level,
-            weight=record["weight"],
-            d=d,
-            eigenvalues=eigenvalues,
-            claimed_conductor_equality=record.get("claimed_conductor_equality", False),
-            notes=record.get("notes", ""),
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+        return NewformData(record["id"], level, weight, d, eigenvalues, claimed, notes)
+    except FormDataError as exc:
+        # a NewformData field path is its wire path: the key of p is str(p)
+        raise _violation("$." + ".".join(map(str, exc.field)), str(exc)) from None
 
 
 def load_form(path) -> NewformData:

@@ -43,7 +43,7 @@ class QuadInt:
     def __post_init__(self) -> None:
         if self.d is None:
             if self.y != 0:
-                raise ValueError("rational value must have y = 0")
+                raise ValueError("rational field with y != 0")
         else:
             ensure_squarefree(self.d)
 

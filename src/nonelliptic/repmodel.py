@@ -27,6 +27,15 @@ class InsufficientDataError(KeyError):
     """The sparse eigenvalue map has no entry for the requested prime."""
 
 
+class FormDataError(ValueError):
+    """A NewformData field breaks its constraint; `field` is its path:
+    ("level",), ("weight",) or ("eigenvalues", p)."""
+
+    def __init__(self, field: tuple, message: str) -> None:
+        super().__init__(message)
+        self.field = field
+
+
 class RamanujanBoundWarning(UserWarning):
     """An eigenvalue violates |a_p| <= 2 p^((k-1)/2): almost surely a typo."""
 
@@ -48,19 +57,19 @@ class NewformData:
 
     def __post_init__(self) -> None:
         if self.level < 1:
-            raise ValueError(f"level {self.level} must be positive")
+            raise FormDataError(("level",), f"level {self.level} must be positive")
         if self.weight < 2:
-            raise ValueError(f"weight {self.weight} must be >= 2")
+            raise FormDataError(("weight",), f"weight {self.weight} must be >= 2")
         for p, a in self.eigenvalues.items():
+            where = ("eigenvalues", p)
             if not is_prime(p):
-                raise ValueError(f"eigenvalue key {p} is not prime")
+                raise FormDataError(where, f"eigenvalue key {p} is not prime")
             if self.level % p == 0:
-                raise ValueError(
-                    f"eigenvalue at p={p} dividing the level {self.level}"
-                )
+                raise FormDataError(where, f"eigenvalue key {p} divides the level {self.level}"
+                                           ": a prime dividing the level carries no eigenvalue")
             if a.d is not None and a.d != self.d:
-                raise ValueError(
-                    f"a_{p} lives in Q(sqrt({a.d})) but the form field is {self.d}"
+                raise FormDataError(
+                    where, f"a_{p} lives in Q(sqrt({a.d})) but the form field is {self.d}"
                 )
             self._ramanujan_check(p, a)
 
@@ -69,7 +78,11 @@ class NewformData:
         # smell, not an error (no downstream logic relies on the bound).
         if a.x != 0 and a.y != 0:
             return
-        if a.square_if_rational() > 4 * p ** (self.weight - 1):
+        square = a.square_if_rational()
+        # p**(k-1) >= 2**((k-1)*(bits(p)-1)) > a_p**2 settles a huge weight
+        # before the power is built
+        if ((self.weight - 1) * (p.bit_length() - 1) < square.bit_length()
+                and square > 4 * p ** (self.weight - 1)):
             warnings.warn(
                 f"a_{p} of form {self.form_id} violates the Ramanujan bound "
                 f"a_p^2 <= 4 p^(k-1)",

@@ -305,6 +305,8 @@ def test_factorization_invariants_enforced():
         Factorization(12, ((2, 1), (2, 1), (3, 1)))  # a prime split in two
     with pytest.raises(ValueError):
         Factorization(12, ((2, 0), (2, 2), (3, 1)))  # exponent 0
+    with pytest.raises(ValueError):
+        Factorization(4, ((2, 2.0),))  # exponent not an int
 
 
 def test_factorization_refuses_a_huge_exponent_before_the_power():

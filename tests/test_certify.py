@@ -417,8 +417,10 @@ def bundled_certificates() -> tuple[Certificate, ...]:
         warnings.simplefilter("ignore")
         degenerate = NewformData("t", 25, 4, None, {31: QuadInt(1 + 31**3)})
     certs = [reducibility_obstruction(f, p)[0] for f, p in ((schoen, 11), (degenerate, 31))]
-    certs += certify_form(schoen, primes_in_range(7, 60)).certificates()
-    certs += certify_form(sqrt2, [7, 17, 23, 31, 41, 47]).certificates()
+    certs += [c for r in certify_form(schoen, primes_in_range(7, 60)).runs
+              for c in r.certificates()]
+    certs += [c for r in certify_form(sqrt2, [7, 17, 23, 31, 41, 47]).runs
+              for c in r.certificates()]
     certs += [conductor_bound_test(n) for n in (1, 275, 1375)]
     return tuple(certs)
 
@@ -576,6 +578,10 @@ def test_check_rejects_non_integer_inputs(schoen_form):
     cert, _ = reducibility_obstruction(schoen_form, 11)
     for level in (26.5, 25.0, True, "25"):
         assert not check(_tampered(cert, level=level))
+    # integral-float exponents: 9.0 == 9, so the rebuilt witness would compare equal
+    assert not check(_tampered(cert, factors=[[5, 3.0], [11, 1]]))
+    assert not check(_tampered(conductor_bound_test(512), factors=[[2, 9.0]],
+                               violation={"p": 2, "exponent": 9.0, "bound": 8}))
     trace = non_elliptic_trace_test(twist_to_det_chi(residual_rep(schoen_form, 11)), 2)
     assert not check(_tampered(trace, trace=float(trace.witness["trace"])))
 
@@ -684,7 +690,7 @@ def test_certify_form_pipeline(schoen_form, sqrt2_form):
     report = certify_form(schoen_form, [11, 13])
     assert report.all_proved
     assert [r.ell for r in report.runs] == [11, 13]
-    assert all(check(c) for c in report.certificates())
+    assert all(check(c) for r in report.runs for c in r.certificates())
 
     report = certify_form(schoen_form, [7])
     assert not report.all_proved

@@ -267,6 +267,16 @@ def test_certify_rejects_non_integer_numbers(tmp_path, capsys, form, old, litera
     assert (code, out, err) == (1, "", f"error: invalid form record: {message}\n")
 
 
+def test_certify_with_a_huge_weight_finishes(tmp_path, capsys):
+    # the Ramanujan check must not build p**(k-1) for k = 10**12
+    huge = tmp_path / "huge.json"
+    huge.write_text(Path(SCHOEN).read_text().replace('"weight": 4', '"weight": 1000000000000'))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "certify", "-i", str(huge), "--ell", "13")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out.splitlines()[-1]) == (0, "all proved: yes")
+
+
 def test_scan_full(capsys):
     code, out, _ = run(capsys, "scan", "7", "10000")
     assert code == 0
@@ -439,14 +449,18 @@ def test_workers_flag_is_gone(capsys, argv):
 def test_import_leaves_out_jsonschema_and_process_pools():
     src = str(Path(nonelliptic.__file__).resolve().parents[1])
     code = (
-        "import sys, nonelliptic.cli\n"
+        "import contextlib, io, sys, nonelliptic.cli\n"
         "heavy = ('jsonschema', 'concurrent.futures', 'multiprocessing')\n"
-        "print(sorted(m for m in heavy if m in sys.modules))\n"
-        "nonelliptic.cli.main(['certify', '-i', sys.argv[1], '--ell', '11'])\n"
-        "print('jsonschema' in sys.modules)\n"
+        "def loaded(): print(sorted(m for m in heavy if m in sys.modules))\n"
+        "loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    nonelliptic.cli.main(['certify', '-i', sys.argv[1], '--ell', '11'])\n"
+        "loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    nonelliptic.cli.main(['verify-paper'])\n"
+        "loaded()\n"
     )
     proc = subprocess.run([sys.executable, "-c", code, SCHOEN], capture_output=True,
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "[]"
-    assert lines[-1] == "True"  # parsing a form loads the schema validator
+    # after import, after certify (which parses a form), after verify-paper
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"], proc.stderr

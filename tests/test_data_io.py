@@ -1,9 +1,14 @@
+import copy
 import json
+import warnings
+from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
+from jsonschema import Draft202012Validator
 
 from nonelliptic.data_io import (
+    BUNDLED_FORMS,
     SchemaError,
     bundled_form,
     canonical_json,
@@ -12,8 +17,8 @@ from nonelliptic.data_io import (
     load_expectations,
     parse_form,
 )
-from nonelliptic.quadfield import QuadInt
-from nonelliptic.repmodel import RamanujanBoundWarning
+from nonelliptic.quadfield import QuadInt, ensure_squarefree
+from nonelliptic.repmodel import NewformData, RamanujanBoundWarning
 
 
 def record(**overrides):
@@ -98,8 +103,139 @@ def test_malformed_json_rejected():
 def test_wrong_types_rejected_with_path():
     with pytest.raises(SchemaError, match=r"\$\.level"):
         parse_form(record(level="25"))
-    with pytest.raises(SchemaError, match="schema violation"):
+    with pytest.raises(SchemaError, match=r"at \$\.eigenvalues\.2: 'y' is a required"):
         parse_form(record(eigenvalues={"2": {"x": 1}}))
+    # NewformData's checks keep the JSON path of the value they reject
+    for overrides, path in [({"level": 0}, r"\$\.level"), ({"weight": 1}, r"\$\.weight"),
+                            ({"eigenvalues": {"5": {"x": 1, "y": 0}}}, r"\$\.eigenvalues\.5")]:
+        with pytest.raises(SchemaError, match=f"^schema violation at {path}: "):
+            parse_form(record(**overrides))
+
+
+# The published contract parse_form is held to, as the reference.
+SCHEMA = Draft202012Validator(
+    json.loads(resources.files("nonelliptic.data").joinpath("form_record.schema.json").read_text())
+)
+BUNDLED_RECORDS = [
+    json.loads(resources.files("nonelliptic.data").joinpath(f"{name}.json").read_text())
+    for name in BUNDLED_FORMS
+]
+KEYS = [
+    "id", "level", "weight", "field", "eigenvalues", "claimed_conductor_equality", "notes",
+    "type", "d", "x", "y", "extra", "2", "3", "4", "5", "13", "29",
+    "02", "0", "", " 2", "+2", "1_3", "\u0662", "2\n", "13\n",
+]
+VALUES = [
+    None, True, False, 0, 1, 2, -1, 8, 4.0, "", "2", "rational", [], {},
+    {"x": 1, "y": 0}, {"type": "rational"}, {"type": "quadratic", "d": 2},
+]
+
+
+def test_key_with_a_trailing_newline_rejected():
+    # The schema's "^[1-9][0-9]*$" accepts "2\n" (re.search lets $ match before
+    # a final newline) and int("2\n") == 2, so a_2 = 1 would silently become 3.
+    text = record(eigenvalues={"2": {"x": 1, "y": 0}, "2\n": {"x": 3, "y": 0}})
+    assert SCHEMA.is_valid(json.loads(text))
+    with pytest.raises(SchemaError, match=r"at \$\.eigenvalues: key '2\\n'"):
+        parse_form(text)
+
+
+def _edits(rec):
+    """Every one-step edit of rec: the whole record, or any member, set to one
+    of VALUES; a member dropped or renamed to one of KEYS; a key of KEYS added
+    to an object. An edit is (kind, path of the object, key, argument)."""
+    yield from (("set", (), None, value) for value in VALUES)
+    paths = [()] if isinstance(rec, dict) else []
+    for path in paths:
+        obj = _at(rec, path)
+        for key, value in obj.items():
+            if isinstance(value, dict):
+                paths.append(path + (key,))
+            yield "drop", path, key, None
+            yield from (("rename", path, key, new) for new in KEYS)
+            yield from (("set", path, key, new) for new in VALUES)
+        yield from (("set", path, new, {"x": 1, "y": 0}) for new in KEYS if new not in obj)
+
+
+def _at(rec, path):
+    for key in path:
+        rec = rec[key]
+    return rec
+
+
+def _edited(rec, edit):
+    kind, path, key, arg = edit
+    if not path and key is None:
+        return copy.deepcopy(arg)
+    rec = copy.deepcopy(rec)
+    obj = _at(rec, path)
+    if kind == "set":
+        obj[key] = copy.deepcopy(arg)
+    else:
+        value = obj.pop(key)
+        if kind == "rename":
+            obj[arg] = value
+    return rec
+
+
+@st.composite
+def edited_records(draw):
+    """A bundled record after two or three random edits."""
+    rec = draw(st.sampled_from(BUNDLED_RECORDS))
+    for _ in range(draw(st.integers(2, 3))):
+        rec = _edited(rec, draw(st.sampled_from(list(_edits(rec)))))
+    return rec
+
+
+def _has_float(tree) -> bool:
+    if isinstance(tree, dict):
+        return any(_has_float(v) for v in tree.values())
+    return isinstance(tree, float)
+
+
+def _form_of(rec):
+    """What parse_form made of a record the schema accepts before it checked
+    the wire format itself: the form, or None for a SchemaError."""
+    d = rec["field"].get("d")
+    try:
+        if d is not None:
+            ensure_squarefree(d)
+        eigenvalues = {int(p): QuadInt(v["x"], v["y"], d if v["y"] != 0 else None)
+                       for p, v in rec["eigenvalues"].items()}
+        return NewformData(rec["id"], rec["level"], rec["weight"], d, eigenvalues,
+                           rec.get("claimed_conductor_equality", False), rec.get("notes", ""))
+    except ValueError:
+        return None
+
+
+def _agrees_with_the_schema(rec):
+    text = json.dumps(rec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RamanujanBoundWarning)
+        # float literals have been refused on top of the schema since they
+        # were found to pass it; keys with a trailing newline are new here
+        if (not SCHEMA.is_valid(rec) or _has_float(rec)
+                or any(key.endswith("\n") for key in rec["eigenvalues"])):
+            with pytest.raises(SchemaError, match=r"^schema violation"):
+                parse_form(text)
+            return
+        expected = _form_of(rec)
+        if expected is None:
+            with pytest.raises(SchemaError, match=r"^schema violation at \$"):
+                parse_form(text)
+        else:
+            assert parse_form(text) == expected
+
+
+@pytest.mark.parametrize("rec", BUNDLED_RECORDS, ids=BUNDLED_FORMS)
+def test_parse_form_agrees_with_the_schema_one_edit_away(rec):
+    for edit in _edits(rec):
+        _agrees_with_the_schema(_edited(rec, edit))
+
+
+@given(edited_records())
+def test_parse_form_agrees_with_the_schema(rec):
+    _agrees_with_the_schema(rec)
 
 
 def test_empty_eigenvalue_map_is_valid():
