@@ -5,9 +5,7 @@ machine-checkable witnesses."""
 
 from .arith import (
     Factorization,
-    hasse_interval,
     is_prime,
-    isqrt,
     legendre,
     primes_in_range,
     trial_factor,
@@ -26,9 +24,7 @@ from .certify import (
 )
 from .data_io import bundled_form, dump_form, dump_report, load_form, parse_form
 from .ecoracle import (
-    CurveFp,
     CurveQ,
-    count_points,
     falsify_curve,
     trace_of_frobenius,
     trace_set,
@@ -44,7 +40,6 @@ from .repmodel import (
     NewformData,
     ResidualRep,
     residual_rep,
-    twist,
     twist_to_det_chi,
 )
 
@@ -52,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate",
-    "CurveFp",
     "CurveQ",
     "EmbeddingChoice",
     "Factorization",
@@ -64,16 +58,13 @@ __all__ = [
     "check",
     "closed_form_scan",
     "conductor_bound_test",
-    "count_points",
     "dump_form",
     "dump_report",
     "embedding_choices",
     "falsify_curve",
     "full_paper_verification",
-    "hasse_interval",
     "irreducibility_by_discriminant",
     "is_prime",
-    "isqrt",
     "legendre",
     "load_form",
     "non_elliptic_trace_test",
@@ -87,7 +78,6 @@ __all__ = [
     "trace_of_frobenius",
     "trace_set",
     "trial_factor",
-    "twist",
     "twist_to_det_chi",
     "__version__",
 ]

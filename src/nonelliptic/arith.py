@@ -148,13 +148,6 @@ def legendre(a: int, ell: int) -> int:
     return 1 if r == 1 else -1
 
 
-def isqrt(n: int) -> int:
-    """Floor of the square root of a non-negative integer."""
-    if n < 0:
-        raise ValueError("isqrt of a negative integer")
-    return math.isqrt(n)
-
-
 def trial_factor(n: int) -> Factorization:
     """Complete factorization of n >= 2 by trial division up to
     TRIAL_DIVISION_BOUND.
@@ -187,14 +180,3 @@ def trial_factor(n: int) -> Factorization:
             )
         factors.append((rest, 1))
     return Factorization(n, tuple(factors))
-
-
-def hasse_interval(p: int) -> set[int]:
-    """All integers t with t**2 <= 4p, i.e. [-floor(2*sqrt(p)), +floor(2*sqrt(p))].
-
-    These are the Frobenius traces allowed for an elliptic curve over F_p.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    bound = math.isqrt(4 * p)
-    return set(range(-bound, bound + 1))

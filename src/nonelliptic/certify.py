@@ -9,6 +9,7 @@ are sound but not complete), never an error.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -17,7 +18,6 @@ from .arith import (
     TRIAL_DIVISION_BOUND,
     Factorization,
     is_prime,
-    isqrt,
     legendre,
     primes_in_range,
     require_odd_prime,
@@ -186,7 +186,7 @@ def excluded_trace_set(p: int, ell: int) -> list[int]:
     """Residues mod ell an elliptic trace at an unramified-or-semistable p can
     take: the Hasse interval |t| <= 2 sqrt(p) plus the level-raising values
     ±(p+1)."""
-    bound = isqrt(4 * p)
+    bound = math.isqrt(4 * p)
     if 2 * bound + 1 >= ell:
         # the interval alone already meets every residue class
         return list(range(ell))
@@ -435,7 +435,7 @@ def _check_trace(cert: Certificate) -> bool:
     # The size excluded_trace_set(p, ell) must have, known before building it:
     # every residue when the Hasse interval |t| <= B fills F_ell, else its
     # 2B+1 residues plus ±(p+1) when those fall outside it.
-    bound, r = isqrt(4 * p), (p + 1) % ell
+    bound, r = math.isqrt(4 * p), (p + 1) % ell
     if 2 * bound + 1 >= ell:
         size = ell
     else:

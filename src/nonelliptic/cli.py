@@ -17,12 +17,7 @@ import sys
 from . import certify, data_io, ecoracle
 from .arith import is_prime, primes_in_range
 from .quadfield import NotSplitError, RamifiedError
-from .repmodel import (
-    BadReductionError,
-    InsufficientDataError,
-    residual_rep,
-    twist_to_det_chi,
-)
+from .repmodel import residual_rep, twist_to_det_chi
 
 EXIT_PROVED = 0
 EXIT_ERROR = 1
@@ -215,10 +210,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: inert prime: {exc}", file=sys.stderr)
     except RamifiedError as exc:
         print(f"error: ramified prime: {exc}", file=sys.stderr)
-    except BadReductionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    except InsufficientDataError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError:

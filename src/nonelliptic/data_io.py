@@ -14,7 +14,7 @@ import re
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 
-from .quadfield import QuadInt, ensure_squarefree
+from .quadfield import QuadInt
 from .repmodel import FormDataError, NewformData
 
 
@@ -68,6 +68,10 @@ def parse_form(text: str | bytes) -> NewformData:
         record = json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
+    except SchemaError:
+        raise
+    except ValueError as exc:  # an integer literal past the int-string digit limit
+        raise SchemaError(f"schema violation: {exc}") from None
     _members(record, "$", ("id", "level", "weight", "field", "eigenvalues"),
              ("claimed_conductor_equality", "notes"))
     if not _typed(record["id"], str, "$.id"):
@@ -79,10 +83,6 @@ def parse_form(text: str | bytes) -> NewformData:
         d = None
     elif type(field) is dict and field.get("type") == "quadratic":
         d = _typed(_members(field, "$.field", ("type", "d"))["d"], int, "$.field.d")
-        try:
-            ensure_squarefree(d)
-        except ValueError as exc:
-            raise _violation("$.field.d", str(exc)) from None
     else:
         raise _violation("$.field", f"{field!r} is neither {{'type': 'rational'}} "
                                     f"nor {{'type': 'quadratic', 'd': <integer>}}")
@@ -141,8 +141,7 @@ def load_expectations() -> dict:
     return json.loads(_packaged("expectations.json"))
 
 
-# Exact type -> JSON text, as json.dumps writes it. Anything else (floats,
-# subclasses) is left to json.dumps itself.
+# Exact type -> JSON text, as json.dumps writes it.
 _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -151,23 +150,20 @@ _SCALARS = {
 }
 
 
-def _record(obj) -> dict:
-    """json's default=: a record is written as its to_dict()."""
-    return obj.to_dict() if hasattr(obj, "to_dict") else json.JSONEncoder().default(obj)
-
-
 def _write_json(obj, indent: str, emit) -> None:
-    """Emit obj as json.dumps(default=_record, sort_keys=True, indent=2,
-    ensure_ascii=True) writes it when it sits at nesting `indent`."""
-    scalar = _SCALARS.get(type(obj))
+    """Emit obj as json.dumps(default=lambda o: o.to_dict(), sort_keys=True,
+    indent=2, ensure_ascii=True) writes it when it sits at nesting `indent`."""
+    kind = type(obj)
+    scalar = _SCALARS.get(kind)
     if scalar is not None:
         emit(scalar(obj))
-    elif isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+    elif kind is dict:
         if not obj:
             emit("{}")
             return
         inner = indent + "  "
         sep, comma = "{\n" + inner, ",\n" + inner
+        # sorted() and encode_basestring_ascii raise TypeError on a non-str key
         for key in sorted(obj):
             value = obj[key]
             scalar = _SCALARS.get(type(value))
@@ -178,7 +174,7 @@ def _write_json(obj, indent: str, emit) -> None:
                 emit(f"{sep}{encode_basestring_ascii(key)}: {scalar(value)}")
             sep = comma
         emit(f"\n{indent}}}")
-    elif isinstance(obj, (list, tuple)):
+    elif kind is list or kind is tuple:
         if not obj:
             emit("[]")
             return
@@ -195,19 +191,18 @@ def _write_json(obj, indent: str, emit) -> None:
     elif hasattr(obj, "to_dict"):
         _write_json(obj.to_dict(), indent, emit)
     else:
-        # Strings in JSON text never hold a raw newline, so every newline is
-        # a line break that needs the enclosing indent.
-        text = json.dumps(obj, default=_record, sort_keys=True, indent=2, ensure_ascii=True)
-        emit(text.replace("\n", "\n" + indent))
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, two-space indent, ASCII only,
-    trailing newline; a record (anything with to_dict) is written as its
-    to_dict(). Byte for byte json.dumps(obj, default=lambda o: o.to_dict(),
-    sort_keys=True, indent=2, ensure_ascii=True) + "\n", written directly:
-    with an indent, json uses its pure-Python generator encoder, which takes
-    about twice as long on a large certify report.
+    trailing newline. Takes exactly the types reports hold: str, int, bool,
+    None, dict with str keys, list, tuple, and a record (anything with
+    to_dict), written as its to_dict(); anything else, a float or a subclass
+    included, raises TypeError. Byte for byte json.dumps(obj, default=lambda
+    o: o.to_dict(), sort_keys=True, indent=2, ensure_ascii=True) + "\n",
+    written directly: with an indent, json uses its pure-Python generator
+    encoder, which takes about twice as long on a large certify report.
     """
     chunks: list[str] = []
     _write_json(obj, "", chunks.append)

@@ -34,26 +34,6 @@ def weierstrass_discriminant(a1: int, a2: int, a3: int, a4: int, a6: int) -> int
 
 
 @dataclass(frozen=True)
-class CurveFp:
-    """A nonsingular general-Weierstrass curve over F_p (coefficients reduced)."""
-
-    p: int
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, getattr(self, name) % self.p)
-        if weierstrass_discriminant(self.a1, self.a2, self.a3, self.a4, self.a6) % self.p == 0:
-            raise ValueError(f"singular curve over F_{self.p}")
-
-
-@dataclass(frozen=True)
 class CurveQ:
     """A nonsingular general-Weierstrass curve over Q with integer coefficients."""
 
@@ -71,10 +51,6 @@ class CurveQ:
     def disc(self) -> int:
         return weierstrass_discriminant(self.a1, self.a2, self.a3, self.a4, self.a6)
 
-    def reduce(self, p: int) -> CurveFp:
-        """Reduction mod p of this model verbatim (no minimal model search)."""
-        return CurveFp(p, self.a1 % p, self.a2 % p, self.a3 % p, self.a4 % p, self.a6 % p)
-
 
 def count_affine(p: int, a1: int, a2: int, a3: int, a4: int, a6: int) -> int:
     """Number of affine solutions of y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6
@@ -89,13 +65,18 @@ def count_affine(p: int, a1: int, a2: int, a3: int, a4: int, a6: int) -> int:
     return n
 
 
-def count_points(curve: CurveFp) -> int:
-    """#E(F_p) including the point at infinity, by exhaustive enumeration."""
-    return 1 + count_affine(curve.p, curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
+def trace_of_frobenius(curve: CurveQ, p: int) -> int:
+    """p + 1 - #E(F_p) for the reduction mod p of this model verbatim (no
+    minimal model search), counting points by enumeration.
 
-
-def trace_of_frobenius(curve: CurveFp) -> int:
-    return curve.p + 1 - count_points(curve)
+    Raises ValueError unless p is prime and the model has good reduction at p.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if curve.disc % p == 0:
+        raise ValueError(f"singular curve over F_{p}")
+    a = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
+    return p - count_affine(p, *(c % p for c in a))
 
 
 def _disc_times_4(b2: int, b4: int, b6: int) -> int:
@@ -199,7 +180,7 @@ def falsify_curve(
         if p not in rep.traces or p == rep.ell or curve.disc % p == 0:
             continue
         compared.append(p)
-        t = trace_of_frobenius(curve.reduce(p))
+        t = trace_of_frobenius(curve, p)
         if t % rep.ell != rep.traces[p]:
             witness = FalsificationWitness(p, t, rep.traces[p], rep.ell)
             break

@@ -34,18 +34,18 @@ def ensure_squarefree(d: int) -> None:
 
 @dataclass(frozen=True)
 class QuadInt:
-    """x + y*sqrt(d); d=None marks a plain rational integer (y forced 0)."""
+    """x + y*sqrt(d); d=None marks a plain rational integer (y forced 0).
+
+    d itself is checked by the NewformData holding the value, which owns the
+    field and requires every a_p's d to equal its own."""
 
     x: int
     y: int = 0
     d: int | None = None
 
     def __post_init__(self) -> None:
-        if self.d is None:
-            if self.y != 0:
-                raise ValueError("rational field with y != 0")
-        else:
-            ensure_squarefree(self.d)
+        if self.d is None and self.y != 0:
+            raise ValueError("rational field with y != 0")
 
     @property
     def is_rational(self) -> bool:

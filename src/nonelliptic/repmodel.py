@@ -16,20 +16,20 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .arith import Factorization, is_prime, require_odd_prime, trial_factor
-from .quadfield import EmbeddingChoice, QuadInt, embedding_choices, reduce_mod
+from .quadfield import EmbeddingChoice, QuadInt, embedding_choices, ensure_squarefree, reduce_mod
 
 
 class BadReductionError(ValueError):
     """ell divides the level: no residual representation from this recipe."""
 
 
-class InsufficientDataError(KeyError):
+class InsufficientDataError(ValueError):
     """The sparse eigenvalue map has no entry for the requested prime."""
 
 
 class FormDataError(ValueError):
     """A NewformData field breaks its constraint; `field` is its path:
-    ("level",), ("weight",) or ("eigenvalues", p)."""
+    ("level",), ("weight",), ("field", "d") or ("eigenvalues", p)."""
 
     def __init__(self, field: tuple, message: str) -> None:
         super().__init__(message)
@@ -56,13 +56,23 @@ class NewformData:
     notes: str = ""
 
     def __post_init__(self) -> None:
+        # The form owns its field: QuadInt values only have to agree with it.
+        if self.d is not None:
+            try:
+                ensure_squarefree(self.d)
+            except ValueError as exc:
+                raise FormDataError(("field", "d"), str(exc)) from None
         if self.level < 1:
             raise FormDataError(("level",), f"level {self.level} must be positive")
         if self.weight < 2:
             raise FormDataError(("weight",), f"weight {self.weight} must be >= 2")
         for p, a in self.eigenvalues.items():
             where = ("eigenvalues", p)
-            if not is_prime(p):
+            try:
+                prime = is_prime(p)
+            except ValueError as exc:  # p beyond the proven Miller-Rabin range
+                raise FormDataError(where, str(exc)) from None
+            if not prime:
                 raise FormDataError(where, f"eigenvalue key {p} is not prime")
             if self.level % p == 0:
                 raise FormDataError(where, f"eigenvalue key {p} divides the level {self.level}"
@@ -188,39 +198,21 @@ def residual_rep(
     )
 
 
-def twist(rep: ResidualRep, t: int) -> ResidualRep:
-    """Tensor by the t-th power of the cyclotomic character."""
-    ell = rep.ell
-    t = t % (ell - 1)
-    m = (rep.det_exponent + 2 * t) % (ell - 1)
-    if m == 0:
-        raise ValueError("twist would trivialize the determinant")
+def twist_to_det_chi(rep: ResidualRep) -> ResidualRep:
+    """The cyclotomic twist of rep whose determinant is chi itself.
+
+    Tensoring by chi^t takes the determinant exponent m to m + 2t, so t must
+    solve m + 2t ≡ 1 (mod ell-1): solvable iff m is odd. Of the two solutions
+    mod ell-1 we take the smaller non-negative one, t = (1-m)/2 reduced mod
+    (ell-1)/2; for m = 3 this is (ell-3)/2 and for m = 1 it is 0.
+    """
+    ell, m = rep.ell, rep.det_exponent
+    if m % 2 == 0:
+        raise ValueError(f"no determinant-chi twist exists: exponent {m} is even")
+    t = ((1 - m) // 2) % ((ell - 1) // 2)
     return replace(
         rep,
-        det_exponent=m,
+        det_exponent=1,
         traces={p: (tr * pow(p, t, ell)) % ell for p, tr in rep.traces.items()},
         twist_exponent=(rep.twist_exponent + t) % (ell - 1),
     )
-
-
-def det_chi_twist_exponent(det_exponent: int, ell: int) -> int:
-    """The twist exponent t with det_exponent + 2t ≡ 1 (mod ell-1).
-
-    Solvable iff det_exponent is odd. Of the two solutions mod ell-1 we take
-    the smaller non-negative one, i.e. (1-m)/2 reduced mod (ell-1)/2; for
-    m = 3 this is (ell-3)/2 and for m = 1 it is 0.
-    """
-    require_odd_prime(ell)
-    if det_exponent % 2 == 0:
-        raise ValueError(
-            f"no determinant-chi twist exists: exponent {det_exponent} is even"
-        )
-    return ((1 - det_exponent) // 2) % ((ell - 1) // 2)
-
-
-def twist_to_det_chi(rep: ResidualRep) -> ResidualRep:
-    """The cyclotomic twist of rep whose determinant is chi itself."""
-    out = twist(rep, det_chi_twist_exponent(rep.det_exponent, rep.ell))
-    assert out.det_exponent == 1
-    return out
-

@@ -7,7 +7,8 @@ lines. Every tolerance (exactness, runtime budget) is pinned here.
 import random
 import time
 
-from nonelliptic.arith import hasse_interval, primes_in_range
+from conftest import hasse_interval
+from nonelliptic.arith import primes_in_range
 from nonelliptic.certify import (
     INCONCLUSIVE,
     IRREDUCIBLE,

@@ -10,7 +10,6 @@ import nonelliptic
 
 PUBLIC_API = [
     "Certificate",
-    "CurveFp",
     "CurveQ",
     "EmbeddingChoice",
     "Factorization",
@@ -23,16 +22,13 @@ PUBLIC_API = [
     "check",
     "closed_form_scan",
     "conductor_bound_test",
-    "count_points",
     "dump_form",
     "dump_report",
     "embedding_choices",
     "falsify_curve",
     "full_paper_verification",
-    "hasse_interval",
     "irreducibility_by_discriminant",
     "is_prime",
-    "isqrt",
     "legendre",
     "load_form",
     "non_elliptic_trace_test",
@@ -46,7 +42,6 @@ PUBLIC_API = [
     "trace_of_frobenius",
     "trace_set",
     "trial_factor",
-    "twist",
     "twist_to_det_chi",
 ]
 
@@ -60,6 +55,12 @@ REMOVED = [
     ("nonelliptic.arith", "mod_pow"),
     ("nonelliptic.arith", "mod_inv"),
     ("nonelliptic.certify", "_euler_legendre"),
+    ("nonelliptic.arith", "isqrt"),
+    ("nonelliptic.arith", "hasse_interval"),
+    ("nonelliptic.repmodel", "twist"),
+    ("nonelliptic.repmodel", "det_chi_twist_exponent"),
+    ("nonelliptic.ecoracle", "CurveFp"),
+    ("nonelliptic.ecoracle", "count_points"),
 ]
 
 REMOVED_MEMBERS = [
@@ -71,6 +72,7 @@ REMOVED_MEMBERS = [
     ("NewformData", "good_primes"),
     ("NewformData", "bad_primes"),
     ("Factorization", "exponent_of"),
+    ("CurveQ", "reduce"),
 ]
 
 

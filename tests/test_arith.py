@@ -3,12 +3,11 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import hasse_interval
 from nonelliptic.arith import (
     MILLER_RABIN_LIMIT,
     Factorization,
-    hasse_interval,
     is_prime,
-    isqrt,
     legendre,
     primes_in_range,
     trial_factor,
@@ -229,25 +228,6 @@ def test_legendre_euler_criterion_up_to_1000():
 )
 def test_legendre_multiplicativity(a, b, ell):
     assert legendre(a * b, ell) == legendre(a, ell) * legendre(b, ell)
-
-
-# --- isqrt ------------------------------------------------------------------
-
-@pytest.mark.parametrize("n,expected", [(8, 2), (0, 0), (16, 4)])
-def test_isqrt_examples(n, expected):
-    assert expected * expected <= n < (expected + 1) * (expected + 1)
-    assert isqrt(n) == expected
-
-
-def test_isqrt_negative_rejected():
-    with pytest.raises(ValueError):
-        isqrt(-1)
-
-
-@given(st.integers(min_value=0, max_value=10**18))
-def test_isqrt_bracketing(n):
-    r = isqrt(n)
-    assert r * r <= n < (r + 1) * (r + 1)
 
 
 # --- trial_factor -------------------------------------------------------------

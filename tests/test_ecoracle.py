@@ -3,13 +3,12 @@ import random
 
 import pytest
 
-from nonelliptic.arith import hasse_interval, legendre, primes_in_range
+from conftest import hasse_interval
+from nonelliptic.arith import legendre, primes_in_range
 from nonelliptic.ecoracle import (
     ENUMERATION_BUDGET,
-    CurveFp,
     CurveQ,
     _disc_times_4,
-    count_points,
     falsify_curve,
     trace_of_frobenius,
     trace_set,
@@ -18,7 +17,7 @@ from nonelliptic.ecoracle import (
 from nonelliptic.repmodel import residual_rep, twist_to_det_chi
 
 
-# --- count_points --------------------------------------------------------------
+# --- trace_of_frobenius --------------------------------------------------------
 
 def brute_count(p, a1, a2, a3, a4, a6):
     n = 1
@@ -30,22 +29,19 @@ def brute_count(p, a1, a2, a3, a4, a6):
 
 
 def test_count_points_supersingular_at_2():
-    curve = CurveFp(2, 0, 0, 1, 0, 0)  # y^2 + y = x^3
-    assert count_points(curve) == 3
-    assert trace_of_frobenius(curve) == 0
+    curve = CurveQ(0, 0, 1, 0, 0)  # y^2 + y = x^3
+    assert trace_of_frobenius(curve, 2) == 0  # 3 points
 
 
 def test_count_points_short_curve_at_5():
-    curve = CurveFp(5, 0, 0, 0, 1, 0)  # y^2 = x^3 + x
-    assert count_points(curve) == 4
-    assert trace_of_frobenius(curve) == 2
+    curve = CurveQ(0, 0, 0, 1, 0)  # y^2 = x^3 + x
+    assert trace_of_frobenius(curve, 5) == 2  # 4 points
     # character-sum cross-check: #E = p + 1 + sum_x legendre(x^3 + x)
-    assert count_points(curve) == 5 + 1 + sum(legendre(x**3 + x, 5) for x in range(5))
+    assert trace_of_frobenius(curve, 5) == -sum(legendre(x**3 + x, 5) for x in range(5))
 
 
 def test_count_points_trace_in_hasse_interval_at_3():
-    curve = CurveFp(3, 0, 0, 0, 2, 1)
-    assert trace_of_frobenius(curve) in hasse_interval(3)
+    assert trace_of_frobenius(CurveQ(0, 0, 0, 2, 1), 3) in hasse_interval(3)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -57,10 +53,9 @@ def test_character_sum_identity_short_curves(p):
         if (4 * a4**3 + 27 * a6**2) % p == 0:
             continue
         found += 1
-        curve = CurveFp(p, 0, 0, 0, a4, a6)
-        charsum = p + 1 + sum(legendre(x**3 + a4 * x + a6, p) for x in range(p))
-        assert count_points(curve) == charsum
-        assert trace_of_frobenius(curve) ** 2 <= 4 * p
+        trace = trace_of_frobenius(CurveQ(0, 0, 0, a4, a6), p)
+        assert trace == -sum(legendre(x**3 + a4 * x + a6, p) for x in range(p))
+        assert trace**2 <= 4 * p
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -68,22 +63,21 @@ def test_count_matches_bruteforce(p):
     for coeffs in itertools.islice(itertools.product(range(p), repeat=5), 0, None, 7):
         if weierstrass_discriminant(*coeffs) % p == 0:
             continue
-        curve = CurveFp(p, *coeffs)
-        assert count_points(curve) == brute_count(p, *coeffs)
+        assert trace_of_frobenius(CurveQ(*coeffs), p) == p + 1 - brute_count(p, *coeffs)
 
 
 def test_singular_curves_rejected():
-    with pytest.raises(ValueError, match="singular"):
-        CurveFp(5, 0, 0, 0, 0, 0)  # y^2 = x^3
+    with pytest.raises(ValueError, match="singular curve over F_3"):
+        trace_of_frobenius(CurveQ(0, 0, 1, 0, 0), 3)  # disc -27
     with pytest.raises(ValueError, match="singular"):
         CurveQ(0, 0, 0, 0, 0)
     with pytest.raises(ValueError, match="singular"):
         CurveQ(0, 0, 0, -3, 2)  # disc = -16(4*(-27) + 27*4) = 0
 
 
-def test_curvefp_normalizes_coefficients():
-    curve = CurveFp(5, -1, 7, 0, 6, -4)
-    assert (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6) == (4, 2, 0, 1, 1)
+def test_trace_of_frobenius_needs_a_prime():
+    with pytest.raises(ValueError, match="4 is not prime"):
+        trace_of_frobenius(CurveQ(0, 0, 1, 0, 0), 4)
 
 
 # --- trace_set -------------------------------------------------------------------
@@ -150,7 +144,7 @@ def test_b_invariants_give_trace_and_discriminant(p):
         if disc % p == 0:
             continue
         charsum = sum(legendre(4 * x**3 + b2 * x * x + 2 * b4 * x + b6, p) for x in range(p))
-        assert trace_of_frobenius(CurveFp(p, a1, a2, a3, a4, a6)) == -charsum
+        assert trace_of_frobenius(CurveQ(a1, a2, a3, a4, a6), p) == -charsum
 
 
 def test_trace_set_budget():
@@ -170,9 +164,9 @@ def test_falsify_supersingular_curve_at_2(schoen_form):
     assert result.witness.curve_trace == 0
     assert result.witness.rep_trace == 5
     # the emitted witness re-verifies by recomputation
-    curve2 = CurveQ(0, 0, 1, 0, 0).reduce(2)
-    assert trace_of_frobenius(curve2) % 11 == result.witness.curve_trace % 11
-    assert trace_of_frobenius(curve2) % 11 != tw.traces[2]
+    trace = trace_of_frobenius(CurveQ(0, 0, 1, 0, 0), 2)
+    assert trace % 11 == result.witness.curve_trace % 11
+    assert trace % 11 != tw.traces[2]
 
 
 def test_falsify_requires_det_chi(schoen_form):

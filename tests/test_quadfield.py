@@ -133,10 +133,7 @@ def test_reduce_is_a_ring_homomorphism(u, v):
 def test_quadint_invariants():
     with pytest.raises(ValueError):
         QuadInt(1, 2, None)  # rational flag forces y = 0
-    with pytest.raises(ValueError):
-        QuadInt(1, 2, 4)  # not square-free
-    with pytest.raises(ValueError):
-        QuadInt(1, 2, 1)  # d must exceed 1
+    # d itself is the NewformData's to check (tests/test_repmodel.py)
 
 
 @pytest.mark.parametrize("a", [QuadInt(0, 6, 2), QuadInt(0, -2, 2), QuadInt(-4), QuadInt(7)])

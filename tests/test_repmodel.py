@@ -3,11 +3,11 @@ import pytest
 from nonelliptic.quadfield import NotSplitError, QuadInt, embedding_choices
 from nonelliptic.repmodel import (
     BadReductionError,
+    FormDataError,
     InsufficientDataError,
     NewformData,
     RamanujanBoundWarning,
     residual_rep,
-    twist,
     twist_to_det_chi,
 )
 
@@ -102,25 +102,16 @@ def test_twist_normalizes_determinant(ell, schoen_form):
     assert (m + 2 * tw.twist_exponent) % (ell - 1) == 1
 
 
-@pytest.mark.parametrize("ell", [7, 11, 13, 29])
-def test_twist_by_complementary_exponent_round_trips(ell, schoen_form):
-    rep = residual_rep(schoen_form, ell)
-    t = (ell - 3) // 2
-    there = twist(rep, t)
-    back = twist(there, (ell - 1) - t)
-    assert back.traces == rep.traces
-    assert back.det_exponent == rep.det_exponent
-
-
 def test_twist_of_even_exponent_rejected(sqrt2_form):
     rep = residual_rep(sqrt2_form, 7)
-    even = twist(rep, 1)  # det exponent 1 + 2 = 3... still odd; build an even one
-    assert even.det_exponent == 3
-    forced = twist(rep, 2)
-    assert forced.det_exponent == 5
-    # weight 3 would give even det exponent; simulate via a direct replace
     from dataclasses import replace
 
+    # every odd exponent mod 6 twists to determinant chi: t = (1-m)/2 mod 3
+    for m, t in [(1, 0), (3, 2), (5, 1)]:
+        tw = twist_to_det_chi(replace(rep, det_exponent=m))
+        assert (tw.det_exponent, tw.twist_exponent) == (1, t)
+        assert tw.traces == {p: tr * pow(p, t, 7) % 7 for p, tr in rep.traces.items()}
+    # weight 3 would give even det exponent; simulate via a direct replace
     bad = replace(rep, det_exponent=2)
     with pytest.raises(ValueError, match="no determinant-chi twist"):
         twist_to_det_chi(bad)
@@ -128,11 +119,21 @@ def test_twist_of_even_exponent_rejected(sqrt2_form):
 
 def test_trace_at_missing_prime_is_insufficient_data(schoen_form):
     rep = residual_rep(schoen_form, 11)
-    with pytest.raises(InsufficientDataError, match="insufficient data"):
+    with pytest.raises(InsufficientDataError, match="insufficient data") as exc:
         rep.trace_at(13)
+    # a ValueError: its str() is the message itself, with no KeyError quotes
+    assert str(exc.value) == "insufficient data: no eigenvalue stored at p=13"
 
 
 def test_newform_validation():
+    # the form checks its own field d before anything else
+    for d, message in [(8, "d=8 is not square-free"), (-3, "d=-3 must be > 1")]:
+        with pytest.raises(FormDataError, match=message) as exc:
+            NewformData("t", 25, 4, d, {2: QuadInt(1)})
+        assert exc.value.field == ("field", "d")
+    with pytest.raises(FormDataError, match="Miller-Rabin") as exc:
+        NewformData("t", 25, 4, None, {3317044064679887385962123: QuadInt(1)})
+    assert exc.value.field == ("eigenvalues", 3317044064679887385962123)
     with pytest.raises(ValueError, match="not prime"):
         NewformData("t", 25, 4, None, {4: QuadInt(1)})
     with pytest.raises(ValueError, match="dividing the level"):
