@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
-# Trial division is the only factoring strategy; refuse anything that could
-# make it run for hours.
+# Trial division is the only factoring strategy, and each of its 5*10^5
+# divisions costs time linear in n's length: refuse a huge n before the first.
 TRIAL_DIVISION_LIMIT = 2**64
 # Trial divisors stop here (about 0.1 s of work); the cofactor left over must
 # then be provably prime.
@@ -134,9 +134,6 @@ class Factorization:
         if prod != self.n:
             raise ValueError(f"factors reconstruct {prod}, not {self.n}")
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.factors)
-
 
 def legendre(a: int, ell: int) -> int:
     """Legendre symbol (a / ell) in {-1, 0, +1}, by Euler's criterion."""
@@ -148,17 +145,19 @@ def legendre(a: int, ell: int) -> int:
     return 1 if r == 1 else -1
 
 
+@lru_cache(maxsize=None, typed=True)
 def trial_factor(n: int) -> Factorization:
-    """Complete factorization of n >= 2 by trial division up to
-    TRIAL_DIVISION_BOUND.
+    """Complete factorization of n >= 1 (1 is the empty product) by trial
+    division up to TRIAL_DIVISION_BOUND. Cached, typed as is_prime is: a
+    level, an M or a discriminant is factored once per process.
 
     The cofactor left after the last divisor d has no prime factor below d:
     it is prime if it is below d**2, or if is_prime proves it. Otherwise n
     has two prime factors above the bound, and ValueError is raised instead
     of dividing on for hours.
     """
-    if n < 2:
-        raise ValueError(f"cannot factor {n}: need n >= 2")
+    if n < 1:
+        raise ValueError(f"cannot factor {n}: need n >= 1")
     if n > TRIAL_DIVISION_LIMIT:
         raise ValueError(f"{n} exceeds the trial-division guard 2**64")
     factors: list[tuple[int, int]] = []

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from . import data_io
 from .arith import (
-    TRIAL_DIVISION_BOUND,
     Factorization,
     is_prime,
     legendre,
@@ -130,9 +129,7 @@ def reducibility_obstruction(
     """
     # epsilon has conductor c with c^2 dividing the level, so epsilon(p) = 1
     # is guaranteed by p ≡ 1 modulo prod q^floor(v_q(N)/2).
-    modulus = 1
-    for q, e in form.level_factorization.factors:
-        modulus *= q ** (e // 2)
+    modulus = math.prod(q ** (e // 2) for q, e in trial_factor(form.level).factors)
     if (p - 1) % modulus != 0:
         raise ValueError(
             f"witness prime invalid: need p = 1 (mod {modulus}) to trivialize "
@@ -147,39 +144,19 @@ def reducibility_obstruction(
     if not a.is_rational:
         raise ValueError(f"a_{p} is irrational; this obstruction needs a rational a_p")
 
+    # M = 0 confines nothing: Inconclusive, with an empty exceptional set
     m_value = abs(1 + p ** (form.weight - 1) - a.x)
-    witness = {
-        "p": p,
-        "a_p": a.x,
-        "weight": form.weight,
-        "level": form.level,
-        "M": m_value,
-    }
-    if m_value == 0:
-        witness |= {"factors": [], "exceptional": []}
-        cert = Certificate(
-            verdict=INCONCLUSIVE,
-            method=METHOD_OBSTRUCTION,
-            ell=None,
-            witness=witness,
-            inputs={"form": form.form_id},
-        )
-        return cert, frozenset()
-
-    fac = trial_factor(m_value)
-    exceptional = frozenset(fac.primes()) | {p}
-    witness |= {
-        "factors": [list(qe) for qe in fac.factors],
-        "exceptional": sorted(exceptional),
-    }
+    factors = [list(qe) for qe in trial_factor(m_value).factors] if m_value else []
+    exceptional = sorted({q for q, _ in factors} | {p}) if m_value else []
     cert = Certificate(
-        verdict=IRREDUCIBLE,
+        verdict=IRREDUCIBLE if m_value else INCONCLUSIVE,
         method=METHOD_OBSTRUCTION,
         ell=None,
-        witness=witness,
+        witness={"p": p, "a_p": a.x, "weight": form.weight, "level": form.level,
+                 "M": m_value, "factors": factors, "exceptional": exceptional},
         inputs={"form": form.form_id},
     )
-    return cert, exceptional
+    return cert, frozenset(exceptional)
 
 
 def excluded_trace_set(p: int, ell: int) -> list[int]:
@@ -226,7 +203,7 @@ def non_elliptic_trace_test(rep: ResidualRep, p: int) -> Certificate:
 
 
 def conductor_bound_test(
-    conductor: int | Factorization,
+    conductor: int,
     ell: int | None = None,
     form_id: str | None = None,
 ) -> Certificate:
@@ -234,26 +211,19 @@ def conductor_bound_test(
     v_2 <= 8, v_3 <= 5 and v_p <= 2 (p > 3) in its conductor, so an
     established equality conductor violating a bound rules every curve out.
 
-    The conductor may come already factored, so that testing one conductor
-    at many ell factors it once. The caller is responsible for only passing
-    conductors known to be exact (not mere divisors)."""
+    The caller is responsible for only passing conductors known to be exact
+    (not mere divisors)."""
     if ell is not None and not (type(ell) is int and ell != 2 and is_prime(ell)):
         raise ValueError(f"ell={ell!r} is not an odd prime")
-    fac = conductor if isinstance(conductor, Factorization) else None
-    if fac is not None:
-        conductor = fac.n
     if conductor < 1:
         raise ValueError("conductor must be positive")
-    factors: list[list[int]] = []
+    factors = [list(qe) for qe in trial_factor(conductor).factors]
     violation = None
-    if conductor > 1:
-        fac = fac or trial_factor(conductor)
-        factors = [list(qe) for qe in fac.factors]
-        for q, e in fac.factors:
-            bound = ELLIPTIC_CONDUCTOR_BOUNDS.get(q, DEFAULT_CONDUCTOR_BOUND)
-            if e > bound:
-                violation = {"p": q, "exponent": e, "bound": bound}
-                break
+    for q, e in factors:
+        bound = ELLIPTIC_CONDUCTOR_BOUNDS.get(q, DEFAULT_CONDUCTOR_BOUND)
+        if e > bound:
+            violation = {"p": q, "exponent": e, "bound": bound}
+            break
     verdict = NON_ELLIPTIC if violation else INCONCLUSIVE
     inputs = {}
     if form_id is not None:
@@ -403,18 +373,9 @@ def _check_obstruction(cert: Certificate) -> bool:
     # claimed M: refuse before computing the power.
     if (k - 1) * (p.bit_length() - 1) >= (w["M"] + abs(a_p) + 1).bit_length():
         return False
-    modulus, n, d = 1, level, 2
-    while d * d <= n and d <= TRIAL_DIVISION_BOUND:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        modulus *= d ** (e // 2)
-        d += 1 if d == 2 else 2
-    # A cofactor below d**2 is 1 or prime; at or above it, only a proof of
-    # primality shows it adds nothing to the modulus.
-    if d * d <= n and not is_prime(n):
-        return False
+    # trial_factor raises, so check() returns False, on a level the producer
+    # cannot factor either
+    modulus = math.prod(q ** (e // 2) for q, e in trial_factor(level).factors)
     if (p - 1) % modulus != 0:
         return False
     m_value = abs(1 + p ** (k - 1) - a_p)
@@ -587,10 +548,8 @@ def certify_at_ell(
     conductor_cert: Certificate | None = None
     if not any(c.verdict == NON_ELLIPTIC for c in trace_tests):
         if form.claimed_conductor_equality:
-            # the Serre conductor is the level, factored once per form
-            conductor_cert = conductor_bound_test(
-                form.level_factorization, ell=ell, form_id=form.form_id
-            )
+            # the Serre conductor is the level
+            conductor_cert = conductor_bound_test(form.level, ell=ell, form_id=form.form_id)
         else:
             notes.append(
                 "conductor known only up to divisibility; conductor bound not usable"

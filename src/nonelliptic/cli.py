@@ -91,8 +91,9 @@ def _check_ell(ell: int) -> int:
 
 def _requested_ells(args, form) -> list[int]:
     """The ells to certify: the single --ell, or the primes in
-    [--ell-min, --ell-max], over Q(sqrt(d)) only the split ones. A single
-    inert or ramified --ell fails later, with its own error."""
+    [--ell-min, --ell-max] that the recipe accepts: ell prime to the level,
+    (ell-1) not dividing (k-1), and over Q(sqrt(d)) ell split. A single
+    --ell the recipe refuses fails later, with its own error."""
     if args.ell is not None:
         return [_check_ell(args.ell)]
     if args.ell_min is None or args.ell_max is None:
@@ -103,6 +104,10 @@ def _requested_ells(args, form) -> list[int]:
         raise ValueError(f"no primes in [{args.ell_min}, {args.ell_max}]")
     if ells[0] <= 5:
         raise ValueError(f"ell={ells[0]} must be a prime > 5")
+    ells = [ell for ell in ells if form.level % ell and (form.weight - 1) % (ell - 1)]
+    if not ells:
+        raise ValueError(f"every prime in [{args.ell_min}, {args.ell_max}] divides the "
+                         f"level {form.level} or has (ell-1) dividing k-1 = {form.weight - 1}")
     if form.d is not None:
         # Euler's criterion: split iff d is a nonzero square mod ell
         ells = [ell for ell in ells if pow(form.d, (ell - 1) // 2, ell) == 1]

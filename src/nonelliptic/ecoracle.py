@@ -22,6 +22,8 @@ from .repmodel import ResidualRep
 
 # The census costs O(p^4); beyond this it is not a reasonable oracle.
 ENUMERATION_BUDGET = 50
+# A point count costs O(p^2): all primes below 500 take about 1 s together.
+POINT_COUNT_BUDGET = 500
 
 
 def weierstrass_discriminant(a1: int, a2: int, a3: int, a4: int, a6: int) -> int:
@@ -164,9 +166,9 @@ def falsify_curve(
     """Search for a good-reduction prime where curve and representation traces
     disagree mod ell.
 
-    Only primes away from ell and from the supplied model's discriminant are
-    compared (no minimal models: skipping a prime is conservative, a reported
-    witness is always sound). Returns the first mismatch in increasing p.
+    Only primes below POINT_COUNT_BUDGET, away from ell and from the model's
+    discriminant are compared (no minimal models: skipping a prime is
+    conservative, a witness is always sound). First mismatch in increasing p.
     """
     if rep.det_exponent != 1:
         raise ValueError(
@@ -177,7 +179,8 @@ def falsify_curve(
     compared = []
     witness = None
     for p in sorted(set(prime_budget)):
-        if p not in rep.traces or p == rep.ell or curve.disc % p == 0:
+        if (p >= POINT_COUNT_BUDGET or p not in rep.traces or p == rep.ell
+                or curve.disc % p == 0):
             continue
         compared.append(p)
         t = trace_of_frobenius(curve, p)
@@ -187,6 +190,6 @@ def falsify_curve(
     if not compared:
         raise ValueError(
             "insufficient overlap: no budget prime is comparable "
-            "(good reduction, stored trace, p != ell)"
+            f"(good reduction, stored trace, p != ell, p < {POINT_COUNT_BUDGET})"
         )
     return FalsifyResult(witness, tuple(compared))

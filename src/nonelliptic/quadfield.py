@@ -9,7 +9,6 @@ need F_{ell**2} values and are rejected with a distinct error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .arith import legendre, require_odd_prime, trial_factor
 
@@ -22,10 +21,8 @@ class RamifiedError(ValueError):
     """ell divides d: neither split nor inert."""
 
 
-@lru_cache(maxsize=None)
 def ensure_squarefree(d: int) -> None:
-    """Raise ValueError unless d > 1 is square-free. Cached: `certify` asks
-    again at every split ell, and each answer is a trial factorization."""
+    """Raise ValueError unless d > 1 is square-free."""
     if d < 2:
         raise ValueError(f"quadratic discriminant d={d} must be > 1")
     if any(e > 1 for _, e in trial_factor(d).factors):

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 
-from .arith import Factorization, is_prime, require_odd_prime, trial_factor
+from .arith import is_prime, require_odd_prime
 from .quadfield import EmbeddingChoice, QuadInt, embedding_choices, ensure_squarefree, reduce_mod
 
 
@@ -99,13 +98,6 @@ class NewformData:
                 RamanujanBoundWarning,
                 stacklevel=3,
             )
-
-    @cached_property
-    def level_factorization(self) -> Factorization:
-        """The level's prime factorization, computed once per form."""
-        if self.level == 1:
-            return Factorization(1, ())
-        return trial_factor(self.level)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,8 @@ REMOVED_MEMBERS = [
     ("NewformData", "bad_primes"),
     ("Factorization", "exponent_of"),
     ("CurveQ", "reduce"),
+    ("NewformData", "level_factorization"),
+    ("Factorization", "primes"),
 ]
 
 

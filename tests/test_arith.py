@@ -239,8 +239,7 @@ def test_trial_factor_examples():
 
 
 def test_trial_factor_rejects_small():
-    with pytest.raises(ValueError):
-        trial_factor(1)
+    assert trial_factor(1).factors == ()  # the empty product
     with pytest.raises(ValueError):
         trial_factor(0)
 

@@ -7,8 +7,7 @@ import warnings
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nonelliptic.arith import Factorization, primes_in_range, trial_factor
-from nonelliptic import quadfield
+from nonelliptic.arith import primes_in_range, trial_factor
 from nonelliptic.certify import (
     INCONCLUSIVE,
     IRREDUCIBLE,
@@ -30,7 +29,7 @@ from nonelliptic.certify import (
     serre_bound_predicate,
 )
 from nonelliptic.data_io import bundled_form, dump_report, load_expectations
-from nonelliptic.quadfield import QuadInt, embedding_choices, ensure_squarefree, splits
+from nonelliptic.quadfield import QuadInt, embedding_choices, splits
 from nonelliptic.repmodel import (
     InsufficientDataError,
     NewformData,
@@ -123,6 +122,19 @@ def test_obstruction_hypothetical_p41():
     assert cert.witness["factors"] == [[2, 3], [5, 1], [1723, 1]]
     # every prime factor of M is kept, plus the witness prime itself
     assert sorted(exceptional) == [2, 5, 41, 1723]
+    assert check(cert)
+
+
+@pytest.mark.parametrize("level,weight,p,a_p,m_value,want", [
+    (11, 2, 3, 3, 1, [3]),  # M = 1: only the witness prime is exceptional
+    (1, 12, 2, -24, 2073, [2, 3, 691]),  # Ramanujan's Delta: 2073 = 3 * 691
+], ids=["M=1", "delta"])
+def test_obstruction_exceptional_set(level, weight, p, a_p, m_value, want):
+    form = NewformData("t", level, weight, None, {p: QuadInt(a_p)})
+    cert, exceptional = reducibility_obstruction(form, p)
+    assert cert.verdict == IRREDUCIBLE
+    assert cert.witness["M"] == m_value
+    assert sorted(exceptional) == cert.witness["exceptional"] == want
     assert check(cert)
 
 
@@ -256,29 +268,14 @@ def test_conductor_bound_examples():
     assert conductor_bound_test(7**2 * 11).verdict == INCONCLUSIVE
 
 
-@pytest.mark.parametrize("n", [1, 25, 512, 2560, 3**6, 7**3, 7**2 * 11])
-def test_conductor_bound_takes_a_factorization(n):
-    fac = trial_factor(n) if n > 1 else Factorization(1, ())
-    assert conductor_bound_test(fac, ell=11, form_id="f") == conductor_bound_test(
-        n, ell=11, form_id="f"
-    )
-
-
-def test_certify_form_factors_the_level_once(monkeypatch):
-    calls = []
-
-    def counting(n):
-        calls.append(n)
-        return trial_factor(n)
-
-    monkeypatch.setattr("nonelliptic.certify.trial_factor", counting)
-    monkeypatch.setattr("nonelliptic.repmodel.trial_factor", counting)
+def test_certify_form_factors_the_level_once():
+    trial_factor.cache_clear()
     # no eigenvalues: every ell falls through to the conductor bound
     form = NewformData(form_id="bare", level=2560, weight=2, d=None, eigenvalues={},
                        claimed_conductor_equality=True)
     report = certify_form(form, [7, 11, 13, 17, 19])
     assert [r.conductor.witness["conductor"] for r in report.runs] == [2560] * 5
-    assert calls == [2560]
+    assert trial_factor.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("n", [512, 2560, 3**6, 7**3])
@@ -364,10 +361,14 @@ def test_check_obstruction_with_unfactorable_level_is_false_quickly(schoen_form)
     d = reducibility_obstruction(schoen_form, 11)[0].to_dict()
     unfactorable = json.loads(json.dumps(d))
     unfactorable["witness"]["level"] = 1000000007 * 1000000009
+    # above 2**64 the producer cannot factor the level either
+    too_large = json.loads(json.dumps(d))
+    too_large["witness"]["level"] = 25 * (2**61 - 1)
     prime_cofactor = json.loads(json.dumps(d))
-    prime_cofactor["witness"]["level"] = 25 * (2**61 - 1)  # 5^2 * a prime > 10^12
+    prime_cofactor["witness"]["level"] = 4 * (2**61 - 1)  # 2^2 * a prime > 10^12
     start = time.perf_counter()
     assert not check(Certificate.from_dict(unfactorable))
+    assert not check(Certificate.from_dict(too_large))
     assert check(Certificate.from_dict(prime_cofactor))
     assert time.perf_counter() - start < 1.0
 
@@ -620,16 +621,13 @@ def test_check_accepts_every_genuine_trace_witness():
                 assert check(Certificate(INCONCLUSIVE, METHOD_TRACE, ell, witness)), (p, ell)
 
 
-def test_certify_proves_d_square_free_once(monkeypatch):
+def test_certify_proves_d_square_free_once():
     d = 10**9 + 7  # prime, so square-free
-    ensure_squarefree.cache_clear()
-    calls = []
-    factor = quadfield.trial_factor
-    monkeypatch.setattr(quadfield, "trial_factor", lambda n: calls.append(n) or factor(n))
+    trial_factor.cache_clear()
     form = NewformData("t", 512, 2, d, {3: QuadInt(1, 1, d), 5: QuadInt(1)})
     report = certify_form(form, [ell for ell in primes_in_range(7, 3000) if splits(d, ell)])
     assert len(report.runs) > 200
-    assert calls == [d]
+    assert trial_factor.cache_info().misses == 1
 
 
 # --- full bundled verification --------------------------------------------------------

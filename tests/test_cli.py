@@ -167,6 +167,38 @@ def test_certify_range_rejects_small_ell(capsys):
     assert (code, out, err) == (1, "", "error: ell=2 must be a prime > 5\n")
 
 
+def _rational_form(tmp_path, level, weight):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({
+        "id": "t", "level": level, "weight": weight, "field": {"type": "rational"},
+        "eigenvalues": {"2": {"x": 1, "y": 0}, "5": {"x": 2, "y": 0}},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("level,weight,ell_max,skipped", [
+    (77, 2, 50, {7, 11}),  # 7 and 11 divide the level
+    (3, 7, 20, {7}),  # (7-1) divides k-1 = 6
+], ids=["bad-reduction", "vanishing-determinant"])
+def test_certify_range_skips_ells_the_recipe_excludes(tmp_path, capsys, level, weight,
+                                                      ell_max, skipped):
+    form = _rational_form(tmp_path, level, weight)
+    code, out, err = run(capsys, "certify", "-i", form, "--ell-min", "7",
+                         "--ell-max", str(ell_max), "--format", "json")
+    assert (code, err) == (2, "")
+    want = [ell for ell in primes_in_range(7, ell_max) if ell not in skipped]
+    assert json.loads(out)["ells"] == want
+
+
+def test_certify_range_with_every_ell_excluded(tmp_path, capsys):
+    form = _rational_form(tmp_path, 77, 2)
+    code, out, err = run(capsys, "certify", "-i", form, "--ell-min", "7",
+                         "--ell-max", "12")
+    assert (code, out) == (1, "")
+    assert err == ("error: every prime in [7, 12] divides the level 77 or has "
+                   "(ell-1) dividing k-1 = 1\n")
+
+
 def test_certify_unfactorable_level_exits_quickly(tmp_path, capsys):
     # the level is the product of two primes above the trial-division bound;
     # at ell = 7 the trace test is inconclusive, so the conductor is needed
@@ -425,6 +457,21 @@ def test_falsify_checks_bad_reduction_before_the_split(tmp_path, capsys):
     base = ("falsify", "--curve", "0,0,1,0,0", "-i", str(form), "--ell", "11")
     assert run(capsys, *base)[2] == "error: bad reduction prime: 11 divides the level 77\n"
     assert run(capsys, *base, "--root", "3")[2].startswith("error: inert prime")
+
+
+def test_falsify_counts_no_points_at_a_huge_prime(tmp_path, capsys):
+    form = tmp_path / "m61.json"
+    form.write_text(json.dumps({
+        "id": "t", "level": 25, "weight": 4, "field": {"type": "rational"},
+        "eigenvalues": {str(2**61 - 1): {"x": 1, "y": 0}},
+    }))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "falsify", "--curve", "0,0,1,0,0", "-i", str(form),
+                         "--ell", "17")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == ("error: insufficient overlap: no budget prime is comparable "
+                   "(good reduction, stored trace, p != ell, p < 500)\n")
 
 
 def test_falsify_json(capsys):

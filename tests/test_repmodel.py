@@ -1,5 +1,6 @@
 import pytest
 
+from nonelliptic.arith import trial_factor
 from nonelliptic.quadfield import NotSplitError, QuadInt, embedding_choices
 from nonelliptic.repmodel import (
     BadReductionError,
@@ -149,5 +150,5 @@ def test_ramanujan_violation_warns_but_loads():
 
 
 def test_bad_primes(schoen_form, sqrt2_form):
-    assert schoen_form.level_factorization.primes() == (5,)
-    assert sqrt2_form.level_factorization.primes() == (2,)
+    assert trial_factor(schoen_form.level).factors == ((5, 2),)
+    assert trial_factor(sqrt2_form.level).factors == ((2, 9),)
