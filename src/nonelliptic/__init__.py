@@ -22,7 +22,7 @@ from .certify import (
     reducibility_obstruction,
     serre_bound_predicate,
 )
-from .data_io import bundled_form, dump_form, dump_report, load_form, parse_form
+from .data_io import bundled_form, dump_form, load_form, parse_form, write_report
 from .ecoracle import (
     CurveQ,
     falsify_curve,
@@ -59,7 +59,6 @@ __all__ = [
     "closed_form_scan",
     "conductor_bound_test",
     "dump_form",
-    "dump_report",
     "embedding_choices",
     "falsify_curve",
     "full_paper_verification",
@@ -79,5 +78,6 @@ __all__ = [
     "trace_set",
     "trial_factor",
     "twist_to_det_chi",
+    "write_report",
     "__version__",
 ]

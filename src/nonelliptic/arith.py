@@ -20,6 +20,10 @@ TRIAL_DIVISION_LIMIT = 2**64
 # Trial divisors stop here (about 0.1 s of work); the cofactor left over must
 # then be provably prime.
 TRIAL_DIVISION_BOUND = 10**6
+# Entries kept by the is_prime and trial_factor caches. Their hits come from
+# one ell, one level or one M asked about again and again, so a few thousand
+# entries keep them while a caller looping over 10^5 integers stays small.
+CACHE_SIZE = 4096
 
 
 # The first 13 primes: trial divisors, then Miller-Rabin bases.
@@ -57,7 +61,7 @@ def _strong_probable_prime(n: int, base: int, d: int, s: int) -> bool:
 
 
 # typed: 7.0 and True must not hit the cache entries of 7 and 1
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic primality: trial division by the first 13 primes, then
     Miller-Rabin with the smallest proven base set for n.
@@ -145,7 +149,7 @@ def legendre(a: int, ell: int) -> int:
     return 1 if r == 1 else -1
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def trial_factor(n: int) -> Factorization:
     """Complete factorization of n >= 1 (1 is the empty product) by trial
     division up to TRIAL_DIVISION_BOUND. Cached, typed as is_prime is: a

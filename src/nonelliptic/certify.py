@@ -27,6 +27,7 @@ from .repmodel import (
     InsufficientDataError,
     NewformData,
     ResidualRep,
+    require_good_reduction,
     residual_rep,
     twist_to_det_chi,
 )
@@ -635,7 +636,9 @@ def select_embeddings(
     form: NewformData, ell: int, root: int | None = None
 ) -> Sequence[EmbeddingChoice | None]:
     """The embeddings to certify at ell: [None] over Q; over Q(sqrt(d)) both
-    square roots of d mod ell, smaller first, or only `root` when given."""
+    square roots of d mod ell, smaller first, or only `root` when given.
+    A bad-reduction ell is refused first, as residual_rep refuses it."""
+    require_good_reduction(form, ell)
     if form.d is None:
         return [None]
     embeddings = embedding_choices(form.d, ell)

@@ -121,7 +121,7 @@ def _requested_ells(args, form) -> list[int]:
 
 def _cmd_verify_paper(args) -> int:
     report = certify.full_paper_verification(ell_max=args.ell_max)
-    sys.stdout.write(data_io.dump_report(report, args.format))
+    data_io.write_report(report, args.format, sys.stdout)
     return EXIT_PROVED if report.passed else EXIT_ERROR
 
 
@@ -131,13 +131,13 @@ def _cmd_certify(args) -> int:
     report = certify.certify_form(
         form, ells, root=args.root, witness_prime=args.witness_prime
     )
-    sys.stdout.write(data_io.dump_report(report, args.format))
+    data_io.write_report(report, args.format, sys.stdout)
     return EXIT_PROVED if report.all_proved else EXIT_INCONCLUSIVE
 
 
 def _cmd_scan(args) -> int:
     report = certify.closed_form_scan(args.ell_min, args.ell_max)
-    sys.stdout.write(data_io.dump_report(report, args.format))
+    data_io.write_report(report, args.format, sys.stdout)
     ok = set(report.holds) <= {7} and report.fermat_ok
     return EXIT_PROVED if ok else EXIT_ERROR
 
@@ -146,7 +146,7 @@ def _cmd_oracle(args) -> int:
     traces = ecoracle.trace_set(args.p)
     if args.format == "json":
         payload = {"p": args.p, "cap": args.p, "traces": sorted(traces)}
-        sys.stdout.write(data_io.canonical_json(payload))
+        data_io.write_report(payload, "json", sys.stdout)
     else:
         listing = ", ".join(str(t) for t in sorted(traces))
         sys.stdout.write(
@@ -167,12 +167,8 @@ def _cmd_falsify(args) -> int:
 
     form = data_io.load_form(args.input)
     ell = _check_ell(args.ell)
-    # Without --root, residual_rep takes the smaller root after its own
-    # bad-reduction check, so that error comes first.
-    embedding = None
-    if args.root is not None:
-        embedding = certify.select_embeddings(form, ell, args.root)[0]
-    rep = residual_rep(form, ell, embedding)
+    # the smaller root unless --root picks one, as certify's first run
+    rep = residual_rep(form, ell, certify.select_embeddings(form, ell, args.root)[0])
     twisted = twist_to_det_chi(rep)
     result = ecoracle.falsify_curve(curve, twisted)
     if args.format == "json":
@@ -190,7 +186,7 @@ def _cmd_falsify(args) -> int:
                 }
             ),
         }
-        sys.stdout.write(data_io.canonical_json(payload))
+        data_io.write_report(payload, "json", sys.stdout)
     else:
         sys.stdout.write(result.describe() + "\n")
     return EXIT_PROVED if result.found else EXIT_INCONCLUSIVE

@@ -9,6 +9,7 @@ warning is the useful signal.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from importlib import resources
@@ -150,9 +151,18 @@ _SCALARS = {
 }
 
 
-def _write_json(obj, indent: str, emit) -> None:
-    """Emit obj as json.dumps(default=lambda o: o.to_dict(), sort_keys=True,
-    indent=2, ensure_ascii=True) writes it when it sits at nesting `indent`."""
+# A writer hands its pending pieces to out.write once this many have piled up
+# at a list-element boundary: about 100 KB of report text, so no whole-report
+# piece list, string or encoded copy exists.
+_FLUSH_PIECES = 4096
+
+
+def _write_json(obj, indent: str, pending: list, out) -> None:
+    """Append obj to pending as json.dumps(default=lambda o: o.to_dict(),
+    sort_keys=True, indent=2, ensure_ascii=True) writes it when it sits at
+    nesting `indent`, handing pending to out.write at list-element boundaries
+    once _FLUSH_PIECES pieces have piled up."""
+    emit = pending.append
     kind = type(obj)
     scalar = _SCALARS.get(kind)
     if scalar is not None:
@@ -169,7 +179,7 @@ def _write_json(obj, indent: str, emit) -> None:
             scalar = _SCALARS.get(type(value))
             if scalar is None:
                 emit(f"{sep}{encode_basestring_ascii(key)}: ")
-                _write_json(value, inner, emit)
+                _write_json(value, inner, pending, out)
             else:
                 emit(f"{sep}{encode_basestring_ascii(key)}: {scalar(value)}")
             sep = comma
@@ -184,12 +194,15 @@ def _write_json(obj, indent: str, emit) -> None:
             emit(sep + comma.join([_SCALARS[type(v)](v) for v in obj]))
         else:
             for value in obj:
+                if len(pending) >= _FLUSH_PIECES:
+                    out.write("".join(pending))
+                    pending.clear()
                 emit(sep)
-                _write_json(value, inner, emit)
+                _write_json(value, inner, pending, out)
                 sep = comma
         emit(f"\n{indent}]")
     elif hasattr(obj, "to_dict"):
-        _write_json(obj.to_dict(), indent, emit)
+        _write_json(obj.to_dict(), indent, pending, out)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -204,20 +217,27 @@ def canonical_json(obj) -> str:
     written directly: with an indent, json uses its pure-Python generator
     encoder, which takes about twice as long on a large certify report.
     """
-    chunks: list[str] = []
-    _write_json(obj, "", chunks.append)
-    chunks.append("\n")
-    return "".join(chunks)
+    buf = io.StringIO()
+    write_report(obj, "json", buf)
+    return buf.getvalue()
 
 
-def dump_report(report, fmt: str = "text") -> str:
-    """Serialize a report object (anything with to_dict and to_text).
+def write_report(report, fmt: str, out) -> None:
+    """Write a report to the text stream out: canonical_json(report) for
+    "json" (any value canonical_json takes), report.to_text() and a newline
+    for "text". JSON goes out in pieces of about 100 KB, so memory grows with
+    the report's records, not with its text.
 
     Canonical in both formats: stable ordering, no timestamps, so identical
     inputs give byte-identical output.
     """
     if fmt == "json":
-        return canonical_json(report)
-    if fmt == "text":
-        return report.to_text() + "\n"
-    raise ValueError(f"unknown report format {fmt!r}")
+        pending: list[str] = []
+        _write_json(report, "", pending, out)
+        pending.append("\n")
+        out.write("".join(pending))
+    elif fmt == "text":
+        out.write(report.to_text())
+        out.write("\n")
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")

@@ -71,8 +71,13 @@ def trace_of_frobenius(curve: CurveQ, p: int) -> int:
     """p + 1 - #E(F_p) for the reduction mod p of this model verbatim (no
     minimal model search), counting points by enumeration.
 
-    Raises ValueError unless p is prime and the model has good reduction at p.
+    Raises ValueError unless p is a prime below POINT_COUNT_BUDGET and the
+    model has good reduction at p.
     """
+    if p >= POINT_COUNT_BUDGET:
+        raise ValueError(
+            f"point count budget exceeded: p = {p} is not below {POINT_COUNT_BUDGET}"
+        )
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if curve.disc % p == 0:

@@ -12,7 +12,7 @@ inventing values.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .arith import is_prime, require_odd_prime
 from .quadfield import EmbeddingChoice, QuadInt, embedding_choices, ensure_squarefree, reduce_mod
@@ -143,6 +143,15 @@ class ResidualRep:
         return sorted(self.traces)
 
 
+def require_good_reduction(form: NewformData, ell: int) -> None:
+    """The recipe's first precondition, checked before any embedding is
+    chosen: ell must not divide the level."""
+    if form.level % ell == 0:
+        raise BadReductionError(
+            f"bad reduction prime: {ell} divides the level {form.level}"
+        )
+
+
 def residual_rep(
     form: NewformData, ell: int, embedding: EmbeddingChoice | None = None
 ) -> ResidualRep:
@@ -153,10 +162,7 @@ def residual_rep(
     only primes away from level*ell are usable Frobenius traces.
     """
     require_odd_prime(ell)
-    if form.level % ell == 0:
-        raise BadReductionError(
-            f"bad reduction prime: {ell} divides the level {form.level}"
-        )
+    require_good_reduction(form, ell)
 
     if form.d is not None:
         if embedding is None:
@@ -202,9 +208,11 @@ def twist_to_det_chi(rep: ResidualRep) -> ResidualRep:
     if m % 2 == 0:
         raise ValueError(f"no determinant-chi twist exists: exponent {m} is even")
     t = ((1 - m) // 2) % ((ell - 1) // 2)
-    return replace(
-        rep,
+    return ResidualRep(
+        ell=ell,
         det_exponent=1,
         traces={p: (tr * pow(p, t, ell)) % ell for p, tr in rep.traces.items()},
+        source=rep.source,
+        embedding=rep.embedding,
         twist_exponent=(rep.twist_exponent + t) % (ell - 1),
     )

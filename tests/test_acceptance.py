@@ -22,7 +22,7 @@ from nonelliptic.certify import (
     reducibility_obstruction,
     serre_bound_predicate,
 )
-from nonelliptic.data_io import dump_report
+from nonelliptic.data_io import canonical_json
 from nonelliptic.ecoracle import (
     CurveQ,
     falsify_curve,
@@ -159,8 +159,8 @@ def test_criterion_8_certificate_closure_and_determinism():
     assert not failures, f"{len(failures)} certificates failed re-verification"
 
     report2 = full_paper_verification(ell_max=600)
-    assert dump_report(report1, "json") == dump_report(report2, "json")
-    assert dump_report(report1, "text") == dump_report(report2, "text")
+    assert canonical_json(report1) == canonical_json(report2)
+    assert report1.to_text() == report2.to_text()
     print(f"ACCEPTANCE 8 PASS: {len(report1.certificates)}/"
           f"{len(report1.certificates)} certificates re-verify; report bytes "
           f"identical across runs")

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from conftest import hasse_interval
 from nonelliptic.arith import (
+    CACHE_SIZE,
     MILLER_RABIN_LIMIT,
     Factorization,
     is_prime,
@@ -174,6 +175,14 @@ def test_is_prime_rejects_non_ints(n):
     assert is_prime(7) and not is_prime(1)
     with pytest.raises(TypeError):
         is_prime(n)
+
+
+@pytest.mark.parametrize("fn", [is_prime, trial_factor], ids=["is_prime", "trial_factor"])
+def test_arithmetic_caches_are_bounded(fn):
+    assert fn.cache_parameters() == {"maxsize": CACHE_SIZE, "typed": True}
+    for n in range(2, 2 + CACHE_SIZE + 100):
+        fn(n)
+    assert fn.cache_info().currsize <= CACHE_SIZE
 
 
 def test_is_prime_raises_above_the_proven_bound():

@@ -28,7 +28,7 @@ from nonelliptic.certify import (
     reducibility_obstruction,
     serre_bound_predicate,
 )
-from nonelliptic.data_io import bundled_form, dump_report, load_expectations
+from nonelliptic.data_io import bundled_form, canonical_json, load_expectations
 from nonelliptic.quadfield import QuadInt, embedding_choices, splits
 from nonelliptic.repmodel import (
     InsufficientDataError,
@@ -680,8 +680,8 @@ def test_full_verification_reports_missing_tests_as_mismatches():
     assert "ell=7: no trace test at p=29" in report.mismatches
     assert "root_3: no discriminant certificate at p=17" in report.mismatches
     assert "root_4: no discriminant certificate at p=17" in report.mismatches
-    assert "mismatches:" in dump_report(report, "text")
-    assert json.loads(dump_report(report, "json"))["passed"] is False
+    assert "mismatches:" in report.to_text()
+    assert json.loads(canonical_json(report))["passed"] is False
 
 
 def test_certify_form_pipeline(schoen_form, sqrt2_form):
@@ -720,9 +720,9 @@ def test_certify_form_with_pinned_witness(sqrt2_form):
 
 
 def test_report_serialization_is_deterministic():
-    a = dump_report(full_paper_verification(ell_max=100), "json")
-    b = dump_report(full_paper_verification(ell_max=100), "json")
+    a = canonical_json(full_paper_verification(ell_max=100))
+    b = canonical_json(full_paper_verification(ell_max=100))
     assert a == b
-    at = dump_report(full_paper_verification(ell_max=100), "text")
-    bt = dump_report(full_paper_verification(ell_max=100), "text")
+    at = full_paper_verification(ell_max=100).to_text()
+    bt = full_paper_verification(ell_max=100).to_text()
     assert at == bt

@@ -446,17 +446,30 @@ def test_falsify_input_errors(capsys, argv, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-def test_falsify_checks_bad_reduction_before_the_split(tmp_path, capsys):
-    # 11 divides the level and is inert in Q(sqrt(2)): without --root the
-    # bad-reduction error comes first, with --root the root match runs first
+def _level77_over_sqrt2(tmp_path):
+    # 11 divides the level and is inert in Q(sqrt(2))
     form = tmp_path / "level77.json"
     form.write_text(json.dumps({
         "id": "t", "level": 77, "weight": 2, "field": {"type": "quadratic", "d": 2},
         "eigenvalues": {"3": {"x": 0, "y": 1}},
     }))
-    base = ("falsify", "--curve", "0,0,1,0,0", "-i", str(form), "--ell", "11")
-    assert run(capsys, *base)[2] == "error: bad reduction prime: 11 divides the level 77\n"
-    assert run(capsys, *base, "--root", "3")[2].startswith("error: inert prime")
+    return str(form)
+
+
+BAD_REDUCTION_AT_11 = (1, "", "error: bad reduction prime: 11 divides the level 77\n")
+
+
+def test_falsify_checks_bad_reduction_before_the_split(tmp_path, capsys):
+    base = ("falsify", "--curve", "0,0,1,0,0", "-i", _level77_over_sqrt2(tmp_path),
+            "--ell", "11")
+    assert run(capsys, *base) == BAD_REDUCTION_AT_11
+    assert run(capsys, *base, "--root", "3") == BAD_REDUCTION_AT_11
+
+
+def test_certify_checks_bad_reduction_before_the_split(tmp_path, capsys):
+    base = ("certify", "-i", _level77_over_sqrt2(tmp_path), "--ell", "11")
+    assert run(capsys, *base) == BAD_REDUCTION_AT_11
+    assert run(capsys, *base, "--root", "3") == BAD_REDUCTION_AT_11
 
 
 def test_falsify_counts_no_points_at_a_huge_prime(tmp_path, capsys):
@@ -491,6 +504,29 @@ def test_workers_flag_is_gone(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_certify_range_json_streams_in_bounded_memory():
+    # A child inherits its spawner's peak RSS across exec, and pytest's peak
+    # is large, so a fresh interpreter spawns the CLI and reads its peak.
+    # Holding the whole 12.4 MB report as text peaked at 85.8 MiB; streamed,
+    # the run objects set the peak at about 34 MiB.
+    src = str(Path(nonelliptic.__file__).resolve().parents[1])
+    helper = (
+        "import os, subprocess, sys\n"
+        "with open(os.devnull, 'w') as sink:\n"
+        "    child = subprocess.Popen([sys.executable, '-m', 'nonelliptic', 'certify',\n"
+        "        '-i', sys.argv[1], '--format', 'json', '--ell-min', '7',\n"
+        "        '--ell-max', '100000'], stdout=sink)\n"
+        "    _, status, usage = os.wait4(child.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", helper, SCHOEN], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    code, maxrss_kib = map(int, proc.stdout.split())
+    assert code == 2, proc.stderr  # ell = 7 and 582 others are inconclusive
+    assert maxrss_kib < 60 * 1024
 
 
 def test_import_leaves_out_jsonschema_and_process_pools():

@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import warnings
 from importlib import resources
@@ -7,15 +8,18 @@ import pytest
 from hypothesis import given, strategies as st
 from jsonschema import Draft202012Validator
 
+from nonelliptic.arith import primes_in_range
+from nonelliptic.certify import certify_form
 from nonelliptic.data_io import (
+    _FLUSH_PIECES,
     BUNDLED_FORMS,
     SchemaError,
     bundled_form,
     canonical_json,
     dump_form,
-    dump_report,
     load_expectations,
     parse_form,
+    write_report,
 )
 from nonelliptic.quadfield import QuadInt, ensure_squarefree
 from nonelliptic.repmodel import NewformData, RamanujanBoundWarning
@@ -275,13 +279,48 @@ def test_expectations_table_loads():
     assert exp["weight4_level25"]["family_obstruction"]["M"] == 1375
 
 
-def test_dump_report_determinism_and_empty():
-    assert dump_report({}, "json") == "{}\n"
+def written(report, fmt):
+    out = io.StringIO()
+    write_report(report, fmt, out)
+    return out.getvalue()
+
+
+def test_write_report_determinism_and_empty():
+    assert written({}, "json") == "{}\n"
     payload = {"b": [3, 1], "a": {"y": 2, "x": 1}}
-    assert dump_report(payload, "json") == dump_report(payload, "json")
-    assert '"a"' in dump_report(payload, "json")
-    with pytest.raises(ValueError):
-        dump_report({}, "yaml")
+    assert written(payload, "json") == written(payload, "json") == canonical_json(payload)
+    assert '"a"' in written(payload, "json")
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="unknown report format 'yaml'"):
+        write_report({}, "yaml", out)
+    assert out.getvalue() == ""
+
+
+class RecordingStream:
+    """A text stream that keeps every piece written to it."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, piece):
+        self.pieces.append(piece)
+
+
+def test_write_report_streams_a_certify_report_in_bounded_pieces(schoen_form):
+    report = certify_form(schoen_form, primes_in_range(7, 2000))
+    out = RecordingStream()
+    write_report(report, "json", out)
+    assert len(out.pieces) > 1
+    # a pending piece of this report is a key and a scalar, a bracket or a
+    # short list of scalars, about 25 characters on average
+    assert max(map(len, out.pieces)) <= 32 * _FLUSH_PIECES
+    # every write after the first starts at a list-element boundary
+    assert all(piece[:2] in (",\n", "[\n") for piece in out.pieces[1:])
+    text = "".join(out.pieces)
+    assert text == canonical_json(report)
+    assert text == json.dumps(report, default=lambda o: o.to_dict(), sort_keys=True,
+                              indent=2, ensure_ascii=True) + "\n"
+    assert written(report, "text") == report.to_text() + "\n"
 
 
 def test_canonical_json_sorts_keys():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from conftest import hasse_interval
 from nonelliptic.arith import legendre, primes_in_range
 from nonelliptic.ecoracle import (
     ENUMERATION_BUDGET,
+    POINT_COUNT_BUDGET,
     CurveQ,
     _disc_times_4,
     falsify_curve,
@@ -78,6 +80,18 @@ def test_singular_curves_rejected():
 def test_trace_of_frobenius_needs_a_prime():
     with pytest.raises(ValueError, match="4 is not prime"):
         trace_of_frobenius(CurveQ(0, 0, 1, 0, 0), 4)
+
+
+def test_trace_of_frobenius_refuses_primes_past_the_budget():
+    curve = CurveQ(0, 0, 1, 0, 0)
+    assert POINT_COUNT_BUDGET == 500
+    # 499 is the largest prime it counts at: p + 1 - #E(F_p) is within Hasse
+    assert trace_of_frobenius(curve, 499) ** 2 <= 4 * 499
+    start = time.perf_counter()
+    for p in (500, 503, 2**61 - 1):
+        with pytest.raises(ValueError, match=f"point count budget exceeded: p = {p} "):
+            trace_of_frobenius(curve, p)
+    assert time.perf_counter() - start < 0.1
 
 
 # --- trace_set -------------------------------------------------------------------

@@ -3,19 +3,19 @@
 If this fails after an intentional report-format change, regenerate with:
 
     python3 -c "from nonelliptic.certify import full_paper_verification; \
-from nonelliptic.data_io import dump_report; \
+from nonelliptic.data_io import canonical_json; \
 open('tests/data/golden_verify_paper.json','w').write(\
-dump_report(full_paper_verification(), 'json'))"
+canonical_json(full_paper_verification()))"
 """
 
 from pathlib import Path
 
 from nonelliptic.certify import full_paper_verification
-from nonelliptic.data_io import dump_report
+from nonelliptic.data_io import canonical_json
 
 GOLDEN = Path(__file__).parent / "data" / "golden_verify_paper.json"
 
 
 def test_default_verification_matches_golden_bytes():
-    fresh = dump_report(full_paper_verification(), "json")
+    fresh = canonical_json(full_paper_verification())
     assert fresh == GOLDEN.read_text()
