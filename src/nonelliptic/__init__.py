@@ -1,49 +1,67 @@
 """Certificate-producing toolkit for mod-ell Galois representations given by
 newform eigenvalue data: proves irreducibility and non-ellipticity (the
 representation is not the ell-torsion of any elliptic curve over Q) with
-machine-checkable witnesses."""
+machine-checkable witnesses.
 
-from .arith import (
-    Factorization,
-    is_prime,
-    legendre,
-    primes_in_range,
-    trial_factor,
-)
-from .certify import (
-    Certificate,
-    check,
-    closed_form_scan,
-    conductor_bound_test,
-    certify_form,
-    full_paper_verification,
-    irreducibility_by_discriminant,
-    non_elliptic_trace_test,
-    reducibility_obstruction,
-    serre_bound_predicate,
-)
-from .data_io import bundled_form, dump_form, load_form, parse_form, write_report
-from .ecoracle import (
-    CurveQ,
-    falsify_curve,
-    trace_of_frobenius,
-    trace_set,
-)
-from .quadfield import (
-    EmbeddingChoice,
-    QuadInt,
-    embedding_choices,
-    reduce_mod,
-    splits,
-)
-from .repmodel import (
-    NewformData,
-    ResidualRep,
-    residual_rep,
-    twist_to_det_chi,
-)
+The public names are loaded on first access (PEP 562): `import nonelliptic`
+loads no submodule, so each CLI command compiles only the modules it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "Factorization": "arith",
+    "is_prime": "arith",
+    "legendre": "arith",
+    "primes_in_range": "arith",
+    "trial_factor": "arith",
+    "Certificate": "certify",
+    "check": "certify",
+    "conductor_bound_test": "certify",
+    "certify_form": "certify",
+    "irreducibility_by_discriminant": "certify",
+    "non_elliptic_trace_test": "certify",
+    "reducibility_obstruction": "certify",
+    "serre_bound_predicate": "certify",
+    "bundled_form": "data_io",
+    "dump_form": "data_io",
+    "load_form": "data_io",
+    "parse_form": "data_io",
+    "write_report": "data_io",
+    "CurveQ": "ecoracle",
+    "falsify_curve": "ecoracle",
+    "trace_of_frobenius": "ecoracle",
+    "trace_set": "ecoracle",
+    "closed_form_scan": "paper",
+    "full_paper_verification": "paper",
+    "EmbeddingChoice": "quadfield",
+    "QuadInt": "quadfield",
+    "embedding_choices": "quadfield",
+    "reduce_mod": "quadfield",
+    "splits": "quadfield",
+    "NewformData": "repmodel",
+    "ResidualRep": "repmodel",
+    "residual_rep": "repmodel",
+    "twist_to_det_chi": "repmodel",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})
+
 
 __all__ = [
     "Certificate",

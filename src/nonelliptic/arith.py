@@ -156,9 +156,11 @@ def trial_factor(n: int) -> Factorization:
     level, an M or a discriminant is factored once per process.
 
     The cofactor left after the last divisor d has no prime factor below d:
-    it is prime if it is below d**2, or if is_prime proves it. Otherwise n
-    has two prime factors above the bound, and ValueError is raised instead
-    of dividing on for hours.
+    it is prime if it is below d**2, or if is_prime proves it. Past the
+    bound it is at most 2**64 < (10**6)**4, so it has at most three prime
+    factors: a square or a cube of a prime is found by an exact root.
+    Otherwise (q*r, q**2*r, q*r*s with q, r, s above the bound) ValueError
+    is raised instead of dividing on for hours.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")
@@ -176,10 +178,21 @@ def trial_factor(n: int) -> Factorization:
             factors.append((d, e))
         d += 1 if d == 2 else 2
     if rest > 1:
-        if d * d <= rest and not is_prime(rest):
-            raise ValueError(
-                f"cannot factor {n}: the cofactor {rest} has no prime factor "
-                f"up to the trial-division bound {TRIAL_DIVISION_BOUND}"
-            )
-        factors.append((rest, 1))
+        if d * d > rest or is_prime(rest):
+            factors.append((rest, 1))
+        else:
+            factors.append(_prime_power(n, rest))
     return Factorization(n, tuple(factors))
+
+
+def _prime_power(n: int, rest: int) -> tuple[int, int]:
+    """(q, e) with rest == q**e for a prime q and e in {2, 3}, else the
+    ValueError of an unfactorable n. rest <= 2**64, so the float cube root
+    is within 10**-9 of the integer one and rounding finds it exactly."""
+    for e, root in ((2, math.isqrt(rest)), (3, round(rest ** (1 / 3)))):
+        if root**e == rest and is_prime(root):
+            return root, e
+    raise ValueError(
+        f"cannot factor {n}: the cofactor {rest} has no prime factor "
+        f"up to the trial-division bound {TRIAL_DIVISION_BOUND}"
+    )

@@ -14,10 +14,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import certify, data_io, ecoracle
+# Only what every command needs is imported here; each command imports the
+# modules it runs, so `oracle` never compiles the certification engine and
+# `certify` never compiles the census.
+from . import data_io
 from .arith import is_prime, primes_in_range
 from .quadfield import NotSplitError, RamifiedError
-from .repmodel import residual_rep, twist_to_det_chi
 
 EXIT_PROVED = 0
 EXIT_ERROR = 1
@@ -120,15 +122,21 @@ def _requested_ells(args, form) -> list[int]:
 
 
 def _cmd_verify_paper(args) -> int:
-    report = certify.full_paper_verification(ell_max=args.ell_max)
+    from .paper import full_paper_verification
+
+    report = full_paper_verification(ell_max=args.ell_max)
     data_io.write_report(report, args.format, sys.stdout)
     return EXIT_PROVED if report.passed else EXIT_ERROR
 
 
 def _cmd_certify(args) -> int:
+    from .certify import certify_form
+
+    if args.witness_prime is not None and not is_prime(args.witness_prime):
+        raise ValueError(f"--witness-prime {args.witness_prime} is not prime")
     form = data_io.load_form(args.input)
     ells = _requested_ells(args, form)
-    report = certify.certify_form(
+    report = certify_form(
         form, ells, root=args.root, witness_prime=args.witness_prime
     )
     data_io.write_report(report, args.format, sys.stdout)
@@ -136,14 +144,18 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    report = certify.closed_form_scan(args.ell_min, args.ell_max)
+    from .paper import closed_form_scan
+
+    report = closed_form_scan(args.ell_min, args.ell_max)
     data_io.write_report(report, args.format, sys.stdout)
     ok = set(report.holds) <= {7} and report.fermat_ok
     return EXIT_PROVED if ok else EXIT_ERROR
 
 
 def _cmd_oracle(args) -> int:
-    traces = ecoracle.trace_set(args.p)
+    from .ecoracle import trace_set
+
+    traces = trace_set(args.p)
     if args.format == "json":
         payload = {"p": args.p, "cap": args.p, "traces": sorted(traces)}
         data_io.write_report(payload, "json", sys.stdout)
@@ -157,20 +169,24 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
+    from .certify import select_embeddings
+    from .ecoracle import CurveQ, falsify_curve
+    from .repmodel import residual_rep, twist_to_det_chi
+
     try:
         coeffs = [int(c) for c in args.curve.split(",")]
     except ValueError:
         raise ValueError("--curve must be five comma-separated integers a1,a2,a3,a4,a6")
     if len(coeffs) != 5:
         raise ValueError("--curve must be five comma-separated integers a1,a2,a3,a4,a6")
-    curve = ecoracle.CurveQ(*coeffs)
+    curve = CurveQ(*coeffs)
 
     form = data_io.load_form(args.input)
     ell = _check_ell(args.ell)
     # the smaller root unless --root picks one, as certify's first run
-    rep = residual_rep(form, ell, certify.select_embeddings(form, ell, args.root)[0])
+    rep = residual_rep(form, ell, select_embeddings(form, ell, args.root)[0])
     twisted = twist_to_det_chi(rep)
-    result = ecoracle.falsify_curve(curve, twisted)
+    result = falsify_curve(curve, twisted)
     if args.format == "json":
         payload = {
             "curve": coeffs,

@@ -12,11 +12,11 @@ from __future__ import annotations
 import io
 import json
 import re
-from importlib import resources
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
-from .quadfield import QuadInt
-from .repmodel import FormDataError, NewformData
+if TYPE_CHECKING:
+    from .repmodel import NewformData
 
 
 class SchemaError(ValueError):
@@ -24,6 +24,10 @@ class SchemaError(ValueError):
 
 
 def _packaged(name: str) -> bytes:
+    # imported here: only the bundled data needs it, and a command reading a
+    # user's file should not pay for it at start-up
+    from importlib import resources
+
     return resources.files("nonelliptic.data").joinpath(name).read_bytes()
 
 
@@ -65,6 +69,11 @@ def parse_form(text: str | bytes) -> NewformData:
     """Parse and validate one FormRecord in one walk: the wire format of
     data/form_record.schema.json here, the mathematics in NewformData and
     QuadInt. Errors carry the JSON path of the offending value."""
+    # imported here: `oracle` writes a report through this module but parses
+    # no form, so it need not compile the form model
+    from .quadfield import QuadInt
+    from .repmodel import FormDataError, NewformData
+
     try:
         record = json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:

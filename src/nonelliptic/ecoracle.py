@@ -16,9 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from .arith import is_prime, legendre
-from .repmodel import ResidualRep
+
+if TYPE_CHECKING:  # an annotation only: the census needs no representation
+    from .repmodel import ResidualRep
 
 # The census costs O(p^4); beyond this it is not a reasonable oracle.
 ENUMERATION_BUDGET = 50

@@ -14,9 +14,7 @@ from nonelliptic.certify import (
     IRREDUCIBLE,
     NON_ELLIPTIC,
     check,
-    closed_form_scan,
     conductor_bound_test,
-    full_paper_verification,
     irreducibility_by_discriminant,
     non_elliptic_trace_test,
     reducibility_obstruction,
@@ -29,6 +27,7 @@ from nonelliptic.ecoracle import (
     trace_set,
     weierstrass_discriminant,
 )
+from nonelliptic.paper import closed_form_scan, full_paper_verification
 from nonelliptic.quadfield import embedding_choices, splits
 from nonelliptic.repmodel import residual_rep, twist_to_det_chi
 

@@ -274,11 +274,27 @@ def test_trial_factor_cofactor_above_the_bound():
     assert trial_factor(1000003).factors == ((1000003, 1),)  # below the bound squared
 
 
-@pytest.mark.parametrize("n", [1000000007 * 1000000009, 1000003**2])
+@pytest.mark.parametrize("n", [1000000007 * 1000000009])
 def test_trial_factor_refuses_two_factors_above_the_bound(n):
     start = time.perf_counter()
     with pytest.raises(ValueError, match="trial-division bound"):
         trial_factor(n)
+    assert time.perf_counter() - start < 1.0
+
+
+# a square or a cube of a prime above the bound: the cofactor's exact root
+PRIME_POWERS = {
+    1000003**2: ((1000003, 2),),
+    1000003**3: ((1000003, 3),),
+    6 * 1000003**2: ((2, 1), (3, 1), (1000003, 2)),
+    4294967291**2: ((4294967291, 2),),  # the largest prime square below 2**64
+}
+
+
+@pytest.mark.parametrize("n", list(PRIME_POWERS))
+def test_trial_factor_factors_prime_powers_above_the_bound(n):
+    start = time.perf_counter()
+    assert trial_factor(n).factors == PRIME_POWERS[n]
     assert time.perf_counter() - start < 1.0
 
 

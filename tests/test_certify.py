@@ -19,16 +19,15 @@ from nonelliptic.certify import (
     Certificate,
     certify_form,
     check,
-    closed_form_scan,
     conductor_bound_test,
     excluded_trace_set,
-    full_paper_verification,
     irreducibility_by_discriminant,
     non_elliptic_trace_test,
     reducibility_obstruction,
     serre_bound_predicate,
 )
 from nonelliptic.data_io import bundled_form, canonical_json, load_expectations
+from nonelliptic.paper import closed_form_scan, full_paper_verification
 from nonelliptic.quadfield import QuadInt, embedding_choices, splits
 from nonelliptic.repmodel import (
     InsufficientDataError,

@@ -214,6 +214,41 @@ def test_certify_unfactorable_level_exits_quickly(tmp_path, capsys):
     assert err.startswith("error: cannot factor 1000000016000000063")
 
 
+@pytest.mark.parametrize("level,line", [
+    (1000003**2, "    non-elliptic: not established (all tests inconclusive)"),
+    (1000003**3, "    non-elliptic: yes, conductor 1000009000027000027 violates "
+                 "v_1000003 <= 2 (exponent 3)"),
+], ids=["square", "cube"])
+def test_certify_prime_power_level_above_the_bound(tmp_path, capsys, level, line):
+    # the conductor is needed at ell = 7, and its one prime is above 10^6;
+    # irreducibility at 7 stays unproved, so both exit 2
+    probe = json.loads(Path(SCHOEN).read_text())
+    probe.update(id="probe", level=level, claimed_conductor_equality=True)
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(probe))
+    got, out, err = run(capsys, "certify", "-i", str(path), "--ell", "7")
+    assert (got, err) == (2, "")
+    assert line in out.splitlines()
+
+
+ROOT_OVER_Q = ("--root 3 given, but form schoen_s4_25 has a rational "
+               "coefficient field, which takes no embedding")
+
+
+@pytest.mark.parametrize("argv", [
+    ("-i", SCHOEN, "--ell", "11"),
+    ("-i", SCHOEN, "--ell-min", "7", "--ell-max", "50"),
+], ids=["single", "range"])
+def test_certify_refuses_a_root_over_a_rational_form(capsys, argv):
+    assert run(capsys, "certify", *argv, "--root", "3") == (1, "", f"error: {ROOT_OVER_Q}\n")
+
+
+@pytest.mark.parametrize("p", ["4", "1", "-3"])
+def test_certify_refuses_a_witness_prime_that_is_not_prime(capsys, p):
+    assert run(capsys, "certify", "-i", SCHOEN, "--ell", "11", "--witness-prime", p) == (
+        1, "", f"error: --witness-prime {p} is not prime\n")
+
+
 def test_certify_root_override(capsys):
     code, out, _ = run(capsys, "certify", "-i", SQRT2, "--ell", "7", "--root", "4")
     assert code == 0
@@ -440,7 +475,8 @@ def test_falsify_malformed_curve(capsys):
      "inert prime: no rational embedding: 11 is inert in Q(sqrt(2))"),
     (("-i", SQRT2, "--ell", "11", "--root", "3"),
      "inert prime: no rational embedding: 11 is inert in Q(sqrt(2))"),
-], ids=["composite-ell", "small-ell", "bad-root", "inert", "inert-with-root"])
+    (("-i", SCHOEN, "--ell", "11", "--root", "3"), ROOT_OVER_Q),
+], ids=["composite-ell", "small-ell", "bad-root", "inert", "inert-with-root", "root-over-q"])
 def test_falsify_input_errors(capsys, argv, message):
     code, out, err = run(capsys, "falsify", "--curve", "0,0,1,0,0", *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -547,3 +583,24 @@ def test_import_leaves_out_jsonschema_and_process_pools():
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     # after import, after certify (which parses a form), after verify-paper
     assert proc.stdout.splitlines() == ["[]", "[]", "[]"], proc.stderr
+
+    # `import nonelliptic` loads no submodule, and each command only its own
+    code = (
+        "import contextlib, io, json, sys, nonelliptic\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('nonelliptic.'))\n"
+        "print(json.dumps([loaded(), set(nonelliptic.__all__) <= set(dir(nonelliptic))]))\n"
+        "from nonelliptic.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(sys.argv[1:])\n"
+        "print(json.dumps(loaded()))\n"
+    )
+    for argv, absent in [
+        (["oracle", "5"], {"nonelliptic.certify", "nonelliptic.paper", "nonelliptic.repmodel"}),
+        (["certify", "-i", SCHOEN, "--ell", "11"], {"nonelliptic.ecoracle", "nonelliptic.paper"}),
+        (["verify-paper"], {"nonelliptic.ecoracle"}),
+    ]:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        after_import, after_command = map(json.loads, proc.stdout.splitlines())
+        assert after_import == [[], True], proc.stderr
+        assert absent.isdisjoint(after_command), (argv, after_command)

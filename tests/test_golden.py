@@ -2,7 +2,7 @@
 
 If this fails after an intentional report-format change, regenerate with:
 
-    python3 -c "from nonelliptic.certify import full_paper_verification; \
+    python3 -c "from nonelliptic.paper import full_paper_verification; \
 from nonelliptic.data_io import canonical_json; \
 open('tests/data/golden_verify_paper.json','w').write(\
 canonical_json(full_paper_verification()))"
@@ -10,8 +10,8 @@ canonical_json(full_paper_verification()))"
 
 from pathlib import Path
 
-from nonelliptic.certify import full_paper_verification
 from nonelliptic.data_io import canonical_json
+from nonelliptic.paper import full_paper_verification
 
 GOLDEN = Path(__file__).parent / "data" / "golden_verify_paper.json"
 
