@@ -18,14 +18,14 @@ _EXPORTS = {
     "legendre": "arith",
     "primes_in_range": "arith",
     "trial_factor": "arith",
-    "Certificate": "certify",
-    "check": "certify",
     "conductor_bound_test": "certify",
     "certify_form": "certify",
     "irreducibility_by_discriminant": "certify",
     "non_elliptic_trace_test": "certify",
     "reducibility_obstruction": "certify",
     "serre_bound_predicate": "certify",
+    "Certificate": "checker",
+    "check": "checker",
     "bundled_form": "data_io",
     "dump_form": "data_io",
     "load_form": "data_io",
@@ -63,39 +63,4 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_EXPORTS})
 
 
-__all__ = [
-    "Certificate",
-    "CurveQ",
-    "EmbeddingChoice",
-    "Factorization",
-    "NewformData",
-    "QuadInt",
-    "ResidualRep",
-    "bundled_form",
-    "certify_form",
-    "check",
-    "closed_form_scan",
-    "conductor_bound_test",
-    "dump_form",
-    "embedding_choices",
-    "falsify_curve",
-    "full_paper_verification",
-    "irreducibility_by_discriminant",
-    "is_prime",
-    "legendre",
-    "load_form",
-    "non_elliptic_trace_test",
-    "parse_form",
-    "primes_in_range",
-    "reduce_mod",
-    "reducibility_obstruction",
-    "residual_rep",
-    "serre_bound_predicate",
-    "splits",
-    "trace_of_frobenius",
-    "trace_set",
-    "trial_factor",
-    "twist_to_det_chi",
-    "write_report",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

@@ -1,7 +1,7 @@
 """Certification engine: irreducibility and non-ellipticity proofs with
-machine-checkable witnesses, their independent checker, and the per-form
-pipeline the `certify` command runs. The paper's bundle (`verify-paper` and
-the closed-form scan) lives in `paper`.
+machine-checkable witnesses, and the per-form pipeline the `certify` command
+runs. The certificate format and `check()` live in `checker`, the paper's
+bundle (`verify-paper` and the closed-form scan) in `paper`.
 
 Every emitted Certificate is self-contained: `check()` re-verifies the
 witness arithmetic from the recorded data alone, without calling the code
@@ -13,15 +13,22 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .arith import (
-    Factorization,
-    is_prime,
-    legendre,
-    require_odd_prime,
-    trial_factor,
+from .arith import is_prime, legendre, require_odd_prime, trial_factor
+from .checker import (
+    DEFAULT_CONDUCTOR_BOUND,
+    ELLIPTIC_CONDUCTOR_BOUNDS,
+    INCONCLUSIVE,
+    IRREDUCIBLE,
+    METHOD_CONDUCTOR,
+    METHOD_DISCRIMINANT,
+    METHOD_OBSTRUCTION,
+    METHOD_TRACE,
+    NON_ELLIPTIC,
+    Certificate,
 )
+from .checker import check  # re-exported: perfbench/run.py calls certify.check
 from .quadfield import EmbeddingChoice, embedding_choices
 from .repmodel import (
     InsufficientDataError,
@@ -31,54 +38,6 @@ from .repmodel import (
     residual_rep,
     twist_to_det_chi,
 )
-
-IRREDUCIBLE = "Irreducible"
-NON_ELLIPTIC = "NonElliptic"
-INCONCLUSIVE = "Inconclusive"
-
-METHOD_DISCRIMINANT = "DiscriminantNonResidue"
-METHOD_OBSTRUCTION = "ReducibilityObstruction"
-METHOD_TRACE = "TraceObstruction"
-METHOD_CONDUCTOR = "ConductorBound"
-
-# An elliptic curve over Q has v_2(N) <= 8, v_3(N) <= 5, v_p(N) <= 2 for p > 3
-# (Silverman, Advanced Topics in the Arithmetic of Elliptic Curves, IV.10).
-ELLIPTIC_CONDUCTOR_BOUNDS = {2: 8, 3: 5}
-DEFAULT_CONDUCTOR_BOUND = 2
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """A verdict plus the witness data needed to re-verify it.
-
-    ell is None for statements that quantify over all ell at once (the
-    family-level reducibility obstruction, a bare conductor bound).
-    """
-
-    verdict: str
-    method: str
-    ell: int | None
-    witness: dict
-    inputs: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "method": self.method,
-            "ell": self.ell,
-            "witness": self.witness,
-            "inputs": self.inputs,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Certificate":
-        return cls(
-            verdict=d["verdict"],
-            method=d["method"],
-            ell=d["ell"],
-            witness=d["witness"],
-            inputs=d.get("inputs", {}),
-        )
 
 
 def _provenance(rep: ResidualRep) -> dict:
@@ -254,123 +213,6 @@ def serre_bound_predicate(ell: int, p: int) -> str:
         return "does_not_apply" if ell % 8 == 7 else "unknown"
     modulus = 9 if p == 3 else p
     return "does_not_apply" if ell % modulus in (1, modulus - 1) else "applies"
-
-
-# ---------------------------------------------------------------------------
-# independent re-verification of certificates
-# ---------------------------------------------------------------------------
-
-# Each checker rebuilds, from the witness's input fields and with `arith`
-# primitives only, the witness the producer would emit, and compares it whole:
-# a changed, reordered or extra field fails. Inputs must be exact ints (a level
-# of 26.5 or True would slip through the arithmetic), and guards refuse any
-# step whose cost the certificate's own size does not bound.
-
-def _ints(*values) -> bool:
-    return all(type(v) is int for v in values)
-
-
-def _claimed_factors(n: int, factors) -> list[list[int]]:
-    """A witness's factor list of n, validated by Factorization."""
-    fac = Factorization(n, tuple(tuple(qe) for qe in factors))
-    return [list(qe) for qe in fac.factors]
-
-
-def _check_discriminant(cert: Certificate) -> bool:
-    ell, w = cert.ell, cert.witness
-    p, tr, m = w["p"], w["trace"], w["det_exponent"]
-    if not (_ints(ell, p, tr, m) and is_prime(p) and p % ell and 0 <= tr < ell
-            and 1 <= m <= ell - 2):
-        return False
-    delta = (tr * tr - 4 * pow(p, m, ell)) % ell
-    sym = legendre(delta, ell)  # raises unless ell is an odd prime
-    want = {"p": p, "trace": tr, "det_exponent": m, "delta": delta, "legendre": sym}
-    return w == want and cert.verdict == (IRREDUCIBLE if sym == -1 else INCONCLUSIVE)
-
-
-def _check_obstruction(cert: Certificate) -> bool:
-    w = cert.witness
-    p, a_p, k, level = w["p"], w["a_p"], w["weight"], w["level"]
-    # the obstruction holds for every ell at once, so it names none
-    if not (cert.ell is None and _ints(p, a_p, k, level) and is_prime(p) and level >= 1
-            and level % p and k >= 2):
-        return False
-    # p**(k-1) >= 2**((k-1)*(bits(p)-1)) > M + |a_p| + 1 cannot give the
-    # claimed M: refuse before computing the power.
-    if (k - 1) * (p.bit_length() - 1) >= (w["M"] + abs(a_p) + 1).bit_length():
-        return False
-    # trial_factor raises, so check() returns False, on a level the producer
-    # cannot factor either
-    modulus = math.prod(q ** (e // 2) for q, e in trial_factor(level).factors)
-    if (p - 1) % modulus != 0:
-        return False
-    m_value = abs(1 + p ** (k - 1) - a_p)
-    factors = _claimed_factors(m_value, w["factors"]) if m_value else []
-    exceptional = sorted({q for q, _ in factors} | {p}) if m_value else []
-    want = {"p": p, "a_p": a_p, "weight": k, "level": level, "M": m_value,
-            "factors": factors, "exceptional": exceptional}
-    return w == want and cert.verdict == (IRREDUCIBLE if m_value else INCONCLUSIVE)
-
-
-def _check_trace(cert: Certificate) -> bool:
-    ell, w = cert.ell, cert.witness
-    p, tr = w["p"], w["trace"]
-    # p = ell has no Frobenius; p = 1 (mod ell) has no ramification dichotomy
-    if not (_ints(ell, p, tr) and is_prime(ell) and ell % 2 and is_prime(p)
-            and 0 <= tr < ell and p % ell > 1):
-        return False
-    # The size excluded_trace_set(p, ell) must have, known before building it:
-    # every residue when the Hasse interval |t| <= B fills F_ell, else its
-    # 2B+1 residues plus ±(p+1) when those fall outside it.
-    bound, r = math.isqrt(4 * p), (p + 1) % ell
-    if 2 * bound + 1 >= ell:
-        size = ell
-    else:
-        size = 2 * bound + 1 + (2 if bound < r < ell - bound else 0)
-    if len(w["excluded"]) != size:
-        return False
-    excluded = excluded_trace_set(p, ell)
-    want = {"p": p, "trace": tr, "excluded": excluded}
-    return w == want and cert.verdict == (INCONCLUSIVE if tr in excluded else NON_ELLIPTIC)
-
-
-def _check_conductor(cert: Certificate) -> bool:
-    ell, w = cert.ell, cert.witness
-    conductor = w["conductor"]
-    if not ((ell is None or (_ints(ell) and ell % 2 and is_prime(ell)))
-            and _ints(conductor) and conductor >= 1):
-        return False
-    factors = _claimed_factors(conductor, w["factors"])
-    violation = None
-    for q, e in factors:
-        bound = ELLIPTIC_CONDUCTOR_BOUNDS.get(q, DEFAULT_CONDUCTOR_BOUND)
-        if e > bound:
-            violation = {"p": q, "exponent": e, "bound": bound}
-            break
-    want = {"conductor": conductor, "factors": factors, "violation": violation}
-    return w == want and cert.verdict == (NON_ELLIPTIC if violation else INCONCLUSIVE)
-
-
-_CHECKERS = {
-    METHOD_DISCRIMINANT: _check_discriminant,
-    METHOD_OBSTRUCTION: _check_obstruction,
-    METHOD_TRACE: _check_trace,
-    METHOD_CONDUCTOR: _check_conductor,
-}
-
-
-def check(cert: Certificate) -> bool:
-    """Rebuild a certificate's witness from its input fields and compare the
-    whole record, verdict included.
-
-    Pure and total: malformed or tampered certificates return False, they
-    never raise, and the cost is bounded by the certificate's size.
-    """
-    try:
-        checker = _CHECKERS[cert.method]
-        return bool(checker(cert))
-    except Exception:
-        return False
 
 
 # ---------------------------------------------------------------------------

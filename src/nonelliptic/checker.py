@@ -1,0 +1,190 @@
+"""The certificate format and its independent checker.
+
+`Certificate` is the record every producer in `certify` emits, and `check()`
+re-verifies one from the recorded data alone. The checker trusts only `arith`
+and the standard library: it never calls the code that produced a
+certificate, so a fault there shows up here as a rejected record.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+from .arith import Factorization, is_prime, legendre, trial_factor
+
+IRREDUCIBLE = "Irreducible"
+NON_ELLIPTIC = "NonElliptic"
+INCONCLUSIVE = "Inconclusive"
+
+METHOD_DISCRIMINANT = "DiscriminantNonResidue"
+METHOD_OBSTRUCTION = "ReducibilityObstruction"
+METHOD_TRACE = "TraceObstruction"
+METHOD_CONDUCTOR = "ConductorBound"
+
+# An elliptic curve over Q has v_2(N) <= 8, v_3(N) <= 5, v_p(N) <= 2 for p > 3
+# (Silverman, Advanced Topics in the Arithmetic of Elliptic Curves, IV.10).
+ELLIPTIC_CONDUCTOR_BOUNDS = {2: 8, 3: 5}
+DEFAULT_CONDUCTOR_BOUND = 2
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """A verdict plus the witness data needed to re-verify it.
+
+    ell is None for statements that quantify over all ell at once (the
+    family-level reducibility obstruction, a bare conductor bound).
+    """
+
+    verdict: str
+    method: str
+    ell: int | None
+    witness: dict
+    inputs: dict = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {
+            "verdict": self.verdict,
+            "method": self.method,
+            "ell": self.ell,
+            "witness": self.witness,
+            "inputs": self.inputs,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Certificate":
+        return cls(
+            verdict=d["verdict"],
+            method=d["method"],
+            ell=d["ell"],
+            witness=d["witness"],
+            inputs=d.get("inputs", {}),
+        )
+
+
+# Each checker rebuilds, from the witness's input fields and with `arith`
+# primitives only, the witness the producer would emit, and compares it whole
+# with `_same`: a changed, reordered or extra field fails. Inputs must be exact
+# ints (a level of 26.5 or True would slip through the arithmetic), and guards
+# refuse any step whose cost the certificate's own size does not bound.
+
+def _ints(*values) -> bool:
+    return all(type(v) is int for v in values)
+
+
+def _same(got, want) -> bool:
+    """got == want with the same type at every node, dict keys in any order:
+    2.0 == 2 and True == 1 hold in Python, yet no producer emits a float or
+    a bool where an int belongs."""
+    if type(got) is not type(want):
+        return False
+    if type(want) is dict:
+        return got.keys() == want.keys() and all(_same(got[k], want[k]) for k in want)
+    if type(want) is list:
+        return len(got) == len(want) and all(map(_same, got, want))
+    return got == want
+
+
+def _claimed_factors(n: int, factors) -> list[list[int]]:
+    """A witness's factor list of n, validated by Factorization."""
+    fac = Factorization(n, tuple(tuple(qe) for qe in factors))
+    return [list(qe) for qe in fac.factors]
+
+
+def _check_discriminant(cert: Certificate) -> bool:
+    ell, w = cert.ell, cert.witness
+    p, tr, m = w["p"], w["trace"], w["det_exponent"]
+    if not (_ints(ell, p, tr, m) and is_prime(p) and p % ell and 0 <= tr < ell
+            and 1 <= m <= ell - 2):
+        return False
+    delta = (tr * tr - 4 * pow(p, m, ell)) % ell
+    sym = legendre(delta, ell)  # raises unless ell is an odd prime
+    want = {"p": p, "trace": tr, "det_exponent": m, "delta": delta, "legendre": sym}
+    return _same(w, want) and cert.verdict == (IRREDUCIBLE if sym == -1 else INCONCLUSIVE)
+
+
+def _check_obstruction(cert: Certificate) -> bool:
+    w = cert.witness
+    p, a_p, k, level = w["p"], w["a_p"], w["weight"], w["level"]
+    # the obstruction holds for every ell at once, so it names none
+    if not (cert.ell is None and _ints(p, a_p, k, level) and is_prime(p) and level >= 1
+            and level % p and k >= 2):
+        return False
+    # p**(k-1) >= 2**((k-1)*(bits(p)-1)) > M + |a_p| + 1 cannot give the
+    # claimed M: refuse before computing the power.
+    if (k - 1) * (p.bit_length() - 1) >= (w["M"] + abs(a_p) + 1).bit_length():
+        return False
+    # trial_factor raises, so check() returns False, on a level it cannot factor
+    modulus = math.prod(q ** (e // 2) for q, e in trial_factor(level).factors)
+    if (p - 1) % modulus != 0:
+        return False
+    m_value = abs(1 + p ** (k - 1) - a_p)
+    factors = _claimed_factors(m_value, w["factors"]) if m_value else []
+    exceptional = sorted({q for q, _ in factors} | {p}) if m_value else []
+    want = {"p": p, "a_p": a_p, "weight": k, "level": level, "M": m_value,
+            "factors": factors, "exceptional": exceptional}
+    return _same(w, want) and cert.verdict == (IRREDUCIBLE if m_value else INCONCLUSIVE)
+
+
+def _check_trace(cert: Certificate) -> bool:
+    ell, w = cert.ell, cert.witness
+    p, tr = w["p"], w["trace"]
+    # p = ell has no Frobenius; p = 1 (mod ell) has no ramification dichotomy
+    if not (_ints(ell, p, tr) and is_prime(ell) and ell % 2 and is_prime(p)
+            and 0 <= tr < ell and p % ell > 1):
+        return False
+    # The residues an elliptic trace can take, as sorted runs: every residue
+    # when the Hasse interval |t| <= B fills F_ell, else 0..B and ell-B..ell-1,
+    # plus ±(p+1) when those fall between the two. The runs give the length,
+    # compared before the list is built.
+    bound, r = math.isqrt(4 * p), (p + 1) % ell
+    if 2 * bound + 1 >= ell:
+        runs = [range(ell)]
+    elif bound < r < ell - bound:
+        s = min(r, ell - r)
+        runs = [range(bound + 1), [s, ell - s], range(ell - bound, ell)]
+    else:
+        runs = [range(bound + 1), range(ell - bound, ell)]
+    if len(w["excluded"]) != sum(map(len, runs)):
+        return False
+    excluded = [t for run in runs for t in run]
+    want = {"p": p, "trace": tr, "excluded": excluded}
+    return _same(w, want) and cert.verdict == (INCONCLUSIVE if tr in excluded else NON_ELLIPTIC)
+
+
+def _check_conductor(cert: Certificate) -> bool:
+    ell, w = cert.ell, cert.witness
+    conductor = w["conductor"]
+    if not ((ell is None or (_ints(ell) and ell % 2 and is_prime(ell)))
+            and _ints(conductor) and conductor >= 1):
+        return False
+    factors = _claimed_factors(conductor, w["factors"])
+    violation = None
+    for q, e in factors:
+        bound = ELLIPTIC_CONDUCTOR_BOUNDS.get(q, DEFAULT_CONDUCTOR_BOUND)
+        if e > bound:
+            violation = {"p": q, "exponent": e, "bound": bound}
+            break
+    want = {"conductor": conductor, "factors": factors, "violation": violation}
+    return _same(w, want) and cert.verdict == (NON_ELLIPTIC if violation else INCONCLUSIVE)
+
+
+_CHECKERS = {
+    METHOD_DISCRIMINANT: _check_discriminant,
+    METHOD_OBSTRUCTION: _check_obstruction,
+    METHOD_TRACE: _check_trace,
+    METHOD_CONDUCTOR: _check_conductor,
+}
+
+
+def check(cert: Certificate) -> bool:
+    """Rebuild a certificate's witness from its input fields and compare the
+    whole record, verdict included.
+
+    Pure and total: malformed or tampered certificates return False, they
+    never raise, and the cost is bounded by the certificate's size.
+    """
+    try:
+        return bool(_CHECKERS[cert.method](cert))
+    except Exception:
+        return False

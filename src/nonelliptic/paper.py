@@ -7,20 +7,14 @@ pipeline plus a diff; nothing proves anything of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import data_io
 from .arith import primes_in_range
-from .certify import (
-    INCONCLUSIVE,
-    IRREDUCIBLE,
-    NON_ELLIPTIC,
-    Certificate,
-    certify_form,
-    conductor_bound_test,
-    reducibility_obstruction,
-    serre_bound_predicate,
-)
-from .repmodel import NewformData
+from .checker import INCONCLUSIVE, IRREDUCIBLE, NON_ELLIPTIC, Certificate
+
+if TYPE_CHECKING:
+    from .repmodel import NewformData
 
 
 @dataclass(frozen=True)
@@ -217,7 +211,13 @@ def full_paper_verification(
 ) -> VerificationReport:
     """Certify the bundled forms with `certify_form` and diff every step
     against the versioned expectations table. Any mismatch makes passed
-    False."""
+    False. An ell_max below 7 samples no ell and is refused."""
+    # here, not at the top: `scan` needs only closed_form_scan and arith
+    from .certify import (certify_form, conductor_bound_test, reducibility_obstruction,
+                          serre_bound_predicate)
+
+    if ell_max < 7:
+        raise ValueError(f"ell_max={ell_max} leaves no prime ell > 5 to sample; need ell_max >= 7")
     if expectations is None:
         expectations = data_io.load_expectations()
     if forms is None:

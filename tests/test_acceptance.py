@@ -10,16 +10,13 @@ import time
 from conftest import hasse_interval
 from nonelliptic.arith import primes_in_range
 from nonelliptic.certify import (
-    INCONCLUSIVE,
-    IRREDUCIBLE,
-    NON_ELLIPTIC,
-    check,
     conductor_bound_test,
     irreducibility_by_discriminant,
     non_elliptic_trace_test,
     reducibility_obstruction,
     serre_bound_predicate,
 )
+from nonelliptic.checker import INCONCLUSIVE, IRREDUCIBLE, NON_ELLIPTIC, check
 from nonelliptic.data_io import canonical_json
 from nonelliptic.ecoracle import (
     CurveQ,

@@ -9,6 +9,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nonelliptic.arith import primes_in_range, trial_factor
 from nonelliptic.certify import (
+    certify_form,
+    conductor_bound_test,
+    excluded_trace_set,
+    irreducibility_by_discriminant,
+    non_elliptic_trace_test,
+    reducibility_obstruction,
+    serre_bound_predicate,
+)
+from nonelliptic.checker import (
     INCONCLUSIVE,
     IRREDUCIBLE,
     METHOD_CONDUCTOR,
@@ -17,14 +26,7 @@ from nonelliptic.certify import (
     METHOD_TRACE,
     NON_ELLIPTIC,
     Certificate,
-    certify_form,
     check,
-    conductor_bound_test,
-    excluded_trace_set,
-    irreducibility_by_discriminant,
-    non_elliptic_trace_test,
-    reducibility_obstruction,
-    serre_bound_predicate,
 )
 from nonelliptic.data_io import bundled_form, canonical_json, load_expectations
 from nonelliptic.paper import closed_form_scan, full_paper_verification
@@ -584,6 +586,21 @@ def test_check_rejects_non_integer_inputs(schoen_form):
                                violation={"p": 2, "exponent": 9.0, "bound": 8}))
     trace = non_elliptic_trace_test(twist_to_det_chi(residual_rep(schoen_form, 11)), 2)
     assert not check(_tampered(trace, trace=float(trace.witness["trace"])))
+    # derived fields: the rebuilt witness compares equal to 2.0 or True unless
+    # the comparison is type-exact
+    disc = irreducibility_by_discriminant(residual_rep(schoen_form, 11), 2)
+    assert (disc.witness["delta"], disc.witness["legendre"]) == (2, -1)
+    assert not check(_tampered(disc, delta=2.0))
+    assert not check(_tampered(disc, legendre=-1.0))
+    excluded = trace.witness["excluded"]
+    assert check(trace) and excluded[1] == 1
+    assert not check(_tampered(trace, excluded=[float(t) for t in excluded]))
+    assert not check(_tampered(trace, excluded=[0, True, *excluded[2:]]))
+    conductor = conductor_bound_test(512)
+    assert conductor.witness["violation"] == {"p": 2, "exponent": 9, "bound": 8}
+    assert not check(_tampered(conductor, violation={"p": 2, "exponent": 9, "bound": 8.0}))
+    assert cert.witness["exceptional"] == [5, 11]
+    assert not check(_tampered(cert, exceptional=[5.0, 11]))
 
 
 def test_check_refuses_a_huge_weight_quickly(schoen_form):

@@ -39,6 +39,15 @@ def test_verify_paper_ell_max_7(capsys):
     assert "NonElliptic" in out or "conductor 512" in out  # the weight-2 route
 
 
+@pytest.mark.parametrize("ell_max", ["5", "0"])
+def test_verify_paper_refuses_an_empty_sample(capsys, ell_max):
+    # no prime 5 < ell <= ell_max, so no per-ell expectation could be compared
+    code, out, err = run(capsys, "verify-paper", "--ell-max", ell_max)
+    assert (code, out) == (1, "")
+    assert err == (f"error: ell_max={ell_max} leaves no prime ell > 5 to sample; "
+                   "need ell_max >= 7\n")
+
+
 def test_verify_paper_json_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify-paper", "--ell-max", "50", "--format", "json")
     code2, out2, _ = run(capsys, "verify-paper", "--ell-max", "50", "--format", "json")
@@ -598,6 +607,7 @@ def test_import_leaves_out_jsonschema_and_process_pools():
         (["oracle", "5"], {"nonelliptic.certify", "nonelliptic.paper", "nonelliptic.repmodel"}),
         (["certify", "-i", SCHOEN, "--ell", "11"], {"nonelliptic.ecoracle", "nonelliptic.paper"}),
         (["verify-paper"], {"nonelliptic.ecoracle"}),
+        (["scan", "7", "1000"], {"nonelliptic.certify", "nonelliptic.repmodel"}),
     ]:
         proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                               text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
