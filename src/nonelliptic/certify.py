@@ -1,7 +1,8 @@
 """Certification engine: irreducibility and non-ellipticity proofs with
 machine-checkable witnesses, and the per-form pipeline the `certify` command
-runs. The certificate format and `check()` live in `checker`, the paper's
-bundle (`verify-paper` and the closed-form scan) in `paper`.
+runs on the ell and embeddings that `repmodel`'s admissibility rule admits.
+The certificate format and `check()` live in `checker`, the paper's bundle
+(`verify-paper` and the closed-form scan) in `paper`.
 
 Every emitted Certificate is self-contained: `check()` re-verifies the
 witness arithmetic from the recorded data alone, without calling the code
@@ -12,7 +13,6 @@ are sound but not complete), never an error.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .arith import is_prime, legendre, require_odd_prime, trial_factor
@@ -29,12 +29,11 @@ from .checker import (
     Certificate,
 )
 from .checker import check  # re-exported: perfbench/run.py calls certify.check
-from .quadfield import EmbeddingChoice, embedding_choices
 from .repmodel import (
     InsufficientDataError,
     NewformData,
     ResidualRep,
-    require_good_reduction,
+    embeddings,
     residual_rep,
     twist_to_det_chi,
 )
@@ -74,18 +73,16 @@ def irreducibility_by_discriminant(rep: ResidualRep, p: int) -> Certificate:
     )
 
 
-def reducibility_obstruction(
-    form: NewformData, p: int
-) -> tuple[Certificate, frozenset[int]]:
+def reducibility_obstruction(form: NewformData, p: int) -> Certificate:
     """Family-level irreducibility: a reducible mod-ell reduction would split
     as a character pair epsilon + epsilon^-1 chi^(k-1) with epsilon unramified
     outside the level, forcing a_p ≡ 1 + p^(k-1) (mod ell) whenever
     epsilon(p) = 1. The nonzero integer M = |1 + p^(k-1) - a_p| then confines
     reducibility to the primes dividing M.
 
-    Returns the certificate together with the exceptional set: the prime
-    factors of M plus p itself (Frob p says nothing mod p). The certificate
-    asserts irreducibility for every prime ell > 5 outside that set.
+    The witness's "exceptional" list is the prime factors of M plus p
+    itself (Frob p says nothing mod p); the certificate asserts
+    irreducibility for every prime ell > 5 outside it.
     """
     # epsilon has conductor c with c^2 dividing the level, so epsilon(p) = 1
     # is guaranteed by p ≡ 1 modulo prod q^floor(v_q(N)/2).
@@ -108,7 +105,7 @@ def reducibility_obstruction(
     m_value = abs(1 + p ** (form.weight - 1) - a.x)
     factors = [list(qe) for qe in trial_factor(m_value).factors] if m_value else []
     exceptional = sorted({q for q, _ in factors} | {p}) if m_value else []
-    cert = Certificate(
+    return Certificate(
         verdict=IRREDUCIBLE if m_value else INCONCLUSIVE,
         method=METHOD_OBSTRUCTION,
         ell=None,
@@ -116,7 +113,6 @@ def reducibility_obstruction(
                  "M": m_value, "factors": factors, "exceptional": exceptional},
         inputs={"form": form.form_id},
     )
-    return cert, frozenset(exceptional)
 
 
 def excluded_trace_set(p: int, ell: int) -> list[int]:
@@ -399,27 +395,6 @@ class CertifyReport:
         return "\n".join(lines)
 
 
-def select_embeddings(
-    form: NewformData, ell: int, root: int | None = None
-) -> Sequence[EmbeddingChoice | None]:
-    """The embeddings to certify at ell: [None] over Q; over Q(sqrt(d)) both
-    square roots of d mod ell, smaller first, or only `root` when given.
-    A bad-reduction ell is refused first, as residual_rep refuses it, and a
-    `root` over Q is refused, as residual_rep refuses an embedding there."""
-    require_good_reduction(form, ell)
-    if form.d is None:
-        if root is not None:
-            raise ValueError(f"--root {root} given, but form {form.form_id} has a "
-                             "rational coefficient field, which takes no embedding")
-        return [None]
-    embeddings = embedding_choices(form.d, ell)
-    if root is not None:
-        embeddings = [e for e in embeddings if e.root == root]
-        if not embeddings:
-            raise ValueError(f"--root {root} is not a square root of {form.d} mod {ell}")
-    return embeddings
-
-
 def certify_form(
     form: NewformData,
     ells: list[int],
@@ -427,11 +402,12 @@ def certify_form(
     witness_prime: int | None = None,
 ) -> CertifyReport:
     """Certification pipeline over a list of ells (sorted, deterministic):
-    one run per ell, or one per embedding (root) over a quadratic field."""
+    one run per embedding the rule (`repmodel.embeddings`) gives at each ell,
+    so one per ell over Q and one per root over a quadratic field."""
     ells = sorted(set(ells))
     runs = [
         certify_at_ell(form, ell, e, witness_prime)
         for ell in ells
-        for e in select_embeddings(form, ell, root)
+        for e in embeddings(form, ell, root)
     ]
     return CertifyReport(form_id=form.form_id, ells=tuple(ells), runs=tuple(runs))

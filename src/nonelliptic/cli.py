@@ -92,10 +92,11 @@ def _check_ell(ell: int) -> int:
 
 
 def _requested_ells(args, form) -> list[int]:
-    """The ells to certify: the single --ell, or the primes in
-    [--ell-min, --ell-max] that the recipe accepts: ell prime to the level,
-    (ell-1) not dividing (k-1), and over Q(sqrt(d)) ell split. A single
-    --ell the recipe refuses fails later, with its own error."""
+    """The ells to certify: the single --ell, or the primes in [--ell-min,
+    --ell-max] that `repmodel.admitted_ells` keeps. A single --ell the rule
+    refuses fails later, with its own error."""
+    from .repmodel import admitted_ells
+
     if args.ell is not None:
         return [_check_ell(args.ell)]
     if args.ell_min is None or args.ell_max is None:
@@ -106,19 +107,7 @@ def _requested_ells(args, form) -> list[int]:
         raise ValueError(f"no primes in [{args.ell_min}, {args.ell_max}]")
     if ells[0] <= 5:
         raise ValueError(f"ell={ells[0]} must be a prime > 5")
-    ells = [ell for ell in ells if form.level % ell and (form.weight - 1) % (ell - 1)]
-    if not ells:
-        raise ValueError(f"every prime in [{args.ell_min}, {args.ell_max}] divides the "
-                         f"level {form.level} or has (ell-1) dividing k-1 = {form.weight - 1}")
-    if form.d is not None:
-        # Euler's criterion: split iff d is a nonzero square mod ell
-        ells = [ell for ell in ells if pow(form.d, (ell - 1) // 2, ell) == 1]
-        if not ells:
-            raise ValueError(
-                f"no prime in [{args.ell_min}, {args.ell_max}] splits in "
-                f"Q(sqrt({form.d}))"
-            )
-    return ells
+    return admitted_ells(form, ells, f"[{args.ell_min}, {args.ell_max}]")
 
 
 def _cmd_verify_paper(args) -> int:
@@ -169,9 +158,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
-    from .certify import select_embeddings
     from .ecoracle import CurveQ, falsify_curve
-    from .repmodel import residual_rep, twist_to_det_chi
+    from .repmodel import embeddings, residual_rep, twist_to_det_chi
 
     try:
         coeffs = [int(c) for c in args.curve.split(",")]
@@ -184,7 +172,7 @@ def _cmd_falsify(args) -> int:
     form = data_io.load_form(args.input)
     ell = _check_ell(args.ell)
     # the smaller root unless --root picks one, as certify's first run
-    rep = residual_rep(form, ell, select_embeddings(form, ell, args.root)[0])
+    rep = residual_rep(form, ell, embeddings(form, ell, args.root)[0])
     twisted = twist_to_det_chi(rep)
     result = falsify_curve(curve, twisted)
     if args.format == "json":

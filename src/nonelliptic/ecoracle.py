@@ -168,27 +168,22 @@ class FalsifyResult:
         )
 
 
-def falsify_curve(
-    curve: CurveQ, rep: ResidualRep, prime_budget: list[int] | None = None
-) -> FalsifyResult:
+def falsify_curve(curve: CurveQ, rep: ResidualRep) -> FalsifyResult:
     """Search for a good-reduction prime where curve and representation traces
     disagree mod ell.
 
-    Only primes below POINT_COUNT_BUDGET, away from ell and from the model's
-    discriminant are compared (no minimal models: skipping a prime is
+    Only the stored primes of rep below POINT_COUNT_BUDGET and away from the
+    model's discriminant are compared (no minimal models: skipping a prime is
     conservative, a witness is always sound). First mismatch in increasing p.
     """
     if rep.det_exponent != 1:
         raise ValueError(
             "falsification needs determinant chi (twist the representation first)"
         )
-    if prime_budget is None:
-        prime_budget = rep.witness_primes()
     compared = []
     witness = None
-    for p in sorted(set(prime_budget)):
-        if (p >= POINT_COUNT_BUDGET or p not in rep.traces or p == rep.ell
-                or curve.disc % p == 0):
+    for p in rep.witness_primes():
+        if p >= POINT_COUNT_BUDGET or curve.disc % p == 0:
             continue
         compared.append(p)
         t = trace_of_frobenius(curve, p)

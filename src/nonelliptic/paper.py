@@ -231,9 +231,8 @@ def full_paper_verification(
     # --- weight-4 level-25 section ---------------------------------------
     exp4 = expectations["weight4_level25"]
     form4 = forms["weight4_level25"]
-    family_cert, exceptional = reducibility_obstruction(
-        form4, exp4["family_obstruction"]["witness_prime"]
-    )
+    family_cert = reducibility_obstruction(form4, exp4["family_obstruction"]["witness_prime"])
+    exceptional = family_cert.witness["exceptional"]  # sorted
     certs.append(family_cert)
 
     trace_p = exp4["trace_test_witness_prime"]
@@ -261,7 +260,7 @@ def full_paper_verification(
         "form": form4.form_id,
         "family_obstruction": family_cert,
         "family_note": _FAMILY_NOTE,
-        "exceptional": sorted(exceptional),
+        "exceptional": exceptional,
         "per_ell": per_ell,
         "scan": scan,
         "scan_text": scan.to_text(),
@@ -276,9 +275,9 @@ def full_paper_verification(
         mismatches.append(
             f"family obstruction factors {w['factors']}, expected {fam_exp['factors']}"
         )
-    if sorted(exceptional) != fam_exp["exceptional"]:
+    if exceptional != fam_exp["exceptional"]:
         mismatches.append(
-            f"exceptional set {sorted(exceptional)}, expected {fam_exp['exceptional']}"
+            f"exceptional set {exceptional}, expected {fam_exp['exceptional']}"
         )
     if family_cert.verdict != IRREDUCIBLE:
         mismatches.append("family obstruction verdict is not Irreducible")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import legendre, require_odd_prime, trial_factor
+from .arith import require_odd_prime, trial_factor
 
 
 class NotSplitError(ValueError):
@@ -67,6 +67,8 @@ class EmbeddingChoice:
 
     def __post_init__(self) -> None:
         require_odd_prime(self.ell)
+        if self.d % self.ell == 0:
+            raise split_refusal(self.d, self.ell)  # the RamifiedError
         if not 0 <= self.root < self.ell:
             raise ValueError(f"root {self.root} outside [0, {self.ell})")
         if (self.root * self.root - self.d) % self.ell != 0:
@@ -75,14 +77,26 @@ class EmbeddingChoice:
             )
 
 
+def split_refusal(d: int, ell: int) -> RamifiedError | NotSplitError | None:
+    """Why the odd prime ell does not split in Q(sqrt(d)): RamifiedError when
+    ell divides d, NotSplitError when ell is inert (Euler's criterion), None
+    when it splits. The error is returned, not raised."""
+    if d % ell == 0:
+        return RamifiedError(f"{ell} divides d={d}: ramified, neither split nor inert")
+    if pow(d, (ell - 1) // 2, ell) != 1:
+        return NotSplitError(f"no rational embedding: {ell} is inert in Q(sqrt({d}))")
+    return None
+
+
 def splits(d: int, ell: int) -> bool:
     """True iff the odd prime ell splits in Q(sqrt(d)), i.e. d is a nonzero
-    square mod ell."""
+    square mod ell; RamifiedError when ell divides d."""
     ensure_squarefree(d)
     require_odd_prime(ell)
-    if d % ell == 0:
-        raise RamifiedError(f"{ell} divides d={d}: ramified, neither split nor inert")
-    return legendre(d, ell) == 1
+    error = split_refusal(d, ell)
+    if isinstance(error, RamifiedError):
+        raise error
+    return error is None
 
 
 def _sqrt_mod(a: int, ell: int) -> int:
@@ -112,9 +126,7 @@ def _sqrt_mod(a: int, ell: int) -> int:
 def embedding_choices(d: int, ell: int) -> tuple[EmbeddingChoice, EmbeddingChoice]:
     """Both square roots of d mod a split ell, smaller root first."""
     if not splits(d, ell):
-        raise NotSplitError(
-            f"no rational embedding: {ell} is inert in Q(sqrt({d}))"
-        )
+        raise split_refusal(d, ell)  # the NotSplitError
     r = _sqrt_mod(d, ell)
     lo, hi = sorted((r, ell - r))
     return EmbeddingChoice(ell, lo, d), EmbeddingChoice(ell, hi, d)

@@ -15,7 +15,8 @@ import warnings
 from dataclasses import dataclass
 
 from .arith import is_prime, require_odd_prime
-from .quadfield import EmbeddingChoice, QuadInt, embedding_choices, ensure_squarefree, reduce_mod
+from .quadfield import (EmbeddingChoice, NotSplitError, QuadInt, RamifiedError,
+                        embedding_choices, ensure_squarefree, reduce_mod, split_refusal)
 
 
 class BadReductionError(ValueError):
@@ -143,54 +144,80 @@ class ResidualRep:
         return sorted(self.traces)
 
 
-def require_good_reduction(form: NewformData, ell: int) -> None:
-    """The recipe's first precondition, checked before any embedding is
-    chosen: ell must not divide the level."""
+def refusal(form: NewformData, ell: int, root: int | None = None) -> ValueError | None:
+    """The one admissibility rule: why the recipe refuses the odd prime ell
+    (not re-proved here) for `form` and `root`, returned, not raised, or None.
+    The first that applies wins: bad reduction, a root over Q, ell ramified
+    or inert in Q(sqrt(d)), a root that is not a square root of d, a
+    vanishing determinant exponent. No square root of d is taken."""
+    d = form.d
     if form.level % ell == 0:
-        raise BadReductionError(
-            f"bad reduction prime: {ell} divides the level {form.level}"
-        )
+        return BadReductionError(f"bad reduction prime: {ell} divides the level {form.level}")
+    if d is None:
+        if root is not None:
+            return ValueError(f"--root {root} given, but form {form.form_id} has a "
+                              "rational coefficient field, which takes no embedding")
+    else:
+        error = split_refusal(d, ell)
+        if error is not None:
+            return error
+        if root is not None and not (0 <= root < ell and (root * root - d) % ell == 0):
+            return ValueError(f"--root {root} is not a square root of {d} mod {ell}")
+    if (form.weight - 1) % (ell - 1) == 0:
+        # det would be the trivial character; nothing in this toolkit needs it
+        return ValueError(f"determinant exponent (k-1) mod (ell-1) vanishes for ell={ell}")
+    return None
 
 
-def residual_rep(
-    form: NewformData, ell: int, embedding: EmbeddingChoice | None = None
-) -> ResidualRep:
+def admitted_ells(form: NewformData, ells: list[int], span: str) -> list[int]:
+    """The primes of `ells` (the range `span`) the rule admits. Refused whole,
+    the range raises one ValueError: no prime splits when some ell is
+    ramified or inert, else each has bad reduction or a vanishing exponent."""
+    refusals = [refusal(form, ell) for ell in ells]
+    admitted = [ell for ell, error in zip(ells, refusals) if error is None]
+    if admitted:
+        return admitted
+    if any(isinstance(error, (NotSplitError, RamifiedError)) for error in refusals):
+        raise ValueError(f"no prime in {span} splits in Q(sqrt({form.d}))")
+    raise ValueError(f"every prime in {span} divides the level {form.level} "
+                     f"or has (ell-1) dividing k-1 = {form.weight - 1}")
+
+
+def embeddings(
+    form: NewformData, ell: int, root: int | None = None
+) -> tuple[EmbeddingChoice | None, ...]:
+    """The embeddings the recipe runs at ell: (None,) over Q; over Q(sqrt(d))
+    both square roots of d mod ell, smaller first, or only `root` when given.
+    Raises the refusal when the rule refuses ell."""
+    error = refusal(form, ell, root)
+    if error is not None:
+        raise error
+    if form.d is None:
+        return (None,)
+    if root is not None:
+        return (EmbeddingChoice(ell, root, form.d),)
+    return embedding_choices(form.d, ell)
+
+
+def residual_rep(form: NewformData, ell: int, embedding: EmbeddingChoice | None = None) -> ResidualRep:
     """The mod-ell reduction of the eigenvalue system of `form`.
 
-    For a quadratic coefficient field ell must split; the embedding defaults
-    to the smaller square root of d mod ell. a_ell, when stored, is dropped:
-    only primes away from level*ell are usable Frobenius traces.
+    The rule (`refusal`) must admit ell and the embedding's root; the
+    embedding defaults to the smaller square root of d mod ell. a_ell, when
+    stored, is dropped: only primes away from level*ell are usable traces.
     """
     require_odd_prime(ell)
-    require_good_reduction(form, ell)
-
-    if form.d is not None:
-        if embedding is None:
-            embedding = embedding_choices(form.d, ell)[0]
-        elif embedding.ell != ell or embedding.d != form.d:
-            raise ValueError("embedding does not match (d, ell)")
-    elif embedding is not None:
-        raise ValueError("rational coefficient field takes no embedding")
-
-    traces: dict[int, int] = {}
-    for p, a in form.eigenvalues.items():
-        if p == ell:
-            continue
-        if embedding is not None:
-            traces[p] = reduce_mod(a, embedding)
-        else:
-            traces[p] = a.x % ell
-
-    m = (form.weight - 1) % (ell - 1)
-    if m == 0:
-        # det would be the trivial character; nothing in this toolkit needs it
-        raise ValueError(
-            f"determinant exponent (k-1) mod (ell-1) vanishes for ell={ell}"
-        )
+    if embedding is None:
+        embedding = embeddings(form, ell)[0]
+    elif (error := refusal(form, ell, embedding.root)) is not None:
+        raise error
+    elif (embedding.ell, embedding.d) != (ell, form.d):
+        raise ValueError("embedding does not match (d, ell)")
     return ResidualRep(
         ell=ell,
-        det_exponent=m,
-        traces=traces,
+        det_exponent=(form.weight - 1) % (ell - 1),
+        traces={p: a.x % ell if embedding is None else reduce_mod(a, embedding)
+                for p, a in form.eigenvalues.items() if p != ell},
         source=form,
         embedding=embedding,
     )

@@ -1,4 +1,7 @@
+import ast
+import dataclasses
 import math
+import sys
 
 import pytest
 
@@ -15,6 +18,24 @@ def hasse_interval(p: int) -> set[int]:
         raise ValueError(f"{p} is not prime")
     bound = math.isqrt(4 * p)
     return set(range(-bound, bound + 1))
+
+
+def imports_outside_stdlib(path) -> set[str]:
+    """The modules a source file imports that are not in the stdlib, relative
+    ones spelled with their leading dots (".arith")."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    return {m for m in imported if m.split(".")[0] not in sys.stdlib_module_names}
+
+
+def stored_at(form, primes):
+    """`form` with its eigenvalues kept only at `primes`: what a representation
+    reduced from it can compare, e.g. in falsify_curve."""
+    return dataclasses.replace(form, eigenvalues={p: form.eigenvalues[p] for p in primes})
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ lines. Every tolerance (exactness, runtime budget) is pinned here.
 import random
 import time
 
-from conftest import hasse_interval
+from conftest import hasse_interval, stored_at
 from nonelliptic.arith import primes_in_range
 from nonelliptic.certify import (
     conductor_bound_test,
@@ -32,7 +32,8 @@ from nonelliptic.repmodel import residual_rep, twist_to_det_chi
 def test_criterion_1_irreducibility_reproduction(schoen_form):
     start = time.perf_counter()
 
-    cert, exceptional = reducibility_obstruction(schoen_form, 11)
+    cert = reducibility_obstruction(schoen_form, 11)
+    exceptional = cert.witness["exceptional"]
     assert cert.witness["M"] == 1375
     assert cert.witness["factors"] == [[5, 3], [11, 1]]
     assert sorted(exceptional) == [5, 11]
@@ -123,7 +124,7 @@ def test_criterion_5_oracle_cross_validation():
 
 
 def test_criterion_6_falsification_consistency(schoen_form):
-    tw = twist_to_det_chi(residual_rep(schoen_form, 11))
+    tw = twist_to_det_chi(residual_rep(stored_at(schoen_form, (2,)), 11))
     rng = random.Random(20260810)
     sampled = 0
     while sampled < 50:
@@ -132,7 +133,7 @@ def test_criterion_6_falsification_consistency(schoen_form):
         if disc == 0 or disc % 2 == 0:  # need nonsingular + good reduction at 2
             continue
         sampled += 1
-        result = falsify_curve(CurveQ(*coeffs), tw, prime_budget=[2])
+        result = falsify_curve(CurveQ(*coeffs), tw)
         assert result.found, f"no witness for {coeffs}"
         assert result.witness.p == 2
     print("ACCEPTANCE 6 PASS: 50/50 sampled curves with good reduction at 2 "

@@ -92,7 +92,8 @@ def test_discriminant_missing_prime(schoen_form):
 # --- reducibility obstruction ---------------------------------------------------
 
 def test_obstruction_at_11(schoen_form):
-    cert, exceptional = reducibility_obstruction(schoen_form, 11)
+    cert = reducibility_obstruction(schoen_form, 11)
+    exceptional = cert.witness["exceptional"]
     assert cert.verdict == IRREDUCIBLE
     assert cert.witness["M"] == 1375
     assert cert.witness["factors"] == [[5, 3], [11, 1]]
@@ -109,16 +110,18 @@ def test_obstruction_identically_satisfied_is_inconclusive():
 
     with pytest.warns(RamanujanBoundWarning):
         form = NewformData("t", 25, 4, None, {31: QuadInt(1 + 31**3)})
-    cert, exceptional = reducibility_obstruction(form, 31)
+    cert = reducibility_obstruction(form, 31)
+    exceptional = cert.witness["exceptional"]
     assert cert.verdict == INCONCLUSIVE
     assert cert.witness["M"] == 0
-    assert exceptional == frozenset()
+    assert exceptional == []
     assert check(cert)
 
 
 def test_obstruction_hypothetical_p41():
     form = NewformData("t", 25, 4, None, {41: QuadInt(2)})
-    cert, exceptional = reducibility_obstruction(form, 41)
+    cert = reducibility_obstruction(form, 41)
+    exceptional = cert.witness["exceptional"]
     assert cert.witness["M"] == 68920
     assert cert.witness["factors"] == [[2, 3], [5, 1], [1723, 1]]
     # every prime factor of M is kept, plus the witness prime itself
@@ -132,7 +135,8 @@ def test_obstruction_hypothetical_p41():
 ], ids=["M=1", "delta"])
 def test_obstruction_exceptional_set(level, weight, p, a_p, m_value, want):
     form = NewformData("t", level, weight, None, {p: QuadInt(a_p)})
-    cert, exceptional = reducibility_obstruction(form, p)
+    cert = reducibility_obstruction(form, p)
+    exceptional = cert.witness["exceptional"]
     assert cert.verdict == IRREDUCIBLE
     assert cert.witness["M"] == m_value
     assert sorted(exceptional) == cert.witness["exceptional"] == want
@@ -338,7 +342,7 @@ def test_check_rejects_tampered_trace_certificates(schoen_form):
 
 
 def test_check_rejects_tampered_obstruction(schoen_form):
-    cert, _ = reducibility_obstruction(schoen_form, 11)
+    cert = reducibility_obstruction(schoen_form, 11)
     d = cert.to_dict()
     bad = json.loads(json.dumps(d))
     bad["witness"]["exceptional"] = [11]  # dropped a factor of M
@@ -359,7 +363,7 @@ def test_check_rejects_tampered_conductor():
 
 
 def test_check_obstruction_with_unfactorable_level_is_false_quickly(schoen_form):
-    d = reducibility_obstruction(schoen_form, 11)[0].to_dict()
+    d = reducibility_obstruction(schoen_form, 11).to_dict()
     unfactorable = json.loads(json.dumps(d))
     unfactorable["witness"]["level"] = 1000000007 * 1000000009
     # above 2**64 the producer cannot factor the level either
@@ -418,7 +422,7 @@ def bundled_certificates() -> tuple[Certificate, ...]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         degenerate = NewformData("t", 25, 4, None, {31: QuadInt(1 + 31**3)})
-    certs = [reducibility_obstruction(f, p)[0] for f, p in ((schoen, 11), (degenerate, 31))]
+    certs = [reducibility_obstruction(f, p) for f, p in ((schoen, 11), (degenerate, 31))]
     certs += [c for r in certify_form(schoen, primes_in_range(7, 60)).runs
               for c in r.certificates()]
     certs += [c for r in certify_form(sqrt2, [7, 17, 23, 31, 41, 47]).runs
@@ -460,7 +464,7 @@ def _produced(cert: Certificate) -> Certificate | None:
             if cert.method == METHOD_OBSTRUCTION:
                 eigenvalues = {w["p"]: QuadInt(w["a_p"])}
                 form = NewformData("probe", w["level"], w["weight"], None, eigenvalues)
-                return reducibility_obstruction(form, w["p"])[0]
+                return reducibility_obstruction(form, w["p"])
             return conductor_bound_test(w["conductor"], ell=cert.ell)
     except Exception:
         return None
@@ -537,14 +541,14 @@ def test_an_extra_witness_key_fails_check(data):
 
 
 def test_check_rejects_a_reordered_factor_list(schoen_form):
-    cert, _ = reducibility_obstruction(schoen_form, 11)
+    cert = reducibility_obstruction(schoen_form, 11)
     assert cert.witness["factors"] == [[5, 3], [11, 1]]
     assert not check(_tampered(cert, factors=[[11, 1], [5, 3]]))
     assert not check(_tampered(conductor_bound_test(1375), factors=[[11, 1], [5, 3]]))
 
 
 def test_check_rejects_a_split_factor_list(schoen_form):
-    cert, _ = reducibility_obstruction(schoen_form, 11)
+    cert = reducibility_obstruction(schoen_form, 11)
     assert not check(_tampered(cert, factors=[[5, 1], [5, 2], [11, 1]]))
     assert not check(_tampered(conductor_bound_test(1375), factors=[[5, 1], [5, 2], [11, 1]]))
 
@@ -553,7 +557,7 @@ def test_check_accepts_changed_inputs_that_rebuild_the_same_record(schoen_form):
     # Internal consistency is all check() sees: a_11 = 2*(1 + 11^3) + 43 gives
     # the same M, and ell - trace the same discriminant. Binding a certificate
     # to its form's eigenvalues is a separate check.
-    cert, _ = reducibility_obstruction(schoen_form, 11)
+    cert = reducibility_obstruction(schoen_form, 11)
     assert check(_tampered(cert, a_p=2 * (1 + 11**3) + 43))
     disc = irreducibility_by_discriminant(residual_rep(schoen_form, 11), 2)
     assert check(_tampered(disc, trace=11 - disc.witness["trace"]))
@@ -561,7 +565,7 @@ def test_check_accepts_changed_inputs_that_rebuild_the_same_record(schoen_form):
 
 def test_check_rejects_inputs_no_producer_emits(schoen_form):
     # Frobenius at a prime of bad reduction, or at ell itself, says nothing.
-    cert, _ = reducibility_obstruction(schoen_form, 11)
+    cert = reducibility_obstruction(schoen_form, 11)
     assert not check(_tampered(cert, level=5 * 11))
     disc = irreducibility_by_discriminant(residual_rep(schoen_form, 13), 3)
     tr, m = disc.witness["trace"], disc.witness["det_exponent"]
@@ -577,7 +581,7 @@ def test_check_rejects_inputs_no_producer_emits(schoen_form):
 
 
 def test_check_rejects_non_integer_inputs(schoen_form):
-    cert, _ = reducibility_obstruction(schoen_form, 11)
+    cert = reducibility_obstruction(schoen_form, 11)
     for level in (26.5, 25.0, True, "25"):
         assert not check(_tampered(cert, level=level))
     # integral-float exponents: 9.0 == 9, so the rebuilt witness would compare equal
@@ -604,14 +608,14 @@ def test_check_rejects_non_integer_inputs(schoen_form):
 
 
 def test_check_refuses_a_huge_weight_quickly(schoen_form):
-    cert, _ = reducibility_obstruction(schoen_form, 11)
+    cert = reducibility_obstruction(schoen_form, 11)
     start = time.perf_counter()
     assert not check(_tampered(cert, weight=10**7))
     assert time.perf_counter() - start < 1.0
 
 
 def test_check_refuses_a_huge_factor_exponent_quickly(schoen_form):
-    cert, _ = reducibility_obstruction(schoen_form, 11)
+    cert = reducibility_obstruction(schoen_form, 11)
     start = time.perf_counter()
     assert not check(_tampered(conductor_bound_test(512), factors=[[3, 10**8]]))
     assert not check(_tampered(cert, factors=[[3, 10**8]]))

@@ -1,7 +1,6 @@
 """The checker trusts only `arith`: its import graph is pinned here, so a
 producer module cannot slip into what `check()` relies on."""
 
-import ast
 import json
 import os
 import subprocess
@@ -11,6 +10,7 @@ from pathlib import Path
 import nonelliptic
 import nonelliptic.certify
 import nonelliptic.checker
+from conftest import imports_outside_stdlib
 
 SRC = Path(nonelliptic.__file__).resolve().parent
 
@@ -26,15 +26,7 @@ def test_importing_the_checker_loads_only_arith():
 
 
 def test_checker_source_imports_only_the_stdlib_and_arith():
-    tree = ast.parse((SRC / "checker.py").read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom):
-            imported.add("." * node.level + (node.module or ""))
-    outside = {m for m in imported if m.split(".")[0] not in sys.stdlib_module_names}
-    assert outside == {".arith"}, imported
+    assert imports_outside_stdlib(SRC / "checker.py") == {".arith"}
 
 
 def test_certify_reexports_the_checker():

@@ -208,6 +208,49 @@ def test_certify_range_with_every_ell_excluded(tmp_path, capsys):
                    "(ell-1) dividing k-1 = 1\n")
 
 
+# Each error a single --ell can end with, and the range message of the same reason.
+RANGE_MESSAGE_OF = {
+    "bad reduction prime": "every prime in [{ell}, {ell}] divides the level {level} or has "
+                           "(ell-1) dividing k-1 = {k1}",
+    "determinant exponent": "every prime in [{ell}, {ell}] divides the level {level} or has "
+                            "(ell-1) dividing k-1 = {k1}",
+    "inert prime": "no prime in [{ell}, {ell}] splits in Q(sqrt({d}))",
+    "ramified prime": "no prime in [{ell}, {ell}] splits in Q(sqrt({d}))",
+}
+
+
+@pytest.mark.parametrize("level,weight,d", [
+    (512, 11, 2),  # 11 is inert and has (11-1) | (k-1): refused for both reasons
+    (77, 7, 2),  # 7 divides the level and has (7-1) | (k-1); 11 divides it and is inert
+    (3, 7, None),
+    (77, 13, None),
+    (10, 13, 7),  # 7 is ramified and has (7-1) | (k-1); so has the split 13
+    (9, 5, 7),  # 7 is ramified only
+])
+def test_a_single_ell_is_refused_exactly_when_a_one_prime_range_drops_it(
+        tmp_path, capsys, level, weight, d):
+    p = next(p for p in (2, 3, 5) if level % p)
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({
+        "id": "t", "level": level, "weight": weight,
+        "field": {"type": "rational"} if d is None else {"type": "quadratic", "d": d},
+        "eigenvalues": {str(p): {"x": 1, "y": 0 if d is None else 1}},
+    }))
+    refused = set()
+    for ell in primes_in_range(7, 199):
+        single = run(capsys, "certify", "-i", str(path), "--ell", str(ell), "--format", "json")
+        ranged = run(capsys, "certify", "-i", str(path), "--ell-min", str(ell),
+                     "--ell-max", str(ell), "--format", "json")
+        if single[0] != 1:
+            assert ranged == single, ell
+            continue
+        refused.add(ell)
+        (message,) = (m for r, m in RANGE_MESSAGE_OF.items() if single[2].startswith(f"error: {r}"))
+        want = message.format(ell=ell, level=level, k1=weight - 1, d=d)
+        assert ranged == (1, "", f"error: {want}\n"), (ell, single)
+    assert refused  # each form is refused somewhere in the range
+
+
 def test_certify_unfactorable_level_exits_quickly(tmp_path, capsys):
     # the level is the product of two primes above the trial-division bound;
     # at ell = 7 the trace test is inconclusive, so the conductor is needed
@@ -608,6 +651,8 @@ def test_import_leaves_out_jsonschema_and_process_pools():
         (["certify", "-i", SCHOEN, "--ell", "11"], {"nonelliptic.ecoracle", "nonelliptic.paper"}),
         (["verify-paper"], {"nonelliptic.ecoracle"}),
         (["scan", "7", "1000"], {"nonelliptic.certify", "nonelliptic.repmodel"}),
+        (["falsify", "--curve", "0,0,1,0,0", "-i", SCHOEN, "--ell", "11"],
+         {"nonelliptic.certify", "nonelliptic.checker", "nonelliptic.paper"}),
     ]:
         proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                               text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import hasse_interval
+from conftest import hasse_interval, stored_at
 from nonelliptic.arith import legendre, primes_in_range
 from nonelliptic.ecoracle import (
     ENUMERATION_BUDGET,
@@ -199,16 +199,16 @@ def test_falsify_insufficient_overlap(schoen_form):
 
 
 def test_falsify_skips_bad_reduction_primes(schoen_form):
-    tw = twist_to_det_chi(residual_rep(schoen_form, 11))
+    tw = twist_to_det_chi(residual_rep(stored_at(schoen_form, (2, 3, 7)), 11))
     curve = CurveQ(0, 0, 1, 0, 0)  # disc -27: bad at 3 only
-    result = falsify_curve(curve, tw, prime_budget=[2, 3, 7])
+    result = falsify_curve(curve, tw)
     assert 3 not in result.compared
 
 
 def test_falsify_consistency_with_trace_test(schoen_form):
     # criterion-2 logic: any curve with good reduction at 2 has trace in the
     # Hasse set mod 11, and the twisted representation trace 5 is outside it
-    tw = twist_to_det_chi(residual_rep(schoen_form, 11))
+    tw = twist_to_det_chi(residual_rep(stored_at(schoen_form, (2,)), 11))
     rng = random.Random(11)
     found = 0
     while found < 10:
@@ -217,5 +217,5 @@ def test_falsify_consistency_with_trace_test(schoen_form):
         if disc == 0 or disc % 2 == 0:
             continue
         found += 1
-        result = falsify_curve(CurveQ(*coeffs), tw, prime_budget=[2])
+        result = falsify_curve(CurveQ(*coeffs), tw)
         assert result.found and result.witness.p == 2

@@ -37,6 +37,13 @@ def test_splits_requires_odd_prime_and_squarefree_d():
         splits(12, 7)
 
 
+@pytest.mark.parametrize("root", range(7))
+def test_embedding_choice_refuses_a_ramified_prime(root):
+    # 0^2 = 7 (mod 7), yet 7 ramifies in Q(sqrt(7)): there is no embedding
+    with pytest.raises(RamifiedError, match="7 divides d=7: ramified"):
+        EmbeddingChoice(7, root, 7)
+
+
 def test_embedding_choices_examples():
     r1, r2 = embedding_choices(2, 7)
     assert (r1.root, r2.root) == (3, 4)

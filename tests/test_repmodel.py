@@ -1,13 +1,26 @@
+from pathlib import Path
+
 import pytest
 
-from nonelliptic.arith import trial_factor
-from nonelliptic.quadfield import NotSplitError, QuadInt, embedding_choices
+import nonelliptic
+from conftest import imports_outside_stdlib
+from nonelliptic.arith import primes_in_range, trial_factor
+from nonelliptic.quadfield import (
+    EmbeddingChoice,
+    NotSplitError,
+    QuadInt,
+    RamifiedError,
+    embedding_choices,
+)
 from nonelliptic.repmodel import (
     BadReductionError,
     FormDataError,
     InsufficientDataError,
     NewformData,
     RamanujanBoundWarning,
+    admitted_ells,
+    embeddings,
+    refusal,
     residual_rep,
     twist_to_det_chi,
 )
@@ -152,3 +165,103 @@ def test_ramanujan_violation_warns_but_loads():
 def test_bad_primes(schoen_form, sqrt2_form):
     assert trial_factor(schoen_form.level).factors == ((5, 2),)
     assert trial_factor(sqrt2_form.level).factors == ((2, 9),)
+
+
+# --- the admissibility rule -----------------------------------------------------
+
+def _form(level, weight, d):
+    y = 0 if d is None else 1
+    p = next(p for p in (2, 3, 5) if level % p)
+    return NewformData("t", level, weight, d, {p: QuadInt(1, y, d)})
+
+
+ROOT_OVER_Q = "--root 3 given, but form t has a rational coefficient field"
+VANISHES = "determinant exponent \\(k-1\\) mod \\(ell-1\\) vanishes for ell="
+
+
+@pytest.mark.parametrize("level,weight,d,ell,root,error,message", [
+    # each refusal where the ones after it also apply: the first one wins
+    (77, 7, 2, 7, 5, BadReductionError, "bad reduction prime: 7 divides the level 77"),
+    (3, 7, None, 7, 3, ValueError, ROOT_OVER_Q),
+    (3, 11, 2, 11, 5, NotSplitError, "11 is inert in Q\\(sqrt\\(2\\)\\)"),
+    (3, 7, 7, 7, 0, RamifiedError, "7 divides d=7: ramified"),
+    (3, 7, 2, 7, 5, ValueError, "--root 5 is not a square root of 2 mod 7"),
+    (3, 7, 2, 7, 3, ValueError, VANISHES + "7"),
+    (3, 7, None, 7, None, ValueError, VANISHES + "7"),
+], ids=["bad-reduction", "root-over-q", "inert", "ramified", "not-a-root", "vanishing",
+        "vanishing-over-q"])
+def test_refusals_come_in_one_order(level, weight, d, ell, root, error, message):
+    form = _form(level, weight, d)
+    got = refusal(form, ell, root)
+    assert type(got) is error
+    with pytest.raises(error, match=message):
+        raise got
+    # embeddings and residual_rep raise the same refusal
+    with pytest.raises(error, match=message):
+        embeddings(form, ell, root)
+    if root is None:
+        with pytest.raises(error, match=message):
+            residual_rep(form, ell)
+
+
+def test_embeddings_of_an_admitted_ell():
+    form = _form(3, 2, 2)
+    assert refusal(form, 7) is refusal(form, 7, 3) is None
+    assert embeddings(form, 7) == embedding_choices(2, 7)
+    assert embeddings(form, 7, 4) == (EmbeddingChoice(7, 4, 2),)
+    assert embeddings(_form(3, 2, None), 7) == (None,)
+
+
+def test_residual_rep_puts_an_explicit_embedding_through_the_rule(sqrt2_form, schoen_form):
+    with pytest.raises(ValueError, match="rational coefficient field, which takes no embedding"):
+        residual_rep(schoen_form, 7, EmbeddingChoice(7, 3, 2))
+    with pytest.raises(ValueError, match="does not match"):
+        residual_rep(sqrt2_form, 7, EmbeddingChoice(7, 3, 23))  # 3^2 = 23 = 2 (mod 7)
+    with pytest.raises(NotSplitError):
+        residual_rep(sqrt2_form, 11, EmbeddingChoice(7, 3, 2))
+    # the d = 7 form at the ramified 7: no embedding exists to hand in
+    with pytest.raises(RamifiedError):
+        residual_rep(_form(3, 2, 7), 7, EmbeddingChoice(7, 0, 7))
+
+
+@pytest.mark.parametrize("level,weight,d,message", [
+    (77, 2, None, "every prime in [7, 12] divides the level 77 or has (ell-1) dividing k-1 = 1"),
+    (3, 7, None, "every prime in [7, 7] divides the level 3 or has (ell-1) dividing k-1 = 6"),
+    (3, 13, 10, "no prime in [11, 13] splits in Q(sqrt(10))"),  # 11 inert, 13 vanishing
+    (3, 11, 2, "no prime in [11, 11] splits in Q(sqrt(2))"),  # inert and vanishing
+    (3, 2, 7, "no prime in [7, 7] splits in Q(sqrt(7))"),  # ramified
+], ids=["bad-reduction", "vanishing", "inert-or-vanishing", "inert-and-vanishing",
+        "ramified"])
+def test_admitted_ells_explains_a_range_it_refuses_whole(level, weight, d, message):
+    form = _form(level, weight, d)
+    lo, hi = map(int, message.split("[")[1].split("]")[0].split(", "))
+    with pytest.raises(ValueError) as exc:
+        admitted_ells(form, primes_in_range(lo, hi), f"[{lo}, {hi}]")
+    assert str(exc.value) == message
+    assert type(exc.value) is ValueError
+
+
+def test_admitted_ells_keeps_what_the_rule_admits():
+    form = _form(77, 7, 2)  # 7 and 11 divide the level; (7-1) | 6; 13 is inert
+    assert admitted_ells(form, primes_in_range(7, 50), "[7, 50]") == [17, 23, 31, 41, 47]
+    assert [ell for ell in primes_in_range(7, 50) if refusal(form, ell) is None] == [
+        17, 23, 31, 41, 47]
+
+
+def test_the_rule_takes_no_square_root_twice_per_ell(monkeypatch, sqrt2_form):
+    import nonelliptic.quadfield as quadfield
+    from nonelliptic.certify import certify_form
+
+    roots = []
+    sqrt_mod = quadfield._sqrt_mod
+    monkeypatch.setattr(quadfield, "_sqrt_mod", lambda a, ell: roots.append(ell) or sqrt_mod(a, ell))
+    ells = admitted_ells(sqrt2_form, primes_in_range(7, 200), "[7, 200]")
+    assert roots == []  # the range filter uses Euler's criterion alone
+    certify_form(sqrt2_form, ells)
+    assert roots == ells  # one root per ell gives both embeddings
+
+
+def test_repmodel_imports_only_the_stdlib_arith_and_quadfield():
+    # the rule's home never pulls in the certification engine
+    src = Path(nonelliptic.__file__).resolve().parent / "repmodel.py"
+    assert imports_outside_stdlib(src) <= {".arith", ".quadfield"}
