@@ -1,6 +1,7 @@
 """Certification engine: irreducibility and non-ellipticity proofs with
 machine-checkable witnesses, and the per-form pipeline the `certify` command
-runs on the ell and embeddings that `repmodel`'s admissibility rule admits.
+runs on the ell and embeddings that `repmodel`'s admissibility rule admits,
+in this process or, for a large range, on several CPUs (`parallel`).
 The certificate format and `check()` live in `checker`, the paper's bundle
 (`verify-paper` and the closed-form scan) in `paper`.
 
@@ -13,6 +14,7 @@ are sound but not complete), never an error.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 from .arith import is_prime, legendre, require_odd_prime, trial_factor
@@ -238,6 +240,10 @@ class EllCertification:
             return True
         return self.conductor is not None and self.conductor.verdict == NON_ELLIPTIC
 
+    @property
+    def proved(self) -> bool:
+        return self.proved_irreducible and self.proved_non_elliptic
+
     def certificates(self) -> list[Certificate]:
         out = [*self.trace_tests, self.irreducible, self.conductor]
         return [c for c in out if c is not None]
@@ -255,6 +261,46 @@ class EllCertification:
             "proved_non_elliptic": self.proved_non_elliptic,
             "notes": self.notes,
         }
+
+    def text_lines(self) -> list[str]:
+        """This run's lines of the text report."""
+        head = f"ell={self.ell}"
+        if self.embedding_root is not None:
+            head += f" root={self.embedding_root}"
+        lines = [f"  {head}"]
+        if self.proved_irreducible:
+            w = self.irreducible.witness
+            lines.append(
+                f"    irreducible: yes, discriminant witness p={w['p']} "
+                f"(delta={w['delta']}, legendre={w['legendre']})"
+            )
+        else:
+            lines.append(
+                "    irreducible: not established "
+                f"(witness primes tried: {list(self.irreducible_tried)})"
+            )
+        if self.twist_exponent is not None:
+            lines.append(f"    twist to determinant chi: exponent {self.twist_exponent}")
+        trace = next((c for c in self.trace_tests if c.verdict == NON_ELLIPTIC), None)
+        if trace is not None:
+            w = trace.witness
+            lines.append(
+                f"    non-elliptic: yes, trace witness p={w['p']} "
+                f"(trace={w['trace']}, excluded={w['excluded']})"
+            )
+        elif self.proved_non_elliptic:
+            w = self.conductor.witness
+            v = w["violation"]
+            lines.append(
+                f"    non-elliptic: yes, conductor {w['conductor']} "
+                f"violates v_{v['p']} <= {v['bound']} (exponent {v['exponent']})"
+            )
+        else:
+            lines.append("    non-elliptic: not established (all tests inconclusive)")
+        for note in self.notes:
+            lines.append(f"    note: {note}")
+        lines.append(f"    overall: {'proved' if self.proved else 'inconclusive'}")
+        return lines
 
 
 def certify_at_ell(
@@ -333,13 +379,19 @@ def certify_at_ell(
 
 @dataclass(frozen=True)
 class CertifyReport:
+    """The runs of certify_form over `ells`, in order. A report stitched from
+    chunks certified in other processes (`parallel`) holds each chunk as one
+    `RenderedRuns`, the chunk's runs as text in the report's format: its
+    `proved`, `text_lines()` and `to_dict()` stand in for theirs, so the
+    report writes the same bytes."""
+
     form_id: str
     ells: tuple[int, ...]
     runs: tuple[EllCertification, ...]
 
     @property
     def all_proved(self) -> bool:
-        return all(r.proved_irreducible and r.proved_non_elliptic for r in self.runs)
+        return all(r.proved for r in self.runs)
 
     def to_dict(self) -> dict:
         return {
@@ -352,45 +404,7 @@ class CertifyReport:
     def to_text(self) -> str:
         lines = [f"certify form={self.form_id}"]
         for r in self.runs:
-            head = f"ell={r.ell}"
-            if r.embedding_root is not None:
-                head += f" root={r.embedding_root}"
-            lines.append(f"  {head}")
-            if r.proved_irreducible:
-                w = r.irreducible.witness
-                lines.append(
-                    f"    irreducible: yes, discriminant witness p={w['p']} "
-                    f"(delta={w['delta']}, legendre={w['legendre']})"
-                )
-            else:
-                lines.append(
-                    "    irreducible: not established "
-                    f"(witness primes tried: {list(r.irreducible_tried)})"
-                )
-            if r.twist_exponent is not None:
-                lines.append(f"    twist to determinant chi: exponent {r.twist_exponent}")
-            trace = next((c for c in r.trace_tests if c.verdict == NON_ELLIPTIC), None)
-            if trace is not None:
-                w = trace.witness
-                lines.append(
-                    f"    non-elliptic: yes, trace witness p={w['p']} "
-                    f"(trace={w['trace']}, excluded={w['excluded']})"
-                )
-            elif r.proved_non_elliptic:
-                w = r.conductor.witness
-                v = w["violation"]
-                lines.append(
-                    f"    non-elliptic: yes, conductor {w['conductor']} "
-                    f"violates v_{v['p']} <= {v['bound']} (exponent {v['exponent']})"
-                )
-            else:
-                lines.append("    non-elliptic: not established (all tests inconclusive)")
-            for note in r.notes:
-                lines.append(f"    note: {note}")
-            verdictline = (
-                "proved" if r.proved_irreducible and r.proved_non_elliptic else "inconclusive"
-            )
-            lines.append(f"    overall: {verdictline}")
+            lines.extend(r.text_lines())
         lines.append(f"all proved: {'yes' if self.all_proved else 'no'}")
         return "\n".join(lines)
 
@@ -411,3 +425,53 @@ def certify_form(
         for e in embeddings(form, ell, root)
     ]
     return CertifyReport(form_id=form.form_id, ells=tuple(ells), runs=tuple(runs))
+
+
+# A spawned worker takes about 100 ms from start() until it certifies (a fresh
+# interpreter importing the engine; 2 CPUs, Python 3.11), the time in which
+# the parent certifies and renders about 1,600 runs in JSON (about 60 us each
+# while both CPUs are busy). A worker's chunk holds at least that many runs,
+# and the parent's, which starts at once, that many more than a worker's, so
+# all finish together; a range below three start-ups (4,800 runs) stays in
+# process. Measured on `schoen_s4_25` in JSON, two chunks lost 12% at 3,245
+# runs, tied at 4,650 and won 7% at 5,133.
+WORKER_START_RUNS = 1600
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def chunk_sizes(ell_count: int, runs_per_ell: int) -> list[int]:
+    """How many of the sorted ells each chunk takes, the parent's first:
+    [ell_count] alone unless at least two chunks pay for their workers."""
+    start = -(-WORKER_START_RUNS // runs_per_ell)  # a worker's start-up, in ells
+    chunks = min(usable_cpus(), ell_count // start - 1)
+    if chunks < 2:
+        return [ell_count]
+    size = (ell_count - start) // chunks
+    return [ell_count - size * (chunks - 1)] + [size] * (chunks - 1)
+
+
+def certify_range(
+    form: NewformData,
+    ells: list[int],
+    root: int | None,
+    witness_prime: int | None,
+    fmt: str,
+) -> CertifyReport:
+    """The report the `certify` command writes in `fmt`: certify_form's, or,
+    when the range is large enough (chunk_sizes), one certified on several
+    CPUs by `parallel.certify_in_chunks`, whose chunks are already text in
+    `fmt`. Either raises the first error in ell order."""
+    ells = sorted(set(ells))
+    sizes = chunk_sizes(len(ells), len(embeddings(form, ells[0], root)))
+    if len(sizes) == 1:
+        return certify_form(form, ells, root, witness_prime)
+    from .parallel import certify_in_chunks  # loads multiprocessing
+
+    return certify_in_chunks(form, ells, sizes, root, witness_prime, fmt)

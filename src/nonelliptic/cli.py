@@ -119,15 +119,13 @@ def _cmd_verify_paper(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    from .certify import certify_form
+    from .certify import certify_range
 
     if args.witness_prime is not None and not is_prime(args.witness_prime):
         raise ValueError(f"--witness-prime {args.witness_prime} is not prime")
     form = data_io.load_form(args.input)
     ells = _requested_ells(args, form)
-    report = certify_form(
-        form, ells, root=args.root, witness_prime=args.witness_prime
-    )
+    report = certify_range(form, ells, args.root, args.witness_prime, args.format)
     data_io.write_report(report, args.format, sys.stdout)
     return EXIT_PROVED if report.all_proved else EXIT_INCONCLUSIVE
 

@@ -166,6 +166,24 @@ _SCALARS = {
 _FLUSH_PIECES = 4096
 
 
+class Rendered:
+    """JSON text written verbatim in place of a value at nesting `depth`.
+    What render_items wrote for consecutive elements of a list there stands
+    in for them as one element: the list comes out byte for byte the same."""
+
+    # not a dataclass: building one would cost every command about 1 ms
+    __slots__ = ("text", "depth")
+
+    def __init__(self, text: str, depth: int) -> None:
+        self.text = text
+        self.depth = depth
+
+
+def _flush(pending: list, out) -> None:
+    out.write("".join(pending))
+    pending.clear()
+
+
 def _write_json(obj, indent: str, pending: list, out) -> None:
     """Append obj to pending as json.dumps(default=lambda o: o.to_dict(),
     sort_keys=True, indent=2, ensure_ascii=True) writes it when it sits at
@@ -198,33 +216,57 @@ def _write_json(obj, indent: str, pending: list, out) -> None:
             emit("[]")
             return
         inner = indent + "  "
-        sep, comma = "[\n" + inner, ",\n" + inner
-        if all(type(v) in _SCALARS for v in obj):
-            emit(sep + comma.join([_SCALARS[type(v)](v) for v in obj]))
-        else:
-            for value in obj:
-                if len(pending) >= _FLUSH_PIECES:
-                    out.write("".join(pending))
-                    pending.clear()
-                emit(sep)
-                _write_json(value, inner, pending, out)
-                sep = comma
+        _write_items(obj, inner, "[\n" + inner, pending, out)
         emit(f"\n{indent}]")
+    elif kind is Rendered:
+        if len(indent) != 2 * obj.depth:
+            raise ValueError(f"JSON rendered at depth {obj.depth} written at depth "
+                             f"{len(indent) // 2}")
+        # a chunk of a report is megabytes: written as it is, not copied by a join
+        _flush(pending, out)
+        out.write(obj.text)
     elif hasattr(obj, "to_dict"):
         _write_json(obj.to_dict(), indent, pending, out)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+def _write_items(items, indent: str, opening: str, pending: list, out) -> None:
+    """Append `opening` and the non-empty `items` as the elements of a list,
+    each at nesting `indent`, joined by the list's comma."""
+    comma = ",\n" + indent
+    if all(type(v) in _SCALARS for v in items):
+        pending.append(opening + comma.join([_SCALARS[type(v)](v) for v in items]))
+        return
+    sep = opening
+    for value in items:
+        if len(pending) >= _FLUSH_PIECES:
+            _flush(pending, out)
+        pending.append(sep)
+        _write_json(value, indent, pending, out)
+        sep = comma
+
+
+def render_items(items, depth: int) -> Rendered:
+    """The non-empty `items` rendered as consecutive elements of a list at
+    nesting `depth`: written there, the result stands in for them."""
+    out = io.StringIO()
+    pending: list[str] = []
+    _write_items(items, "  " * depth, "", pending, out)
+    _flush(pending, out)
+    return Rendered(out.getvalue(), depth)
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, two-space indent, ASCII only,
     trailing newline. Takes exactly the types reports hold: str, int, bool,
-    None, dict with str keys, list, tuple, and a record (anything with
-    to_dict), written as its to_dict(); anything else, a float or a subclass
-    included, raises TypeError. Byte for byte json.dumps(obj, default=lambda
-    o: o.to_dict(), sort_keys=True, indent=2, ensure_ascii=True) + "\n",
-    written directly: with an indent, json uses its pure-Python generator
-    encoder, which takes about twice as long on a large certify report.
+    None, dict with str keys, list, tuple, a record (anything with to_dict),
+    written as its to_dict(), and Rendered text, written as it is; anything
+    else, a float or a subclass included, raises TypeError. Without Rendered
+    text, byte for byte json.dumps(obj, default=lambda o: o.to_dict(),
+    sort_keys=True, indent=2, ensure_ascii=True) + "\n", written directly:
+    with an indent, json uses its pure-Python generator encoder, which takes
+    about twice as long on a large certify report.
     """
     buf = io.StringIO()
     write_report(obj, "json", buf)
@@ -244,7 +286,7 @@ def write_report(report, fmt: str, out) -> None:
         pending: list[str] = []
         _write_json(report, "", pending, out)
         pending.append("\n")
-        out.write("".join(pending))
+        _flush(pending, out)
     elif fmt == "text":
         out.write(report.to_text())
         out.write("\n")

@@ -192,7 +192,7 @@ def falsify_curve(curve: CurveQ, rep: ResidualRep) -> FalsifyResult:
             break
     if not compared:
         raise ValueError(
-            "insufficient overlap: no budget prime is comparable "
-            f"(good reduction, stored trace, p != ell, p < {POINT_COUNT_BUDGET})"
+            "insufficient overlap: none of the representation's stored primes "
+            f"is below {POINT_COUNT_BUDGET} with good reduction for the curve"
         )
     return FalsifyResult(witness, tuple(compared))

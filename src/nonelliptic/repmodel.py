@@ -171,16 +171,20 @@ def refusal(form: NewformData, ell: int, root: int | None = None) -> ValueError 
 
 def admitted_ells(form: NewformData, ells: list[int], span: str) -> list[int]:
     """The primes of `ells` (the range `span`) the rule admits. Refused whole,
-    the range raises one ValueError: no prime splits when some ell is
-    ramified or inert, else each has bad reduction or a vanishing exponent."""
+    the range raises one ValueError naming each kind of refusal it met: no
+    prime splits (ramified or inert), or each has bad reduction or a vanishing
+    exponent, or each is one of these."""
     refusals = [refusal(form, ell) for ell in ells]
     admitted = [ell for ell, error in zip(ells, refusals) if error is None]
     if admitted:
         return admitted
-    if any(isinstance(error, (NotSplitError, RamifiedError)) for error in refusals):
+    split = [isinstance(error, (NotSplitError, RamifiedError)) for error in refusals]
+    if all(split):
         raise ValueError(f"no prime in {span} splits in Q(sqrt({form.d}))")
-    raise ValueError(f"every prime in {span} divides the level {form.level} "
-                     f"or has (ell-1) dividing k-1 = {form.weight - 1}")
+    reasons = f"divides the level {form.level} or has (ell-1) dividing k-1 = {form.weight - 1}"
+    if any(split):
+        reasons = f"does not split in Q(sqrt({form.d})), {reasons}"
+    raise ValueError(f"every prime in {span} {reasons}")
 
 
 def embeddings(

@@ -571,8 +571,8 @@ def test_falsify_counts_no_points_at_a_huge_prime(tmp_path, capsys):
                          "--ell", "17")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
-    assert err == ("error: insufficient overlap: no budget prime is comparable "
-                   "(good reduction, stored trace, p != ell, p < 500)\n")
+    assert err == ("error: insufficient overlap: none of the representation's stored "
+                   "primes is below 500 with good reduction for the curve\n")
 
 
 def test_falsify_json(capsys):
@@ -599,7 +599,9 @@ def test_certify_range_json_streams_in_bounded_memory():
     # A child inherits its spawner's peak RSS across exec, and pytest's peak
     # is large, so a fresh interpreter spawns the CLI and reads its peak.
     # Holding the whole 12.4 MB report as text peaked at 85.8 MiB; streamed,
-    # the run objects set the peak at about 34 MiB.
+    # the run objects set the peak at about 34 MiB. With two CPUs the range
+    # is split, and the text of each chunk is held until the report is
+    # written: about 35 MiB.
     src = str(Path(nonelliptic.__file__).resolve().parents[1])
     helper = (
         "import os, subprocess, sys\n"
@@ -630,11 +632,16 @@ def test_import_leaves_out_jsonschema_and_process_pools():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    nonelliptic.cli.main(['verify-paper'])\n"
         "loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    nonelliptic.cli.main(['certify', '-i', sys.argv[1], '--ell-min', '7',\n"
+        "                          '--ell-max', '3000'])\n"
+        "loaded()\n"
     )
     proc = subprocess.run([sys.executable, "-c", code, SCHOEN], capture_output=True,
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
-    # after import, after certify (which parses a form), after verify-paper
-    assert proc.stdout.splitlines() == ["[]", "[]", "[]"], proc.stderr
+    # after import, after certify (which parses a form), after verify-paper,
+    # after a range too small to pay for a worker
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]", "[]"], proc.stderr
 
     # `import nonelliptic` loads no submodule, and each command only its own
     code = (
@@ -648,7 +655,8 @@ def test_import_leaves_out_jsonschema_and_process_pools():
     )
     for argv, absent in [
         (["oracle", "5"], {"nonelliptic.certify", "nonelliptic.paper", "nonelliptic.repmodel"}),
-        (["certify", "-i", SCHOEN, "--ell", "11"], {"nonelliptic.ecoracle", "nonelliptic.paper"}),
+        (["certify", "-i", SCHOEN, "--ell", "11"],
+         {"nonelliptic.ecoracle", "nonelliptic.paper", "nonelliptic.parallel"}),
         (["verify-paper"], {"nonelliptic.ecoracle"}),
         (["scan", "7", "1000"], {"nonelliptic.certify", "nonelliptic.repmodel"}),
         (["falsify", "--curve", "0,0,1,0,0", "-i", SCHOEN, "--ell", "11"],

@@ -227,7 +227,8 @@ def test_residual_rep_puts_an_explicit_embedding_through_the_rule(sqrt2_form, sc
 @pytest.mark.parametrize("level,weight,d,message", [
     (77, 2, None, "every prime in [7, 12] divides the level 77 or has (ell-1) dividing k-1 = 1"),
     (3, 7, None, "every prime in [7, 7] divides the level 3 or has (ell-1) dividing k-1 = 6"),
-    (3, 13, 10, "no prime in [11, 13] splits in Q(sqrt(10))"),  # 11 inert, 13 vanishing
+    (3, 13, 10, "every prime in [11, 13] does not split in Q(sqrt(10)), divides the level 3 "
+                "or has (ell-1) dividing k-1 = 12"),  # 11 inert, 13 split but vanishing
     (3, 11, 2, "no prime in [11, 11] splits in Q(sqrt(2))"),  # inert and vanishing
     (3, 2, 7, "no prime in [7, 7] splits in Q(sqrt(7))"),  # ramified
 ], ids=["bad-reduction", "vanishing", "inert-or-vanishing", "inert-and-vanishing",
