@@ -1,7 +1,7 @@
 """Certification engine: irreducibility and non-ellipticity proofs with
 machine-checkable witnesses, and the per-form pipeline the `certify` command
 runs on the ell and embeddings that `repmodel`'s admissibility rule admits,
-in this process or, for a large range, on several CPUs (`parallel`).
+in this process or, for a large range, in forked workers (`parallel`).
 The certificate format and `check()` live in `checker`, the paper's bundle
 (`verify-paper` and the closed-form scan) in `paper`.
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .arith import is_prime, legendre, require_odd_prime, trial_factor
 from .checker import (
@@ -39,6 +40,9 @@ from .repmodel import (
     residual_rep,
     twist_to_det_chi,
 )
+
+if TYPE_CHECKING:  # `certify` loads `parallel` only for a range it splits
+    from .parallel import RenderedRuns
 
 
 def _provenance(rep: ResidualRep) -> dict:
@@ -379,15 +383,15 @@ def certify_at_ell(
 
 @dataclass(frozen=True)
 class CertifyReport:
-    """The runs of certify_form over `ells`, in order. A report stitched from
-    chunks certified in other processes (`parallel`) holds each chunk as one
-    `RenderedRuns`, the chunk's runs as text in the report's format: its
+    """The runs of certify_form over `ells`, in order. A report certified by
+    forked workers (`parallel`) holds each batch of consecutive runs as one
+    `RenderedRuns`, the batch's runs as text in the report's format: its
     `proved`, `text_lines()` and `to_dict()` stand in for theirs, so the
     report writes the same bytes."""
 
     form_id: str
     ells: tuple[int, ...]
-    runs: tuple[EllCertification, ...]
+    runs: tuple[EllCertification | RenderedRuns, ...]
 
     @property
     def all_proved(self) -> bool:
@@ -427,15 +431,14 @@ def certify_form(
     return CertifyReport(form_id=form.form_id, ells=tuple(ells), runs=tuple(runs))
 
 
-# A spawned worker takes about 100 ms from start() until it certifies (a fresh
-# interpreter importing the engine; 2 CPUs, Python 3.11), the time in which
-# the parent certifies and renders about 1,600 runs in JSON (about 60 us each
-# while both CPUs are busy). A worker's chunk holds at least that many runs,
-# and the parent's, which starts at once, that many more than a worker's, so
-# all finish together; a range below three start-ups (4,800 runs) stays in
-# process. Measured on `schoen_s4_25` in JSON, two chunks lost 12% at 3,245
-# runs, tied at 4,650 and won 7% at 5,133.
-WORKER_START_RUNS = 1600
+# A range of fewer runs than this is certified in this process. The pool's
+# fixed cost, about 55 ms (importing concurrent.futures and multiprocessing,
+# forking, sending back the text, joining), is what one CPU takes to certify
+# and render about 500 runs in JSON. On 2 CPUs, `certify schoen_s4_25` in JSON
+# in the pool against one process tied at 1,500 runs, won 0-10% at 2,000,
+# 10-16% at 2,500 and 22-23% at 4,000 (two sweeps, medians of 10 runs each,
+# Python 3.11).
+POOL_MIN_RUNS = 2000
 
 
 def usable_cpus() -> int:
@@ -446,17 +449,6 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def chunk_sizes(ell_count: int, runs_per_ell: int) -> list[int]:
-    """How many of the sorted ells each chunk takes, the parent's first:
-    [ell_count] alone unless at least two chunks pay for their workers."""
-    start = -(-WORKER_START_RUNS // runs_per_ell)  # a worker's start-up, in ells
-    chunks = min(usable_cpus(), ell_count // start - 1)
-    if chunks < 2:
-        return [ell_count]
-    size = (ell_count - start) // chunks
-    return [ell_count - size * (chunks - 1)] + [size] * (chunks - 1)
-
-
 def certify_range(
     form: NewformData,
     ells: list[int],
@@ -465,13 +457,16 @@ def certify_range(
     fmt: str,
 ) -> CertifyReport:
     """The report the `certify` command writes in `fmt`: certify_form's, or,
-    when the range is large enough (chunk_sizes), one certified on several
-    CPUs by `parallel.certify_in_chunks`, whose chunks are already text in
-    `fmt`. Either raises the first error in ell order."""
+    for a range of at least POOL_MIN_RUNS runs on a platform that forks and a
+    process allowed more than one CPU, one certified by forked workers
+    (`parallel.certify_in_pool`), whose runs are `parallel.RenderedRuns`, text
+    in `fmt`. Either raises the first error in ell order. It forks, which is
+    only safe in a single-threaded process such as the CLI."""
     ells = sorted(set(ells))
-    sizes = chunk_sizes(len(ells), len(embeddings(form, ells[0], root)))
-    if len(sizes) == 1:
+    cpus = usable_cpus()
+    runs = len(ells) * len(embeddings(form, ells[0], root))
+    if cpus < 2 or runs < POOL_MIN_RUNS or not hasattr(os, "fork"):
         return certify_form(form, ells, root, witness_prime)
-    from .parallel import certify_in_chunks  # loads multiprocessing
+    from .parallel import certify_in_pool  # loads concurrent.futures and multiprocessing
 
-    return certify_in_chunks(form, ells, sizes, root, witness_prime, fmt)
+    return certify_in_pool(form, ells, cpus, root, witness_prime, fmt)

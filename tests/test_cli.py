@@ -600,8 +600,8 @@ def test_certify_range_json_streams_in_bounded_memory():
     # is large, so a fresh interpreter spawns the CLI and reads its peak.
     # Holding the whole 12.4 MB report as text peaked at 85.8 MiB; streamed,
     # the run objects set the peak at about 34 MiB. With two CPUs the range
-    # is split, and the text of each chunk is held until the report is
-    # written: about 35 MiB.
+    # is split, and the text of each batch is held until the report is
+    # written: about 34 MiB.
     src = str(Path(nonelliptic.__file__).resolve().parents[1])
     helper = (
         "import os, subprocess, sys\n"
@@ -640,7 +640,7 @@ def test_import_leaves_out_jsonschema_and_process_pools():
     proc = subprocess.run([sys.executable, "-c", code, SCHOEN], capture_output=True,
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     # after import, after certify (which parses a form), after verify-paper,
-    # after a range too small to pay for a worker
+    # after a range too small to pay for the process pool
     assert proc.stdout.splitlines() == ["[]", "[]", "[]", "[]"], proc.stderr
 
     # `import nonelliptic` loads no submodule, and each command only its own

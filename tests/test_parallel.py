@@ -1,8 +1,9 @@
-"""The chunked `certify` route: a large ell range certified by spawned workers
-must give the bytes, the stderr and the exit code of the in-process route.
+"""The chunked `certify` route: a large ell range certified in batches by
+forked workers must give the bytes, the stderr and the exit code of the
+in-process route.
 
-Tests force the route on small ranges by setting certify.WORKER_START_RUNS
-to 1 and the CPU count to 2 or 3, so they run the same on any machine.
+Tests force the route on small ranges by setting certify.POOL_MIN_RUNS to 1
+and the CPU count to 2 or 3, so they run the same on any machine.
 """
 
 import io
@@ -56,22 +57,21 @@ def _children() -> list[bytes]:
 
 @pytest.fixture
 def chunked(monkeypatch):
-    """Force the chunked route with `cpus` chunks; returns the list that
-    records one entry per worker whose results the parent reads."""
-    received = []
-    results = parallel._results
+    """Force the chunked route on `cpus` workers; returns the list that
+    records each cut of the ells into batches."""
+    cuts = []
+    batches = parallel.batches
 
-    def spy(*args):
-        received.append(1)
-        return results(*args)
+    def spy(ells, cpus):
+        cuts.append(batches(ells, cpus))
+        return cuts[-1]
 
     def force(cpus):
-        monkeypatch.setattr(certify, "WORKER_START_RUNS", 1)
+        monkeypatch.setattr(certify, "POOL_MIN_RUNS", 1)
         monkeypatch.setattr(certify, "usable_cpus", lambda: cpus)
-        # several batches per chunk; the workers get the size from the parent
-        monkeypatch.setattr(parallel, "_BATCH_ELLS", 7)
-        monkeypatch.setattr(parallel, "_results", spy)
-        return received
+        monkeypatch.setattr(parallel, "_BATCH_ELLS", 7)  # several batches per worker
+        monkeypatch.setattr(parallel, "batches", spy)
+        return cuts
 
     return force
 
@@ -79,9 +79,10 @@ def chunked(monkeypatch):
 def _same_as_in_process(capsys, chunked, cpus, *argv):
     """Run argv in process, then chunked; both must agree in full."""
     serial = run(capsys, *argv)
-    received = chunked(cpus)
+    cuts = chunked(cpus)
     assert run(capsys, *argv) == serial
-    return serial, received
+    assert _children() == []  # every worker joined, and no resource tracker
+    return serial, cuts
 
 
 def _odd_weight_claimed(tmp_path):
@@ -107,18 +108,18 @@ def test_chunked_report_equals_the_in_process_one(tmp_path, capsys, chunked, fmt
                                                    flags, code):
     if form == "odd-weight":
         form = _odd_weight_claimed(tmp_path)
-    (got, out, err), received = _same_as_in_process(
+    (got, out, err), cuts = _same_as_in_process(
         capsys, chunked, 3, "certify", "-i", form, "--ell-min", "7", "--ell-max", "300",
         "--format", fmt, *flags)
     assert (got, err) == (code, "")
-    assert received == [1, 1]  # two workers sent their chunks
+    assert len(cuts) == 1 and len(cuts[0]) in (6, 9)  # 2 or 3 batches for each of 3 workers
     if fmt == "json":
         assert len(json.loads(out)["runs"]) > 6
 
 
 def test_chunked_root_error_equals_the_in_process_one(capsys, chunked):
     # 3 is a square root of 2 mod 7 only: the in-process run fails at 17, in
-    # the parent's chunk, and each worker's chunk fails too
+    # the first batch, and every later batch fails too
     (code, out, err), _ = _same_as_in_process(
         capsys, chunked, 3, "certify", "-i", SQRT2, "--ell-min", "7", "--ell-max", "300",
         "--root", "3")
@@ -131,36 +132,45 @@ def test_chunked_root_error_equals_the_in_process_one(capsys, chunked):
 def test_a_workers_error_reaches_the_parent(tmp_path, capsys, chunked, cpus):
     # a_7 = 3 in weight 4 leaves the trace test inconclusive at 53 and 59
     # only, of the primes in [32, 59]; the conductor, claimed to be the
-    # level, cannot be factored there. The parent's chunk [37, 41, 43, 47]
-    # passes, so the error comes from the workers ([53, 59], or [53] and [59]).
+    # level, cannot be factored there. The batches before 53 pass, so the
+    # error comes from a later one ([53, 59], or [53] and [59]).
     form = _form(tmp_path, "late", {
         "level": UNFACTORABLE, "weight": 4, "field": {"type": "rational"},
         "eigenvalues": {"7": {"x": 3, "y": 0}}, "claimed_conductor_equality": True,
     })
     argv = ("certify", "-i", form, "--ell-min", "32", "--ell-max", "59")
-    assert certify.chunk_sizes(6, 1) == [6]
-    (code, out, err), received = _same_as_in_process(capsys, chunked, cpus, *argv)
-    assert certify.chunk_sizes(6, 1) == ([4, 2] if cpus == 2 else [4, 1, 1])
+    (code, out, err), cuts = _same_as_in_process(capsys, chunked, cpus, *argv)
+    assert cuts == ([[[37, 41, 43], [47, 53, 59]]] if cpus == 2
+                    else [[[37, 41], [43, 47], [53, 59]]])
     assert (code, out) == (1, "")
     assert err.startswith(f"error: cannot factor {UNFACTORABLE}")
-    assert received == [1]  # the first worker's error ends the run
     assert _active_children() == []
-    assert all(b"resource_tracker" in cmdline for cmdline in _children())
 
 
-def test_the_parents_error_wins_and_no_child_is_left(tmp_path, capsys, chunked):
+def test_the_first_batchs_error_wins_and_no_child_is_left(tmp_path, capsys, chunked):
     probe = json.loads(Path(SCHOEN).read_text())
     probe.update(id="probe", level=UNFACTORABLE, claimed_conductor_equality=True)
     form = tmp_path / "probe.json"
     form.write_text(json.dumps(probe))
-    # ell = 7 needs the conductor, and it is in the parent's chunk
-    (code, out, err), received = _same_as_in_process(
+    # ell = 7 needs the conductor, and it is in the first batch
+    (code, out, err), cuts = _same_as_in_process(
         capsys, chunked, 3, "certify", "-i", str(form), "--ell-min", "7", "--ell-max", "200")
     assert (code, out) == (1, "")
     assert err.startswith(f"error: cannot factor {UNFACTORABLE}")
-    assert received == []
+    assert cuts[0][0][0] == 7
     assert _active_children() == []
-    assert all(b"resource_tracker" in cmdline for cmdline in _children())
+
+
+def test_a_process_that_cannot_fork_or_has_one_cpu_stays_in_process(capsys, chunked,
+                                                                    monkeypatch):
+    argv = ("certify", "-i", SCHOEN, "--ell-min", "7", "--ell-max", "300")
+    serial = run(capsys, *argv)
+    cuts = chunked(1)
+    assert run(capsys, *argv) == serial
+    chunked(2)
+    monkeypatch.delattr(os, "fork")
+    assert run(capsys, *argv) == serial
+    assert cuts == []
 
 
 def _child(script: str, *args: str, flags=()) -> subprocess.CompletedProcess:
@@ -172,11 +182,23 @@ FORCED = (
     "import multiprocessing, sys\n"
     "from nonelliptic import certify\n"
     "from nonelliptic.cli import main\n"
-    "certify.WORKER_START_RUNS = 1\n"
+    "certify.POOL_MIN_RUNS = 1\n"
     "certify.usable_cpus = lambda: 3\n"
     "code = main(sys.argv[1:])\n"
     "assert multiprocessing.active_children() == []\n"
     "sys.exit(code)\n"
+)
+
+# A worker that certifies a batch holding 53 dies at once, as if killed.
+DYING = (
+    "import os\n"
+    "from nonelliptic import parallel\n"
+    "render = parallel.render_runs\n"
+    "def render_runs(form, root, witness_prime, fmt, ells):\n"
+    "    if 53 in ells:\n"
+    "        os._exit(3)\n"
+    "    return render(form, root, witness_prime, fmt, ells)\n"
+    "parallel.render_runs = render_runs\n"
 )
 
 
@@ -205,24 +227,31 @@ def test_chunked_route_is_clean_under_dev_mode_and_warnings_as_errors():
     assert proc.stdout == serial.stdout
 
 
-@pytest.mark.parametrize("cpus,ells,runs_per_ell,sizes", [
-    (1, 100_000, 1, [100_000]),  # one CPU: in process
-    (2, 4799, 1, [4799]),  # below three start-ups: in process
-    (2, 4800, 1, [3200, 1600]),
-    (2, 9589, 1, [5595, 3994]),  # schoen_s4_25 over 7..10^5
-    (2, 2400, 2, [1600, 800]),  # two runs per ell over Q(sqrt(d))
-    (4, 9589, 1, [3598, 1997, 1997, 1997]),
-    (64, 9589, 1, [3598, 1997, 1997, 1997]),  # at most one chunk per 1600 runs, less one
+def test_a_dying_worker_exits_1_and_leaves_no_child():
+    # FORCED asserts that no child outlives main()
+    proc = _child(DYING + FORCED, "certify", "-i", SCHOEN, "--ell-min", "7", "--ell-max", "300")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: a certify worker exited before sending its runs\n"
+
+
+@pytest.mark.parametrize("cpus,ells,batch,sizes", [
+    (2, 9589, 1000, [959] * 9 + [958]),  # schoen_s4_25 over 7..10^5
+    (2, 2000, 1000, [1000, 1000]),
+    (2, 2001, 1000, [500, 500, 500, 501]),
+    (3, 6, 7, [2, 2, 2]),
+    (4, 9589, 1000, [799] * 11 + [800]),
+    (3, 2, 7, [1, 1]),  # fewer ells than CPUs: no empty batch
 ])
-def test_chunk_sizes(monkeypatch, cpus, ells, runs_per_ell, sizes):
-    monkeypatch.setattr(certify, "usable_cpus", lambda: cpus)
-    got = certify.chunk_sizes(ells, runs_per_ell)
-    assert got == sizes
-    # every worker's chunk pays for its start-up, and the parent's is longer
-    start = -(-certify.WORKER_START_RUNS // runs_per_ell)
-    assert all(size >= start for size in got[1:])
-    assert all(got[0] >= size + start for size in got[1:])
-    assert len(got) <= cpus
+def test_batches_cut_the_ells_in_order_into_near_equal_batches(monkeypatch, cpus, ells,
+                                                                batch, sizes):
+    monkeypatch.setattr(parallel, "_BATCH_ELLS", batch)
+    items = list(range(100, 100 + ells))
+    got = parallel.batches(items, cpus)
+    assert sorted(map(len, got)) == sorted(sizes)
+    assert [ell for b in got for ell in b] == items
+    assert max(map(len, got)) - min(map(len, got)) <= 1
+    assert max(map(len, got)) <= batch
+    assert len(got) % cpus == 0 or len(got) == ells
 
 
 @pytest.mark.parametrize("form_id", ["schoen_s4_25", "s2_512_sqrt2"])
@@ -234,8 +263,8 @@ def test_rendered_runs_stand_in_for_their_runs(form_id, fmt):
     whole = certify_form(form, ells)
     for cuts in ([1], [5, 9], [len(ells) - 1]):
         bounds = [0, *cuts, len(ells)]
-        runs = tuple(batch for a, b in zip(bounds, bounds[1:])
-                     for batch in parallel.render_runs(form, ells[a:b], None, None, fmt, 4))
+        runs = tuple(parallel.render_runs(form, None, None, fmt, ells[a:b])
+                     for a, b in zip(bounds, bounds[1:]))
         stitched = type(whole)(whole.form_id, whole.ells, runs)
         assert stitched.all_proved == whole.all_proved
         assert _written(stitched, fmt) == _written(whole, fmt)
@@ -255,18 +284,3 @@ def test_rendered_json_is_written_verbatim_at_its_depth():
     with pytest.raises(ValueError, match="depth 2 written at depth 1"):
         canonical_json([render_items(items, 2)])
     assert canonical_json({"k": [Rendered("1", 2)]}) == '{\n  "k": [\n    1\n  ]\n}\n'
-
-
-def test_a_workers_exception_is_rebuilt_without_its_init():
-    # FormDataError takes (field, message) but its args are (message,), so
-    # pickle could not rebuild it; the parent does, with type and message
-    import multiprocessing
-
-    from nonelliptic.repmodel import FormDataError
-
-    receiver, sender = multiprocessing.Pipe(duplex=False)
-    with receiver, sender:
-        sender.send((FormDataError, ("level 0 must be positive",), "Traceback ...\n"))
-        with pytest.raises(FormDataError, match="^level 0 must be positive$") as exc:
-            parallel._results(None, receiver)
-    assert "Traceback ..." in str(exc.value.__cause__)
