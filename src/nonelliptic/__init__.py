@@ -37,10 +37,8 @@ _EXPORTS = {
     "trace_set": "ecoracle",
     "closed_form_scan": "paper",
     "full_paper_verification": "paper",
-    "EmbeddingChoice": "quadfield",
     "QuadInt": "quadfield",
     "embedding_choices": "quadfield",
-    "reduce_mod": "quadfield",
     "splits": "quadfield",
     "NewformData": "repmodel",
     "ResidualRep": "repmodel",

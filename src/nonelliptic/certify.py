@@ -48,7 +48,7 @@ if TYPE_CHECKING:  # `certify` loads `parallel` only for a range it splits
 def _provenance(rep: ResidualRep) -> dict:
     return {
         "form": rep.source.form_id,
-        "embedding_root": rep.embedding.root if rep.embedding else None,
+        "embedding_root": rep.root,
         "twist_exponent": rep.twist_exponent,
     }
 
@@ -121,11 +121,21 @@ def reducibility_obstruction(form: NewformData, p: int) -> Certificate:
     )
 
 
+# The most residues excluded_trace_set may list. A list holds at most
+# min(ell, 2B + 3) of them, B = isqrt(4p), so ells up to 10^6 (the bundled
+# forms are run up to 10^5) never meet it.
+EXCLUDED_SET_LIMIT = 10**6
+
+
 def excluded_trace_set(p: int, ell: int) -> list[int]:
     """Residues mod ell an elliptic trace at an unramified-or-semistable p can
     take: the Hasse interval |t| <= 2 sqrt(p) plus the level-raising values
-    ±(p+1)."""
+    ±(p+1). Raises ValueError, before building anything, when the list could
+    hold more than EXCLUDED_SET_LIMIT residues."""
     bound = math.isqrt(4 * p)
+    if (size := min(ell, 2 * bound + 3)) > EXCLUDED_SET_LIMIT:
+        raise ValueError(f"trace test at p={p}, ell={ell} would list up to {size} "
+                         f"excluded residues, over the limit of {EXCLUDED_SET_LIMIT}")
     if 2 * bound + 1 >= ell:
         # the interval alone already meets every residue class
         return list(range(ell))
@@ -310,17 +320,17 @@ class EllCertification:
 def certify_at_ell(
     form: NewformData,
     ell: int,
-    embedding=None,
+    root: int | None = None,
     witness_prime: int | None = None,
 ) -> EllCertification:
-    """Run the full certification pipeline for one ell and one embedding.
+    """Run the full certification pipeline for one ell and one embedding root.
 
     Irreducibility: discriminant test over the available witness primes,
     first success wins. Non-ellipticity: trace tests on the determinant-chi
     twist over the same primes, falling back to the conductor bound when the
     conductor is known exactly.
     """
-    rep = residual_rep(form, ell, embedding)
+    rep = residual_rep(form, ell, root)
     candidates = [witness_prime] if witness_prime is not None else rep.witness_primes()
     notes: list[str] = []
 
@@ -371,7 +381,7 @@ def certify_at_ell(
 
     return EllCertification(
         ell=ell,
-        embedding_root=rep.embedding.root if rep.embedding else None,
+        embedding_root=rep.root,
         irreducible=irreducible,
         irreducible_tried=tuple(tried),
         twist_exponent=twist_exponent,
@@ -424,9 +434,9 @@ def certify_form(
     so one per ell over Q and one per root over a quadratic field."""
     ells = sorted(set(ells))
     runs = [
-        certify_at_ell(form, ell, e, witness_prime)
+        certify_at_ell(form, ell, r, witness_prime)
         for ell in ells
-        for e in embeddings(form, ell, root)
+        for r in embeddings(form, ell, root)
     ]
     return CertifyReport(form_id=form.form_id, ells=tuple(ells), runs=tuple(runs))
 

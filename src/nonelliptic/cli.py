@@ -93,13 +93,14 @@ def _check_ell(ell: int) -> int:
 
 def _requested_ells(args, form) -> list[int]:
     """The ells to certify: the single --ell, or the primes in [--ell-min,
-    --ell-max] that `repmodel.admitted_ells` keeps. A single --ell the rule
-    refuses fails later, with its own error."""
+    --ell-max] that `repmodel.admitted_ells` keeps; --ell with either bound is
+    refused. A single --ell the rule refuses fails later, with its own error."""
     from .repmodel import admitted_ells
 
-    if args.ell is not None:
+    bounds = (args.ell_min, args.ell_max)
+    if args.ell is not None and bounds == (None, None):
         return [_check_ell(args.ell)]
-    if args.ell_min is None or args.ell_max is None:
+    if args.ell is not None or None in bounds:
         raise ValueError("give either --ell or both --ell-min and --ell-max")
     # The sieve is exact, so only the lower end needs checking.
     ells = primes_in_range(args.ell_min, args.ell_max)
@@ -157,7 +158,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_falsify(args) -> int:
     from .ecoracle import CurveQ, falsify_curve
-    from .repmodel import embeddings, residual_rep, twist_to_det_chi
+    from .repmodel import residual_rep, twist_to_det_chi
 
     try:
         coeffs = [int(c) for c in args.curve.split(",")]
@@ -170,7 +171,7 @@ def _cmd_falsify(args) -> int:
     form = data_io.load_form(args.input)
     ell = _check_ell(args.ell)
     # the smaller root unless --root picks one, as certify's first run
-    rep = residual_rep(form, ell, embeddings(form, ell, args.root)[0])
+    rep = residual_rep(form, ell, args.root)
     twisted = twist_to_det_chi(rep)
     result = falsify_curve(curve, twisted)
     if args.format == "json":

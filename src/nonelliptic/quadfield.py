@@ -1,5 +1,5 @@
-"""Elements x + y*sqrt(d) of a real quadratic coefficient ring, and their
-reduction into F_ell through a choice of square root of d mod ell.
+"""Elements x + y*sqrt(d) of a real quadratic coefficient ring, and the
+square roots of d mod ell that name their embeddings into F_ell.
 
 Only split primes are supported: an odd prime ell with legendre(d, ell) = +1
 admits two embeddings Z[sqrt(d)] -> F_ell, one per root. Inert primes would
@@ -57,26 +57,6 @@ class QuadInt:
         return self.x * self.x + (self.d or 0) * self.y * self.y
 
 
-@dataclass(frozen=True)
-class EmbeddingChoice:
-    """A root r of d mod ell, selecting one of the two embeddings into F_ell."""
-
-    ell: int
-    root: int
-    d: int
-
-    def __post_init__(self) -> None:
-        require_odd_prime(self.ell)
-        if self.d % self.ell == 0:
-            raise split_refusal(self.d, self.ell)  # the RamifiedError
-        if not 0 <= self.root < self.ell:
-            raise ValueError(f"root {self.root} outside [0, {self.ell})")
-        if (self.root * self.root - self.d) % self.ell != 0:
-            raise ValueError(
-                f"{self.root}^2 != {self.d} (mod {self.ell}): not an embedding"
-            )
-
-
 def split_refusal(d: int, ell: int) -> RamifiedError | NotSplitError | None:
     """Why the odd prime ell does not split in Q(sqrt(d)): RamifiedError when
     ell divides d, NotSplitError when ell is inert (Euler's criterion), None
@@ -123,18 +103,12 @@ def _sqrt_mod(a: int, ell: int) -> int:
     return r
 
 
-def embedding_choices(d: int, ell: int) -> tuple[EmbeddingChoice, EmbeddingChoice]:
-    """Both square roots of d mod a split ell, smaller root first."""
-    if not splits(d, ell):
-        raise split_refusal(d, ell)  # the NotSplitError
+def embedding_choices(d: int, ell: int) -> tuple[int, int]:
+    """Both square roots of d mod a split ell, smaller first: the roots that
+    name the two embeddings Z[sqrt(d)] -> F_ell, x + y*sqrt(d) -> x + y*root."""
+    ensure_squarefree(d)
+    require_odd_prime(ell)
+    if (error := split_refusal(d, ell)) is not None:
+        raise error
     r = _sqrt_mod(d, ell)
-    lo, hi = sorted((r, ell - r))
-    return EmbeddingChoice(ell, lo, d), EmbeddingChoice(ell, hi, d)
-
-
-def reduce_mod(v: QuadInt, e: EmbeddingChoice) -> int:
-    """Image of v = x + y*sqrt(d) in F_ell under the embedding, (x + y*root) mod ell."""
-    if v.d is not None and v.d != e.d:
-        raise ValueError(f"value lives in Q(sqrt({v.d})), embedding in Q(sqrt({e.d}))")
-    return (v.x + v.y * e.root) % e.ell
-
+    return min(r, ell - r), max(r, ell - r)

@@ -15,8 +15,8 @@ import warnings
 from dataclasses import dataclass
 
 from .arith import is_prime, require_odd_prime
-from .quadfield import (EmbeddingChoice, NotSplitError, QuadInt, RamifiedError,
-                        embedding_choices, ensure_squarefree, reduce_mod, split_refusal)
+from .quadfield import (NotSplitError, QuadInt, RamifiedError, embedding_choices,
+                        ensure_squarefree, split_refusal)
 
 
 class BadReductionError(ValueError):
@@ -107,14 +107,15 @@ class ResidualRep:
 
     traces maps p -> trace(Frob p) as an integer in [0, ell) for the stored
     primes p coprime to level*ell. The determinant is the det_exponent-th
-    power of the mod-ell cyclotomic character.
+    power of the mod-ell cyclotomic character. root names the embedding the
+    traces were reduced under (None over Q).
     """
 
     ell: int
     det_exponent: int
     traces: dict[int, int]
     source: NewformData
-    embedding: EmbeddingChoice | None = None
+    root: int | None = None
     twist_exponent: int = 0
 
     def __post_init__(self) -> None:
@@ -187,43 +188,37 @@ def admitted_ells(form: NewformData, ells: list[int], span: str) -> list[int]:
     raise ValueError(f"every prime in {span} {reasons}")
 
 
-def embeddings(
-    form: NewformData, ell: int, root: int | None = None
-) -> tuple[EmbeddingChoice | None, ...]:
-    """The embeddings the recipe runs at ell: (None,) over Q; over Q(sqrt(d))
-    both square roots of d mod ell, smaller first, or only `root` when given.
-    Raises the refusal when the rule refuses ell."""
+def embeddings(form: NewformData, ell: int, root: int | None = None) -> tuple[int | None, ...]:
+    """The embeddings the recipe runs at ell, by their roots: (None,) over Q;
+    over Q(sqrt(d)) both square roots of d mod ell, smaller first, or only
+    `root` when given. Raises the refusal when the rule refuses ell."""
     error = refusal(form, ell, root)
     if error is not None:
         raise error
     if form.d is None:
         return (None,)
     if root is not None:
-        return (EmbeddingChoice(ell, root, form.d),)
+        return (root,)
     return embedding_choices(form.d, ell)
 
 
-def residual_rep(form: NewformData, ell: int, embedding: EmbeddingChoice | None = None) -> ResidualRep:
-    """The mod-ell reduction of the eigenvalue system of `form`.
+def residual_rep(form: NewformData, ell: int, root: int | None = None) -> ResidualRep:
+    """The mod-ell reduction of the eigenvalue system of `form` under the
+    embedding x + y*sqrt(d) -> x + y*root.
 
-    The rule (`refusal`) must admit ell and the embedding's root; the
-    embedding defaults to the smaller square root of d mod ell. a_ell, when
-    stored, is dropped: only primes away from level*ell are usable traces.
+    The rule (`refusal`) must admit ell and the root; the root defaults to
+    the smaller square root of d mod ell. a_ell, when stored, is dropped:
+    only primes away from level*ell are usable traces.
     """
     require_odd_prime(ell)
-    if embedding is None:
-        embedding = embeddings(form, ell)[0]
-    elif (error := refusal(form, ell, embedding.root)) is not None:
-        raise error
-    elif (embedding.ell, embedding.d) != (ell, form.d):
-        raise ValueError("embedding does not match (d, ell)")
+    root = embeddings(form, ell, root)[0]
     return ResidualRep(
         ell=ell,
         det_exponent=(form.weight - 1) % (ell - 1),
-        traces={p: a.x % ell if embedding is None else reduce_mod(a, embedding)
+        traces={p: (a.x + a.y * (root or 0)) % ell
                 for p, a in form.eigenvalues.items() if p != ell},
         source=form,
-        embedding=embedding,
+        root=root,
     )
 
 
@@ -244,6 +239,6 @@ def twist_to_det_chi(rep: ResidualRep) -> ResidualRep:
         det_exponent=1,
         traces={p: (tr * pow(p, t, ell)) % ell for p, tr in rep.traces.items()},
         source=rep.source,
-        embedding=rep.embedding,
+        root=rep.root,
         twist_exponent=(rep.twist_exponent + t) % (ell - 1),
     )

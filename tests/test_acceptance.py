@@ -93,11 +93,11 @@ def test_criterion_3_closed_form_equivalence():
 
 def test_criterion_4_weight2_reproduction(sqrt2_form):
     assert splits(2, 7) is True
-    roots = tuple(e.root for e in embedding_choices(2, 7))
+    roots = embedding_choices(2, 7)
     assert roots == (3, 4)
 
-    for emb in embedding_choices(2, 7):
-        cert = irreducibility_by_discriminant(residual_rep(sqrt2_form, 7, emb), 29)
+    for root in roots:
+        cert = irreducibility_by_discriminant(residual_rep(sqrt2_form, 7, root), 29)
         assert cert.verdict == IRREDUCIBLE
         assert cert.witness["delta"] == 5
         assert cert.witness["legendre"] == -1

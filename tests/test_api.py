@@ -11,7 +11,6 @@ import nonelliptic
 PUBLIC_API = [
     "Certificate",
     "CurveQ",
-    "EmbeddingChoice",
     "Factorization",
     "NewformData",
     "QuadInt",
@@ -33,7 +32,6 @@ PUBLIC_API = [
     "non_elliptic_trace_test",
     "parse_form",
     "primes_in_range",
-    "reduce_mod",
     "reducibility_obstruction",
     "residual_rep",
     "serre_bound_predicate",
@@ -45,8 +43,10 @@ PUBLIC_API = [
     "write_report",
 ]
 
-# Names the package no longer has: helpers that only tests used, and
-# dump_report, which returned the whole report as one string (write_report).
+# Names the package no longer has: helpers that only tests used; dump_report,
+# which returned the whole report as one string (write_report); and
+# EmbeddingChoice and reduce_mod, since an embedding is named by its root
+# (residual_rep(form, ell, root) reduces under it).
 REMOVED = [
     ("nonelliptic.quadfield", "norm_discriminant"),
     ("nonelliptic.repmodel", "TwistSpec"),
@@ -63,6 +63,8 @@ REMOVED = [
     ("nonelliptic.ecoracle", "CurveFp"),
     ("nonelliptic.ecoracle", "count_points"),
     ("nonelliptic.data_io", "dump_report"),
+    ("nonelliptic.quadfield", "EmbeddingChoice"),
+    ("nonelliptic.quadfield", "reduce_mod"),
 ]
 
 REMOVED_MEMBERS = [
@@ -108,6 +110,6 @@ def test_str_override_is_gone(cls):
     assert "__str__" not in vars(getattr(nonelliptic, cls))
 
 
-@pytest.mark.parametrize("field", ["serre_conductor", "conductor_is_exact"])
+@pytest.mark.parametrize("field", ["serre_conductor", "conductor_is_exact", "embedding"])
 def test_removed_residual_rep_field_is_gone(field):
     assert field not in {f.name for f in dataclasses.fields(nonelliptic.ResidualRep)}

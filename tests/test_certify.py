@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nonelliptic.arith import primes_in_range, trial_factor
 from nonelliptic.certify import (
+    EXCLUDED_SET_LIMIT,
     certify_form,
     conductor_bound_test,
     excluded_trace_set,
@@ -55,12 +56,12 @@ def test_discriminant_weight4_ell11_p2(schoen_form):
 
 
 def test_discriminant_weight2_ell7_p29_both_roots(sqrt2_form):
-    for emb in embedding_choices(2, 7):
-        cert = irreducibility_by_discriminant(residual_rep(sqrt2_form, 7, emb), 29)
+    for root in embedding_choices(2, 7):
+        cert = irreducibility_by_discriminant(residual_rep(sqrt2_form, 7, root), 29)
         assert cert.verdict == IRREDUCIBLE
         assert cert.witness["delta"] == 5  # -44 = 5 (mod 7)
         assert cert.witness["legendre"] == -1
-        assert cert.inputs["embedding_root"] == emb.root
+        assert cert.inputs["embedding_root"] == root
         assert check(cert)
 
 
@@ -217,6 +218,18 @@ def test_excluded_set_equals_its_definition(p, ell):
     hasse = [t for t in range(-p - 1, p + 2) if t * t <= 4 * p]
     literal = {t % ell for t in hasse} | {(p + 1) % ell, -(p + 1) % ell}
     assert excluded_trace_set(p, ell) == sorted(literal)
+
+
+def test_excluded_set_refuses_a_list_past_its_limit():
+    # the list holds at most min(ell, 2B + 3) residues, B = isqrt(4p)
+    limit = EXCLUDED_SET_LIMIT
+    assert limit == 10**6
+    with pytest.raises(ValueError, match=f"p={10**18 + 9}, ell=1000003 .* limit of {limit}"):
+        excluded_trace_set(10**18 + 9, 1000003)  # ell > limit < 2B + 3
+    with pytest.raises(ValueError, match="limit"):
+        excluded_trace_set(10**12 + 39, 10**10 + 19)  # 2B + 3 = 4000003
+    assert len(excluded_trace_set(10**18 + 9, 999983)) == 999983  # fills F_ell
+    assert len(excluded_trace_set(2, 10**10 + 19)) == 7  # {-2..2} and ±3
 
 
 # --- closed-form scan ------------------------------------------------------------

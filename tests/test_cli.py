@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -174,6 +175,15 @@ def test_certify_range_rejects_small_ell(capsys):
     code, out, err = run(capsys, "certify", "-i", SCHOEN, "--ell-min", "2",
                          "--ell-max", "30")
     assert (code, out, err) == (1, "", "error: ell=2 must be a prime > 5\n")
+
+
+@pytest.mark.parametrize("bounds", [["--ell-min", "3", "--ell-max", "5"], ["--ell-min", "3"],
+                                    ["--ell-max", "5"]], ids=["both", "min", "max"])
+def test_certify_refuses_ell_with_a_range_bound(capsys, bounds):
+    # --ell used to win silently over the range
+    code, out, err = run(capsys, "certify", "-i", SCHOEN, "--ell", "11", *bounds)
+    assert (code, out, err) == (1, "", "error: give either --ell or both --ell-min "
+                                       "and --ell-max\n")
 
 
 def _rational_form(tmp_path, level, weight):
@@ -354,6 +364,36 @@ def test_certify_huge_witness_prime_finishes_quickly(tmp_path, capsys):
     (trace_test,) = json.loads(out)["runs"][0]["trace_tests"]
     assert trace_test["verdict"] == "Inconclusive"
     assert trace_test["witness"]["excluded"] == list(range(17))
+
+
+def test_certify_trace_test_past_the_excluded_set_limit_exits_1(tmp_path):
+    # at p = 10^18 + 9 the Hasse interval mod ell = 10^10 + 19 has about 4*10^9
+    # residues; the trace test refuses to list them instead of running out of
+    # time. The child's address space is capped, so a regression fails fast.
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    p, ell = 10**18 + 9, 10**10 + 19
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps({
+        "id": "probe", "level": 1, "weight": 2, "field": {"type": "rational"},
+        "eigenvalues": {str(p): {"x": 3, "y": 0}},
+    }))
+    src = str(Path(nonelliptic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        q for q in (src, os.environ.get("PYTHONPATH")) if q)}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "nonelliptic", "certify", "-i", str(probe), "--ell", str(ell)],
+        env=env, preexec_fn=limit_address_space, capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 2.0
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (f"error: trace test at p={p}, ell={ell} would list up to "
+                           f"{2 * math.isqrt(4 * p) + 3} excluded residues, over the "
+                           "limit of 1000000\n")
 
 
 def test_certify_schema_error(tmp_path, capsys):

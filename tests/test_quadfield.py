@@ -1,18 +1,32 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import nonelliptic
+from conftest import imports_outside_stdlib
 from nonelliptic.arith import primes_in_range
 
 from nonelliptic.quadfield import (
-    EmbeddingChoice,
     NotSplitError,
     QuadInt,
     RamifiedError,
     _sqrt_mod,
     embedding_choices,
-    reduce_mod,
     splits,
 )
+from nonelliptic.repmodel import NewformData, residual_rep
+
+
+def reduced(values, ell, root, d=2):
+    """The images in F_ell of `values` under the embedding named by `root`,
+    read off residual_rep of a level-1 form over Q(sqrt(d)) holding them as
+    a_p at the primes 2, 3, 5, ... (skipping ell). Its weight, 40, is high
+    enough that no value here breaks the Ramanujan bound."""
+    primes = [p for p in primes_in_range(2, 100) if p != ell][:len(values)]
+    form = NewformData("t", 1, 40, d, dict(zip(primes, values)))
+    rep = residual_rep(form, ell, root)
+    return [rep.traces[p] for p in primes]
 
 
 def test_splits_examples():
@@ -41,15 +55,15 @@ def test_splits_requires_odd_prime_and_squarefree_d():
 def test_embedding_choice_refuses_a_ramified_prime(root):
     # 0^2 = 7 (mod 7), yet 7 ramifies in Q(sqrt(7)): there is no embedding
     with pytest.raises(RamifiedError, match="7 divides d=7: ramified"):
-        EmbeddingChoice(7, root, 7)
+        reduced([QuadInt(1, 1, 7)], 7, root, d=7)
+    with pytest.raises(RamifiedError, match="7 divides d=7: ramified"):
+        embedding_choices(7, 7)
 
 
 def test_embedding_choices_examples():
-    r1, r2 = embedding_choices(2, 7)
-    assert (r1.root, r2.root) == (3, 4)
+    assert embedding_choices(2, 7) == (3, 4)
     assert (3 * 3) % 7 == 2 and (4 * 4) % 7 == 2
-    r1, r2 = embedding_choices(2, 17)
-    assert (r1.root, r2.root) == (6, 11)
+    assert embedding_choices(2, 17) == (6, 11)
     with pytest.raises(NotSplitError, match="no rational embedding"):
         embedding_choices(2, 11)
 
@@ -62,8 +76,8 @@ def test_embedding_roots_sum_to_ell(d, ell):
     if not splits(d, ell):
         return
     r1, r2 = embedding_choices(d, ell)
-    assert r1.root + r2.root == ell
-    assert r1.root < r2.root
+    assert r1 + r2 == ell
+    assert r1 < r2
 
 
 def linear_search_roots(d, ell):
@@ -80,7 +94,7 @@ def test_sqrt_mod_equals_linear_search_below_3000(d):
         r = _sqrt_mod(d, ell)
         assert sorted((r, ell - r)) == roots, (d, ell)
         if d > 1:
-            assert [e.root for e in embedding_choices(d, ell)] == roots, (d, ell)
+            assert list(embedding_choices(d, ell)) == roots, (d, ell)
 
 
 def test_embedding_choices_rejects_non_real_d():
@@ -92,28 +106,26 @@ def test_embedding_choices_rejects_non_real_d():
 
 def test_embedding_choices_at_a_large_split_prime():
     ell = 2**61 - 1  # 2**62 = 2 (mod ell), so 2**31 is a root of 2
-    r1, r2 = embedding_choices(2, ell)
-    assert (r1.root, r2.root) == (2**31, ell - 2**31)
+    assert embedding_choices(2, ell) == (2**31, ell - 2**31)
 
 
 def test_embedding_choice_validation():
-    with pytest.raises(ValueError):
-        EmbeddingChoice(7, 5, 2)  # 25 != 2 mod 7
-    with pytest.raises(ValueError):
-        EmbeddingChoice(7, 10, 2)  # out of range
+    with pytest.raises(ValueError, match="--root 5 is not a square root of 2 mod 7"):
+        reduced([QuadInt(1, 1, 2)], 7, 5)  # 25 != 2 mod 7
+    with pytest.raises(ValueError, match="--root 10 is not a square root of 2 mod 7"):
+        reduced([QuadInt(1, 1, 2)], 7, 10)  # out of range
 
 
 def test_reduce_examples():
-    e3 = EmbeddingChoice(7, 3, 2)
-    assert reduce_mod(QuadInt(0, 6, 2), e3) == 4   # 18 = 4 (mod 7)
-    assert reduce_mod(QuadInt(-4), e3) == 3        # rational, any embedding
-    assert reduce_mod(QuadInt(0), e3) == 0
+    # 18 = 4 (mod 7); a rational value reduces alike under any embedding
+    assert reduced([QuadInt(0, 6, 2), QuadInt(-4), QuadInt(0)], 7, 3) == [4, 3, 0]
 
 
 def test_reduce_rejects_mismatched_field():
-    e = EmbeddingChoice(11, 5, 3)  # 25 = 3 (mod 11)
+    # a value of Q(sqrt(2)) never reaches a reduction under a root of 3 mod 11
+    # (25 = 3): the form over Q(sqrt(3)) refuses to hold it
     with pytest.raises(ValueError, match="sqrt"):
-        reduce_mod(QuadInt(1, 1, 2), e)
+        reduced([QuadInt(1, 1, 2)], 11, 5, d=3)
 
 
 quadints = st.builds(
@@ -130,11 +142,13 @@ def test_reduce_is_a_ring_homomorphism(u, v):
     total = QuadInt(u.x + v.x, u.y + v.y, 2)
     product = QuadInt(u.x * v.x + 2 * u.y * v.y, u.x * v.y + u.y * v.x, 2)
     negated = QuadInt(-u.x, -u.y, 2)
-    for e in embedding_choices(2, 7) + embedding_choices(2, 17):
-        ell = e.ell
-        assert reduce_mod(total, e) == (reduce_mod(u, e) + reduce_mod(v, e)) % ell
-        assert reduce_mod(product, e) == (reduce_mod(u, e) * reduce_mod(v, e)) % ell
-        assert reduce_mod(negated, e) == (-reduce_mod(u, e)) % ell
+    for ell in (7, 17):
+        for root in embedding_choices(2, ell):
+            ru, rv, rtotal, rproduct, rnegated = reduced([u, v, total, product, negated],
+                                                         ell, root)
+            assert rtotal == (ru + rv) % ell
+            assert rproduct == (ru * rv) % ell
+            assert rnegated == (-ru) % ell
 
 
 def test_quadint_invariants():
@@ -150,7 +164,13 @@ def test_discriminant_residue_is_embedding_independent(a):
 
     for ell, p, k in ((7, 29, 2), (17, 29, 2), (7, 13, 2)):
         delta = a.square_if_rational() - 4 * p ** (k - 1)
-        for e in embedding_choices(2, ell):
-            tr = reduce_mod(a, e)
+        for root in embedding_choices(2, ell):
+            [tr] = reduced([a], ell, root)
             assert (tr * tr - 4 * p ** (k - 1)) % ell == delta % ell
         assert legendre(delta, ell) in (-1, 0, 1)
+
+
+def test_quadfield_imports_only_the_stdlib_and_arith():
+    # the bottom of the layer table: values and roots, no forms or certificates
+    src = Path(nonelliptic.__file__).resolve().parent / "quadfield.py"
+    assert imports_outside_stdlib(src) == {".arith"}

@@ -6,7 +6,6 @@ import nonelliptic
 from conftest import imports_outside_stdlib
 from nonelliptic.arith import primes_in_range, trial_factor
 from nonelliptic.quadfield import (
-    EmbeddingChoice,
     NotSplitError,
     QuadInt,
     RamifiedError,
@@ -32,12 +31,12 @@ def test_residual_rep_of_weight4_form_at_11(schoen_form):
     assert rep.det_exponent == 3
     assert rep.source.level == 25
     assert rep.source.claimed_conductor_equality is False
-    assert rep.embedding is None
+    assert rep.root is None
 
 
 def test_residual_rep_of_weight2_form_at_7(sqrt2_form):
     rep = residual_rep(sqrt2_form, 7)  # defaults to the smaller root, 3
-    assert rep.embedding.root == 3
+    assert rep.root == 3
     assert rep.traces[29] == 4  # 6*3 = 18 = 4 (mod 7)
     assert rep.det_exponent == 1
     assert 7 not in rep.traces  # a_7 dropped: p = ell
@@ -199,29 +198,26 @@ def test_refusals_come_in_one_order(level, weight, d, ell, root, error, message)
     # embeddings and residual_rep raise the same refusal
     with pytest.raises(error, match=message):
         embeddings(form, ell, root)
-    if root is None:
-        with pytest.raises(error, match=message):
-            residual_rep(form, ell)
+    with pytest.raises(error, match=message):
+        residual_rep(form, ell, root)
 
 
 def test_embeddings_of_an_admitted_ell():
     form = _form(3, 2, 2)
     assert refusal(form, 7) is refusal(form, 7, 3) is None
     assert embeddings(form, 7) == embedding_choices(2, 7)
-    assert embeddings(form, 7, 4) == (EmbeddingChoice(7, 4, 2),)
+    assert embeddings(form, 7, 4) == (4,)
     assert embeddings(_form(3, 2, None), 7) == (None,)
 
 
 def test_residual_rep_puts_an_explicit_embedding_through_the_rule(sqrt2_form, schoen_form):
     with pytest.raises(ValueError, match="rational coefficient field, which takes no embedding"):
-        residual_rep(schoen_form, 7, EmbeddingChoice(7, 3, 2))
-    with pytest.raises(ValueError, match="does not match"):
-        residual_rep(sqrt2_form, 7, EmbeddingChoice(7, 3, 23))  # 3^2 = 23 = 2 (mod 7)
+        residual_rep(schoen_form, 7, 3)
     with pytest.raises(NotSplitError):
-        residual_rep(sqrt2_form, 11, EmbeddingChoice(7, 3, 2))
+        residual_rep(sqrt2_form, 11, 3)
     # the d = 7 form at the ramified 7: no embedding exists to hand in
     with pytest.raises(RamifiedError):
-        residual_rep(_form(3, 2, 7), 7, EmbeddingChoice(7, 0, 7))
+        residual_rep(_form(3, 2, 7), 7, 0)
 
 
 @pytest.mark.parametrize("level,weight,d,message", [
@@ -265,4 +261,4 @@ def test_the_rule_takes_no_square_root_twice_per_ell(monkeypatch, sqrt2_form):
 def test_repmodel_imports_only_the_stdlib_arith_and_quadfield():
     # the rule's home never pulls in the certification engine
     src = Path(nonelliptic.__file__).resolve().parent / "repmodel.py"
-    assert imports_outside_stdlib(src) <= {".arith", ".quadfield"}
+    assert imports_outside_stdlib(src) == {".arith", ".quadfield"}
