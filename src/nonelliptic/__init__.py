@@ -38,8 +38,6 @@ _EXPORTS = {
     "closed_form_scan": "paper",
     "full_paper_verification": "paper",
     "QuadInt": "quadfield",
-    "embedding_choices": "quadfield",
-    "splits": "quadfield",
     "NewformData": "repmodel",
     "ResidualRep": "repmodel",
     "residual_rep": "repmodel",

@@ -337,6 +337,9 @@ def certify_at_ell(
     irreducible: Certificate | None = None
     tried: list[int] = []
     for p in candidates:
+        if p == ell:
+            notes.append(f"p={p} is ell: no Frobenius trace there; discriminant test skipped")
+            continue
         try:
             cert = irreducibility_by_discriminant(rep, p)
         except InsufficientDataError:

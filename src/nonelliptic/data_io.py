@@ -67,8 +67,8 @@ def _members(value, path: str, required: tuple, optional: tuple = ()) -> dict:
 
 def parse_form(text: str | bytes) -> NewformData:
     """Parse and validate one FormRecord in one walk: the wire format of
-    data/form_record.schema.json here, the mathematics in NewformData and
-    QuadInt. Errors carry the JSON path of the offending value."""
+    data/form_record.schema.json here, the mathematics in NewformData.
+    Errors carry the JSON path of the offending value."""
     # imported here: `oracle` writes a report through this module but parses
     # no form, so it need not compile the form model
     from .quadfield import QuadInt
@@ -102,11 +102,8 @@ def parse_form(text: str | bytes) -> NewformData:
             raise _violation("$.eigenvalues", f"key {key!r} does not match '[1-9][0-9]*'")
         path = f"$.eigenvalues.{key}"
         _members(entry, path, ("x", "y"))
-        x, y = _typed(entry["x"], int, path + ".x"), _typed(entry["y"], int, path + ".y")
-        try:
-            eigenvalues[int(key)] = QuadInt(x, y, d if y != 0 else None)
-        except ValueError as exc:
-            raise _violation(path, str(exc)) from None
+        eigenvalues[int(key)] = QuadInt(_typed(entry["x"], int, path + ".x"),
+                                        _typed(entry["y"], int, path + ".y"))
     claimed = _typed(record.get("claimed_conductor_equality", False), bool,
                      "$.claimed_conductor_equality")
     notes = _typed(record.get("notes", ""), str, "$.notes")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import require_odd_prime, trial_factor
+from .arith import trial_factor
 
 
 class NotSplitError(ValueError):
@@ -31,30 +31,15 @@ def ensure_squarefree(d: int) -> None:
 
 @dataclass(frozen=True)
 class QuadInt:
-    """x + y*sqrt(d); d=None marks a plain rational integer (y forced 0).
-
-    d itself is checked by the NewformData holding the value, which owns the
-    field and requires every a_p's d to equal its own."""
+    """x + y*sqrt(d), read in the field of the NewformData holding it: the
+    form owns d and refuses y != 0 over Q."""
 
     x: int
     y: int = 0
-    d: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.d is None and self.y != 0:
-            raise ValueError("rational field with y != 0")
 
     @property
     def is_rational(self) -> bool:
         return self.y == 0
-
-    def square_if_rational(self) -> int:
-        """The rational integer value of self**2, defined only when x*y = 0."""
-        if self.x != 0 and self.y != 0:
-            raise ValueError(
-                "square is not rational; supply an embedding first"
-            )
-        return self.x * self.x + (self.d or 0) * self.y * self.y
 
 
 def split_refusal(d: int, ell: int) -> RamifiedError | NotSplitError | None:
@@ -66,17 +51,6 @@ def split_refusal(d: int, ell: int) -> RamifiedError | NotSplitError | None:
     if pow(d, (ell - 1) // 2, ell) != 1:
         return NotSplitError(f"no rational embedding: {ell} is inert in Q(sqrt({d}))")
     return None
-
-
-def splits(d: int, ell: int) -> bool:
-    """True iff the odd prime ell splits in Q(sqrt(d)), i.e. d is a nonzero
-    square mod ell; RamifiedError when ell divides d."""
-    ensure_squarefree(d)
-    require_odd_prime(ell)
-    error = split_refusal(d, ell)
-    if isinstance(error, RamifiedError):
-        raise error
-    return error is None
 
 
 def _sqrt_mod(a: int, ell: int) -> int:
@@ -104,11 +78,10 @@ def _sqrt_mod(a: int, ell: int) -> int:
 
 
 def embedding_choices(d: int, ell: int) -> tuple[int, int]:
-    """Both square roots of d mod a split ell, smaller first: the roots that
-    name the two embeddings Z[sqrt(d)] -> F_ell, x + y*sqrt(d) -> x + y*root."""
-    ensure_squarefree(d)
-    require_odd_prime(ell)
-    if (error := split_refusal(d, ell)) is not None:
-        raise error
+    """Both square roots of d mod ell, smaller first: the roots that name the
+    two embeddings Z[sqrt(d)] -> F_ell, x + y*sqrt(d) -> x + y*root. Nothing
+    is re-proved: `repmodel.embeddings` asks only once `repmodel.refusal` has
+    admitted ell (an odd prime that splits in Q(sqrt(d))), and the NewformData
+    owning d proved it square-free when it was built."""
     r = _sqrt_mod(d, ell)
     return min(r, ell - r), max(r, ell - r)

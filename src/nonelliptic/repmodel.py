@@ -56,7 +56,7 @@ class NewformData:
     notes: str = ""
 
     def __post_init__(self) -> None:
-        # The form owns its field: QuadInt values only have to agree with it.
+        # The form owns its field: a QuadInt value is read in it.
         if self.d is not None:
             try:
                 ensure_squarefree(self.d)
@@ -77,10 +77,8 @@ class NewformData:
             if self.level % p == 0:
                 raise FormDataError(where, f"eigenvalue key {p} divides the level {self.level}"
                                            ": a prime dividing the level carries no eigenvalue")
-            if a.d is not None and a.d != self.d:
-                raise FormDataError(
-                    where, f"a_{p} lives in Q(sqrt({a.d})) but the form field is {self.d}"
-                )
+            if self.d is None and a.y != 0:
+                raise FormDataError(where, "rational field with y != 0")
             self._ramanujan_check(p, a)
 
     def _ramanujan_check(self, p: int, a: QuadInt) -> None:
@@ -88,7 +86,7 @@ class NewformData:
         # smell, not an error (no downstream logic relies on the bound).
         if a.x != 0 and a.y != 0:
             return
-        square = a.square_if_rational()
+        square = a.x * a.x + (self.d or 0) * a.y * a.y
         # p**(k-1) >= 2**((k-1)*(bits(p)-1)) > a_p**2 settles a huge weight
         # before the power is built
         if ((self.weight - 1) * (p.bit_length() - 1) < square.bit_length()

@@ -25,8 +25,7 @@ from nonelliptic.ecoracle import (
     weierstrass_discriminant,
 )
 from nonelliptic.paper import closed_form_scan, full_paper_verification
-from nonelliptic.quadfield import embedding_choices, splits
-from nonelliptic.repmodel import residual_rep, twist_to_det_chi
+from nonelliptic.repmodel import embeddings, residual_rep, twist_to_det_chi
 
 
 def test_criterion_1_irreducibility_reproduction(schoen_form):
@@ -92,8 +91,7 @@ def test_criterion_3_closed_form_equivalence():
 
 
 def test_criterion_4_weight2_reproduction(sqrt2_form):
-    assert splits(2, 7) is True
-    roots = embedding_choices(2, 7)
+    roots = embeddings(sqrt2_form, 7)  # 7 splits: the rule admits it
     assert roots == (3, 4)
 
     for root in roots:

@@ -22,7 +22,6 @@ PUBLIC_API = [
     "closed_form_scan",
     "conductor_bound_test",
     "dump_form",
-    "embedding_choices",
     "falsify_curve",
     "full_paper_verification",
     "irreducibility_by_discriminant",
@@ -35,7 +34,6 @@ PUBLIC_API = [
     "reducibility_obstruction",
     "residual_rep",
     "serre_bound_predicate",
-    "splits",
     "trace_of_frobenius",
     "trace_set",
     "trial_factor",
@@ -46,7 +44,9 @@ PUBLIC_API = [
 # Names the package no longer has: helpers that only tests used; dump_report,
 # which returned the whole report as one string (write_report); and
 # EmbeddingChoice and reduce_mod, since an embedding is named by its root
-# (residual_rep(form, ell, root) reduces under it).
+# (residual_rep(form, ell, root) reduces under it); splits and
+# QuadInt.square_if_rational, since a value has no field of its own (the form
+# owns d, and repmodel.refusal decides whether ell splits).
 REMOVED = [
     ("nonelliptic.quadfield", "norm_discriminant"),
     ("nonelliptic.repmodel", "TwistSpec"),
@@ -65,6 +65,7 @@ REMOVED = [
     ("nonelliptic.data_io", "dump_report"),
     ("nonelliptic.quadfield", "EmbeddingChoice"),
     ("nonelliptic.quadfield", "reduce_mod"),
+    ("nonelliptic.quadfield", "splits"),
 ]
 
 REMOVED_MEMBERS = [
@@ -79,11 +80,18 @@ REMOVED_MEMBERS = [
     ("CurveQ", "reduce"),
     ("NewformData", "level_factorization"),
     ("Factorization", "primes"),
+    ("QuadInt", "square_if_rational"),
 ]
 
 
 def test_public_api_is_pinned():
     assert sorted(nonelliptic.__all__) == PUBLIC_API
+
+
+def test_embedding_choices_is_internal():
+    # repmodel.embeddings is the public way to an embedding's roots
+    assert "embedding_choices" not in nonelliptic.__all__
+    assert not hasattr(nonelliptic, "embedding_choices")
 
 
 @pytest.mark.parametrize("name", PUBLIC_API)
@@ -113,3 +121,7 @@ def test_str_override_is_gone(cls):
 @pytest.mark.parametrize("field", ["serre_conductor", "conductor_is_exact", "embedding"])
 def test_removed_residual_rep_field_is_gone(field):
     assert field not in {f.name for f in dataclasses.fields(nonelliptic.ResidualRep)}
+
+
+def test_quadint_holds_only_its_components():
+    assert [f.name for f in dataclasses.fields(nonelliptic.QuadInt)] == ["x", "y"]

@@ -7,7 +7,7 @@ import warnings
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nonelliptic.arith import primes_in_range, trial_factor
+from nonelliptic.arith import legendre, primes_in_range, trial_factor
 from nonelliptic.certify import (
     EXCLUDED_SET_LIMIT,
     certify_form,
@@ -31,7 +31,7 @@ from nonelliptic.checker import (
 )
 from nonelliptic.data_io import bundled_form, canonical_json, load_expectations
 from nonelliptic.paper import closed_form_scan, full_paper_verification
-from nonelliptic.quadfield import QuadInt, embedding_choices, splits
+from nonelliptic.quadfield import QuadInt, embedding_choices
 from nonelliptic.repmodel import (
     InsufficientDataError,
     NewformData,
@@ -153,7 +153,7 @@ def test_obstruction_rejects_bad_witness(schoen_form):
 
 def test_obstruction_needs_rational_eigenvalue():
     # level 512: witness must be 1 mod 16; a_p for p=17 not stored, so build one
-    form = NewformData("t", 512, 2, 2, {17: QuadInt(0, 1, 2)})
+    form = NewformData("t", 512, 2, 2, {17: QuadInt(0, 1)})
     with pytest.raises(ValueError, match="irrational"):
         reducibility_obstruction(form, 17)
 
@@ -657,10 +657,11 @@ def test_check_accepts_every_genuine_trace_witness():
 def test_certify_proves_d_square_free_once():
     d = 10**9 + 7  # prime, so square-free
     trial_factor.cache_clear()
-    form = NewformData("t", 512, 2, d, {3: QuadInt(1, 1, d), 5: QuadInt(1)})
-    report = certify_form(form, [ell for ell in primes_in_range(7, 3000) if splits(d, ell)])
+    form = NewformData("t", 512, 2, d, {3: QuadInt(1, 1), 5: QuadInt(1)})
+    report = certify_form(form, [ell for ell in primes_in_range(7, 3000) if legendre(d, ell) == 1])
     assert len(report.runs) > 200
     assert trial_factor.cache_info().misses == 1
+    assert trial_factor.cache_info().hits == 0  # no ell asks again
 
 
 # --- full bundled verification --------------------------------------------------------

@@ -311,6 +311,14 @@ def test_certify_refuses_a_witness_prime_that_is_not_prime(capsys, p):
         1, "", f"error: --witness-prime {p} is not prime\n")
 
 
+def test_certify_witness_prime_equal_to_ell_has_its_own_note(capsys):
+    # a_11 is stored, but p = ell has no Frobenius trace mod ell
+    code, out, err = run(capsys, "certify", "-i", SCHOEN, "--ell", "11", "--witness-prime", "11")
+    assert (code, err) == (2, "")
+    assert "    note: p=11 is ell: no Frobenius trace there; discriminant test skipped\n" in out
+    assert "no eigenvalue at p=11" not in out
+
+
 def test_certify_root_override(capsys):
     code, out, _ = run(capsys, "certify", "-i", SQRT2, "--ell", "7", "--root", "4")
     assert code == 0
@@ -405,14 +413,18 @@ def test_certify_schema_error(tmp_path, capsys):
 
 
 # The schema's "integer" admits 4.0: a float must not reach the arithmetic.
-@pytest.mark.parametrize("form,old,literal", [
+NON_INTEGER_EDITS = [
     (SCHOEN, '"level": 25', "25.0"),
     (SCHOEN, '"weight": 4', "4.0"),
     (SQRT2, '"d": 2', "2.0"),
     (SCHOEN, '"2": {"x": 1', "1.0"),
     (SQRT2, '"3": {"x": 0, "y": 1', "1.0"),
     (SCHOEN, '"level": 25', "1e1"),
-])
+]
+
+
+@pytest.mark.parametrize("form,old,literal", NON_INTEGER_EDITS,
+                         ids=[f"{Path(f).stem}-{literal}" for f, _, literal in NON_INTEGER_EDITS])
 def test_certify_rejects_non_integer_numbers(tmp_path, capsys, form, old, literal):
     text = Path(form).read_text()
     assert text.count(old) == 1
@@ -481,7 +493,7 @@ def scan_json(ell_min, ell_max, scanned, holds, residues):
     (("11", "97"), SCAN_11_97_TEXT),
     (("7", "10000", "--format", "json"), scan_json(7, 10000, 1226, [7], {"7": 2})),
     (("11", "97", "--format", "json"), scan_json(11, 97, 21, [], {})),
-])
+], ids=["7 10000", "11 97", "7 10000 --format json", "11 97 --format json"])
 def test_scan_report_bytes(capsys, argv, expected):
     code, out, err = run(capsys, "scan", *argv)
     assert (code, out, err) == (0, expected, "")

@@ -5,7 +5,7 @@ import warnings
 from importlib import resources
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from jsonschema import Draft202012Validator
 
 from nonelliptic.arith import primes_in_range
@@ -56,7 +56,7 @@ def test_bundled_weight2_form(sqrt2_form):
     assert sqrt2_form.level == 512
     assert sqrt2_form.weight == 2
     assert sqrt2_form.d == 2
-    assert sqrt2_form.eigenvalues[29] == QuadInt(0, 6, 2)
+    assert sqrt2_form.eigenvalues[29] == QuadInt(0, 6)
     assert sqrt2_form.eigenvalues[7] == QuadInt(-4)
     assert sqrt2_form.claimed_conductor_equality is True
     # the elided primes stay absent: no invented data
@@ -210,7 +210,7 @@ def _form_of(rec):
     try:
         if d is not None:
             ensure_squarefree(d)
-        eigenvalues = {int(p): QuadInt(v["x"], v["y"], d if v["y"] != 0 else None)
+        eigenvalues = {int(p): QuadInt(v["x"], v["y"])
                        for p, v in rec["eigenvalues"].items()}
         return NewformData(rec["id"], rec["level"], rec["weight"], d, eigenvalues,
                            rec.get("claimed_conductor_equality", False), rec.get("notes", ""))
@@ -260,9 +260,12 @@ def test_ramanujan_violation_warns_not_rejects():
 
 
 def test_round_trip(schoen_form, sqrt2_form):
-    for form in (schoen_form, sqrt2_form):
+    for form, rec in zip((schoen_form, sqrt2_form), BUNDLED_RECORDS):
         again = parse_form(dump_form(form))
         assert again == form
+        # a_7 = -4 of s2_512_sqrt2 is a rational value of Q(sqrt(2)): built
+        # from its (x, y) like the surds, it equals the parsed value
+        assert _rebuilt(rec) == form
     constructed = parse_form(
         record(
             field={"type": "quadratic", "d": 5},
@@ -271,6 +274,34 @@ def test_round_trip(schoen_form, sqrt2_form):
         )
     )
     assert parse_form(dump_form(constructed)) == constructed
+
+
+def _rebuilt(rec):
+    """The form of a record built from its (x, y) pairs, not parsed."""
+    return NewformData(rec["id"], rec["level"], rec["weight"], rec["field"].get("d"),
+                       {int(p): QuadInt(v["x"], v["y"]) for p, v in rec["eigenvalues"].items()},
+                       rec["claimed_conductor_equality"], rec["notes"])
+
+
+@st.composite
+def forms(draw):
+    """A rational form or a form over Q(sqrt(d)) whose a_p include rational
+    values (y = 0). Weight 16 and up keeps every a_p within the Ramanujan
+    bound."""
+    d = draw(st.sampled_from([None, 2, 3, 5, 6, 7, 10]))
+    level = draw(st.sampled_from([1, 25, 512]))
+    primes = [p for p in primes_in_range(2, 60) if level % p]
+    ys = st.just(0) if d is None else st.one_of(st.just(0), st.integers(-9, 9))
+    eigenvalues = {p: QuadInt(draw(st.integers(-99, 99)), draw(ys))
+                   for p in draw(st.lists(st.sampled_from(primes), unique=True, max_size=6))}
+    return NewformData(draw(st.text(min_size=1, max_size=8)), level, draw(st.integers(16, 20)),
+                       d, eigenvalues, draw(st.booleans()), draw(st.text(max_size=8)))
+
+
+@given(forms())
+@example(_rebuilt(BUNDLED_RECORDS[BUNDLED_FORMS.index("s2_512_sqrt2")]))
+def test_dump_form_round_trips(form):
+    assert parse_form(dump_form(form)) == form
 
 
 def test_expectations_table_loads():

@@ -13,9 +13,9 @@ from nonelliptic.quadfield import (
     RamifiedError,
     _sqrt_mod,
     embedding_choices,
-    splits,
+    split_refusal,
 )
-from nonelliptic.repmodel import NewformData, residual_rep
+from nonelliptic.repmodel import FormDataError, NewformData, embeddings, residual_rep
 
 
 def reduced(values, ell, root, d=2):
@@ -29,35 +29,11 @@ def reduced(values, ell, root, d=2):
     return [rep.traces[p] for p in primes]
 
 
-def test_splits_examples():
-    assert splits(2, 7) is True
-    assert splits(2, 11) is False  # squares mod 11 are {1,3,4,5,9}
-    assert splits(2, 17) is True   # 6^2 = 36 = 2 (mod 17)
-
-
-def test_splits_ramified_rejected():
-    with pytest.raises(RamifiedError):
-        splits(6, 3)
-    with pytest.raises(RamifiedError):
-        splits(7, 7)
-
-
-def test_splits_requires_odd_prime_and_squarefree_d():
-    with pytest.raises(ValueError):
-        splits(2, 2)
-    with pytest.raises(ValueError):
-        splits(4, 7)
-    with pytest.raises(ValueError):
-        splits(12, 7)
-
-
 @pytest.mark.parametrize("root", range(7))
 def test_embedding_choice_refuses_a_ramified_prime(root):
     # 0^2 = 7 (mod 7), yet 7 ramifies in Q(sqrt(7)): there is no embedding
     with pytest.raises(RamifiedError, match="7 divides d=7: ramified"):
-        reduced([QuadInt(1, 1, 7)], 7, root, d=7)
-    with pytest.raises(RamifiedError, match="7 divides d=7: ramified"):
-        embedding_choices(7, 7)
+        reduced([QuadInt(1, 1)], 7, root, d=7)
 
 
 def test_embedding_choices_examples():
@@ -65,7 +41,7 @@ def test_embedding_choices_examples():
     assert (3 * 3) % 7 == 2 and (4 * 4) % 7 == 2
     assert embedding_choices(2, 17) == (6, 11)
     with pytest.raises(NotSplitError, match="no rational embedding"):
-        embedding_choices(2, 11)
+        embeddings(NewformData("t", 1, 40, 2, {}), 11)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 10])
@@ -73,7 +49,7 @@ def test_embedding_choices_examples():
 def test_embedding_roots_sum_to_ell(d, ell):
     if d % ell == 0:
         return
-    if not splits(d, ell):
+    if split_refusal(d, ell) is not None:
         return
     r1, r2 = embedding_choices(d, ell)
     assert r1 + r2 == ell
@@ -98,10 +74,11 @@ def test_sqrt_mod_equals_linear_search_below_3000(d):
 
 
 def test_embedding_choices_rejects_non_real_d():
-    # only real quadratic fields are supported, as before the root search changed
+    # only real quadratic fields are supported: the form owning d refuses the
+    # rest, so no such d reaches the root search
     for d in (-7, -2, -1):
-        with pytest.raises(ValueError):
-            embedding_choices(d, 3001)
+        with pytest.raises(FormDataError, match="must be > 1"):
+            NewformData("t", 1, 40, d, {})
 
 
 def test_embedding_choices_at_a_large_split_prime():
@@ -111,37 +88,38 @@ def test_embedding_choices_at_a_large_split_prime():
 
 def test_embedding_choice_validation():
     with pytest.raises(ValueError, match="--root 5 is not a square root of 2 mod 7"):
-        reduced([QuadInt(1, 1, 2)], 7, 5)  # 25 != 2 mod 7
+        reduced([QuadInt(1, 1)], 7, 5)  # 25 != 2 mod 7
     with pytest.raises(ValueError, match="--root 10 is not a square root of 2 mod 7"):
-        reduced([QuadInt(1, 1, 2)], 7, 10)  # out of range
+        reduced([QuadInt(1, 1)], 7, 10)  # out of range
 
 
 def test_reduce_examples():
     # 18 = 4 (mod 7); a rational value reduces alike under any embedding
-    assert reduced([QuadInt(0, 6, 2), QuadInt(-4), QuadInt(0)], 7, 3) == [4, 3, 0]
+    assert reduced([QuadInt(0, 6), QuadInt(-4), QuadInt(0)], 7, 3) == [4, 3, 0]
 
 
 def test_reduce_rejects_mismatched_field():
-    # a value of Q(sqrt(2)) never reaches a reduction under a root of 3 mod 11
-    # (25 = 3): the form over Q(sqrt(3)) refuses to hold it
+    # a value is read in its form's field: 1 + sqrt(3) under the root 5 of 3
+    # mod 11 (25 = 3) is 6, but a form over Q(sqrt(2)) refuses that root, as
+    # 11 is inert in Q(sqrt(2))
+    assert reduced([QuadInt(1, 1)], 11, 5, d=3) == [6]
     with pytest.raises(ValueError, match="sqrt"):
-        reduced([QuadInt(1, 1, 2)], 11, 5, d=3)
+        reduced([QuadInt(1, 1)], 11, 5, d=2)
 
 
 quadints = st.builds(
     QuadInt,
     st.integers(min_value=-50, max_value=50),
     st.integers(min_value=-50, max_value=50),
-    st.just(2),
 )
 
 
 @given(u=quadints, v=quadints)
 def test_reduce_is_a_ring_homomorphism(u, v):
     # (x + y*sqrt2) + (x' + y'*sqrt2) and (x + y*sqrt2)(x' + y'*sqrt2), by components
-    total = QuadInt(u.x + v.x, u.y + v.y, 2)
-    product = QuadInt(u.x * v.x + 2 * u.y * v.y, u.x * v.y + u.y * v.x, 2)
-    negated = QuadInt(-u.x, -u.y, 2)
+    total = QuadInt(u.x + v.x, u.y + v.y)
+    product = QuadInt(u.x * v.x + 2 * u.y * v.y, u.x * v.y + u.y * v.x)
+    negated = QuadInt(-u.x, -u.y)
     for ell in (7, 17):
         for root in embedding_choices(2, ell):
             ru, rv, rtotal, rproduct, rnegated = reduced([u, v, total, product, negated],
@@ -152,18 +130,21 @@ def test_reduce_is_a_ring_homomorphism(u, v):
 
 
 def test_quadint_invariants():
-    with pytest.raises(ValueError):
-        QuadInt(1, 2, None)  # rational flag forces y = 0
+    # a value has no field of its own: the form holding it forces y = 0 over Q
+    with pytest.raises(FormDataError, match="rational field with y != 0") as info:
+        NewformData("t", 1, 40, None, {2: QuadInt(1, 2)})
+    assert info.value.field == ("eigenvalues", 2)
+    assert NewformData("t", 1, 40, 2, {2: QuadInt(1, 2)}).eigenvalues[2] == QuadInt(1, 2)
     # d itself is the NewformData's to check (tests/test_repmodel.py)
 
 
-@pytest.mark.parametrize("a", [QuadInt(0, 6, 2), QuadInt(0, -2, 2), QuadInt(-4), QuadInt(7)])
+@pytest.mark.parametrize("a", [QuadInt(0, 6), QuadInt(0, -2), QuadInt(-4), QuadInt(7)])
 def test_discriminant_residue_is_embedding_independent(a):
     # When a^2 is rational, both embeddings give the same discriminant mod ell.
     from nonelliptic.arith import legendre
 
     for ell, p, k in ((7, 29, 2), (17, 29, 2), (7, 13, 2)):
-        delta = a.square_if_rational() - 4 * p ** (k - 1)
+        delta = a.x * a.x + 2 * a.y * a.y - 4 * p ** (k - 1)  # a**2 in Q(sqrt(2))
         for root in embedding_choices(2, ell):
             [tr] = reduced([a], ell, root)
             assert (tr * tr - 4 * p ** (k - 1)) % ell == delta % ell

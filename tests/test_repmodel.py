@@ -171,7 +171,7 @@ def test_bad_primes(schoen_form, sqrt2_form):
 def _form(level, weight, d):
     y = 0 if d is None else 1
     p = next(p for p in (2, 3, 5) if level % p)
-    return NewformData("t", level, weight, d, {p: QuadInt(1, y, d)})
+    return NewformData("t", level, weight, d, {p: QuadInt(1, y)})
 
 
 ROOT_OVER_Q = "--root 3 given, but form t has a rational coefficient field"
