@@ -37,8 +37,8 @@ _EXPORTS = {
     "trace_set": "ecoracle",
     "closed_form_scan": "paper",
     "full_paper_verification": "paper",
-    "QuadInt": "quadfield",
     "NewformData": "repmodel",
+    "QuadInt": "repmodel",
     "ResidualRep": "repmodel",
     "residual_rep": "repmodel",
     "twist_to_det_chi": "repmodel",

@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .arith import is_prime, legendre, require_odd_prime, trial_factor
+from .arith import TRIAL_DIVISION_LIMIT, is_prime, legendre, require_odd_prime, trial_factor
 from .checker import (
     DEFAULT_CONDUCTOR_BOUND,
     ELLIPTIC_CONDUCTOR_BOUNDS,
@@ -107,6 +107,11 @@ def reducibility_obstruction(form: NewformData, p: int) -> Certificate:
     if not a.is_rational:
         raise ValueError(f"a_{p} is irrational; this obstruction needs a rational a_p")
 
+    # M >= p**(k-1) + 1 - |a_p| >= 2**((k-1)*(bits(p)-1)) + 1 - |a_p|: refuse
+    # an M past trial_factor's guard before the power is built
+    if (form.weight - 1) * (p.bit_length() - 1) >= (TRIAL_DIVISION_LIMIT + abs(a.x)).bit_length():
+        raise ValueError(f"M = |1 + {p}^{form.weight - 1} - a_{p}| exceeds the "
+                         "trial-division guard 2**64")
     # M = 0 confines nothing: Inconclusive, with an empty exceptional set
     m_value = abs(1 + p ** (form.weight - 1) - a.x)
     factors = [list(qe) for qe in trial_factor(m_value).factors] if m_value else []

@@ -19,7 +19,6 @@ import sys
 # `certify` never compiles the census.
 from . import data_io
 from .arith import is_prime, primes_in_range
-from .quadfield import NotSplitError, RamifiedError
 
 EXIT_PROVED = 0
 EXIT_ERROR = 1
@@ -210,10 +209,6 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except data_io.SchemaError as exc:
         print(f"error: invalid form record: {exc}", file=sys.stderr)
-    except NotSplitError as exc:
-        print(f"error: inert prime: {exc}", file=sys.stderr)
-    except RamifiedError as exc:
-        print(f"error: ramified prime: {exc}", file=sys.stderr)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError:

@@ -71,8 +71,7 @@ def parse_form(text: str | bytes) -> NewformData:
     Errors carry the JSON path of the offending value."""
     # imported here: `oracle` writes a report through this module but parses
     # no form, so it need not compile the form model
-    from .quadfield import QuadInt
-    from .repmodel import FormDataError, NewformData
+    from .repmodel import FormDataError, NewformData, QuadInt
 
     try:
         record = json.loads(text, parse_float=_reject_float)
@@ -100,10 +99,14 @@ def parse_form(text: str | bytes) -> NewformData:
     for key, entry in _typed(record["eigenvalues"], dict, "$.eigenvalues").items():
         if not _PRIME_KEY.fullmatch(key):
             raise _violation("$.eigenvalues", f"key {key!r} does not match '[1-9][0-9]*'")
+        try:
+            p = int(key)
+        except ValueError as exc:  # a key past the int-string digit limit
+            raise _violation("$.eigenvalues", str(exc)) from None
         path = f"$.eigenvalues.{key}"
         _members(entry, path, ("x", "y"))
-        eigenvalues[int(key)] = QuadInt(_typed(entry["x"], int, path + ".x"),
-                                        _typed(entry["y"], int, path + ".y"))
+        eigenvalues[p] = QuadInt(_typed(entry["x"], int, path + ".x"),
+                                 _typed(entry["y"], int, path + ".y"))
     claimed = _typed(record.get("claimed_conductor_equality", False), bool,
                      "$.claimed_conductor_equality")
     notes = _typed(record.get("notes", ""), str, "$.notes")

@@ -1,4 +1,6 @@
-"""Newform eigenvalue systems and the residual mod-ell representations they
+"""Newform eigenvalue systems, the one rule for which ell and embeddings they
+admit (only split ell: an embedding of Q(sqrt(d)) into F_ell is named by a
+square root of d mod ell), and the residual mod-ell representations they
 induce.
 
 A residual representation is described purely by data: the reduced traces of
@@ -14,13 +16,19 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .arith import is_prime, require_odd_prime
-from .quadfield import (NotSplitError, QuadInt, RamifiedError, embedding_choices,
-                        ensure_squarefree, split_refusal)
+from .arith import is_prime, require_odd_prime, trial_factor
 
 
 class BadReductionError(ValueError):
     """ell divides the level: no residual representation from this recipe."""
+
+
+class RamifiedError(ValueError):
+    """ell divides d: neither split nor inert."""
+
+
+class NotSplitError(ValueError):
+    """ell is inert in Q(sqrt(d)): no rational embedding exists."""
 
 
 class InsufficientDataError(ValueError):
@@ -41,6 +49,19 @@ class RamanujanBoundWarning(UserWarning):
 
 
 @dataclass(frozen=True)
+class QuadInt:
+    """x + y*sqrt(d), read in the field of the NewformData holding it: the
+    form owns d and refuses y != 0 over Q."""
+
+    x: int
+    y: int = 0
+
+    @property
+    def is_rational(self) -> bool:
+        return self.y == 0
+
+
+@dataclass(frozen=True)
 class NewformData:
     """Level, weight, coefficient field and a sparse prime -> a_p map.
 
@@ -58,10 +79,15 @@ class NewformData:
     def __post_init__(self) -> None:
         # The form owns its field: a QuadInt value is read in it.
         if self.d is not None:
+            where = ("field", "d")
+            if self.d < 2:
+                raise FormDataError(where, f"quadratic discriminant d={self.d} must be > 1")
             try:
-                ensure_squarefree(self.d)
-            except ValueError as exc:
-                raise FormDataError(("field", "d"), str(exc)) from None
+                square_free = all(e == 1 for _, e in trial_factor(self.d).factors)
+            except ValueError as exc:  # d past trial_factor's guard
+                raise FormDataError(where, str(exc)) from None
+            if not square_free:
+                raise FormDataError(where, f"d={self.d} is not square-free")
         if self.level < 1:
             raise FormDataError(("level",), f"level {self.level} must be positive")
         if self.weight < 2:
@@ -157,9 +183,12 @@ def refusal(form: NewformData, ell: int, root: int | None = None) -> ValueError 
             return ValueError(f"--root {root} given, but form {form.form_id} has a "
                               "rational coefficient field, which takes no embedding")
     else:
-        error = split_refusal(d, ell)
-        if error is not None:
-            return error
+        if d % ell == 0:
+            return RamifiedError(f"ramified prime: {ell} divides d={d}: "
+                                 "ramified, neither split nor inert")
+        if pow(d, (ell - 1) // 2, ell) != 1:  # Euler's criterion
+            return NotSplitError(f"inert prime: no rational embedding: "
+                                 f"{ell} is inert in Q(sqrt({d}))")
         if root is not None and not (0 <= root < ell and (root * root - d) % ell == 0):
             return ValueError(f"--root {root} is not a square root of {d} mod {ell}")
     if (form.weight - 1) % (ell - 1) == 0:
@@ -186,10 +215,37 @@ def admitted_ells(form: NewformData, ells: list[int], span: str) -> list[int]:
     raise ValueError(f"every prime in {span} {reasons}")
 
 
+def _sqrt_mod(a: int, ell: int) -> int:
+    """A square root of a mod the odd prime ell, for a a nonzero square mod
+    ell, by Tonelli-Shanks (Shanks 1973): O(log(ell)**2) multiplications.
+    Trusts its caller, `embeddings`: at a composite ell it may never return."""
+    a %= ell
+    q, s = ell - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (ell - 1) // 2, ell) != ell - 1:
+        z += 1
+    # Invariants: r**2 == a*t, t**(2**(m-1)) == 1 and c has order 2**m.
+    m, c, t, r = s, pow(z, q, ell), pow(a, q, ell), pow(a, (q + 1) // 2, ell)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % ell
+            i += 1
+        b = pow(c, 1 << (m - i - 1), ell)
+        m, c = i, b * b % ell
+        t, r = t * c % ell, r * b % ell
+    return r
+
+
 def embeddings(form: NewformData, ell: int, root: int | None = None) -> tuple[int | None, ...]:
     """The embeddings the recipe runs at ell, by their roots: (None,) over Q;
     over Q(sqrt(d)) both square roots of d mod ell, smaller first, or only
-    `root` when given. Raises the refusal when the rule refuses ell."""
+    `root` when given. Raises ValueError unless ell is an odd prime, then the
+    refusal when the rule refuses ell."""
+    require_odd_prime(ell)
     error = refusal(form, ell, root)
     if error is not None:
         raise error
@@ -197,7 +253,8 @@ def embeddings(form: NewformData, ell: int, root: int | None = None) -> tuple[in
         return (None,)
     if root is not None:
         return (root,)
-    return embedding_choices(form.d, ell)
+    r = _sqrt_mod(form.d, ell)
+    return min(r, ell - r), max(r, ell - r)
 
 
 def residual_rep(form: NewformData, ell: int, root: int | None = None) -> ResidualRep:
@@ -208,7 +265,6 @@ def residual_rep(form: NewformData, ell: int, root: int | None = None) -> Residu
     the smaller square root of d mod ell. a_ell, when stored, is dropped:
     only primes away from level*ell are usable traces.
     """
-    require_odd_prime(ell)
     root = embeddings(form, ell, root)[0]
     return ResidualRep(
         ell=ell,

@@ -47,8 +47,10 @@ PUBLIC_API = [
 # (residual_rep(form, ell, root) reduces under it); splits and
 # QuadInt.square_if_rational, since a value has no field of its own (the form
 # owns d, and repmodel.refusal decides whether ell splits).
+# norm_discriminant, EmbeddingChoice, reduce_mod and splits were in quadfield,
+# which is gone: they are looked for in repmodel, which took in its rest.
 REMOVED = [
-    ("nonelliptic.quadfield", "norm_discriminant"),
+    ("nonelliptic.repmodel", "norm_discriminant"),
     ("nonelliptic.repmodel", "TwistSpec"),
     ("nonelliptic.repmodel", "available_witness_primes"),
     ("nonelliptic.certify", "_w4_ell_entry"),
@@ -63,9 +65,9 @@ REMOVED = [
     ("nonelliptic.ecoracle", "CurveFp"),
     ("nonelliptic.ecoracle", "count_points"),
     ("nonelliptic.data_io", "dump_report"),
-    ("nonelliptic.quadfield", "EmbeddingChoice"),
-    ("nonelliptic.quadfield", "reduce_mod"),
-    ("nonelliptic.quadfield", "splits"),
+    ("nonelliptic.repmodel", "EmbeddingChoice"),
+    ("nonelliptic.repmodel", "reduce_mod"),
+    ("nonelliptic.repmodel", "splits"),
 ]
 
 REMOVED_MEMBERS = [
@@ -86,6 +88,14 @@ REMOVED_MEMBERS = [
 
 def test_public_api_is_pinned():
     assert sorted(nonelliptic.__all__) == PUBLIC_API
+
+
+def test_quadfield_is_gone():
+    # QuadInt, the refusal errors and the root search live in repmodel
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("nonelliptic.quadfield")
+    assert nonelliptic.QuadInt.__module__ == "nonelliptic.repmodel"
+    assert len(nonelliptic.__all__) == 30
 
 
 def test_embedding_choices_is_internal():

@@ -31,11 +31,12 @@ from nonelliptic.checker import (
 )
 from nonelliptic.data_io import bundled_form, canonical_json, load_expectations
 from nonelliptic.paper import closed_form_scan, full_paper_verification
-from nonelliptic.quadfield import QuadInt, embedding_choices
 from nonelliptic.repmodel import (
     InsufficientDataError,
     NewformData,
+    QuadInt,
     ResidualRep,
+    embeddings,
     residual_rep,
     twist_to_det_chi,
 )
@@ -56,7 +57,7 @@ def test_discriminant_weight4_ell11_p2(schoen_form):
 
 
 def test_discriminant_weight2_ell7_p29_both_roots(sqrt2_form):
-    for root in embedding_choices(2, 7):
+    for root in embeddings(sqrt2_form, 7):
         cert = irreducibility_by_discriminant(residual_rep(sqrt2_form, 7, root), 29)
         assert cert.verdict == IRREDUCIBLE
         assert cert.witness["delta"] == 5  # -44 = 5 (mod 7)
@@ -156,6 +157,37 @@ def test_obstruction_needs_rational_eigenvalue():
     form = NewformData("t", 512, 2, 2, {17: QuadInt(0, 1)})
     with pytest.raises(ValueError, match="irrational"):
         reducibility_obstruction(form, 17)
+
+
+
+@pytest.mark.parametrize("weight", [10**7, 10**12])
+def test_obstruction_refuses_a_huge_weight_quickly(weight):
+    # 3**(k-1) alone puts M past trial_factor's guard: refused before the
+    # power is built
+    form = NewformData("t", 1, weight, None, {3: QuadInt(1)})
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^M = \|1 \+ 3\^{weight - 1} - a_3\| exceeds "
+                                         r"the trial-division guard 2\*\*64$"):
+        reducibility_obstruction(form, 3)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_obstruction_keeps_a_small_m_beside_a_huge_power():
+    # a_p may cancel p**(k-1): M = |1 + 2**65 - (2**65 - 5)| = 6 is certified,
+    # while a_p = 0 leaves M = 2**65 + 1, past the guard
+    from nonelliptic.repmodel import RamanujanBoundWarning
+
+    with pytest.warns(RamanujanBoundWarning):
+        form = NewformData("t", 1, 66, None, {2: QuadInt(2**65 - 5)})
+    assert reducibility_obstruction(form, 2).witness["M"] == 6
+    with pytest.raises(ValueError, match="trial-division guard"):
+        reducibility_obstruction(NewformData("t", 1, 66, None, {2: QuadInt(0)}), 2)
+
+
+def test_certify_form_proves_ell_an_odd_prime_first(schoen_form):
+    # ell = 2 is no odd prime; the rule's own refusals come after that proof
+    with pytest.raises(ValueError, match="^modulus 2 is not an odd prime$"):
+        certify_form(schoen_form, [2])
 
 
 # --- non-elliptic trace test ----------------------------------------------------

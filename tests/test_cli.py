@@ -438,6 +438,21 @@ def test_certify_rejects_non_integer_numbers(tmp_path, capsys, form, old, litera
     assert (code, out, err) == (1, "", f"error: invalid form record: {message}\n")
 
 
+def test_certify_refuses_an_eigenvalue_key_past_the_digit_limit(tmp_path, capsys):
+    # int() refuses a key of more than 4,300 digits as json.loads refuses such
+    # a value: a schema violation, here at the map that holds the key
+    key = "1" + "0" * 4400 + "1"
+    bad = tmp_path / "long_key.json"
+    bad.write_text(json.dumps({"id": "t", "level": 25, "weight": 4,
+                               "field": {"type": "rational"},
+                               "eigenvalues": {key: {"x": 1, "y": 0}}}))
+    code, out, err = run(capsys, "certify", "-i", str(bad), "--ell", "17")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid form record: schema violation at $.eigenvalues: "
+                          "Exceeds the limit (4300 digits) for integer string conversion")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_certify_with_a_huge_weight_finishes(tmp_path, capsys):
     # the Ramanujan check must not build p**(k-1) for k = 10**12
     huge = tmp_path / "huge.json"
@@ -694,6 +709,14 @@ def test_import_leaves_out_jsonschema_and_process_pools():
     # after import, after certify (which parses a form), after verify-paper,
     # after a range too small to pay for the process pool
     assert proc.stdout.splitlines() == ["[]", "[]", "[]", "[]"], proc.stderr
+
+    # at start-up the CLI loads only what every command needs
+    code = ("import sys, nonelliptic.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'nonelliptic'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == ("['nonelliptic', 'nonelliptic.arith', 'nonelliptic.cli', "
+                           "'nonelliptic.data_io']\n"), proc.stderr
 
     # `import nonelliptic` loads no submodule, and each command only its own
     code = (

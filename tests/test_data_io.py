@@ -21,8 +21,7 @@ from nonelliptic.data_io import (
     parse_form,
     write_report,
 )
-from nonelliptic.quadfield import QuadInt, ensure_squarefree
-from nonelliptic.repmodel import NewformData, RamanujanBoundWarning
+from nonelliptic.repmodel import NewformData, QuadInt, RamanujanBoundWarning
 
 
 def record(**overrides):
@@ -208,8 +207,6 @@ def _form_of(rec):
     the wire format itself: the form, or None for a SchemaError."""
     d = rec["field"].get("d")
     try:
-        if d is not None:
-            ensure_squarefree(d)
         eigenvalues = {int(p): QuadInt(v["x"], v["y"])
                        for p, v in rec["eigenvalues"].items()}
         return NewformData(rec["id"], rec["level"], rec["weight"], d, eigenvalues,

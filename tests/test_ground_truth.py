@@ -24,8 +24,7 @@ import pytest
 from nonelliptic.arith import primes_in_range, trial_factor
 from nonelliptic.certify import certify_form, reducibility_obstruction
 from nonelliptic.ecoracle import CurveQ, trace_of_frobenius
-from nonelliptic.quadfield import QuadInt
-from nonelliptic.repmodel import NewformData, admitted_ells
+from nonelliptic.repmodel import NewformData, QuadInt, admitted_ells
 
 ELLS = primes_in_range(7, 2000)
 GOOD_BELOW = 60

@@ -1,21 +1,29 @@
-from pathlib import Path
+"""The coefficient field Q(sqrt(d)) as `repmodel` sees it: QuadInt values,
+the roots of d mod ell that name the embeddings into F_ell, and the
+reduction under them."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-import nonelliptic
-from conftest import imports_outside_stdlib
 from nonelliptic.arith import primes_in_range
-
-from nonelliptic.quadfield import (
+from nonelliptic.repmodel import (
+    FormDataError,
+    NewformData,
     NotSplitError,
     QuadInt,
     RamifiedError,
     _sqrt_mod,
-    embedding_choices,
-    split_refusal,
+    embeddings,
+    refusal,
+    residual_rep,
 )
-from nonelliptic.repmodel import FormDataError, NewformData, embeddings, residual_rep
+
+
+def roots(d, ell):
+    """Both square roots of d mod ell, smaller first, as the rule gives them
+    for a level-1 form over Q(sqrt(d)) of weight 40, where no ell > 2 has a
+    vanishing determinant exponent."""
+    return embeddings(NewformData("t", 1, 40, d, {}), ell)
 
 
 def reduced(values, ell, root, d=2):
@@ -37,9 +45,9 @@ def test_embedding_choice_refuses_a_ramified_prime(root):
 
 
 def test_embedding_choices_examples():
-    assert embedding_choices(2, 7) == (3, 4)
+    assert roots(2, 7) == (3, 4)
     assert (3 * 3) % 7 == 2 and (4 * 4) % 7 == 2
-    assert embedding_choices(2, 17) == (6, 11)
+    assert roots(2, 17) == (6, 11)
     with pytest.raises(NotSplitError, match="no rational embedding"):
         embeddings(NewformData("t", 1, 40, 2, {}), 11)
 
@@ -49,9 +57,9 @@ def test_embedding_choices_examples():
 def test_embedding_roots_sum_to_ell(d, ell):
     if d % ell == 0:
         return
-    if split_refusal(d, ell) is not None:
+    if refusal(NewformData("t", 1, 40, d, {}), ell) is not None:
         return
-    r1, r2 = embedding_choices(d, ell)
+    r1, r2 = roots(d, ell)
     assert r1 + r2 == ell
     assert r1 < r2
 
@@ -64,13 +72,13 @@ def linear_search_roots(d, ell):
 @pytest.mark.parametrize("d", [-7, -2, -1, 2, 3, 5, 6])
 def test_sqrt_mod_equals_linear_search_below_3000(d):
     for ell in primes_in_range(3, 2999):
-        roots = linear_search_roots(d, ell)
-        if len(roots) != 2:
+        search = linear_search_roots(d, ell)
+        if len(search) != 2:
             continue  # ell ramified or inert for d
         r = _sqrt_mod(d, ell)
-        assert sorted((r, ell - r)) == roots, (d, ell)
+        assert sorted((r, ell - r)) == search, (d, ell)
         if d > 1:
-            assert list(embedding_choices(d, ell)) == roots, (d, ell)
+            assert list(roots(d, ell)) == search, (d, ell)
 
 
 def test_embedding_choices_rejects_non_real_d():
@@ -83,7 +91,7 @@ def test_embedding_choices_rejects_non_real_d():
 
 def test_embedding_choices_at_a_large_split_prime():
     ell = 2**61 - 1  # 2**62 = 2 (mod ell), so 2**31 is a root of 2
-    assert embedding_choices(2, ell) == (2**31, ell - 2**31)
+    assert roots(2, ell) == (2**31, ell - 2**31)
 
 
 def test_embedding_choice_validation():
@@ -121,7 +129,7 @@ def test_reduce_is_a_ring_homomorphism(u, v):
     product = QuadInt(u.x * v.x + 2 * u.y * v.y, u.x * v.y + u.y * v.x)
     negated = QuadInt(-u.x, -u.y)
     for ell in (7, 17):
-        for root in embedding_choices(2, ell):
+        for root in roots(2, ell):
             ru, rv, rtotal, rproduct, rnegated = reduced([u, v, total, product, negated],
                                                          ell, root)
             assert rtotal == (ru + rv) % ell
@@ -145,13 +153,8 @@ def test_discriminant_residue_is_embedding_independent(a):
 
     for ell, p, k in ((7, 29, 2), (17, 29, 2), (7, 13, 2)):
         delta = a.x * a.x + 2 * a.y * a.y - 4 * p ** (k - 1)  # a**2 in Q(sqrt(2))
-        for root in embedding_choices(2, ell):
+        for root in roots(2, ell):
             [tr] = reduced([a], ell, root)
             assert (tr * tr - 4 * p ** (k - 1)) % ell == delta % ell
         assert legendre(delta, ell) in (-1, 0, 1)
 
-
-def test_quadfield_imports_only_the_stdlib_and_arith():
-    # the bottom of the layer table: values and roots, no forms or certificates
-    src = Path(nonelliptic.__file__).resolve().parent / "quadfield.py"
-    assert imports_outside_stdlib(src) == {".arith"}

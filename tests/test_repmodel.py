@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -5,18 +8,15 @@ import pytest
 import nonelliptic
 from conftest import imports_outside_stdlib
 from nonelliptic.arith import primes_in_range, trial_factor
-from nonelliptic.quadfield import (
-    NotSplitError,
-    QuadInt,
-    RamifiedError,
-    embedding_choices,
-)
 from nonelliptic.repmodel import (
     BadReductionError,
     FormDataError,
     InsufficientDataError,
     NewformData,
+    NotSplitError,
+    QuadInt,
     RamanujanBoundWarning,
+    RamifiedError,
     admitted_ells,
     embeddings,
     refusal,
@@ -42,7 +42,7 @@ def test_residual_rep_of_weight2_form_at_7(sqrt2_form):
     assert 7 not in rep.traces  # a_7 dropped: p = ell
     assert rep.source.claimed_conductor_equality is True
 
-    other = residual_rep(sqrt2_form, 7, embedding_choices(2, 7)[1])
+    other = residual_rep(sqrt2_form, 7, embeddings(sqrt2_form, 7)[1])
     assert other.traces[29] == (6 * 4) % 7 == 3
 
 
@@ -65,7 +65,7 @@ def test_residual_rep_inert_prime_rejected(sqrt2_form):
 def test_rational_trace_values_do_not_depend_on_embedding(sqrt2_form):
     # at ell = 17 (split: 6^2 = 2) the rational a_7 = -4 survives in the
     # trace map and must reduce identically under both roots
-    e1, e2 = embedding_choices(2, 17)
+    e1, e2 = embeddings(sqrt2_form, 17)
     r1 = residual_rep(sqrt2_form, 17, e1)
     r2 = residual_rep(sqrt2_form, 17, e2)
     assert r1.traces[7] == r2.traces[7] == (-4) % 17
@@ -202,10 +202,39 @@ def test_refusals_come_in_one_order(level, weight, d, ell, root, error, message)
         residual_rep(form, ell, root)
 
 
+def test_each_refusal_names_its_kind():
+    # the CLI prints a refusal as it stands, after "error: "
+    assert str(refusal(_form(77, 2, None), 7)) == "bad reduction prime: 7 divides the level 77"
+    assert str(refusal(_form(3, 2, 2), 11)) == (
+        "inert prime: no rational embedding: 11 is inert in Q(sqrt(2))")
+    assert str(refusal(_form(3, 2, 7), 7)) == (
+        "ramified prime: 7 divides d=7: ramified, neither split nor inert")
+
+
+def test_the_rule_proves_ell_prime_before_it_takes_a_root():
+    # 561 = 3*11*17 passes Euler's criterion for d = 2 (2**280 = 1 mod 561), so
+    # refusal, which trusts its caller, admits it; a root search mod 561 looks
+    # for a non-residue forever. Run in a subprocess, so a hang fails the test
+    # by its timeout instead of stalling the suite.
+    form = NewformData("t", 1, 2, 2, {})
+    assert pow(2, 280, 561) == 1 and refusal(form, 561) is None
+    src = str(Path(nonelliptic.__file__).resolve().parents[1])
+    code = (
+        "from nonelliptic.repmodel import NewformData, embeddings\n"
+        "try:\n"
+        "    embeddings(NewformData('t', 1, 2, 2, {}), 561)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "modulus 561 is not an odd prime\n", proc.stderr
+
+
 def test_embeddings_of_an_admitted_ell():
     form = _form(3, 2, 2)
     assert refusal(form, 7) is refusal(form, 7, 3) is None
-    assert embeddings(form, 7) == embedding_choices(2, 7)
+    assert embeddings(form, 7) == (3, 4)
     assert embeddings(form, 7, 4) == (4,)
     assert embeddings(_form(3, 2, None), 7) == (None,)
 
@@ -246,19 +275,19 @@ def test_admitted_ells_keeps_what_the_rule_admits():
 
 
 def test_the_rule_takes_no_square_root_twice_per_ell(monkeypatch, sqrt2_form):
-    import nonelliptic.quadfield as quadfield
+    import nonelliptic.repmodel as repmodel
     from nonelliptic.certify import certify_form
 
     roots = []
-    sqrt_mod = quadfield._sqrt_mod
-    monkeypatch.setattr(quadfield, "_sqrt_mod", lambda a, ell: roots.append(ell) or sqrt_mod(a, ell))
+    sqrt_mod = repmodel._sqrt_mod
+    monkeypatch.setattr(repmodel, "_sqrt_mod", lambda a, ell: roots.append(ell) or sqrt_mod(a, ell))
     ells = admitted_ells(sqrt2_form, primes_in_range(7, 200), "[7, 200]")
     assert roots == []  # the range filter uses Euler's criterion alone
     certify_form(sqrt2_form, ells)
     assert roots == ells  # one root per ell gives both embeddings
 
 
-def test_repmodel_imports_only_the_stdlib_arith_and_quadfield():
+def test_repmodel_imports_only_the_stdlib_and_arith():
     # the rule's home never pulls in the certification engine
     src = Path(nonelliptic.__file__).resolve().parent / "repmodel.py"
-    assert imports_outside_stdlib(src) == {".arith", ".quadfield"}
+    assert imports_outside_stdlib(src) == {".arith"}
