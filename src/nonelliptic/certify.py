@@ -1,7 +1,7 @@
 """Certification engine: irreducibility and non-ellipticity proofs with
 machine-checkable witnesses, and the per-form pipeline the `certify` command
-runs on the ell and embeddings that `repmodel`'s admissibility rule admits,
-in this process or, for a large range, in forked workers (`parallel`).
+runs on the reductions that `repmodel`'s admissibility rule admits at each
+ell, in this process or, for a large range, in forked workers (`parallel`).
 The certificate format and `check()` live in `checker`, the paper's bundle
 (`verify-paper` and the closed-form scan) in `paper`.
 
@@ -36,8 +36,7 @@ from .repmodel import (
     InsufficientDataError,
     NewformData,
     ResidualRep,
-    embeddings,
-    residual_rep,
+    residual_reps,
     twist_to_det_chi,
 )
 
@@ -322,20 +321,15 @@ class EllCertification:
         return lines
 
 
-def certify_at_ell(
-    form: NewformData,
-    ell: int,
-    root: int | None = None,
-    witness_prime: int | None = None,
-) -> EllCertification:
-    """Run the full certification pipeline for one ell and one embedding root.
+def certify_at_ell(rep: ResidualRep, witness_prime: int | None = None) -> EllCertification:
+    """Run the full certification pipeline on one reduction: one ell, one root.
 
     Irreducibility: discriminant test over the available witness primes,
     first success wins. Non-ellipticity: trace tests on the determinant-chi
     twist over the same primes, falling back to the conductor bound when the
     conductor is known exactly.
     """
-    rep = residual_rep(form, ell, root)
+    form, ell = rep.source, rep.ell
     candidates = [witness_prime] if witness_prime is not None else rep.witness_primes()
     notes: list[str] = []
 
@@ -438,13 +432,13 @@ def certify_form(
     witness_prime: int | None = None,
 ) -> CertifyReport:
     """Certification pipeline over a list of ells (sorted, deterministic):
-    one run per embedding the rule (`repmodel.embeddings`) gives at each ell,
-    so one per ell over Q and one per root over a quadratic field."""
+    one run per reduction `repmodel.residual_reps` gives at each ell, so one
+    per ell over Q and one per root over a quadratic field."""
     ells = sorted(set(ells))
     runs = [
-        certify_at_ell(form, ell, r, witness_prime)
+        certify_at_ell(rep, witness_prime)
         for ell in ells
-        for r in embeddings(form, ell, root)
+        for rep in residual_reps(form, ell, root)
     ]
     return CertifyReport(form_id=form.form_id, ells=tuple(ells), runs=tuple(runs))
 
@@ -482,7 +476,7 @@ def certify_range(
     only safe in a single-threaded process such as the CLI."""
     ells = sorted(set(ells))
     cpus = usable_cpus()
-    runs = len(ells) * len(embeddings(form, ells[0], root))
+    runs = len(ells) * len(residual_reps(form, ells[0], root))
     if cpus < 2 or runs < POOL_MIN_RUNS or not hasattr(os, "fork"):
         return certify_form(form, ells, root, witness_prime)
     from .parallel import certify_in_pool  # loads concurrent.futures and multiprocessing

@@ -218,7 +218,7 @@ def admitted_ells(form: NewformData, ells: list[int], span: str) -> list[int]:
 def _sqrt_mod(a: int, ell: int) -> int:
     """A square root of a mod the odd prime ell, for a a nonzero square mod
     ell, by Tonelli-Shanks (Shanks 1973): O(log(ell)**2) multiplications.
-    Trusts its caller, `embeddings`: at a composite ell it may never return."""
+    Trusts its caller, `residual_reps`: at a composite ell it may never return."""
     a %= ell
     q, s = ell - 1, 0
     while q % 2 == 0:
@@ -240,40 +240,33 @@ def _sqrt_mod(a: int, ell: int) -> int:
     return r
 
 
-def embeddings(form: NewformData, ell: int, root: int | None = None) -> tuple[int | None, ...]:
-    """The embeddings the recipe runs at ell, by their roots: (None,) over Q;
-    over Q(sqrt(d)) both square roots of d mod ell, smaller first, or only
-    `root` when given. Raises ValueError unless ell is an odd prime, then the
-    refusal when the rule refuses ell."""
+def residual_reps(form: NewformData, ell: int, root: int | None = None) -> tuple[ResidualRep, ...]:
+    """The mod-ell reductions of the eigenvalue system of `form`, one per
+    embedding the rule (`refusal`) admits at ell: one over Q; over Q(sqrt(d))
+    one under each square root r of d mod ell, smaller first, or only under
+    `root` when given, x + y*sqrt(d) going to x + y*r. a_ell, when stored, is
+    dropped: only primes away from level*ell are usable traces. Raises
+    ValueError unless ell is an odd prime, then the refusal when the rule
+    refuses ell."""
     require_odd_prime(ell)
     error = refusal(form, ell, root)
     if error is not None:
         raise error
-    if form.d is None:
-        return (None,)
-    if root is not None:
-        return (root,)
-    r = _sqrt_mod(form.d, ell)
-    return min(r, ell - r), max(r, ell - r)
+    roots = (root,)
+    if form.d is not None and root is None:
+        r = _sqrt_mod(form.d, ell)
+        roots = (min(r, ell - r), max(r, ell - r))
+    return tuple(ResidualRep(ell=ell, det_exponent=(form.weight - 1) % (ell - 1),
+                             traces={p: (a.x + a.y * (r or 0)) % ell
+                                     for p, a in form.eigenvalues.items() if p != ell},
+                             source=form, root=r)
+                 for r in roots)
 
 
 def residual_rep(form: NewformData, ell: int, root: int | None = None) -> ResidualRep:
-    """The mod-ell reduction of the eigenvalue system of `form` under the
-    embedding x + y*sqrt(d) -> x + y*root.
-
-    The rule (`refusal`) must admit ell and the root; the root defaults to
-    the smaller square root of d mod ell. a_ell, when stored, is dropped:
-    only primes away from level*ell are usable traces.
-    """
-    root = embeddings(form, ell, root)[0]
-    return ResidualRep(
-        ell=ell,
-        det_exponent=(form.weight - 1) % (ell - 1),
-        traces={p: (a.x + a.y * (root or 0)) % ell
-                for p, a in form.eigenvalues.items() if p != ell},
-        source=form,
-        root=root,
-    )
+    """The first of residual_reps(form, ell, root): the reduction under
+    `root`, by default under the smaller square root of d mod ell."""
+    return residual_reps(form, ell, root)[0]
 
 
 def twist_to_det_chi(rep: ResidualRep) -> ResidualRep:

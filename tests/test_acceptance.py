@@ -25,7 +25,7 @@ from nonelliptic.ecoracle import (
     weierstrass_discriminant,
 )
 from nonelliptic.paper import closed_form_scan, full_paper_verification
-from nonelliptic.repmodel import embeddings, residual_rep, twist_to_det_chi
+from nonelliptic.repmodel import residual_rep, residual_reps, twist_to_det_chi
 
 
 def test_criterion_1_irreducibility_reproduction(schoen_form):
@@ -91,11 +91,11 @@ def test_criterion_3_closed_form_equivalence():
 
 
 def test_criterion_4_weight2_reproduction(sqrt2_form):
-    roots = embeddings(sqrt2_form, 7)  # 7 splits: the rule admits it
-    assert roots == (3, 4)
+    reps = residual_reps(sqrt2_form, 7)  # 7 splits: the rule admits it
+    assert tuple(rep.root for rep in reps) == (3, 4)
 
-    for root in roots:
-        cert = irreducibility_by_discriminant(residual_rep(sqrt2_form, 7, root), 29)
+    for rep in reps:
+        cert = irreducibility_by_discriminant(rep, 29)
         assert cert.verdict == IRREDUCIBLE
         assert cert.witness["delta"] == 5
         assert cert.witness["legendre"] == -1

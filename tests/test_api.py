@@ -46,7 +46,8 @@ PUBLIC_API = [
 # EmbeddingChoice and reduce_mod, since an embedding is named by its root
 # (residual_rep(form, ell, root) reduces under it); splits and
 # QuadInt.square_if_rational, since a value has no field of its own (the form
-# owns d, and repmodel.refusal decides whether ell splits).
+# owns d, and repmodel.refusal decides whether ell splits); embeddings, since
+# repmodel.residual_reps gives the reductions under them with one ask of the rule.
 # norm_discriminant, EmbeddingChoice, reduce_mod and splits were in quadfield,
 # which is gone: they are looked for in repmodel, which took in its rest.
 REMOVED = [
@@ -68,6 +69,7 @@ REMOVED = [
     ("nonelliptic.repmodel", "EmbeddingChoice"),
     ("nonelliptic.repmodel", "reduce_mod"),
     ("nonelliptic.repmodel", "splits"),
+    ("nonelliptic.repmodel", "embeddings"),
 ]
 
 REMOVED_MEMBERS = [
@@ -99,7 +101,7 @@ def test_quadfield_is_gone():
 
 
 def test_embedding_choices_is_internal():
-    # repmodel.embeddings is the public way to an embedding's roots
+    # repmodel.residual_reps is the public way to an embedding's roots
     assert "embedding_choices" not in nonelliptic.__all__
     assert not hasattr(nonelliptic, "embedding_choices")
 

@@ -36,8 +36,8 @@ from nonelliptic.repmodel import (
     NewformData,
     QuadInt,
     ResidualRep,
-    embeddings,
     residual_rep,
+    residual_reps,
     twist_to_det_chi,
 )
 
@@ -57,12 +57,12 @@ def test_discriminant_weight4_ell11_p2(schoen_form):
 
 
 def test_discriminant_weight2_ell7_p29_both_roots(sqrt2_form):
-    for root in embeddings(sqrt2_form, 7):
-        cert = irreducibility_by_discriminant(residual_rep(sqrt2_form, 7, root), 29)
+    for rep in residual_reps(sqrt2_form, 7):
+        cert = irreducibility_by_discriminant(rep, 29)
         assert cert.verdict == IRREDUCIBLE
         assert cert.witness["delta"] == 5  # -44 = 5 (mod 7)
         assert cert.witness["legendre"] == -1
-        assert cert.inputs["embedding_root"] == root
+        assert cert.inputs["embedding_root"] == rep.root
         assert check(cert)
 
 

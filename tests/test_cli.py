@@ -164,6 +164,22 @@ def test_certify_range_over_quadratic_field_takes_split_ells(capsys):
     assert json.loads(single)["runs"] == [r for r in report["runs"] if r["ell"] == 23]
 
 
+@pytest.mark.parametrize("path,asks", [(SQRT2, 64), (SCHOEN, 87)], ids=["sqrt2", "schoen"])
+def test_certify_range_asks_the_rule_once_per_prime_and_run(monkeypatch, capsys, path, asks):
+    # [7, 200] holds 43 primes: the range filter asks the rule once for each,
+    # the run count once more, and the pipeline once per admitted ell (20 of
+    # them split in Q(sqrt(2)); all 43 are admitted over Q)
+    import nonelliptic.repmodel as repmodel
+
+    asked = []
+    rule = repmodel.refusal
+    monkeypatch.setattr(repmodel, "refusal",
+                        lambda form, ell, root=None: asked.append(ell) or rule(form, ell, root))
+    _, _, err = run(capsys, "certify", "-i", path, "--ell-min", "7", "--ell-max", "200")
+    assert err == ""
+    assert len(asked) == asks
+
+
 def test_certify_range_without_split_ell_exits_1(capsys):
     code, out, err = run(capsys, "certify", "-i", SQRT2, "--ell-min", "11",
                          "--ell-max", "13")

@@ -13,9 +13,8 @@ from nonelliptic.repmodel import (
     QuadInt,
     RamifiedError,
     _sqrt_mod,
-    embeddings,
     refusal,
-    residual_rep,
+    residual_reps,
 )
 
 
@@ -23,17 +22,18 @@ def roots(d, ell):
     """Both square roots of d mod ell, smaller first, as the rule gives them
     for a level-1 form over Q(sqrt(d)) of weight 40, where no ell > 2 has a
     vanishing determinant exponent."""
-    return embeddings(NewformData("t", 1, 40, d, {}), ell)
+    return tuple(rep.root for rep in residual_reps(NewformData("t", 1, 40, d, {}), ell))
 
 
 def reduced(values, ell, root, d=2):
     """The images in F_ell of `values` under the embedding named by `root`,
-    read off residual_rep of a level-1 form over Q(sqrt(d)) holding them as
-    a_p at the primes 2, 3, 5, ... (skipping ell). Its weight, 40, is high
-    enough that no value here breaks the Ramanujan bound."""
+    read off the one reduction residual_reps gives of a level-1 form over
+    Q(sqrt(d)) holding them as a_p at the primes 2, 3, 5, ... (skipping ell).
+    Its weight, 40, is high enough that no value here breaks the Ramanujan
+    bound."""
     primes = [p for p in primes_in_range(2, 100) if p != ell][:len(values)]
     form = NewformData("t", 1, 40, d, dict(zip(primes, values)))
-    rep = residual_rep(form, ell, root)
+    [rep] = residual_reps(form, ell, root)
     return [rep.traces[p] for p in primes]
 
 
@@ -49,7 +49,7 @@ def test_embedding_choices_examples():
     assert (3 * 3) % 7 == 2 and (4 * 4) % 7 == 2
     assert roots(2, 17) == (6, 11)
     with pytest.raises(NotSplitError, match="no rational embedding"):
-        embeddings(NewformData("t", 1, 40, 2, {}), 11)
+        roots(2, 11)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 10])

@@ -18,9 +18,9 @@ from nonelliptic.repmodel import (
     RamanujanBoundWarning,
     RamifiedError,
     admitted_ells,
-    embeddings,
     refusal,
     residual_rep,
+    residual_reps,
     twist_to_det_chi,
 )
 
@@ -42,7 +42,7 @@ def test_residual_rep_of_weight2_form_at_7(sqrt2_form):
     assert 7 not in rep.traces  # a_7 dropped: p = ell
     assert rep.source.claimed_conductor_equality is True
 
-    other = residual_rep(sqrt2_form, 7, embeddings(sqrt2_form, 7)[1])
+    other = residual_rep(sqrt2_form, 7, residual_reps(sqrt2_form, 7)[1].root)
     assert other.traces[29] == (6 * 4) % 7 == 3
 
 
@@ -65,9 +65,7 @@ def test_residual_rep_inert_prime_rejected(sqrt2_form):
 def test_rational_trace_values_do_not_depend_on_embedding(sqrt2_form):
     # at ell = 17 (split: 6^2 = 2) the rational a_7 = -4 survives in the
     # trace map and must reduce identically under both roots
-    e1, e2 = embeddings(sqrt2_form, 17)
-    r1 = residual_rep(sqrt2_form, 17, e1)
-    r2 = residual_rep(sqrt2_form, 17, e2)
+    r1, r2 = residual_reps(sqrt2_form, 17)
     assert r1.traces[7] == r2.traces[7] == (-4) % 17
     assert r1.traces[29] != r2.traces[29]  # the surd values do depend on it
 
@@ -195,9 +193,9 @@ def test_refusals_come_in_one_order(level, weight, d, ell, root, error, message)
     assert type(got) is error
     with pytest.raises(error, match=message):
         raise got
-    # embeddings and residual_rep raise the same refusal
+    # residual_reps and residual_rep raise the same refusal
     with pytest.raises(error, match=message):
-        embeddings(form, ell, root)
+        residual_reps(form, ell, root)
     with pytest.raises(error, match=message):
         residual_rep(form, ell, root)
 
@@ -220,9 +218,9 @@ def test_the_rule_proves_ell_prime_before_it_takes_a_root():
     assert pow(2, 280, 561) == 1 and refusal(form, 561) is None
     src = str(Path(nonelliptic.__file__).resolve().parents[1])
     code = (
-        "from nonelliptic.repmodel import NewformData, embeddings\n"
+        "from nonelliptic.repmodel import NewformData, residual_reps\n"
         "try:\n"
-        "    embeddings(NewformData('t', 1, 2, 2, {}), 561)\n"
+        "    residual_reps(NewformData('t', 1, 2, 2, {}), 561)\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
@@ -234,9 +232,9 @@ def test_the_rule_proves_ell_prime_before_it_takes_a_root():
 def test_embeddings_of_an_admitted_ell():
     form = _form(3, 2, 2)
     assert refusal(form, 7) is refusal(form, 7, 3) is None
-    assert embeddings(form, 7) == (3, 4)
-    assert embeddings(form, 7, 4) == (4,)
-    assert embeddings(_form(3, 2, None), 7) == (None,)
+    assert [rep.root for rep in residual_reps(form, 7)] == [3, 4]
+    assert [rep.root for rep in residual_reps(form, 7, 4)] == [4]
+    assert [rep.root for rep in residual_reps(_form(3, 2, None), 7)] == [None]
 
 
 def test_residual_rep_puts_an_explicit_embedding_through_the_rule(sqrt2_form, schoen_form):
@@ -274,17 +272,29 @@ def test_admitted_ells_keeps_what_the_rule_admits():
         17, 23, 31, 41, 47]
 
 
-def test_the_rule_takes_no_square_root_twice_per_ell(monkeypatch, sqrt2_form):
+def test_the_rule_takes_no_square_root_twice_per_ell(monkeypatch, sqrt2_form, schoen_form):
     import nonelliptic.repmodel as repmodel
     from nonelliptic.certify import certify_form
 
-    roots = []
-    sqrt_mod = repmodel._sqrt_mod
+    roots, asked = [], []
+    sqrt_mod, rule = repmodel._sqrt_mod, repmodel.refusal
     monkeypatch.setattr(repmodel, "_sqrt_mod", lambda a, ell: roots.append(ell) or sqrt_mod(a, ell))
-    ells = admitted_ells(sqrt2_form, primes_in_range(7, 200), "[7, 200]")
+    monkeypatch.setattr(repmodel, "refusal",
+                        lambda form, ell, root=None: asked.append(ell) or rule(form, ell, root))
+    primes = primes_in_range(7, 200)
+    ells = admitted_ells(sqrt2_form, primes, "[7, 200]")
+    assert (len(primes), len(ells)) == (43, 20)
     assert roots == []  # the range filter uses Euler's criterion alone
+    asked.clear()
     certify_form(sqrt2_form, ells)
     assert roots == ells  # one root per ell gives both embeddings
+    assert asked == ells  # and one ask of the rule gives both
+    asked.clear()
+    certify_form(schoen_form, primes)
+    assert asked == primes
+    asked.clear()
+    residual_rep(sqrt2_form, 7)
+    assert asked == [7]
 
 
 def test_repmodel_imports_only_the_stdlib_and_arith():
