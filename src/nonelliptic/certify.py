@@ -1,9 +1,9 @@
 """Certification engine: irreducibility and non-ellipticity proofs with
 machine-checkable witnesses, and the per-form pipeline the `certify` command
 runs on the reductions that `repmodel`'s admissibility rule admits at each
-ell, in this process or, for a large range, in forked workers (`parallel`).
-The certificate format and `check()` live in `checker`, the paper's bundle
-(`verify-paper` and the closed-form scan) in `paper`.
+ell, in batches of consecutive ells, in this process or, for a large range,
+in forked workers. The certificate format and `check()` live in `checker`,
+the paper's bundle (`verify-paper` and the closed-form scan) in `paper`.
 
 Every emitted Certificate is self-contained: `check()` re-verifies the
 witness arithmetic from the recorded data alone, without calling the code
@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import partial
 
+from . import data_io
 from .arith import TRIAL_DIVISION_LIMIT, is_prime, legendre, require_odd_prime, trial_factor
 from .checker import (
     DEFAULT_CONDUCTOR_BOUND,
@@ -39,9 +40,6 @@ from .repmodel import (
     residual_reps,
     twist_to_det_chi,
 )
-
-if TYPE_CHECKING:  # `certify` loads `parallel` only for a range it splits
-    from .parallel import RenderedRuns
 
 
 def _provenance(rep: ResidualRep) -> dict:
@@ -395,11 +393,11 @@ def certify_at_ell(rep: ResidualRep, witness_prime: int | None = None) -> EllCer
 
 @dataclass(frozen=True)
 class CertifyReport:
-    """The runs of certify_form over `ells`, in order. A report certified by
-    forked workers (`parallel`) holds each batch of consecutive runs as one
-    `RenderedRuns`, the batch's runs as text in the report's format: its
-    `proved`, `text_lines()` and `to_dict()` stand in for theirs, so the
-    report writes the same bytes."""
+    """The runs of certify_form over `ells`, in order. A report from
+    certify_range holds each batch of consecutive runs as one `RenderedRuns`,
+    the batch's runs as text in the report's format: its `proved`,
+    `text_lines()` and `to_dict()` stand in for theirs, so the report writes
+    the same bytes."""
 
     form_id: str
     ells: tuple[int, ...]
@@ -443,6 +441,52 @@ def certify_form(
     return CertifyReport(form_id=form.form_id, ells=tuple(ells), runs=tuple(runs))
 
 
+# A certify report's runs are the elements of its "runs" list, which sits in
+# the top-level object: nesting depth 2.
+_RUNS_DEPTH = 2
+
+# A batch holds at most this many ells, so a process holds one batch of run
+# objects (about 1.7 KB a run) besides their text (1.3 KB a run in JSON), and
+# a worker's text travels back batch by batch, not as one pickled copy of its
+# share.
+_BATCH_ELLS = 1000
+
+
+@dataclass(frozen=True)
+class RenderedRuns:
+    """Consecutive runs of a certify report, rendered in the report's format:
+    for JSON their elements of the "runs" list joined by its comma, for text
+    their lines. In CertifyReport.runs it stands in for them."""
+
+    text: str
+    proved: bool
+
+    def to_dict(self) -> data_io.Rendered:
+        return data_io.Rendered(self.text, _RUNS_DEPTH)
+
+    def text_lines(self) -> list[str]:
+        return [self.text]
+
+
+def render_runs(form: NewformData, root: int | None, witness_prime: int | None, fmt: str,
+                ells: list[int]) -> RenderedRuns:
+    """certify_form(form, ells, root, witness_prime), its runs rendered in `fmt`."""
+    report = certify_form(form, ells, root, witness_prime)
+    if fmt == "json":
+        text = data_io.render_items(report.runs, _RUNS_DEPTH).text
+    else:
+        text = "\n".join(line for run in report.runs for line in run.text_lines())
+    return RenderedRuns(text, report.all_proved)
+
+
+def batches(ells: list[int], cpus: int) -> list[list[int]]:
+    """`ells` cut in order into near-equal batches of at most _BATCH_ELLS, as
+    many as a multiple of `cpus` allows, so that each CPU gets the same share
+    when all are free; never more batches than ells."""
+    count = min(len(ells), cpus * -(-len(ells) // (cpus * _BATCH_ELLS)))
+    return [ells[len(ells) * i // count:len(ells) * (i + 1) // count] for i in range(count)]
+
+
 # A range of fewer runs than this is certified in this process. The pool's
 # fixed cost, about 55 ms (importing concurrent.futures and multiprocessing,
 # forking, sending back the text, joining), is what one CPU takes to certify
@@ -461,6 +505,23 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _pool_map(work, parts: list[list[int]], cpus: int) -> tuple[RenderedRuns, ...]:
+    """work over the batches `parts` in `cpus` forked workers, which take the
+    next batch as they become free. The first error in batch order is raised;
+    the batches not yet started are cancelled, and no worker outlives the
+    call. A worker that dies gives ChildProcessError. Only this function
+    loads concurrent.futures and multiprocessing."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        with ProcessPoolExecutor(cpus, mp_context=multiprocessing.get_context("fork")) as pool:
+            return tuple(pool.map(work, parts))
+    except BrokenProcessPool:
+        raise ChildProcessError("a certify worker exited before sending its runs") from None
+
+
 def certify_range(
     form: NewformData,
     ells: list[int],
@@ -468,17 +529,19 @@ def certify_range(
     witness_prime: int | None,
     fmt: str,
 ) -> CertifyReport:
-    """The report the `certify` command writes in `fmt`: certify_form's, or,
-    for a range of at least POOL_MIN_RUNS runs on a platform that forks and a
-    process allowed more than one CPU, one certified by forked workers
-    (`parallel.certify_in_pool`), whose runs are `parallel.RenderedRuns`, text
-    in `fmt`. Either raises the first error in ell order. It forks, which is
-    only safe in a single-threaded process such as the CLI."""
+    """The report the `certify` command writes in `fmt`: certify_form's,
+    certified and rendered in `batches` of consecutive ells, each one
+    `RenderedRuns`, text in `fmt`. A range of at least POOL_MIN_RUNS runs on
+    a platform that forks, in a process allowed more than one CPU, is mapped
+    over forked workers; any other in this process. Either raises the first
+    error in ell order. The pool is only safe in a single-threaded process
+    such as the CLI."""
     ells = sorted(set(ells))
     cpus = usable_cpus()
-    runs = len(ells) * len(residual_reps(form, ells[0], root))
-    if cpus < 2 or runs < POOL_MIN_RUNS or not hasattr(os, "fork"):
-        return certify_form(form, ells, root, witness_prime)
-    from .parallel import certify_in_pool  # loads concurrent.futures and multiprocessing
-
-    return certify_in_pool(form, ells, cpus, root, witness_prime, fmt)
+    size = len(ells) * len(residual_reps(form, ells[0], root)) if ells else 0
+    work = partial(render_runs, form, root, witness_prime, fmt)
+    if cpus < 2 or size < POOL_MIN_RUNS or not hasattr(os, "fork"):
+        runs = tuple(map(work, batches(ells, 1)))
+    else:
+        runs = _pool_map(work, batches(ells, cpus), cpus)
+    return CertifyReport(form.form_id, tuple(ells), runs)

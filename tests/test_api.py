@@ -100,6 +100,14 @@ def test_quadfield_is_gone():
     assert len(nonelliptic.__all__) == 30
 
 
+def test_parallel_is_gone():
+    # the batch path and the process pool live in certify, next to certify_range
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("nonelliptic.parallel")
+    certify = importlib.import_module("nonelliptic.certify")
+    assert certify.RenderedRuns.__module__ == "nonelliptic.certify"
+
+
 def test_embedding_choices_is_internal():
     # repmodel.residual_reps is the public way to an embedding's roots
     assert "embedding_choices" not in nonelliptic.__all__

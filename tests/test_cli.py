@@ -702,6 +702,29 @@ def test_certify_range_json_streams_in_bounded_memory():
     assert maxrss_kib < 60 * 1024
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_certify_range_on_one_cpu_holds_one_batch_of_runs():
+    # Tied to one CPU, the command certifies in this process. Holding every
+    # run object of 7..300000 until the end peaked at 79.8 MiB; certified and
+    # rendered a batch at a time, it peaks at about 39 MiB.
+    src = str(Path(nonelliptic.__file__).resolve().parents[1])
+    helper = (
+        "import os, subprocess, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "with open(os.devnull, 'w') as sink:\n"
+        "    child = subprocess.Popen([sys.executable, '-m', 'nonelliptic', 'certify',\n"
+        "        '-i', sys.argv[1], '--ell-min', '7', '--ell-max', '300000'], stdout=sink)\n"
+        "    _, status, usage = os.wait4(child.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", helper, SCHOEN], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    code, maxrss_kib = map(int, proc.stdout.split())
+    assert code == 2, proc.stderr  # ell = 7 is inconclusive
+    assert maxrss_kib < 60 * 1024
+
+
 def test_import_leaves_out_jsonschema_and_process_pools():
     src = str(Path(nonelliptic.__file__).resolve().parents[1])
     code = (
@@ -747,7 +770,7 @@ def test_import_leaves_out_jsonschema_and_process_pools():
     for argv, absent in [
         (["oracle", "5"], {"nonelliptic.certify", "nonelliptic.paper", "nonelliptic.repmodel"}),
         (["certify", "-i", SCHOEN, "--ell", "11"],
-         {"nonelliptic.ecoracle", "nonelliptic.paper", "nonelliptic.parallel"}),
+         {"nonelliptic.ecoracle", "nonelliptic.paper"}),
         (["verify-paper"], {"nonelliptic.ecoracle"}),
         (["scan", "7", "1000"], {"nonelliptic.certify", "nonelliptic.repmodel"}),
         (["falsify", "--curve", "0,0,1,0,0", "-i", SCHOEN, "--ell", "11"],

@@ -1,6 +1,6 @@
 """The chunked `certify` route: a large ell range certified in batches by
 forked workers must give the bytes, the stderr and the exit code of the
-in-process route.
+in-process route, which certifies and renders the same batches in order.
 
 Tests force the route on small ranges by setting certify.POOL_MIN_RUNS to 1
 and the CPU count to 2 or 3, so they run the same on any machine.
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import nonelliptic
-from nonelliptic import certify, parallel
+from nonelliptic import certify
 from nonelliptic.arith import primes_in_range
 from nonelliptic.certify import certify_form
 from nonelliptic.cli import main
@@ -60,7 +60,7 @@ def chunked(monkeypatch):
     """Force the chunked route on `cpus` workers; returns the list that
     records each cut of the ells into batches."""
     cuts = []
-    batches = parallel.batches
+    batches = certify.batches
 
     def spy(ells, cpus):
         cuts.append(batches(ells, cpus))
@@ -69,8 +69,8 @@ def chunked(monkeypatch):
     def force(cpus):
         monkeypatch.setattr(certify, "POOL_MIN_RUNS", 1)
         monkeypatch.setattr(certify, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(parallel, "_BATCH_ELLS", 7)  # several batches per worker
-        monkeypatch.setattr(parallel, "batches", spy)
+        monkeypatch.setattr(certify, "_BATCH_ELLS", 7)  # several batches per worker
+        monkeypatch.setattr(certify, "batches", spy)
         return cuts
 
     return force
@@ -165,12 +165,14 @@ def test_a_process_that_cannot_fork_or_has_one_cpu_stays_in_process(capsys, chun
                                                                     monkeypatch):
     argv = ("certify", "-i", SCHOEN, "--ell-min", "7", "--ell-max", "300")
     serial = run(capsys, *argv)
-    cuts = chunked(1)
+    pools = []
+    monkeypatch.setattr(certify, "_pool_map", lambda *args: pools.append(args))
+    chunked(1)
     assert run(capsys, *argv) == serial
     chunked(2)
     monkeypatch.delattr(os, "fork")
     assert run(capsys, *argv) == serial
-    assert cuts == []
+    assert pools == []
 
 
 def _child(script: str, *args: str, flags=()) -> subprocess.CompletedProcess:
@@ -192,13 +194,13 @@ FORCED = (
 # A worker that certifies a batch holding 53 dies at once, as if killed.
 DYING = (
     "import os\n"
-    "from nonelliptic import parallel\n"
-    "render = parallel.render_runs\n"
+    "from nonelliptic import certify\n"
+    "render = certify.render_runs\n"
     "def render_runs(form, root, witness_prime, fmt, ells):\n"
     "    if 53 in ells:\n"
     "        os._exit(3)\n"
     "    return render(form, root, witness_prime, fmt, ells)\n"
-    "parallel.render_runs = render_runs\n"
+    "certify.render_runs = render_runs\n"
 )
 
 
@@ -244,9 +246,9 @@ def test_a_dying_worker_exits_1_and_leaves_no_child():
 ])
 def test_batches_cut_the_ells_in_order_into_near_equal_batches(monkeypatch, cpus, ells,
                                                                 batch, sizes):
-    monkeypatch.setattr(parallel, "_BATCH_ELLS", batch)
+    monkeypatch.setattr(certify, "_BATCH_ELLS", batch)
     items = list(range(100, 100 + ells))
-    got = parallel.batches(items, cpus)
+    got = certify.batches(items, cpus)
     assert sorted(map(len, got)) == sorted(sizes)
     assert [ell for b in got for ell in b] == items
     assert max(map(len, got)) - min(map(len, got)) <= 1
@@ -263,11 +265,37 @@ def test_rendered_runs_stand_in_for_their_runs(form_id, fmt):
     whole = certify_form(form, ells)
     for cuts in ([1], [5, 9], [len(ells) - 1]):
         bounds = [0, *cuts, len(ells)]
-        runs = tuple(parallel.render_runs(form, None, None, fmt, ells[a:b])
+        runs = tuple(certify.render_runs(form, None, None, fmt, ells[a:b])
                      for a, b in zip(bounds, bounds[1:]))
         stitched = type(whole)(whole.form_id, whole.ells, runs)
         assert stitched.all_proved == whole.all_proved
         assert _written(stitched, fmt) == _written(whole, fmt)
+
+
+@pytest.mark.parametrize("batch", [1000, 100])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_one_cpu_certifies_and_renders_in_batches_too(monkeypatch, fmt, batch):
+    # in process, the range holds one batch of run objects at a time
+    monkeypatch.setattr(certify, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(certify, "_BATCH_ELLS", batch)
+    form = bundled_form("s2_512_sqrt2")
+    ells = admitted_ells(form, primes_in_range(7, 3000), "[7, 3000]")
+    report = certify.certify_range(form, ells, None, None, fmt)
+    assert all(type(r) is certify.RenderedRuns for r in report.runs)
+    assert len(report.runs) == len(certify.batches(ells, 1)) == -(-len(ells) // batch)
+    assert _written(report, fmt) == _written(certify_form(form, ells), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_an_empty_range_gives_the_empty_report(fmt):
+    form = bundled_form("schoen_s4_25")
+    written = _written(certify.certify_range(form, [], None, None, fmt), fmt)
+    assert written == _written(certify_form(form, []), fmt)
+    if fmt == "json":
+        assert json.loads(written) == {"form": "schoen_s4_25", "all_proved": True,
+                                       "ells": [], "runs": []}
+    else:
+        assert written == "certify form=schoen_s4_25\nall proved: yes\n"
 
 
 def _written(report, fmt):
