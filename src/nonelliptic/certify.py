@@ -17,6 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
+from json.encoder import encode_basestring_ascii
 
 from . import data_io
 from .arith import TRIAL_DIVISION_LIMIT, is_prime, legendre, require_odd_prime, trial_factor
@@ -454,18 +455,106 @@ _BATCH_ELLS = 1000
 
 @dataclass(frozen=True)
 class RenderedRuns:
-    """Consecutive runs of a certify report, rendered in the report's format:
-    for JSON their elements of the "runs" list joined by its comma, for text
-    their lines. In CertifyReport.runs it stands in for them."""
+    """Consecutive runs of a certify report, rendered in `fmt`: for "json"
+    their elements of the "runs" list joined by its comma, for "text" their
+    lines. In CertifyReport.runs it stands in for them, in a report written
+    in `fmt` only."""
 
     text: str
     proved: bool
+    fmt: str
+
+    def _require(self, fmt: str) -> None:
+        if self.fmt != fmt:
+            raise ValueError(f"runs rendered as {self.fmt} cannot be written as {fmt}")
 
     def to_dict(self) -> data_io.Rendered:
+        self._require("json")
         return data_io.Rendered(self.text, _RUNS_DEPTH)
 
     def text_lines(self) -> list[str]:
+        self._require("text")
         return [self.text]
+
+
+# The JSON templates below write a run of certify_at_ell's and its
+# certificates as json.dumps(run.to_dict(), default=lambda o: o.to_dict(),
+# sort_keys=True, indent=2, ensure_ascii=True) does at the same nesting, keys
+# in sorted order. The runs of a 7..10^5 range render in a median 0.20-0.21 s
+# this way against 0.49-0.53 s through data_io's generic walk (one CPU,
+# Python 3.11.7; BENCH_render.json). That walk stays the writer of every other
+# report, and json.dumps the reference the tests hold these templates to.
+
+def _opt(value: int | None) -> str:
+    return "null" if value is None else str(value)
+
+
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _list(texts, indent: str) -> str:
+    """The JSON texts `texts` (none empty) as the elements of a list at
+    nesting `indent`."""
+    inner = indent + "  "
+    body = (",\n" + inner).join(texts)
+    return f"[\n{inner}{body}\n{indent}]" if body else "[]"
+
+
+def _cert_json(cert: Certificate, i0: str) -> str:
+    """A per-ell certificate of certify_at_ell's as JSON at nesting `i0`."""
+    i1 = i0 + "  "
+    i2 = i1 + "  "
+    w, a = cert.witness, cert.inputs
+    if cert.method == METHOD_DISCRIMINANT:
+        inputs = (f'{{\n{i2}"assumed_odd": {_bool(a["assumed_odd"])},'
+                  f'\n{i2}"embedding_root": {_opt(a["embedding_root"])},'
+                  f'\n{i2}"form": {encode_basestring_ascii(a["form"])},'
+                  f'\n{i2}"twist_exponent": {_opt(a["twist_exponent"])}\n{i1}}}')
+        witness = (f'{{\n{i2}"delta": {w["delta"]},\n{i2}"det_exponent": {w["det_exponent"]},'
+                   f'\n{i2}"legendre": {w["legendre"]},\n{i2}"p": {w["p"]},'
+                   f'\n{i2}"trace": {w["trace"]}\n{i1}}}')
+    elif cert.method == METHOD_TRACE:
+        inputs = (f'{{\n{i2}"embedding_root": {_opt(a["embedding_root"])},'
+                  f'\n{i2}"extended": {_bool(a["extended"])},'
+                  f'\n{i2}"form": {encode_basestring_ascii(a["form"])},'
+                  f'\n{i2}"twist_exponent": {_opt(a["twist_exponent"])}\n{i1}}}')
+        witness = (f'{{\n{i2}"excluded": {_list(map(str, w["excluded"]), i2)},'
+                   f'\n{i2}"p": {w["p"]},\n{i2}"trace": {w["trace"]}\n{i1}}}')
+    elif cert.method == METHOD_CONDUCTOR:
+        inputs = f'{{\n{i2}"form": {encode_basestring_ascii(a["form"])}\n{i1}}}'
+        i3 = i2 + "  "
+        v = w["violation"]
+        violation = "null" if v is None else (
+            f'{{\n{i3}"bound": {v["bound"]},\n{i3}"exponent": {v["exponent"]},'
+            f'\n{i3}"p": {v["p"]}\n{i2}}}')
+        factors = _list([_list([str(q), str(e)], i3) for q, e in w["factors"]], i2)
+        witness = (f'{{\n{i2}"conductor": {w["conductor"]},\n{i2}"factors": {factors},'
+                   f'\n{i2}"violation": {violation}\n{i1}}}')
+    else:
+        raise ValueError(f"no JSON template for a {cert.method} certificate")
+    return (f'{{\n{i1}"ell": {_opt(cert.ell)},\n{i1}"inputs": {inputs},'
+            f'\n{i1}"method": {encode_basestring_ascii(cert.method)},'
+            f'\n{i1}"verdict": {encode_basestring_ascii(cert.verdict)},'
+            f'\n{i1}"witness": {witness}\n{i0}}}')
+
+
+def _run_json(run: EllCertification, i0: str) -> str:
+    """run as JSON at nesting `i0`, its certificates included."""
+    i1 = i0 + "  "
+    irreducible = "null" if run.irreducible is None else _cert_json(run.irreducible, i1)
+    conductor = "null" if run.conductor is None else _cert_json(run.conductor, i1)
+    i2 = i1 + "  "
+    trace_tests = _list([_cert_json(c, i2) for c in run.trace_tests], i1)
+    return (f'{{\n{i1}"conductor": {conductor},\n{i1}"ell": {run.ell},'
+            f'\n{i1}"embedding_root": {_opt(run.embedding_root)},'
+            f'\n{i1}"irreducible": {irreducible},'
+            f'\n{i1}"irreducible_tried": {_list(map(str, run.irreducible_tried), i1)},'
+            f'\n{i1}"notes": {_list(map(encode_basestring_ascii, run.notes), i1)},'
+            f'\n{i1}"proved_irreducible": {_bool(run.proved_irreducible)},'
+            f'\n{i1}"proved_non_elliptic": {_bool(run.proved_non_elliptic)},'
+            f'\n{i1}"trace_tests": {trace_tests},'
+            f'\n{i1}"twist_exponent": {_opt(run.twist_exponent)}\n{i0}}}')
 
 
 def render_runs(form: NewformData, root: int | None, witness_prime: int | None, fmt: str,
@@ -473,10 +562,11 @@ def render_runs(form: NewformData, root: int | None, witness_prime: int | None, 
     """certify_form(form, ells, root, witness_prime), its runs rendered in `fmt`."""
     report = certify_form(form, ells, root, witness_prime)
     if fmt == "json":
-        text = data_io.render_items(report.runs, _RUNS_DEPTH).text
+        indent = "  " * _RUNS_DEPTH
+        text = (",\n" + indent).join([_run_json(run, indent) for run in report.runs])
     else:
         text = "\n".join(line for run in report.runs for line in run.text_lines())
-    return RenderedRuns(text, report.all_proved)
+    return RenderedRuns(text, report.all_proved, fmt)
 
 
 def batches(ells: list[int], cpus: int) -> list[list[int]]:

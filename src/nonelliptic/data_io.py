@@ -168,8 +168,9 @@ _FLUSH_PIECES = 4096
 
 class Rendered:
     """JSON text written verbatim in place of a value at nesting `depth`.
-    What render_items wrote for consecutive elements of a list there stands
-    in for them as one element: the list comes out byte for byte the same."""
+    The JSON of consecutive elements of a list there, joined by the list's
+    comma, stands in for them as one element: the list comes out byte for
+    byte the same."""
 
     # not a dataclass: building one would cost every command about 1 ms
     __slots__ = ("text", "depth")
@@ -245,16 +246,6 @@ def _write_items(items, indent: str, opening: str, pending: list, out) -> None:
         pending.append(sep)
         _write_json(value, indent, pending, out)
         sep = comma
-
-
-def render_items(items, depth: int) -> Rendered:
-    """The non-empty `items` rendered as consecutive elements of a list at
-    nesting `depth`: written there, the result stands in for them."""
-    out = io.StringIO()
-    pending: list[str] = []
-    _write_items(items, "  " * depth, "", pending, out)
-    _flush(pending, out)
-    return Rendered(out.getvalue(), depth)
 
 
 def canonical_json(obj) -> str:

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nonelliptic.arith import legendre, primes_in_range, trial_factor
+from nonelliptic import certify
 from nonelliptic.certify import (
     EXCLUDED_SET_LIMIT,
     certify_form,
+    certify_range,
     conductor_bound_test,
     excluded_trace_set,
     irreducibility_by_discriminant,
@@ -35,7 +37,9 @@ from nonelliptic.repmodel import (
     InsufficientDataError,
     NewformData,
     QuadInt,
+    RamanujanBoundWarning,
     ResidualRep,
+    refusal,
     residual_rep,
     residual_reps,
     twist_to_det_chi,
@@ -792,3 +796,55 @@ def test_report_serialization_is_deterministic():
     at = full_paper_verification(ell_max=100).to_text()
     bt = full_paper_verification(ell_max=100).to_text()
     assert at == bt
+
+
+# --- the JSON of a certify range ------------------------------------------------------
+
+SMALL_PRIMES = primes_in_range(2, 60)
+# a form id the report must escape: a quote, a backslash, non-ASCII, a newline
+FORM_IDS = st.text(alphabet='ab"\\\né✓\x00', min_size=1, max_size=6) | st.text(min_size=1)
+
+
+@st.composite
+def certify_cases(draw):
+    """A form, its admitted ells in 7..60, a root and a witness prime for
+    certify_form. Levels 1, 125, 512 and 1375 give a conductor bound with an
+    empty factor list, a violation at 5 and at 2, and none; weights 2-6 give
+    even and odd determinant exponents. A pinned root takes one ell. The
+    witness prime is unset, any prime below 60 (stored or not, at times
+    = 1 mod ell) or one of the ells."""
+    d = draw(st.sampled_from([None, 2, 3, 5, 7]))
+    level = draw(st.sampled_from([1, 11, 25, 125, 512, 1375]))
+    good = [p for p in SMALL_PRIMES if level % p]
+    ys = st.just(0) if d is None else st.integers(-9, 9)
+    eigenvalues = {p: QuadInt(draw(st.integers(-99, 99)), draw(ys))
+                   for p in draw(st.lists(st.sampled_from(good), unique=True, max_size=10))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RamanujanBoundWarning)
+        form = NewformData(draw(FORM_IDS), level, draw(st.integers(2, 6)), d, eigenvalues,
+                           draw(st.booleans()))
+    admitted = [ell for ell in primes_in_range(7, 60) if refusal(form, ell) is None]
+    assume(admitted)
+    ells = draw(st.lists(st.sampled_from(admitted), min_size=1, max_size=6, unique=True))
+    root = None
+    if d is not None and draw(st.booleans()):
+        ells = ells[:1]
+        root = draw(st.sampled_from([r for r in range(ells[0]) if (r * r - d) % ells[0] == 0]))
+    return form, ells, root, draw(st.sampled_from([None, *SMALL_PRIMES, *ells]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(certify_cases())
+def test_certify_range_json_is_what_the_standard_library_writes(case):
+    form, ells, root, witness_prime = case
+    report = certify_form(form, ells, root, witness_prime)
+    want = json.dumps(report, default=lambda o: o.to_dict(), sort_keys=True, indent=2,
+                      ensure_ascii=True) + "\n"
+    assert canonical_json(certify_range(form, ells, root, witness_prime, "json")) == want
+
+
+def test_a_run_with_a_certificate_of_another_method_has_no_json(schoen_form):
+    run = certify_form(schoen_form, [11]).runs[0]
+    family = reducibility_obstruction(schoen_form, 11)
+    with pytest.raises(ValueError, match="no JSON template for a ReducibilityObstruction"):
+        certify._run_json(dataclasses.replace(run, irreducible=family), "    ")

@@ -150,6 +150,31 @@ def test_certify_range_report_bytes_pinned(capsys, form, ell_max, fmt, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# Each takes a branch of the run's JSON: the trace and the conductor routes,
+# a pinned root, an even determinant exponent with a claimed conductor and no
+# violation (weight 5, level 25) under an id json must escape, and p = ell.
+CERTIFY_JSON_ARGV = {
+    "schoen": (SCHOEN, "--ell-min", "7", "--ell-max", "400"),
+    "sqrt2": (SQRT2, "--ell-min", "7", "--ell-max", "400"),
+    "sqrt2-root": (SQRT2, "--ell-min", "17", "--ell-max", "17", "--root", "6"),
+    "weight5-claimed": ("WEIGHT5", "--ell-min", "7", "--ell-max", "400"),
+    "p-is-ell": (SCHOEN, "--ell", "11", "--witness-prime", "11"),
+}
+
+
+@pytest.mark.parametrize("argv", CERTIFY_JSON_ARGV.values(), ids=CERTIFY_JSON_ARGV)
+def test_certify_json_is_what_the_standard_library_writes(tmp_path, capsys, argv):
+    if argv[0] == "WEIGHT5":
+        record = json.loads(Path(SCHOEN).read_text())
+        record.update(id='w5 "\u00e9"\\', weight=5, claimed_conductor_equality=True)
+        weight5 = tmp_path / "weight5.json"
+        weight5.write_text(json.dumps(record))
+        argv = (str(weight5), *argv[1:])
+    code, out, err = run(capsys, "certify", "-i", *argv, "--format", "json")
+    assert code in (0, 2) and err == ""
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 def test_certify_range_over_quadratic_field_takes_split_ells(capsys):
     code, out, err = run(capsys, "certify", "-i", SQRT2, "--ell-min", "7",
                          "--ell-max", "200", "--format", "json")

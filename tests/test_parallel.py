@@ -20,8 +20,7 @@ from nonelliptic import certify
 from nonelliptic.arith import primes_in_range
 from nonelliptic.certify import certify_form
 from nonelliptic.cli import main
-from nonelliptic.data_io import (Rendered, bundled_form, canonical_json, render_items,
-                                 write_report)
+from nonelliptic.data_io import Rendered, bundled_form, canonical_json, write_report
 from nonelliptic.repmodel import admitted_ells
 
 SRC = str(Path(nonelliptic.__file__).resolve().parents[1])
@@ -304,11 +303,32 @@ def _written(report, fmt):
     return out.getvalue()
 
 
+def _rendered_at_depth_2(items):
+    """The non-empty `items` as consecutive elements of a list at nesting 2,
+    cut out of the standard library's text of {"k": items}."""
+    text = json.dumps({"k": items}, sort_keys=True, indent=2, ensure_ascii=True)
+    opening, closing = '{\n  "k": [\n    ', "\n  ]\n}"
+    assert text.startswith(opening) and text.endswith(closing)
+    return Rendered(text[len(opening):-len(closing)], 2)
+
+
 def test_rendered_json_is_written_verbatim_at_its_depth():
     items = [{"b": [1, 2], "a": {"c": None}}, "x", [{"d": True}], 7]
     for cut in range(1, len(items)):
-        pieces = [render_items(items[:cut], 2), render_items(items[cut:], 2)]
+        pieces = [_rendered_at_depth_2(items[:cut]), _rendered_at_depth_2(items[cut:])]
         assert canonical_json({"k": pieces}) == canonical_json({"k": items})
     with pytest.raises(ValueError, match="depth 2 written at depth 1"):
-        canonical_json([render_items(items, 2)])
+        canonical_json([_rendered_at_depth_2(items)])
     assert canonical_json({"k": [Rendered("1", 2)]}) == '{\n  "k": [\n    1\n  ]\n}\n'
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_runs_rendered_in_one_format_are_not_written_in_the_other(fmt):
+    # JSON text inside a text report, or text lines inside "runs", would be
+    # an invalid report written without an error
+    form = bundled_form("schoen_s4_25")
+    report = certify.certify_range(form, [11, 13], None, None, fmt)
+    other = "text" if fmt == "json" else "json"
+    with pytest.raises(ValueError, match=f"runs rendered as {fmt} cannot be written as {other}"):
+        _written(report, other)
+    assert _written(report, fmt) == _written(certify_form(form, [11, 13]), fmt)
