@@ -97,19 +97,18 @@ def require_odd_prime(ell: int) -> None:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, by an Eratosthenes sieve."""
-    if hi < 2 or hi < lo:
+    """All primes p with lo <= p <= hi, by an Eratosthenes sieve of [lo, hi]
+    alone: memory grows with the width hi - lo, not with hi."""
+    lo = max(lo, 2)
+    if hi < lo:
         return []
     # From bytes: a failed bytearray repeat makes CPython print a stray
     # SystemError to stderr next to the MemoryError.
-    sieve = bytearray(b"\x01" * (hi + 1))
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(hi) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start : hi + 1 : p] = b"\x00" * ((hi - start) // p + 1)
-    lo = max(lo, 2)
-    return list(compress(range(lo, hi + 1), sieve[lo:]))
+    sieve = bytearray(b"\x01" * (hi - lo + 1))
+    for p in primes_in_range(2, math.isqrt(hi)):
+        start = max(p * p, -(-lo // p) * p)
+        sieve[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
+    return list(compress(range(lo, hi + 1), sieve))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 machine-checkable witnesses, and the per-form pipeline the `certify` command
 runs on the reductions that `repmodel`'s admissibility rule admits at each
 ell, in batches of consecutive ells, in this process or, for a large range,
-in forked workers. The certificate format and `check()` live in `checker`,
-the paper's bundle (`verify-paper` and the closed-form scan) in `paper`.
+in forked workers, and the writer of a range's report. The certificate
+format and `check()` live in `checker`, the paper's bundle (`verify-paper`
+and the closed-form scan) in `paper`.
 
 Every emitted Certificate is self-contained: `check()` re-verifies the
 witness arithmetic from the recorded data alone, without calling the code
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii
 
-from . import data_io
 from .arith import TRIAL_DIVISION_LIMIT, is_prime, legendre, require_odd_prime, trial_factor
 from .checker import (
     DEFAULT_CONDUCTOR_BOUND,
@@ -394,15 +394,11 @@ def certify_at_ell(rep: ResidualRep, witness_prime: int | None = None) -> EllCer
 
 @dataclass(frozen=True)
 class CertifyReport:
-    """The runs of certify_form over `ells`, in order. A report from
-    certify_range holds each batch of consecutive runs as one `RenderedRuns`,
-    the batch's runs as text in the report's format: its `proved`,
-    `text_lines()` and `to_dict()` stand in for theirs, so the report writes
-    the same bytes."""
+    """The runs of certify_form over `ells`, in order."""
 
     form_id: str
     ells: tuple[int, ...]
-    runs: tuple[EllCertification | RenderedRuns, ...]
+    runs: tuple[EllCertification, ...]
 
     @property
     def all_proved(self) -> bool:
@@ -442,10 +438,6 @@ def certify_form(
     return CertifyReport(form_id=form.form_id, ells=tuple(ells), runs=tuple(runs))
 
 
-# A certify report's runs are the elements of its "runs" list, which sits in
-# the top-level object: nesting depth 2.
-_RUNS_DEPTH = 2
-
 # A batch holds at most this many ells, so a process holds one batch of run
 # objects (about 1.7 KB a run) besides their text (1.3 KB a run in JSON), and
 # a worker's text travels back batch by batch, not as one pickled copy of its
@@ -453,37 +445,16 @@ _RUNS_DEPTH = 2
 _BATCH_ELLS = 1000
 
 
-@dataclass(frozen=True)
-class RenderedRuns:
-    """Consecutive runs of a certify report, rendered in `fmt`: for "json"
-    their elements of the "runs" list joined by its comma, for "text" their
-    lines. In CertifyReport.runs it stands in for them, in a report written
-    in `fmt` only."""
+# The JSON templates below, and certify_range for the report around them,
+# write the runs of certify_at_ell and their certificates as json.dumps(report,
+# default=lambda o: o.to_dict(), sort_keys=True, indent=2, ensure_ascii=True)
+# does, keys in sorted order. The runs of a 7..10^5 range render in a median
+# 0.20-0.21 s this way against 0.49-0.53 s through data_io's generic walk (one
+# CPU, Python 3.11.7; BENCH_render.json), which stays the writer of every other
+# report; json.dumps is the reference the tests hold these templates to. A run
+# is an element of the report's "runs" list, in the top-level object.
+_RUN_INDENT = "    "
 
-    text: str
-    proved: bool
-    fmt: str
-
-    def _require(self, fmt: str) -> None:
-        if self.fmt != fmt:
-            raise ValueError(f"runs rendered as {self.fmt} cannot be written as {fmt}")
-
-    def to_dict(self) -> data_io.Rendered:
-        self._require("json")
-        return data_io.Rendered(self.text, _RUNS_DEPTH)
-
-    def text_lines(self) -> list[str]:
-        self._require("text")
-        return [self.text]
-
-
-# The JSON templates below write a run of certify_at_ell's and its
-# certificates as json.dumps(run.to_dict(), default=lambda o: o.to_dict(),
-# sort_keys=True, indent=2, ensure_ascii=True) does at the same nesting, keys
-# in sorted order. The runs of a 7..10^5 range render in a median 0.20-0.21 s
-# this way against 0.49-0.53 s through data_io's generic walk (one CPU,
-# Python 3.11.7; BENCH_render.json). That walk stays the writer of every other
-# report, and json.dumps the reference the tests hold these templates to.
 
 def _opt(value: int | None) -> str:
     return "null" if value is None else str(value)
@@ -558,15 +529,16 @@ def _run_json(run: EllCertification, i0: str) -> str:
 
 
 def render_runs(form: NewformData, root: int | None, witness_prime: int | None, fmt: str,
-                ells: list[int]) -> RenderedRuns:
-    """certify_form(form, ells, root, witness_prime), its runs rendered in `fmt`."""
+                ells: list[int]) -> tuple[str, bool]:
+    """The runs of certify_form(form, ells, root, witness_prime) as report
+    text in `fmt`, JSON elements of "runs" joined by its comma or text lines,
+    and whether all were proved."""
     report = certify_form(form, ells, root, witness_prime)
     if fmt == "json":
-        indent = "  " * _RUNS_DEPTH
-        text = (",\n" + indent).join([_run_json(run, indent) for run in report.runs])
+        text = (",\n" + _RUN_INDENT).join([_run_json(run, _RUN_INDENT) for run in report.runs])
     else:
         text = "\n".join(line for run in report.runs for line in run.text_lines())
-    return RenderedRuns(text, report.all_proved, fmt)
+    return text, report.all_proved
 
 
 def batches(ells: list[int], cpus: int) -> list[list[int]]:
@@ -595,7 +567,7 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_map(work, parts: list[list[int]], cpus: int) -> tuple[RenderedRuns, ...]:
+def _pool_map(work, parts: list[list[int]], cpus: int) -> list[tuple[str, bool]]:
     """work over the batches `parts` in `cpus` forked workers, which take the
     next batch as they become free. The first error in batch order is raised;
     the batches not yet started are cancelled, and no worker outlives the
@@ -607,7 +579,7 @@ def _pool_map(work, parts: list[list[int]], cpus: int) -> tuple[RenderedRuns, ..
 
     try:
         with ProcessPoolExecutor(cpus, mp_context=multiprocessing.get_context("fork")) as pool:
-            return tuple(pool.map(work, parts))
+            return list(pool.map(work, parts))
     except BrokenProcessPool:
         raise ChildProcessError("a certify worker exited before sending its runs") from None
 
@@ -618,20 +590,40 @@ def certify_range(
     root: int | None,
     witness_prime: int | None,
     fmt: str,
-) -> CertifyReport:
-    """The report the `certify` command writes in `fmt`: certify_form's,
-    certified and rendered in `batches` of consecutive ells, each one
-    `RenderedRuns`, text in `fmt`. A range of at least POOL_MIN_RUNS runs on
-    a platform that forks, in a process allowed more than one CPU, is mapped
-    over forked workers; any other in this process. Either raises the first
-    error in ell order. The pool is only safe in a single-threaded process
-    such as the CLI."""
+    out,
+) -> bool:
+    """Write certify_form's report in `fmt` ("json" or "text") to the text
+    stream `out`, the bytes write_report writes, and return its all_proved.
+    The ells are certified and rendered in `batches` of consecutive ells:
+    over forked workers for at least POOL_MIN_RUNS runs on a platform that
+    forks, in a process allowed more than one CPU; else in this process. The
+    first error in ell order is raised before anything is written. Only a
+    single-threaded process, such as the CLI, may use the pool."""
+    if fmt not in ("json", "text"):
+        raise ValueError(f"unknown report format {fmt!r}")
     ells = sorted(set(ells))
     cpus = usable_cpus()
     size = len(ells) * len(residual_reps(form, ells[0], root)) if ells else 0
     work = partial(render_runs, form, root, witness_prime, fmt)
     if cpus < 2 or size < POOL_MIN_RUNS or not hasattr(os, "fork"):
-        runs = tuple(map(work, batches(ells, 1)))
+        parts = list(map(work, batches(ells, 1)))
     else:
-        runs = _pool_map(work, batches(ells, cpus), cpus)
-    return CertifyReport(form.form_id, tuple(ells), runs)
+        parts = _pool_map(work, batches(ells, cpus), cpus)
+    proved = all(p for _, p in parts)
+    # each batch's text is megabytes: written as it is, never joined
+    if fmt == "json":
+        out.write(f'{{\n  "all_proved": {_bool(proved)},\n  "ells": {_list(map(str, ells), "  ")},'
+                  f'\n  "form": {encode_basestring_ascii(form.form_id)},\n  "runs": ')
+        sep = "[\n" + _RUN_INDENT
+        for text, _ in parts:
+            out.write(sep)
+            out.write(text)
+            sep = ",\n" + _RUN_INDENT
+        out.write("\n  ]\n}\n" if parts else "[]\n}\n")
+    else:
+        out.write(f"certify form={form.form_id}\n")
+        for text, _ in parts:
+            out.write(text)
+            out.write("\n")
+        out.write(f"all proved: {'yes' if proved else 'no'}\n")
+    return proved

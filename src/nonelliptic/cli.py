@@ -125,9 +125,8 @@ def _cmd_certify(args) -> int:
         raise ValueError(f"--witness-prime {args.witness_prime} is not prime")
     form = data_io.load_form(args.input)
     ells = _requested_ells(args, form)
-    report = certify_range(form, ells, args.root, args.witness_prime, args.format)
-    data_io.write_report(report, args.format, sys.stdout)
-    return EXIT_PROVED if report.all_proved else EXIT_INCONCLUSIVE
+    proved = certify_range(form, ells, args.root, args.witness_prime, args.format, sys.stdout)
+    return EXIT_PROVED if proved else EXIT_INCONCLUSIVE
 
 
 def _cmd_scan(args) -> int:

@@ -166,20 +166,6 @@ _SCALARS = {
 _FLUSH_PIECES = 4096
 
 
-class Rendered:
-    """JSON text written verbatim in place of a value at nesting `depth`.
-    The JSON of consecutive elements of a list there, joined by the list's
-    comma, stands in for them as one element: the list comes out byte for
-    byte the same."""
-
-    # not a dataclass: building one would cost every command about 1 ms
-    __slots__ = ("text", "depth")
-
-    def __init__(self, text: str, depth: int) -> None:
-        self.text = text
-        self.depth = depth
-
-
 def _flush(pending: list, out) -> None:
     out.write("".join(pending))
     pending.clear()
@@ -219,13 +205,6 @@ def _write_json(obj, indent: str, pending: list, out) -> None:
         inner = indent + "  "
         _write_items(obj, inner, "[\n" + inner, pending, out)
         emit(f"\n{indent}]")
-    elif kind is Rendered:
-        if len(indent) != 2 * obj.depth:
-            raise ValueError(f"JSON rendered at depth {obj.depth} written at depth "
-                             f"{len(indent) // 2}")
-        # a chunk of a report is megabytes: written as it is, not copied by a join
-        _flush(pending, out)
-        out.write(obj.text)
     elif hasattr(obj, "to_dict"):
         _write_json(obj.to_dict(), indent, pending, out)
     else:
@@ -251,11 +230,11 @@ def _write_items(items, indent: str, opening: str, pending: list, out) -> None:
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, two-space indent, ASCII only,
     trailing newline. Takes exactly the types reports hold: str, int, bool,
-    None, dict with str keys, list, tuple, a record (anything with to_dict),
-    written as its to_dict(), and Rendered text, written as it is; anything
-    else, a float or a subclass included, raises TypeError. Without Rendered
-    text, byte for byte json.dumps(obj, default=lambda o: o.to_dict(),
-    sort_keys=True, indent=2, ensure_ascii=True) + "\n", written directly:
+    None, dict with str keys, list, tuple and a record (anything with
+    to_dict), written as its to_dict(); anything else, a float or a subclass
+    included, raises TypeError. Byte for byte json.dumps(obj, default=lambda
+    o: o.to_dict(), sort_keys=True, indent=2, ensure_ascii=True) + "\n",
+    written directly:
     with an indent, json uses its pure-Python generator encoder, which takes
     about twice as long on a large certify report.
     """

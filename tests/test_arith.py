@@ -357,3 +357,8 @@ def test_primes_in_range():
     assert primes_in_range(6, 20) == [7, 11, 13, 17, 19]
     assert primes_in_range(2, 2) == [2]
     assert primes_in_range(20, 6) == []
+    # the sieve spans [lo, hi] alone: windows that start below, at and above
+    # the square of a sieving prime
+    for lo, hi in [(-5, 1), (0, 3), (3, 4), (4, 4), (24, 50), (25, 49), (49, 49),
+                   (97, 97), (1000, 1100), (9409, 9999), (999_000, 1_000_100)]:
+        assert primes_in_range(lo, hi) == [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]

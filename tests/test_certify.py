@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import io
 import json
 import time
 import warnings
@@ -840,7 +841,9 @@ def test_certify_range_json_is_what_the_standard_library_writes(case):
     report = certify_form(form, ells, root, witness_prime)
     want = json.dumps(report, default=lambda o: o.to_dict(), sort_keys=True, indent=2,
                       ensure_ascii=True) + "\n"
-    assert canonical_json(certify_range(form, ells, root, witness_prime, "json")) == want
+    out = io.StringIO()
+    assert certify_range(form, ells, root, witness_prime, "json", out) == report.all_proved
+    assert out.getvalue() == want
 
 
 def test_a_run_with_a_certificate_of_another_method_has_no_json(schoen_form):

@@ -583,6 +583,30 @@ def test_scan_out_of_memory_exits_1():
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,line", [
+    (("scan", "1000000000000", "1000000000100"), "  primes scanned: 4"),
+    (("certify", "-i", SCHOEN, "--ell-min", "1000000000000", "--ell-max", "1000000000100"),
+     "all proved: yes"),
+], ids=["scan", "certify"])
+def test_a_narrow_range_of_wide_ells_sieves_in_little_memory(argv, line):
+    # The sieve spans [10^12, 10^12 + 100] and sieves it by the primes below
+    # 10^6: a sieve from 0 to 10^12 would not fit under the child's 1 GiB cap.
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(nonelliptic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "nonelliptic", *argv], env=env,
+                          preexec_fn=limit_address_space, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert line in proc.stdout.splitlines()
+    assert primes_in_range(10**12, 10**12 + 100) == [10**12 + d for d in (39, 61, 63, 91)]
+
+
 def test_oracle(capsys):
     code, out, _ = run(capsys, "oracle", "2")
     assert code == 0

@@ -20,7 +20,7 @@ from nonelliptic import certify
 from nonelliptic.arith import primes_in_range
 from nonelliptic.certify import certify_form
 from nonelliptic.cli import main
-from nonelliptic.data_io import Rendered, bundled_form, canonical_json, write_report
+from nonelliptic.data_io import bundled_form, write_report
 from nonelliptic.repmodel import admitted_ells
 
 SRC = str(Path(nonelliptic.__file__).resolve().parents[1])
@@ -84,6 +84,21 @@ def _same_as_in_process(capsys, chunked, cpus, *argv):
     return serial, cuts
 
 
+def _errors_in_both_formats(capsys, chunked, cpus, *argv):
+    """Run argv in JSON and in text, in process, then chunked: each chunked
+    run must agree with its in-process one, and both formats must exit 1
+    with the same error and nothing on stdout. Returns the error and the
+    cuts of the chunked runs."""
+    argvs = [(*argv, "--format", fmt) for fmt in ("json", "text")]
+    serial = [run(capsys, *a) for a in argvs]
+    cuts = chunked(cpus)
+    assert [run(capsys, *a) for a in argvs] == serial
+    assert _children() == []
+    assert [(code, out) for code, out, _ in serial] == [(1, "")] * 2
+    assert serial[0][2] == serial[1][2]
+    return serial[0][2], cuts
+
+
 def _odd_weight_claimed(tmp_path):
     # weight 3: the determinant exponent 2 is even, so no trace test runs and
     # non-ellipticity comes from the conductor 2^9 * 3 (v_2 = 9 > 8); every
@@ -119,10 +134,9 @@ def test_chunked_report_equals_the_in_process_one(tmp_path, capsys, chunked, fmt
 def test_chunked_root_error_equals_the_in_process_one(capsys, chunked):
     # 3 is a square root of 2 mod 7 only: the in-process run fails at 17, in
     # the first batch, and every later batch fails too
-    (code, out, err), _ = _same_as_in_process(
+    err, _ = _errors_in_both_formats(
         capsys, chunked, 3, "certify", "-i", SQRT2, "--ell-min", "7", "--ell-max", "300",
         "--root", "3")
-    assert (code, out) == (1, "")
     assert err == "error: --root 3 is not a square root of 2 mod 17\n"
     assert _active_children() == []
 
@@ -138,10 +152,9 @@ def test_a_workers_error_reaches_the_parent(tmp_path, capsys, chunked, cpus):
         "eigenvalues": {"7": {"x": 3, "y": 0}}, "claimed_conductor_equality": True,
     })
     argv = ("certify", "-i", form, "--ell-min", "32", "--ell-max", "59")
-    (code, out, err), cuts = _same_as_in_process(capsys, chunked, cpus, *argv)
-    assert cuts == ([[[37, 41, 43], [47, 53, 59]]] if cpus == 2
-                    else [[[37, 41], [43, 47], [53, 59]]])
-    assert (code, out) == (1, "")
+    err, cuts = _errors_in_both_formats(capsys, chunked, cpus, *argv)
+    assert cuts == 2 * ([[[37, 41, 43], [47, 53, 59]]] if cpus == 2
+                        else [[[37, 41], [43, 47], [53, 59]]])
     assert err.startswith(f"error: cannot factor {UNFACTORABLE}")
     assert _active_children() == []
 
@@ -255,41 +268,36 @@ def test_batches_cut_the_ells_in_order_into_near_equal_batches(monkeypatch, cpus
     assert len(got) % cpus == 0 or len(got) == ells
 
 
-@pytest.mark.parametrize("form_id", ["schoen_s4_25", "s2_512_sqrt2"])
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_rendered_runs_stand_in_for_their_runs(form_id, fmt):
-    # in process: any cut of the ells into chunks gives the report's bytes
-    form = bundled_form(form_id)
-    ells = admitted_ells(form, primes_in_range(7, 400), "[7, 400]")
-    whole = certify_form(form, ells)
-    for cuts in ([1], [5, 9], [len(ells) - 1]):
-        bounds = [0, *cuts, len(ells)]
-        runs = tuple(certify.render_runs(form, None, None, fmt, ells[a:b])
-                     for a, b in zip(bounds, bounds[1:]))
-        stitched = type(whole)(whole.form_id, whole.ells, runs)
-        assert stitched.all_proved == whole.all_proved
-        assert _written(stitched, fmt) == _written(whole, fmt)
-
-
-@pytest.mark.parametrize("batch", [1000, 100])
+@pytest.mark.parametrize("batch", [1000, 100, 7, 1])
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_one_cpu_certifies_and_renders_in_batches_too(monkeypatch, fmt, batch):
-    # in process, the range holds one batch of run objects at a time
+    # in process, the range holds one batch of run objects at a time, and
+    # any cut of the ells into batches gives the report's bytes
     monkeypatch.setattr(certify, "usable_cpus", lambda: 1)
     monkeypatch.setattr(certify, "_BATCH_ELLS", batch)
-    form = bundled_form("s2_512_sqrt2")
-    ells = admitted_ells(form, primes_in_range(7, 3000), "[7, 3000]")
-    report = certify.certify_range(form, ells, None, None, fmt)
-    assert all(type(r) is certify.RenderedRuns for r in report.runs)
-    assert len(report.runs) == len(certify.batches(ells, 1)) == -(-len(ells) // batch)
-    assert _written(report, fmt) == _written(certify_form(form, ells), fmt)
+    rendered = []
+    render = certify.render_runs
+
+    def spy(form, root, witness_prime, fmt, ells):
+        rendered.append(ells)
+        return render(form, root, witness_prime, fmt, ells)
+
+    monkeypatch.setattr(certify, "render_runs", spy)
+    for form_id in ("schoen_s4_25", "s2_512_sqrt2"):
+        form = bundled_form(form_id)
+        ells = admitted_ells(form, primes_in_range(7, 3000), "[7, 3000]")
+        whole = certify_form(form, ells)
+        rendered.clear()
+        assert _ranged(form, ells, fmt) == (_written(whole, fmt), whole.all_proved)
+        assert rendered == certify.batches(ells, 1)
+        assert len(rendered) == -(-len(ells) // batch)
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_an_empty_range_gives_the_empty_report(fmt):
     form = bundled_form("schoen_s4_25")
-    written = _written(certify.certify_range(form, [], None, None, fmt), fmt)
-    assert written == _written(certify_form(form, []), fmt)
+    written, proved = _ranged(form, [], fmt)
+    assert (written, proved) == (_written(certify_form(form, []), fmt), True)
     if fmt == "json":
         assert json.loads(written) == {"form": "schoen_s4_25", "all_proved": True,
                                        "ells": [], "runs": []}
@@ -297,38 +305,19 @@ def test_an_empty_range_gives_the_empty_report(fmt):
         assert written == "certify form=schoen_s4_25\nall proved: yes\n"
 
 
+def test_an_unknown_format_is_refused():
+    with pytest.raises(ValueError, match="unknown report format 'yaml'"):
+        _ranged(bundled_form("schoen_s4_25"), [11], "yaml")
+
+
+def _ranged(form, ells, fmt):
+    """What certify_range writes for `ells`, and what it returns."""
+    out = io.StringIO()
+    proved = certify.certify_range(form, ells, None, None, fmt, out)
+    return out.getvalue(), proved
+
+
 def _written(report, fmt):
     out = io.StringIO()
     write_report(report, fmt, out)
     return out.getvalue()
-
-
-def _rendered_at_depth_2(items):
-    """The non-empty `items` as consecutive elements of a list at nesting 2,
-    cut out of the standard library's text of {"k": items}."""
-    text = json.dumps({"k": items}, sort_keys=True, indent=2, ensure_ascii=True)
-    opening, closing = '{\n  "k": [\n    ', "\n  ]\n}"
-    assert text.startswith(opening) and text.endswith(closing)
-    return Rendered(text[len(opening):-len(closing)], 2)
-
-
-def test_rendered_json_is_written_verbatim_at_its_depth():
-    items = [{"b": [1, 2], "a": {"c": None}}, "x", [{"d": True}], 7]
-    for cut in range(1, len(items)):
-        pieces = [_rendered_at_depth_2(items[:cut]), _rendered_at_depth_2(items[cut:])]
-        assert canonical_json({"k": pieces}) == canonical_json({"k": items})
-    with pytest.raises(ValueError, match="depth 2 written at depth 1"):
-        canonical_json([_rendered_at_depth_2(items)])
-    assert canonical_json({"k": [Rendered("1", 2)]}) == '{\n  "k": [\n    1\n  ]\n}\n'
-
-
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_runs_rendered_in_one_format_are_not_written_in_the_other(fmt):
-    # JSON text inside a text report, or text lines inside "runs", would be
-    # an invalid report written without an error
-    form = bundled_form("schoen_s4_25")
-    report = certify.certify_range(form, [11, 13], None, None, fmt)
-    other = "text" if fmt == "json" else "json"
-    with pytest.raises(ValueError, match=f"runs rendered as {fmt} cannot be written as {other}"):
-        _written(report, other)
-    assert _written(report, fmt) == _written(certify_form(form, [11, 13]), fmt)
