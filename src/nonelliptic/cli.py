@@ -101,7 +101,7 @@ def _requested_ells(args, form) -> list[int]:
         return [_check_ell(args.ell)]
     if args.ell is not None or None in bounds:
         raise ValueError("give either --ell or both --ell-min and --ell-max")
-    # The sieve is exact, so only the lower end needs checking.
+    # primes_in_range is exact, so only the lower end needs checking.
     ells = primes_in_range(args.ell_min, args.ell_max)
     if not ells:
         raise ValueError(f"no primes in [{args.ell_min}, {args.ell_max}]")
@@ -114,7 +114,10 @@ def _cmd_verify_paper(args) -> int:
     from .paper import full_paper_verification
 
     report = full_paper_verification(ell_max=args.ell_max)
-    data_io.write_report(report, args.format, sys.stdout)
+    if args.format == "json":
+        report.write_json(sys.stdout)
+    else:
+        data_io.write_report(report, "text", sys.stdout)
     return EXIT_PROVED if report.passed else EXIT_ERROR
 
 
@@ -173,20 +176,11 @@ def _cmd_falsify(args) -> int:
     twisted = twist_to_det_chi(rep)
     result = falsify_curve(curve, twisted)
     if args.format == "json":
-        payload = {
-            "curve": coeffs,
-            "ell": ell,
-            "compared": list(result.compared),
-            "witness": (
-                None
-                if result.witness is None
-                else {
-                    "p": result.witness.p,
-                    "curve_trace": result.witness.curve_trace,
-                    "rep_trace": result.witness.rep_trace,
-                }
-            ),
-        }
+        w = result.witness
+        witness = None if w is None else {"p": w.p, "curve_trace": w.curve_trace,
+                                          "rep_trace": w.rep_trace}
+        payload = {"curve": coeffs, "ell": ell, "compared": list(result.compared),
+                   "witness": witness}
         data_io.write_report(payload, "json", sys.stdout)
     else:
         sys.stdout.write(result.describe() + "\n")

@@ -9,10 +9,8 @@ warning is the useful signal.
 
 from __future__ import annotations
 
-import io
 import json
 import re
-from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -151,112 +149,29 @@ def load_expectations() -> dict:
     return json.loads(_packaged("expectations.json"))
 
 
-# Exact type -> JSON text, as json.dumps writes it.
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-}
-
-
-# A writer hands its pending pieces to out.write once this many have piled up
-# at a list-element boundary: about 100 KB of report text, so no whole-report
-# piece list, string or encoded copy exists.
-_FLUSH_PIECES = 4096
-
-
-def _flush(pending: list, out) -> None:
-    out.write("".join(pending))
-    pending.clear()
-
-
-def _write_json(obj, indent: str, pending: list, out) -> None:
-    """Append obj to pending as json.dumps(default=lambda o: o.to_dict(),
-    sort_keys=True, indent=2, ensure_ascii=True) writes it when it sits at
-    nesting `indent`, handing pending to out.write at list-element boundaries
-    once _FLUSH_PIECES pieces have piled up."""
-    emit = pending.append
-    kind = type(obj)
-    scalar = _SCALARS.get(kind)
-    if scalar is not None:
-        emit(scalar(obj))
-    elif kind is dict:
-        if not obj:
-            emit("{}")
-            return
-        inner = indent + "  "
-        sep, comma = "{\n" + inner, ",\n" + inner
-        # sorted() and encode_basestring_ascii raise TypeError on a non-str key
-        for key in sorted(obj):
-            value = obj[key]
-            scalar = _SCALARS.get(type(value))
-            if scalar is None:
-                emit(f"{sep}{encode_basestring_ascii(key)}: ")
-                _write_json(value, inner, pending, out)
-            else:
-                emit(f"{sep}{encode_basestring_ascii(key)}: {scalar(value)}")
-            sep = comma
-        emit(f"\n{indent}}}")
-    elif kind is list or kind is tuple:
-        if not obj:
-            emit("[]")
-            return
-        inner = indent + "  "
-        _write_items(obj, inner, "[\n" + inner, pending, out)
-        emit(f"\n{indent}]")
-    elif hasattr(obj, "to_dict"):
-        _write_json(obj.to_dict(), indent, pending, out)
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-def _write_items(items, indent: str, opening: str, pending: list, out) -> None:
-    """Append `opening` and the non-empty `items` as the elements of a list,
-    each at nesting `indent`, joined by the list's comma."""
-    comma = ",\n" + indent
-    if all(type(v) in _SCALARS for v in items):
-        pending.append(opening + comma.join([_SCALARS[type(v)](v) for v in items]))
-        return
-    sep = opening
-    for value in items:
-        if len(pending) >= _FLUSH_PIECES:
-            _flush(pending, out)
-        pending.append(sep)
-        _write_json(value, indent, pending, out)
-        sep = comma
+def _record(obj):
+    """json.dumps' `default`: a record (anything with to_dict) as its to_dict()."""
+    if not hasattr(obj, "to_dict"):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return obj.to_dict()
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, two-space indent, ASCII only,
-    trailing newline. Takes exactly the types reports hold: str, int, bool,
-    None, dict with str keys, list, tuple and a record (anything with
-    to_dict), written as its to_dict(); anything else, a float or a subclass
-    included, raises TypeError. Byte for byte json.dumps(obj, default=lambda
-    o: o.to_dict(), sort_keys=True, indent=2, ensure_ascii=True) + "\n",
-    written directly:
-    with an indent, json uses its pure-Python generator encoder, which takes
-    about twice as long on a large certify report.
-    """
-    buf = io.StringIO()
-    write_report(obj, "json", buf)
-    return buf.getvalue()
+    """Deterministic JSON: json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=True) with a record (anything with to_dict) written as its
+    to_dict(), and a trailing newline. Whatever json.dumps takes is taken,
+    floats and non-str keys included, though no report holds them."""
+    return json.dumps(obj, default=_record, sort_keys=True, indent=2) + "\n"
 
 
 def write_report(report, fmt: str, out) -> None:
     """Write a report to the text stream out: canonical_json(report) for
-    "json" (any value canonical_json takes), report.to_text() and a newline
-    for "text". JSON goes out in pieces of about 100 KB, so memory grows with
-    the report's records, not with its text.
-
-    Canonical in both formats: stable ordering, no timestamps, so identical
-    inputs give byte-identical output.
-    """
+    "json", report.to_text() and a newline for "text". Canonical in both:
+    stable ordering, no timestamps, so identical inputs give byte-identical
+    output. The two large JSON reports, a `certify` range (certify_range) and
+    `verify-paper` (VerificationReport.write_json), write themselves faster."""
     if fmt == "json":
-        pending: list[str] = []
-        _write_json(report, "", pending, out)
-        pending.append("\n")
-        _flush(pending, out)
+        out.write(canonical_json(report))
     elif fmt == "text":
         out.write(report.to_text())
         out.write("\n")

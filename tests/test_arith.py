@@ -1,10 +1,13 @@
+import math
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import hasse_interval
+from nonelliptic import arith
 from nonelliptic.arith import (
+    _NARROW,
     CACHE_SIZE,
     MILLER_RABIN_LIMIT,
     Factorization,
@@ -353,7 +356,7 @@ def test_hasse_interval_symmetric_contains_zero(p):
     assert (bound + 1) ** 2 > 4 * p
 
 
-def test_primes_in_range():
+def test_primes_in_range(monkeypatch):
     assert primes_in_range(6, 20) == [7, 11, 13, 17, 19]
     assert primes_in_range(2, 2) == [2]
     assert primes_in_range(20, 6) == []
@@ -362,3 +365,23 @@ def test_primes_in_range():
     for lo, hi in [(-5, 1), (0, 3), (3, 4), (4, 4), (24, 50), (25, 49), (49, 49),
                    (97, 97), (1000, 1100), (9409, 9999), (999_000, 1_000_100)]:
         assert primes_in_range(lo, hi) == [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
+    # a window narrower than isqrt(hi) / _NARROW is proved by is_prime, a
+    # wider one sieved: both sides of the rule, each ending at a prime
+    windows = [(MILLER_RABIN_LIMIT - 1168, MILLER_RABIN_LIMIT - 168, True)]
+    for hi in (10**8 + 7, 10**12 + 39):
+        edge = math.isqrt(hi) // _NARROW
+        windows += [(hi - edge + 1, hi, True), (hi - edge - 1, hi, False)]
+    calls = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    for lo, hi, narrow in windows:
+        calls.clear()
+        expected = [n for n in range(lo, hi + 1) if is_prime(n)]
+        assert primes_in_range(lo, hi) == expected
+        assert expected[-1] == hi
+        assert bool(calls) == narrow
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=r"exceeds the proven Miller-Rabin range"):
+        primes_in_range(MILLER_RABIN_LIMIT - 100, MILLER_RABIN_LIMIT)
+    # the sieve's width is refused before the bytearray overflows
+    with pytest.raises(ValueError, match=r"too wide to sieve: its width passes the index size"):
+        primes_in_range(6, 10**20)

@@ -33,6 +33,7 @@ from nonelliptic.checker import (
     check,
 )
 from nonelliptic.data_io import bundled_form, canonical_json, load_expectations
+from nonelliptic.ecoracle import ENUMERATION_BUDGET, trace_set
 from nonelliptic.paper import closed_form_scan, full_paper_verification
 from nonelliptic.repmodel import (
     InsufficientDataError,
@@ -734,25 +735,45 @@ def test_full_verification_detects_tampering():
     assert report.mismatches
 
 
-def test_full_verification_reports_missing_tests_as_mismatches():
-    # p = 29 = 1 (mod 7) leaves ell = 7 without a trace test, and the
-    # weight-2 form stores no a_17 for the discriminant test
+def missing_data_report(store_a29=True):
+    """verify-paper up to 20 with witness primes 29 and 17. p = 29 = 1 (mod 7)
+    leaves ell = 7 without a trace test, and the weight-2 form stores no a_17
+    for the discriminant test. Without a stored a_29 no ell has a trace test,
+    and the discriminant entry of ell = 11 is null."""
     expectations = load_expectations()
     expectations["weight4_level25"]["trace_test_witness_prime"] = 29
     expectations["weight2_level512"]["pinned_discriminant"]["witness_prime"] = 17
     schoen = bundled_form("schoen_s4_25")
-    with29 = NewformData(schoen.form_id, 25, 4, None, schoen.eigenvalues | {29: QuadInt(0)})
-    report = full_paper_verification(
+    if store_a29:
+        schoen = NewformData(schoen.form_id, 25, 4, None, schoen.eigenvalues | {29: QuadInt(0)})
+    return full_paper_verification(
         ell_max=20,
-        forms={"weight4_level25": with29, "weight2_level512": bundled_form("s2_512_sqrt2")},
+        forms={"weight4_level25": schoen, "weight2_level512": bundled_form("s2_512_sqrt2")},
         expectations=expectations,
     )
+
+
+def test_full_verification_reports_missing_tests_as_mismatches():
+    report = missing_data_report()
     assert not report.passed
     assert "ell=7: no trace test at p=29" in report.mismatches
     assert "root_3: no discriminant certificate at p=17" in report.mismatches
     assert "root_4: no discriminant certificate at p=17" in report.mismatches
     assert "mismatches:" in report.to_text()
     assert json.loads(canonical_json(report))["passed"] is False
+
+
+@pytest.mark.parametrize("make_report", [
+    *(functools.partial(full_paper_verification, ell_max) for ell_max in (7, 11, 100, 2000)),
+    missing_data_report, functools.partial(missing_data_report, store_a29=False),
+], ids=["7", "11", "100", "2000", "missing data", "missing data, no a_29"])
+def test_verify_paper_json_is_what_the_standard_library_writes(make_report):
+    report = make_report()
+    out = io.StringIO()
+    report.write_json(out)
+    assert out.getvalue() == canonical_json(report)
+    assert out.getvalue() == json.dumps(report, default=lambda o: o.to_dict(), sort_keys=True,
+                                        indent=2, ensure_ascii=True) + "\n"
 
 
 def test_certify_form_pipeline(schoen_form, sqrt2_form):
@@ -844,6 +865,28 @@ def test_certify_range_json_is_what_the_standard_library_writes(case):
     out = io.StringIO()
     assert certify_range(form, ells, root, witness_prime, "json", out) == report.all_proved
     assert out.getvalue() == want
+
+
+@functools.cache
+def census(p):
+    """trace_set(p), computed once per module: every p <= 50 takes about 1 s."""
+    return trace_set(p)
+
+
+@settings(max_examples=400, deadline=None)
+@given(certify_cases())
+def test_the_producer_the_checker_and_the_census_agree(case):
+    # every emitted certificate passes check(), and a NonElliptic trace
+    # verdict at a p the census covers avoids every trace of a curve over F_p
+    # mod ell and the level-raising values ±(p+1)
+    form, ells, root, witness_prime = case
+    for run in certify_form(form, ells, root, witness_prime).runs:
+        assert all(check(cert) for cert in run.certificates())
+        for cert in run.trace_tests:
+            p, ell = cert.witness["p"], cert.ell
+            if cert.verdict == NON_ELLIPTIC and p <= ENUMERATION_BUDGET:
+                elliptic = {t % ell for t in census(p)} | {(p + 1) % ell, -(p + 1) % ell}
+                assert cert.witness["trace"] not in elliptic
 
 
 def test_a_run_with_a_certificate_of_another_method_has_no_json(schoen_form):

@@ -583,14 +583,44 @@ def test_scan_out_of_memory_exits_1():
     assert proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv,line", [
-    (("scan", "1000000000000", "1000000000100"), "  primes scanned: 4"),
+def _window(lo, width=100):
+    return str(lo), str(lo + width)
+
+
+_PAST_MILLER_RABIN = "exceeds the proven Miller-Rabin range (< 3317044064679887385961981)"
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    (("scan", *_window(10**12)), 0, "  primes scanned: 4"),
     (("certify", "-i", SCHOEN, "--ell-min", "1000000000000", "--ell-max", "1000000000100"),
-     "all proved: yes"),
-], ids=["scan", "certify"])
-def test_a_narrow_range_of_wide_ells_sieves_in_little_memory(argv, line):
-    # The sieve spans [10^12, 10^12 + 100] and sieves it by the primes below
-    # 10^6: a sieve from 0 to 10^12 would not fit under the child's 1 GiB cap.
+     0, "all proved: yes"),
+    (("scan", *_window(10**18 + 9)), 0, "  primes scanned: 3"),
+    (("certify", "-i", SCHOEN, "--ell-min", str(10**18 + 9), "--ell-max", str(10**18 + 109)),
+     0, "all proved: yes"),
+    (("verify-paper", "--ell-max", str(10**18 + 109)), 1,
+     "error: out of memory; the request is too large (narrow the range)"),
+    (("scan", *_window(10**20)), 0, "  primes scanned: 1"),
+    (("certify", "-i", SCHOEN, "--ell-min", str(10**20), "--ell-max", str(10**20 + 100)),
+     0, "all proved: yes"),
+    (("verify-paper", "--ell-max", str(10**20)), 1,
+     f"error: [6, {10**20}] is too wide to sieve: its width passes the index size "
+     f"{sys.maxsize} (narrow the range)"),
+    *((argv, 1, f"error: {hi} {_PAST_MILLER_RABIN}")
+      for lo, hi in ((10**27, 10**27 + 100), (10**40, 10**40 + 100))
+      for argv in (("scan", str(lo), str(hi)),
+                   ("certify", "-i", SCHOEN, "--ell-min", str(lo), "--ell-max", str(hi)),
+                   ("verify-paper", "--ell-max", str(hi)))),
+], ids=["scan", "certify", "scan 10^18", "certify 10^18", "verify-paper 10^18",
+        "scan 10^20", "certify 10^20", "verify-paper 10^20",
+        "scan 10^27", "certify 10^27", "verify-paper 10^27",
+        "scan 10^40", "certify 10^40", "verify-paper 10^40"])
+def test_a_narrow_range_of_wide_ells_sieves_in_little_memory(argv, code, line):
+    # A window narrow next to the square root of its upper end has each odd
+    # candidate proved by is_prime, so neither the window nor the primes up
+    # to that square root are sieved: at 10^18 the base sieve alone would
+    # take minutes and gigabytes. A range past the Miller-Rabin bound is
+    # refused, and one wider than any index is refused before its sieve is
+    # built; neither reaches the child's 1 GiB cap or prints a traceback.
     resource = pytest.importorskip("resource")
 
     def limit_address_space():
@@ -599,11 +629,18 @@ def test_a_narrow_range_of_wide_ells_sieves_in_little_memory(argv, line):
     src = str(Path(nonelliptic.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "nonelliptic", *argv], env=env,
                           preexec_fn=limit_address_space, capture_output=True, text=True,
                           timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
-    assert line in proc.stdout.splitlines()
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+        assert line in proc.stdout.splitlines()
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr == line + "\n"
     assert primes_in_range(10**12, 10**12 + 100) == [10**12 + d for d in (39, 61, 63, 91)]
 
 
