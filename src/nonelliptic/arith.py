@@ -2,9 +2,9 @@
 
 Everything here is deterministic and exact: primality is decided by a
 Miller-Rabin test with a proven base set (correct for every n below
-MILLER_RABIN_LIMIT, an error above it), factorization by trial division up
-to TRIAL_DIVISION_BOUND with a proven-prime cofactor (an error otherwise),
-and all values are exact Python integers.
+MILLER_RABIN_LIMIT, an error above it), factorization by division by the
+first 13 primes and then Pollard's rho, each factor proved prime by that
+test, and all values are exact Python integers.
 """
 
 from __future__ import annotations
@@ -13,14 +13,11 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count
 
-# Trial division is the only factoring strategy, and each of its 5*10^5
-# divisions costs time linear in n's length: refuse a huge n before the first.
+# Pollard's rho takes about n**(1/4) steps: below 2**64 that is at most a
+# fraction of a second, so refuse a larger n before the first.
 TRIAL_DIVISION_LIMIT = 2**64
-# Trial divisors stop here (about 0.1 s of work); the cofactor left over must
-# then be provably prime.
-TRIAL_DIVISION_BOUND = 10**6
 # Entries kept by the is_prime and trial_factor caches. Their hits come from
 # one ell, one level or one M asked about again and again, so a few thousand
 # entries keep them while a caller looping over 10^5 integers stays small.
@@ -168,48 +165,45 @@ def legendre(a: int, ell: int) -> int:
 
 @lru_cache(maxsize=CACHE_SIZE, typed=True)
 def trial_factor(n: int) -> Factorization:
-    """Complete factorization of n >= 1 (1 is the empty product) by trial
-    division up to TRIAL_DIVISION_BOUND. Cached, typed as is_prime is: a
-    level, an M or a discriminant is factored once per process.
-
-    The cofactor left after the last divisor d has no prime factor below d:
-    it is prime if it is below d**2, or if is_prime proves it. Past the
-    bound it is at most 2**64 < (10**6)**4, so it has at most three prime
-    factors: a square or a cube of a prime is found by an exact root.
-    Otherwise (q*r, q**2*r, q*r*s with q, r, s above the bound) ValueError
-    is raised instead of dividing on for hours.
+    """Complete factorization of n >= 1 (1 is the empty product): division by
+    the first 13 primes, then each cofactor is either proved prime by is_prime
+    or split by Pollard's rho. Cached, typed as is_prime is: a level, an M or
+    a discriminant is factored once per process. Raises ValueError for n < 1
+    and past TRIAL_DIVISION_LIMIT = 2**64, where rho could take minutes.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")
     if n > TRIAL_DIVISION_LIMIT:
         raise ValueError(f"{n} exceeds the trial-division guard 2**64")
-    factors: list[tuple[int, int]] = []
+    exponents: dict[int, int] = {}
     rest = n
-    d = 2
-    while d * d <= rest and d <= TRIAL_DIVISION_BOUND:
-        if rest % d == 0:
-            e = 0
-            while rest % d == 0:
-                rest //= d
-                e += 1
-            factors.append((d, e))
-        d += 1 if d == 2 else 2
-    if rest > 1:
-        if d * d > rest or is_prime(rest):
-            factors.append((rest, 1))
+    for q in _SMALL_PRIMES:
+        while rest % q == 0:
+            rest //= q
+            exponents[q] = exponents.get(q, 0) + 1
+    # rest has no prime factor below 43: each cofactor is a prime or rho's input
+    stack = [rest] if rest > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            exponents[m] = exponents.get(m, 0) + 1
         else:
-            factors.append(_prime_power(n, rest))
-    return Factorization(n, tuple(factors))
+            d = _rho(m)
+            stack += (d, m // d)
+    return Factorization(n, tuple(sorted(exponents.items())))
 
 
-def _prime_power(n: int, rest: int) -> tuple[int, int]:
-    """(q, e) with rest == q**e for a prime q and e in {2, 3}, else the
-    ValueError of an unfactorable n. rest <= 2**64, so the float cube root
-    is within 10**-9 of the integer one and rounding finds it exactly."""
-    for e, root in ((2, math.isqrt(rest)), (3, round(rest ** (1 / 3)))):
-        if root**e == rest and is_prime(root):
-            return root, e
-    raise ValueError(
-        f"cannot factor {n}: the cofactor {rest} has no prime factor "
-        f"up to the trial-division bound {TRIAL_DIVISION_BOUND}"
-    )
+def _rho(n: int) -> int:
+    """A proper divisor of the composite n, which has no factor below 43:
+    Pollard's rho on x**2 + c with Floyd's cycle finding (Pollard, BIT 15
+    (1975)). When the cycle closes mod n itself, the next c is tried."""
+    for c in count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d

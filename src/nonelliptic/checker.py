@@ -114,7 +114,7 @@ def _check_obstruction(cert: Certificate) -> bool:
     # claimed M: refuse before computing the power.
     if (k - 1) * (p.bit_length() - 1) >= (w["M"] + abs(a_p) + 1).bit_length():
         return False
-    # trial_factor raises, so check() returns False, on a level it cannot factor
+    # trial_factor raises, so check() returns False, on a level past its 2**64 guard
     modulus = math.prod(q ** (e // 2) for q, e in trial_factor(level).factors)
     if (p - 1) % modulus != 0:
         return False

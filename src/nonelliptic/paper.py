@@ -234,14 +234,34 @@ _FAMILY_NOTE = (
 )
 
 
+def _diff(path: str, got, want, mismatches: list[str]) -> None:
+    """Append `<path>: <got>, expected <want>` to mismatches at each leaf of
+    the expectations table `want` where `got`, the observed table in want's
+    shape, differs. A dict that got lacks is one leaf."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key, sub in want.items():
+            _diff(f"{path}.{key}", got.get(key), sub, mismatches)
+    elif got != want:
+        mismatches.append(f"{path}: {got}, expected {want}")
+
+
+def _pinned(cert: Certificate | None) -> dict | None:
+    """A discriminant certificate as its pinned_discriminant entry."""
+    if cert is None:
+        return None
+    w = cert.witness
+    return {"witness_prime": w["p"], "delta": w["delta"], "legendre": w["legendre"],
+            "verdict": cert.verdict}
+
+
 def full_paper_verification(
     ell_max: int = 1000,
     forms: dict[str, NewformData] | None = None,
     expectations: dict | None = None,
 ) -> VerificationReport:
-    """Certify the bundled forms with `certify_form` and diff every step
-    against the versioned expectations table. Any mismatch makes passed
-    False. An ell_max below 7 samples no ell and is refused."""
+    """Certify the bundled forms with `certify_form` and diff what the run
+    observed against every leaf of the versioned expectations table. Any
+    mismatch makes passed False. An ell_max below 7 is refused."""
     # here, not at the top: `scan` needs only closed_form_scan and arith
     from .certify import (certify_form, conductor_bound_test, reducibility_obstruction,
                           serre_bound_predicate)
@@ -266,6 +286,7 @@ def full_paper_verification(
     certs.append(family_cert)
 
     trace_p = exp4["trace_test_witness_prime"]
+    inconclusive_exp = set(exp4["trace_inconclusive_ells"])
     per_ell = []
     for run in certify_form(form4, primes_in_range(6, ell_max), witness_prime=trace_p).runs:
         # Outside the exceptional set the family obstruction proves
@@ -282,9 +303,19 @@ def full_paper_verification(
         entry["trace_test"] = run.trace_tests[0] if run.trace_tests else None
         per_ell.append(entry)
         certs.extend(c for c in (entry.get("discriminant"), entry["trace_test"]) if c)
+        # the per-ell verdicts have no table leaf: each is checked here
+        if not entry["irreducible"]:
+            mismatches.append(f"ell={run.ell}: irreducibility not certified")
+        expected_verdict = INCONCLUSIVE if run.ell in inconclusive_exp else NON_ELLIPTIC
+        if entry["trace_test"] is None:
+            mismatches.append(f"ell={run.ell}: no trace test at p={trace_p}")
+        elif entry["trace_test"].verdict != expected_verdict:
+            mismatches.append(
+                f"ell={run.ell}: trace test {entry['trace_test'].verdict}, "
+                f"expected {expected_verdict}"
+            )
 
-    scan_exp = exp4["scan"]
-    scan = closed_form_scan(scan_exp["ell_min"], scan_exp["ell_max"])
+    scan = closed_form_scan(exp4["scan"]["ell_min"], exp4["scan"]["ell_max"])
 
     section4 = {
         "form": form4.form_id,
@@ -296,69 +327,41 @@ def full_paper_verification(
         "scan_text": scan.to_text(),
     }
 
-    # expectations diff, weight-4 side
-    fam_exp = exp4["family_obstruction"]
+    # the rest is one observed table in the expectations' shape
+    sampled = {e["ell"]: e for e in per_ell}
+    pinned4 = {ell: pin for ell, pin in exp4["pinned_discriminant"].items() if int(ell) in sampled}
+    want4 = exp4 | {
+        "family_obstruction": exp4["family_obstruction"] | {"verdict": IRREDUCIBLE},
+        "pinned_discriminant": {k: pin | {"verdict": IRREDUCIBLE} for k, pin in pinned4.items()},
+        "scan": exp4["scan"] | {"fermat_ok": True},
+    }
+    del want4["trace_inconclusive_ells"]  # checked per ell above
     w = family_cert.witness
-    if w["M"] != fam_exp["M"]:
-        mismatches.append(f"family obstruction M={w['M']}, expected {fam_exp['M']}")
-    if w["factors"] != fam_exp["factors"]:
-        mismatches.append(
-            f"family obstruction factors {w['factors']}, expected {fam_exp['factors']}"
-        )
-    if exceptional != fam_exp["exceptional"]:
-        mismatches.append(
-            f"exceptional set {exceptional}, expected {fam_exp['exceptional']}"
-        )
-    if family_cert.verdict != IRREDUCIBLE:
-        mismatches.append("family obstruction verdict is not Irreducible")
-
-    inconclusive_exp = set(exp4["trace_inconclusive_ells"])
-    for entry in per_ell:
-        ell = entry["ell"]
-        if not entry["irreducible"]:
-            mismatches.append(f"ell={ell}: irreducibility not certified")
-        expected_verdict = INCONCLUSIVE if ell in inconclusive_exp else NON_ELLIPTIC
-        if entry["trace_test"] is None:
-            mismatches.append(f"ell={ell}: no trace test at p={trace_p}")
-        elif entry["trace_test"].verdict != expected_verdict:
-            mismatches.append(
-                f"ell={ell}: trace test {entry['trace_test'].verdict}, "
-                f"expected {expected_verdict}"
-            )
-    for ell_str, pin in exp4["pinned_discriminant"].items():
-        ell = int(ell_str)
-        entry = next((e for e in per_ell if e["ell"] == ell), None)
-        if entry is None:
-            continue  # outside the sampled range
-        got = entry.get("discriminant")
-        if not got:
-            mismatches.append(f"ell={ell}: expected a discriminant certificate")
-            continue
-        for key in ("p", "delta", "legendre"):
-            want = pin["witness_prime"] if key == "p" else pin[key]
-            if got.witness[key] != want:
-                mismatches.append(
-                    f"ell={ell}: discriminant witness {key}={got.witness[key]}, "
-                    f"expected {want}"
-                )
-    if list(scan.holds) != scan_exp["holds"]:
-        mismatches.append(f"scan holds {list(scan.holds)}, expected {scan_exp['holds']}")
-    if not scan.fermat_ok:
-        mismatches.append("scan Fermat cross-check failed")
+    _diff("weight4_level25", {
+        "form": form4.form_id,
+        "family_obstruction": {"witness_prime": w["p"], "M": w["M"], "factors": w["factors"],
+                               "exceptional": exceptional, "verdict": family_cert.verdict},
+        "trace_test_witness_prime": trace_p,
+        "pinned_discriminant": {ell: _pinned(sampled[int(ell)].get("discriminant"))
+                                for ell in pinned4},
+        "scan": {"ell_min": scan.ell_min, "ell_max": scan.ell_max, "holds": list(scan.holds),
+                 "fermat_ok": scan.fermat_ok},
+    }, want4, mismatches)
 
     # --- weight-2 level-512 section ---------------------------------------
     exp2 = expectations["weight2_level512"]
     form2 = forms["weight2_level512"]
-    split_exp = exp2["split"]
-    ell2 = split_exp["ell"]
+    ell2 = exp2["split"]["ell"]
     disc_exp = exp2["pinned_discriminant"]
     runs2 = certify_form(form2, [ell2], witness_prime=disc_exp["witness_prime"]).runs
     roots = [run.embedding_root for run in runs2]
-    disc_certs = {
-        f"root_{run.embedding_root}": run.irreducible
-        for run in runs2
-        if run.irreducible
-    }
+    disc_certs = {}
+    for run in runs2:  # a missing certificate has no table leaf either
+        if run.irreducible is None:
+            mismatches.append(f"root_{run.embedding_root}: no discriminant certificate "
+                              f"at p={disc_exp['witness_prime']}")
+        else:
+            disc_certs[f"root_{run.embedding_root}"] = run.irreducible
     certs.extend(disc_certs.values())
 
     conductor_certs = {}
@@ -380,36 +383,17 @@ def full_paper_verification(
         "serre_predicate": serre,
     }
 
-    if roots != split_exp["roots"]:
-        mismatches.append(f"split roots {roots}, expected {split_exp['roots']}")
-    for run in runs2:
-        key = f"root_{run.embedding_root}"
-        cert_d = run.irreducible
-        if cert_d is None:
-            mismatches.append(
-                f"{key}: no discriminant certificate at p={disc_exp['witness_prime']}"
-            )
-            continue
-        w = cert_d.witness
-        if cert_d.verdict != IRREDUCIBLE:
-            mismatches.append(f"{key}: discriminant verdict {cert_d.verdict}")
-        if w["delta"] != disc_exp["delta"] or w["legendre"] != disc_exp["legendre"]:
-            mismatches.append(
-                f"{key}: delta={w['delta']} legendre={w['legendre']}, expected "
-                f"delta={disc_exp['delta']} legendre={disc_exp['legendre']}"
-            )
-    for n_str, triple in exp2["conductor_violations"].items():
-        v = conductor_certs[n_str].witness["violation"]
-        got_triple = [v["p"], v["exponent"], v["bound"]] if v else None
-        if got_triple != triple:
-            mismatches.append(
-                f"conductor {n_str}: violation {got_triple}, expected {triple}"
-            )
-    for p_str, expected in exp2["serre_predicate"].items():
-        if serre[p_str] != expected:
-            mismatches.append(
-                f"serre predicate at p={p_str}: {serre[p_str]}, expected {expected}"
-            )
+    violations = {n_str: c.witness["violation"] for n_str, c in conductor_certs.items()}
+    _diff("weight2_level512", {
+        "form": form2.form_id,
+        "split": section2["split"],
+        "pinned_discriminant": {key: _pinned(c) for key, c in disc_certs.items()},
+        "conductor_violations": {n_str: [v["p"], v["exponent"], v["bound"]] if v else None
+                                 for n_str, v in violations.items()},
+        "serre_predicate": serre,
+    }, exp2 | {
+        "pinned_discriminant": {key: disc_exp | {"verdict": IRREDUCIBLE} for key in disc_certs},
+    }, mismatches)
 
     return VerificationReport(
         expectations_version=expectations["version"],

@@ -2,7 +2,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import hasse_interval
 from nonelliptic import arith
@@ -273,19 +273,29 @@ def test_trial_factor_reconstructs_with_prime_increasing_factors(n):
 def test_trial_factor_cofactor_above_the_bound():
     big = 2**61 - 1  # prime, accepted by is_prime
     assert trial_factor(2 * big).factors == ((2, 1), (big, 1))
-    assert trial_factor(999983**2).factors == ((999983, 2),)  # divisor below the bound
-    assert trial_factor(1000003).factors == ((1000003, 1),)  # below the bound squared
+    assert trial_factor(999983**2).factors == ((999983, 2),)  # the largest prime below 10^6
+    assert trial_factor(1000003).factors == ((1000003, 1),)  # the least prime above it
 
 
 @pytest.mark.parametrize("n", [1000000007 * 1000000009])
-def test_trial_factor_refuses_two_factors_above_the_bound(n):
+def test_trial_factor_splits_two_factors_above_the_bound(n):
+    # two primes above 10^6: trial division would take 10^9 steps, rho 10^4
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="trial-division bound"):
-        trial_factor(n)
+    assert trial_factor(n).factors == ((1000000007, 1), (1000000009, 1))
     assert time.perf_counter() - start < 1.0
 
 
-# a square or a cube of a prime above the bound: the cofactor's exact root
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=2**64))
+def test_trial_factor_factors_every_n_up_to_the_guard(n):
+    # Factorization itself proves each factor prime and checks the product
+    assert trial_factor(n).n == n
+    with pytest.raises(ValueError, match=r"^18446744073709551617 exceeds the trial-division "
+                                         r"guard 2\*\*64$"):
+        trial_factor(2**64 + 1)
+
+
+# a square or a cube of a prime above 10^6
 PRIME_POWERS = {
     1000003**2: ((1000003, 2),),
     1000003**3: ((1000003, 3),),

@@ -324,6 +324,20 @@ def test_conductor_bound_examples():
     assert conductor_bound_test(7**2 * 11).verdict == INCONCLUSIVE
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: conductor_bound_test(512, ell=2), "^ell=2 is not an odd prime$"),
+    (lambda: conductor_bound_test(512, ell=9), "^ell=9 is not an odd prime$"),
+    (lambda: conductor_bound_test(512, ell=7.0), "^ell=7.0 is not an odd prime$"),
+    (lambda: conductor_bound_test(0), "^conductor must be positive$"),
+    (lambda: conductor_bound_test(-512, ell=7), "^conductor must be positive$"),
+    (lambda: serre_bound_predicate(7, 4), "^4 is not prime$"),
+    (lambda: serre_bound_predicate(7, 1), "^1 is not prime$"),
+], ids=["ell-2", "ell-9", "ell-float", "conductor-0", "conductor-negative", "p-4", "p-1"])
+def test_conductor_and_serre_refuse_what_they_cannot_judge(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_certify_form_factors_the_level_once():
     trial_factor.cache_clear()
     # no eigenvalues: every ell falls through to the conductor bound
@@ -415,15 +429,15 @@ def test_check_rejects_tampered_conductor():
 
 def test_check_obstruction_with_unfactorable_level_is_false_quickly(schoen_form):
     d = reducibility_obstruction(schoen_form, 11).to_dict()
-    unfactorable = json.loads(json.dumps(d))
-    unfactorable["witness"]["level"] = 1000000007 * 1000000009
+    semiprime = json.loads(json.dumps(d))
+    semiprime["witness"]["level"] = 1000000007 * 1000000009  # split by rho
     # above 2**64 the producer cannot factor the level either
     too_large = json.loads(json.dumps(d))
     too_large["witness"]["level"] = 25 * (2**61 - 1)
     prime_cofactor = json.loads(json.dumps(d))
     prime_cofactor["witness"]["level"] = 4 * (2**61 - 1)  # 2^2 * a prime > 10^12
     start = time.perf_counter()
-    assert not check(Certificate.from_dict(unfactorable))
+    assert check(Certificate.from_dict(semiprime))
     assert not check(Certificate.from_dict(too_large))
     assert check(Certificate.from_dict(prime_cofactor))
     assert time.perf_counter() - start < 1.0
@@ -761,6 +775,51 @@ def test_full_verification_reports_missing_tests_as_mismatches():
     assert "root_4: no discriminant certificate at p=17" in report.mismatches
     assert "mismatches:" in report.to_text()
     assert json.loads(canonical_json(report))["passed"] is False
+
+
+# Each leaf of the expectations table that the run does not read as an input,
+# a value it must not match, and the path its mismatch starts with: the
+# weight-2 discriminant is pinned once and compared under each root.
+PERTURBED_LEAVES = [
+    (("weight4_level25", "form"), "s4_125", "weight4_level25.form"),
+    (("weight4_level25", "family_obstruction", "M"), 1289, "weight4_level25.family_obstruction.M"),
+    (("weight4_level25", "family_obstruction", "factors"), [[1289, 1]],
+     "weight4_level25.family_obstruction.factors"),
+    (("weight4_level25", "family_obstruction", "exceptional"), [11],
+     "weight4_level25.family_obstruction.exceptional"),
+    (("weight4_level25", "pinned_discriminant", "11", "delta"), 3,
+     "weight4_level25.pinned_discriminant.11.delta"),
+    (("weight4_level25", "pinned_discriminant", "11", "legendre"), 1,
+     "weight4_level25.pinned_discriminant.11.legendre"),
+    (("weight4_level25", "scan", "holds"), [7, 11], "weight4_level25.scan.holds"),
+    (("weight2_level512", "form"), "s2_256", "weight2_level512.form"),
+    (("weight2_level512", "split", "d"), 3, "weight2_level512.split.d"),
+    (("weight2_level512", "split", "roots"), [4, 3], "weight2_level512.split.roots"),
+    (("weight2_level512", "pinned_discriminant", "delta"), 6,
+     "weight2_level512.pinned_discriminant.root_3.delta"),
+    (("weight2_level512", "pinned_discriminant", "legendre"), 1,
+     "weight2_level512.pinned_discriminant.root_4.legendre"),
+    (("weight2_level512", "conductor_violations", "512"), [2, 9, 7],
+     "weight2_level512.conductor_violations.512"),
+    (("weight2_level512", "conductor_violations", "2560"), None,
+     "weight2_level512.conductor_violations.2560"),
+    (("weight2_level512", "serre_predicate", "2"), "applies", "weight2_level512.serre_predicate.2"),
+    (("weight2_level512", "serre_predicate", "3"), "unknown", "weight2_level512.serre_predicate.3"),
+]
+
+
+@pytest.mark.parametrize("keys,value,path", PERTURBED_LEAVES,
+                         ids=[".".join(keys) for keys, _, _ in PERTURBED_LEAVES])
+def test_every_expectations_leaf_is_compared(keys, value, path):
+    expectations = load_expectations()
+    assert full_paper_verification(ell_max=30, expectations=expectations).passed
+    *parents, leaf = keys
+    functools.reduce(dict.__getitem__, parents, expectations)[leaf] = value
+    report = full_paper_verification(ell_max=30, expectations=expectations)
+    assert not report.passed
+    assert any(m.startswith(f"{path}: ") for m in report.mismatches), report.mismatches
+    if keys == ("weight2_level512", "split", "d"):
+        assert report.mismatches == ("weight2_level512.split.d: 2, expected 3",)
 
 
 @pytest.mark.parametrize("make_report", [

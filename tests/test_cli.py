@@ -9,6 +9,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nonelliptic
 from nonelliptic.arith import primes_in_range
@@ -212,6 +213,11 @@ def test_certify_range_without_split_ell_exits_1(capsys):
     assert err == "error: no prime in [11, 13] splits in Q(sqrt(2))\n"
 
 
+def test_certify_range_with_no_primes_exits_1(capsys):
+    code, out, err = run(capsys, "certify", "-i", SCHOEN, "--ell-min", "24", "--ell-max", "28")
+    assert (code, out, err) == (1, "", "error: no primes in [24, 28]\n")
+
+
 def test_certify_range_rejects_small_ell(capsys):
     code, out, err = run(capsys, "certify", "-i", SCHOEN, "--ell-min", "2",
                          "--ell-max", "30")
@@ -303,18 +309,24 @@ def test_a_single_ell_is_refused_exactly_when_a_one_prime_range_drops_it(
 
 
 def test_certify_unfactorable_level_exits_quickly(tmp_path, capsys):
-    # the level is the product of two primes above the trial-division bound;
-    # at ell = 7 the trace test is inconclusive, so the conductor is needed
+    # at ell = 7 the trace test is inconclusive, so the conductor is needed:
+    # a level of two primes above 10^6 is factored, one above 2**64 refused
     probe = json.loads(Path(SCHOEN).read_text())
-    probe.update(id="probe", level=1000000007 * 1000000009,
-                 claimed_conductor_equality=True)
     path = tmp_path / "probe.json"
-    path.write_text(json.dumps(probe))
-    start = time.perf_counter()
-    code, out, err = run(capsys, "certify", "-i", str(path), "--ell", "7")
-    assert time.perf_counter() - start < 1.0
-    assert (code, out) == (1, "")
-    assert err.startswith("error: cannot factor 1000000016000000063")
+    for level, want in ((1000000007 * 1000000009, 2), (2**64 + 1, 1)):
+        probe.update(id="probe", level=level, claimed_conductor_equality=True)
+        path.write_text(json.dumps(probe))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "certify", "-i", str(path), "--ell", "7")
+        assert time.perf_counter() - start < 1.0
+        assert code == want
+        if code == 2:
+            assert err == ""
+            assert ("    non-elliptic: not established (all tests inconclusive)"
+                    in out.splitlines())
+        else:
+            assert (out, err) == ("", f"error: {2**64 + 1} exceeds the trial-division "
+                                      "guard 2**64\n")
 
 
 @pytest.mark.parametrize("level,line", [
@@ -587,6 +599,22 @@ def _window(lo, width=100):
     return str(lo), str(lo + width)
 
 
+def run_child(argv, timeout):
+    """`python -m nonelliptic *argv` in a child process whose address space is
+    capped at 1 GiB, killed after `timeout` seconds: the CompletedProcess."""
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(nonelliptic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "nonelliptic", *argv], env=env,
+                          preexec_fn=limit_address_space, capture_output=True, text=True,
+                          timeout=timeout)
+
+
 _PAST_MILLER_RABIN = "exceeds the proven Miller-Rabin range (< 3317044064679887385961981)"
 
 
@@ -621,18 +649,8 @@ def test_a_narrow_range_of_wide_ells_sieves_in_little_memory(argv, code, line):
     # take minutes and gigabytes. A range past the Miller-Rabin bound is
     # refused, and one wider than any index is refused before its sieve is
     # built; neither reaches the child's 1 GiB cap or prints a traceback.
-    resource = pytest.importorskip("resource")
-
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    src = str(Path(nonelliptic.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "nonelliptic", *argv], env=env,
-                          preexec_fn=limit_address_space, capture_output=True, text=True,
-                          timeout=60)
+    proc = run_child(argv, timeout=60)
     assert time.perf_counter() - start < 2.0
     assert proc.returncode == code, proc.stderr
     if code == 0:
@@ -642,6 +660,93 @@ def test_a_narrow_range_of_wide_ells_sieves_in_little_memory(argv, code, line):
         assert proc.stdout == ""
         assert proc.stderr == line + "\n"
     assert primes_in_range(10**12, 10**12 + 100) == [10**12 + d for d in (39, 61, 63, 91)]
+
+
+# --- totality: every input finishes or is refused -----------------------------
+
+# integers from the buckets where faults were found: small, a Carmichael
+# number, a Mersenne prime, 10^12..10^40 (past the Miller-Rabin bound from
+# about 3.3*10^24) and negatives
+CLI_INTS = st.one_of(
+    st.integers(-10, 1000), st.just(561), st.just(2**61 - 1),
+    st.builds(lambda e, k: 10**e + k, st.integers(12, 40), st.integers(0, 100)),
+    st.integers(-10**40, -1),
+)
+
+
+@st.composite
+def generated_forms(draw):
+    """A FormRecord with a level from CLI_INTS and every a_p within the
+    Ramanujan bound, so that the form loads without a warning on stderr."""
+    level = draw(CLI_INTS)
+    weight = draw(st.integers(2, 6))
+    d = draw(st.sampled_from([None, 2, 3, 5]))
+    eigenvalues = {}
+    for p in draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 29]), unique=True)):
+        if level % p:
+            bound = math.isqrt(4 * p ** (weight - 1))
+            x = draw(st.integers(-bound, bound))
+            if d is None:
+                eigenvalues[str(p)] = {"x": x, "y": 0}
+            else:  # x and y both nonzero: no bound is tested on such an a_p
+                eigenvalues[str(p)] = {"x": x or 1, "y": draw(st.integers(1, 3))}
+    field = {"type": "rational"} if d is None else {"type": "quadratic", "d": d}
+    return {"id": "generated", "level": level, "weight": weight, "field": field,
+            "eigenvalues": eigenvalues, "claimed_conductor_equality": draw(st.booleans())}
+
+
+@st.composite
+def cli_argv(draw):
+    """(argv, form): argv of one of the five commands, ranges at most 10^4
+    wide, with "FORM" for the form file of certify and falsify (a bundled path
+    or a generated record; None for the other commands)."""
+    n = lambda: str(draw(CLI_INTS))  # noqa: E731
+    opt = lambda flag: [flag, n()] if draw(st.booleans()) else []  # noqa: E731
+    fmt = ["--format", draw(st.sampled_from(["text", "json"]))]
+    command = draw(st.sampled_from(["verify-paper", "certify", "scan", "oracle", "falsify"]))
+    form = None
+    if command in ("certify", "falsify"):
+        form = draw(st.one_of(st.sampled_from([SCHOEN, SQRT2]), generated_forms()))
+    lo = draw(CLI_INTS)
+    hi = str(lo + draw(st.integers(0, 10**4)))
+    if command == "verify-paper":
+        argv = ["verify-paper", *opt("--ell-max")]
+    elif command == "scan":
+        argv = ["scan", str(lo), hi]
+    elif command == "oracle":
+        argv = ["oracle", n()]
+    elif command == "certify":
+        ells = ["--ell", n()] if draw(st.booleans()) else ["--ell-min", str(lo), "--ell-max", hi]
+        argv = ["certify", "-i", "FORM", *ells, *opt("--witness-prime"), *opt("--root")]
+    else:
+        curve = ",".join(n() for _ in range(5))
+        # joined by "=": argparse reads a separate -1,0,0,0,0 as an option
+        argv = ["falsify", f"--curve={curve}", "-i", "FORM", "--ell", n(), *opt("--root")]
+    return argv + fmt, form
+
+
+@pytest.fixture(scope="module")
+def form_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("forms")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=cli_argv())
+def test_every_cli_input_finishes_or_is_refused(form_dir, case):
+    # Aim 3: each input finishes within 5 s and 1 GiB with exit 0 or 2, or is
+    # refused with exit 1 and one error line; never a traceback or a hang.
+    argv, form = case
+    if isinstance(form, dict):
+        text = json.dumps(form)
+        form = form_dir / f"{hashlib.sha256(text.encode()).hexdigest()[:16]}.json"
+        form.write_text(text)
+    proc = run_child([str(form) if a == "FORM" else a for a in argv], timeout=5)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    if proc.returncode == 1:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    elif argv[-1] == "json":
+        json.loads(proc.stdout)
 
 
 def test_oracle(capsys):
@@ -682,10 +787,10 @@ def test_falsify_singular_curve(capsys):
 
 
 def test_falsify_malformed_curve(capsys):
-    code, _, err = run(capsys, "falsify", "--curve", "1,2,3", "-i", SCHOEN,
-                       "--ell", "11")
-    assert code == 1
-    assert "five comma-separated" in err
+    for curve in ("1,2,3", "1,2,x,4,5"):  # too few coefficients, or one not an integer
+        code, out, err = run(capsys, "falsify", "--curve", curve, "-i", SCHOEN, "--ell", "11")
+        assert (code, out, err) == (1, "", "error: --curve must be five comma-separated "
+                                           "integers a1,a2,a3,a4,a6\n")
 
 
 @pytest.mark.parametrize("argv,message", [

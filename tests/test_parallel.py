@@ -26,7 +26,7 @@ from nonelliptic.repmodel import admitted_ells
 SRC = str(Path(nonelliptic.__file__).resolve().parents[1])
 SCHOEN = str(Path(SRC) / "nonelliptic" / "data" / "schoen_s4_25.json")
 SQRT2 = str(Path(SRC) / "nonelliptic" / "data" / "s2_512_sqrt2.json")
-UNFACTORABLE = 1000000007 * 1000000009
+UNFACTORABLE = 2**64 + 1  # past trial_factor's guard
 
 
 def run(capsys, *argv):
@@ -155,7 +155,7 @@ def test_a_workers_error_reaches_the_parent(tmp_path, capsys, chunked, cpus):
     err, cuts = _errors_in_both_formats(capsys, chunked, cpus, *argv)
     assert cuts == 2 * ([[[37, 41, 43], [47, 53, 59]]] if cpus == 2
                         else [[[37, 41], [43, 47], [53, 59]]])
-    assert err.startswith(f"error: cannot factor {UNFACTORABLE}")
+    assert err == f"error: {UNFACTORABLE} exceeds the trial-division guard 2**64\n"
     assert _active_children() == []
 
 
@@ -168,7 +168,7 @@ def test_the_first_batchs_error_wins_and_no_child_is_left(tmp_path, capsys, chun
     (code, out, err), cuts = _same_as_in_process(
         capsys, chunked, 3, "certify", "-i", str(form), "--ell-min", "7", "--ell-max", "200")
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: cannot factor {UNFACTORABLE}")
+    assert err == f"error: {UNFACTORABLE} exceeds the trial-division guard 2**64\n"
     assert cuts[0][0][0] == 7
     assert _active_children() == []
 

@@ -17,6 +17,7 @@ from nonelliptic.repmodel import (
     QuadInt,
     RamanujanBoundWarning,
     RamifiedError,
+    ResidualRep,
     admitted_ells,
     refusal,
     residual_rep,
@@ -151,6 +152,22 @@ def test_newform_validation():
         NewformData("t", 25, 4, None, {5: QuadInt(1)})
     with pytest.raises(ValueError, match="weight"):
         NewformData("t", 25, 1, None, {})
+
+
+@pytest.mark.parametrize("ell,det_exponent,traces,message", [
+    (7, 0, {}, r"^determinant exponent 0 outside \[1, 5\]$"),
+    (7, 6, {}, r"^determinant exponent 6 outside \[1, 5\]$"),
+    (5, 3, {}, "^Serre conductor must be prime to ell$"),
+    (7, 3, {5: 1}, r"^trace key 5 not coprime to N\*ell$"),
+    (7, 3, {7: 1}, r"^trace key 7 not coprime to N\*ell$"),
+    (7, 3, {2: 7}, "^trace at 2 not reduced mod 7$"),
+    (7, 3, {2: -1}, "^trace at 2 not reduced mod 7$"),
+], ids=["exponent-0", "exponent-ell-1", "ell-divides-level", "key-divides-level",
+        "key-is-ell", "trace-ell", "trace-negative"])
+def test_residual_rep_refuses_an_inconsistent_record(schoen_form, ell, det_exponent, traces,
+                                                     message):
+    with pytest.raises(ValueError, match=message):
+        ResidualRep(ell, det_exponent, traces, schoen_form)
 
 
 def test_ramanujan_violation_warns_but_loads():
