@@ -34,6 +34,7 @@ from .checker import (
     Certificate,
 )
 from .checker import check  # re-exported: perfbench/run.py calls certify.check
+from .data_io import write_json_list
 from .repmodel import (
     InsufficientDataError,
     NewformData,
@@ -445,7 +446,7 @@ def certify_form(
 _BATCH_ELLS = 1000
 
 
-# The JSON templates below, and certify_range for the report around them,
+# The JSON templates below, and write_json_list for the report around them,
 # write the runs of certify_at_ell and their certificates as json.dumps(report,
 # default=lambda o: o.to_dict(), sort_keys=True, indent=2, ensure_ascii=True)
 # does, keys in sorted order, in about a ninth of its time. json.dumps is the
@@ -610,14 +611,8 @@ def certify_range(
     proved = all(p for _, p in parts)
     # each batch's text is megabytes: written as it is, never joined
     if fmt == "json":
-        out.write(f'{{\n  "all_proved": {_bool(proved)},\n  "ells": {_list(map(str, ells), "  ")},'
-                  f'\n  "form": {encode_basestring_ascii(form.form_id)},\n  "runs": ')
-        sep = "[\n" + _RUN_INDENT
-        for text, _ in parts:
-            out.write(sep)
-            out.write(text)
-            sep = ",\n" + _RUN_INDENT
-        out.write("\n  ]\n}\n" if parts else "[]\n}\n")
+        envelope = {"all_proved": proved, "ells": ells, "form": form.form_id, "runs": []}
+        write_json_list(out, envelope, "runs", (text for text, _ in parts))
     else:
         out.write(f"certify form={form.form_id}\n")
         for text, _ in parts:

@@ -7,12 +7,17 @@ is a first-class outcome):
     2   at least one requested verdict is Inconclusive
     1   error (bad input, inert prime, bad-reduction prime, schema violation,
         out of memory)
+
+An error is one stderr line, `error: <message>`; each warning before it, such
+as a Ramanujan-bound violation in a form record, is one line too,
+`warning: <category>: <message>`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 # Only what every command needs is imported here; each command imports the
 # modules it runs, so `oracle` never compiles the certification engine and
@@ -196,17 +201,24 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """warnings.showwarning for the CLI: one line, without the source location."""
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except data_io.SchemaError as exc:
-        print(f"error: invalid form record: {exc}", file=sys.stderr)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    except MemoryError:
-        print("error: out of memory; the request is too large (narrow the range)",
-              file=sys.stderr)
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return _COMMANDS[args.command](args)
+        except data_io.SchemaError as exc:
+            print(f"error: invalid form record: {exc}", file=sys.stderr)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+        except MemoryError:
+            print("error: out of memory; the request is too large (narrow the range)",
+                  file=sys.stderr)
     return EXIT_ERROR
 
 

@@ -164,12 +164,26 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, default=_record, sort_keys=True, indent=2) + "\n"
 
 
+def write_json_list(out, envelope, key: str, texts) -> None:
+    """Write canonical_json(envelope) to the text stream out with the JSON texts
+    `texts`, unjoined and at its elements' nesting, as the empty list at `key`:
+    the one token '"<key>": []', which no JSON string holds unescaped."""
+    head, tail = canonical_json(envelope).split(f"{json.dumps(key)}: []")
+    inner = "\n" + head[head.rindex("\n") + 1:] + "  "
+    out.write(f"{head}{json.dumps(key)}: ")
+    sep = "[" + inner
+    for text in texts:
+        out.write(sep)
+        out.write(text)
+        sep = "," + inner
+    out.write(("[]" if sep[0] == "[" else inner[:-2] + "]") + tail)
+
+
 def write_report(report, fmt: str, out) -> None:
     """Write a report to the text stream out: canonical_json(report) for
     "json", report.to_text() and a newline for "text". Canonical in both:
     stable ordering, no timestamps, so identical inputs give byte-identical
-    output. The two large JSON reports, a `certify` range (certify_range) and
-    `verify-paper` (VerificationReport.write_json), write themselves faster."""
+    output."""
     if fmt == "json":
         out.write(canonical_json(report))
     elif fmt == "text":

@@ -121,7 +121,7 @@ class NewformData:
                 f"a_{p} of form {self.form_id} violates the Ramanujan bound "
                 f"a_p^2 <= 4 p^(k-1)",
                 RamanujanBoundWarning,
-                stacklevel=3,
+                stacklevel=4,  # the constructor's caller, past the generated __init__
             )
 
 

@@ -6,7 +6,7 @@ import time
 import warnings
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nonelliptic.arith import legendre, primes_in_range, trial_factor
 from nonelliptic import certify
@@ -914,8 +914,17 @@ def certify_cases(draw):
     return form, ells, root, draw(st.sampled_from([None, *SMALL_PRIMES, *ells]))
 
 
+def renamed(form_id):
+    """A case of certify_cases: the bundled weight-4 form under another id at 7 and 11."""
+    return dataclasses.replace(bundled_form("schoen_s4_25"), form_id=form_id), [7, 11], None, None
+
+
 @settings(max_examples=300, deadline=None)
 @given(certify_cases())
+# ids holding the token the report's runs are spliced in at, or a marker
+@example(renamed('"runs": []'))
+@example(renamed('x"], "runs": []'))
+@example(renamed("\x00per_ell"))
 def test_certify_range_json_is_what_the_standard_library_writes(case):
     form, ells, root, witness_prime = case
     report = certify_form(form, ells, root, witness_prime)

@@ -431,25 +431,14 @@ def test_certify_trace_test_past_the_excluded_set_limit_exits_1(tmp_path):
     # at p = 10^18 + 9 the Hasse interval mod ell = 10^10 + 19 has about 4*10^9
     # residues; the trace test refuses to list them instead of running out of
     # time. The child's address space is capped, so a regression fails fast.
-    resource = pytest.importorskip("resource")
-
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
     p, ell = 10**18 + 9, 10**10 + 19
     probe = tmp_path / "probe.json"
     probe.write_text(json.dumps({
         "id": "probe", "level": 1, "weight": 2, "field": {"type": "rational"},
         "eigenvalues": {str(p): {"x": 3, "y": 0}},
     }))
-    src = str(Path(nonelliptic.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        q for q in (src, os.environ.get("PYTHONPATH")) if q)}
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "nonelliptic", "certify", "-i", str(probe), "--ell", str(ell)],
-        env=env, preexec_fn=limit_address_space, capture_output=True, text=True, timeout=60,
-    )
+    proc = run_child(["certify", "-i", str(probe), "--ell", str(ell)], timeout=60)
     assert time.perf_counter() - start < 2.0
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == (f"error: trace test at p={p}, ell={ell} would list up to "
@@ -576,19 +565,7 @@ def test_scan_bad_range(capsys):
 def test_scan_out_of_memory_exits_1():
     # The sieve for 10^11 needs ~93 GiB; the child's own address-space limit
     # makes the allocation fail at once, before it touches any memory.
-    resource = pytest.importorskip("resource")
-
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    src = str(Path(nonelliptic.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "nonelliptic", "scan", "7", "100000000000"],
-        env=env, preexec_fn=limit_address_space, capture_output=True, text=True,
-        timeout=60,
-    )
+    proc = run_child(["scan", "7", "100000000000"], timeout=60)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: out of memory")
@@ -662,6 +639,19 @@ def test_a_narrow_range_of_wide_ells_sieves_in_little_memory(argv, code, line):
     assert primes_in_range(10**12, 10**12 + 100) == [10**12 + d for d in (39, 61, 63, 91)]
 
 
+def test_a_warning_is_one_line_before_the_error(tmp_path):
+    # a Ramanujan-bound violation warns on one line that names no source
+    # location, and the refusal that follows is still the one error line
+    form = tmp_path / "t.json"
+    form.write_text(json.dumps({"id": "t", "level": 25, "weight": 2, "field": {"type": "rational"},
+                                "eigenvalues": {"3": {"x": 100, "y": 0}}}))
+    proc = run_child(["certify", "-i", str(form), "--ell", "9"], timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("warning: RamanujanBoundWarning: a_3 of form t violates the "
+                           "Ramanujan bound a_p^2 <= 4 p^(k-1)\n"
+                           "error: ell=9 must be a prime > 5\n")
+
+
 # --- totality: every input finishes or is refused -----------------------------
 
 # integers from the buckets where faults were found: small, a Carmichael
@@ -676,8 +666,8 @@ CLI_INTS = st.one_of(
 
 @st.composite
 def generated_forms(draw):
-    """A FormRecord with a level from CLI_INTS and every a_p within the
-    Ramanujan bound, so that the form loads without a warning on stderr."""
+    """A FormRecord with a level from CLI_INTS and a_p inside the Ramanujan
+    bound or up to about twice past it, which the form loads with a warning."""
     level = draw(CLI_INTS)
     weight = draw(st.integers(2, 6))
     d = draw(st.sampled_from([None, 2, 3, 5]))
@@ -685,11 +675,10 @@ def generated_forms(draw):
     for p in draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 29]), unique=True)):
         if level % p:
             bound = math.isqrt(4 * p ** (weight - 1))
-            x = draw(st.integers(-bound, bound))
-            if d is None:
-                eigenvalues[str(p)] = {"x": x, "y": 0}
-            else:  # x and y both nonzero: no bound is tested on such an a_p
-                eigenvalues[str(p)] = {"x": x or 1, "y": draw(st.integers(1, 3))}
+            x = draw(st.integers(-2 * bound - 2, 2 * bound + 2))
+            # the bound is tested on an a_p with x or y zero
+            y = 0 if d is None else draw(st.integers(0, 3))
+            eigenvalues[str(p)] = {"x": x, "y": y}
     field = {"type": "rational"} if d is None else {"type": "quadratic", "d": d}
     return {"id": "generated", "level": level, "weight": weight, "field": field,
             "eigenvalues": eigenvalues, "claimed_conductor_equality": draw(st.booleans())}
@@ -735,6 +724,7 @@ def form_dir(tmp_path_factory):
 def test_every_cli_input_finishes_or_is_refused(form_dir, case):
     # Aim 3: each input finishes within 5 s and 1 GiB with exit 0 or 2, or is
     # refused with exit 1 and one error line; never a traceback or a hang.
+    # Any other stderr line is a one-line warning before the error.
     argv, form = case
     if isinstance(form, dict):
         text = json.dumps(form)
@@ -742,11 +732,14 @@ def test_every_cli_input_finishes_or_is_refused(form_dir, case):
         form.write_text(text)
     proc = run_child([str(form) if a == "FORM" else a for a in argv], timeout=5)
     assert proc.returncode in (0, 1, 2), proc.stderr
+    lines = proc.stderr.splitlines()
     if proc.returncode == 1:
         assert proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.endswith("\n") and lines[-1].startswith("error: "), proc.stderr
+        lines.pop()
     elif argv[-1] == "json":
         json.loads(proc.stdout)
+    assert all(line.startswith("warning: ") for line in lines), proc.stderr
 
 
 def test_oracle(capsys):

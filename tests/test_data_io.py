@@ -18,6 +18,7 @@ from nonelliptic.data_io import (
     dump_form,
     load_expectations,
     parse_form,
+    write_json_list,
     write_report,
 )
 from nonelliptic.repmodel import NewformData, QuadInt, RamanujanBoundWarning
@@ -332,6 +333,24 @@ def test_write_report_streams_a_certify_report_in_bounded_pieces(schoen_form):
     assert text == json.dumps(report, default=lambda o: o.to_dict(), sort_keys=True,
                               indent=2, ensure_ascii=True) + "\n"
     assert written(report, "text") == report.to_text() + "\n"
+
+
+def test_write_json_list_splices_the_texts_into_the_one_empty_list_at_its_key():
+    def spliced(envelope, texts):
+        out = io.StringIO()
+        write_json_list(out, envelope, "k", texts)
+        return out.getvalue()
+
+    # a string holding the token, escaped, does not count as a second one
+    envelope = {"a": {"k": []}, "b": '"k": []', "z": [1]}
+    assert spliced(envelope, ['"x"', "[\n        1\n      ]"]) == canonical_json(
+        {"a": {"k": ["x", [1]]}, "b": '"k": []', "z": [1]})
+    assert spliced(envelope, iter(())) == canonical_json(envelope)
+    for bad in ({"k": [1]}, {"a": {"k": []}, "k": []}):  # no empty list at k, or two
+        out = io.StringIO()
+        with pytest.raises(ValueError):
+            write_json_list(out, bad, "k", ["1"])
+        assert out.getvalue() == ""
 
 
 def test_canonical_json_sorts_keys():

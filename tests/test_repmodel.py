@@ -139,7 +139,8 @@ def test_trace_at_missing_prime_is_insufficient_data(schoen_form):
 
 def test_newform_validation():
     # the form checks its own field d before anything else
-    for d, message in [(8, "d=8 is not square-free"), (-3, "d=-3 must be > 1")]:
+    for d, message in [(8, "d=8 is not square-free"), (-3, "d=-3 must be > 1"),
+                       (2**64 + 1, "trial-division guard")]:
         with pytest.raises(FormDataError, match=message) as exc:
             NewformData("t", 25, 4, d, {2: QuadInt(1)})
         assert exc.value.field == ("field", "d")
@@ -171,9 +172,10 @@ def test_residual_rep_refuses_an_inconsistent_record(schoen_form, ell, det_expon
 
 
 def test_ramanujan_violation_warns_but_loads():
-    with pytest.warns(RamanujanBoundWarning):
+    with pytest.warns(RamanujanBoundWarning) as record:
         form = NewformData("t", 25, 2, None, {3: QuadInt(100)})
     assert form.eigenvalues[3].x == 100
+    assert record[0].filename == __file__  # the constructor's caller
 
 
 def test_bad_primes(schoen_form, sqrt2_form):
