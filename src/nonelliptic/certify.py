@@ -393,50 +393,19 @@ def certify_at_ell(rep: ResidualRep, witness_prime: int | None = None) -> EllCer
     )
 
 
-@dataclass(frozen=True)
-class CertifyReport:
-    """The runs of certify_form over `ells`, in order."""
-
-    form_id: str
-    ells: tuple[int, ...]
-    runs: tuple[EllCertification, ...]
-
-    @property
-    def all_proved(self) -> bool:
-        return all(r.proved for r in self.runs)
-
-    def to_dict(self) -> dict:
-        return {
-            "form": self.form_id,
-            "ells": self.ells,
-            "all_proved": self.all_proved,
-            "runs": self.runs,
-        }
-
-    def to_text(self) -> str:
-        lines = [f"certify form={self.form_id}"]
-        for r in self.runs:
-            lines.extend(r.text_lines())
-        lines.append(f"all proved: {'yes' if self.all_proved else 'no'}")
-        return "\n".join(lines)
-
-
 def certify_form(
     form: NewformData,
     ells: list[int],
     root: int | None = None,
     witness_prime: int | None = None,
-) -> CertifyReport:
-    """Certification pipeline over a list of ells (sorted, deterministic):
-    one run per reduction `repmodel.residual_reps` gives at each ell, so one
-    per ell over Q and one per root over a quadratic field."""
-    ells = sorted(set(ells))
-    runs = [
-        certify_at_ell(rep, witness_prime)
-        for ell in ells
-        for rep in residual_reps(form, ell, root)
-    ]
-    return CertifyReport(form_id=form.form_id, ells=tuple(ells), runs=tuple(runs))
+) -> tuple[EllCertification, ...]:
+    """Certification pipeline over a list of ells: the runs in sorted ell
+    order, one per reduction `repmodel.residual_reps` gives at each ell, so
+    one per ell over Q and one per root over a quadratic field. certify_range
+    writes their report."""
+    return tuple(certify_at_ell(rep, witness_prime)
+                 for ell in sorted(set(ells))
+                 for rep in residual_reps(form, ell, root))
 
 
 # A batch holds at most this many ells, so a process holds one batch of run
@@ -447,11 +416,11 @@ _BATCH_ELLS = 1000
 
 
 # The JSON templates below, and write_json_list for the report around them,
-# write the runs of certify_at_ell and their certificates as json.dumps(report,
+# write the runs of certify_at_ell and their certificates as json.dumps(envelope,
 # default=lambda o: o.to_dict(), sort_keys=True, indent=2, ensure_ascii=True)
-# does, keys in sorted order, in about a ninth of its time. json.dumps is the
-# reference the tests hold them to; VerificationReport.write_json uses the
-# certificate template too. A run is an element of the "runs" list.
+# does with the runs in the envelope's "runs" list, keys in sorted order, in
+# about a ninth of its time. json.dumps is the reference the tests hold them
+# to; VerificationReport.write_json uses the certificate template too.
 _RUN_INDENT = "    "
 
 
@@ -532,12 +501,12 @@ def render_runs(form: NewformData, root: int | None, witness_prime: int | None, 
     """The runs of certify_form(form, ells, root, witness_prime) as report
     text in `fmt`, JSON elements of "runs" joined by its comma or text lines,
     and whether all were proved."""
-    report = certify_form(form, ells, root, witness_prime)
+    runs = certify_form(form, ells, root, witness_prime)
     if fmt == "json":
-        text = (",\n" + _RUN_INDENT).join([_run_json(run, _RUN_INDENT) for run in report.runs])
+        text = (",\n" + _RUN_INDENT).join([_run_json(run, _RUN_INDENT) for run in runs])
     else:
-        text = "\n".join(line for run in report.runs for line in run.text_lines())
-    return text, report.all_proved
+        text = "\n".join(line for run in runs for line in run.text_lines())
+    return text, all(run.proved for run in runs)
 
 
 def batches(ells: list[int], cpus: int) -> list[list[int]]:
@@ -591,8 +560,9 @@ def certify_range(
     fmt: str,
     out,
 ) -> bool:
-    """Write certify_form's report in `fmt` ("json" or "text") to the text
-    stream `out`, the bytes write_report writes, and return its all_proved.
+    """Write the report of certify_form's runs over `ells` in `fmt` ("json"
+    or "text") to the text stream `out`, and return whether every run was
+    proved. This is the one writer of a certify report.
     The ells are certified and rendered in `batches` of consecutive ells:
     over forked workers for at least POOL_MIN_RUNS runs on a platform that
     forks, in a process allowed more than one CPU; else in this process. The

@@ -5,8 +5,8 @@ is a first-class outcome):
 
     0   everything requested was proved / expectations met
     2   at least one requested verdict is Inconclusive
-    1   error (bad input, inert prime, bad-reduction prime, schema violation,
-        out of memory)
+    1   error (a malformed argument, bad input, inert prime, bad-reduction
+        prime, schema violation, out of memory)
 
 An error is one stderr line, `error: <message>`; each warning before it, such
 as a Ramanujan-bound violation in a form record, is one line too,
@@ -30,8 +30,17 @@ EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusal is a ValueError, so that main prints it
+    as the one `error:` line and exits 1 like every other refusal. Its
+    subcommand parsers are _Parsers too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nonelliptic",
         description=(
             "Certificates that a mod-ell representation given by newform "
@@ -207,10 +216,10 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
+            args = _build_parser().parse_args(argv)
             return _COMMANDS[args.command](args)
         except data_io.SchemaError as exc:
             print(f"error: invalid form record: {exc}", file=sys.stderr)

@@ -281,7 +281,7 @@ def full_paper_verification(
     trace_p = exp4["trace_test_witness_prime"]
     inconclusive_exp = set(exp4["trace_inconclusive_ells"])
     per_ell = []
-    for run in certify_form(form4, primes_in_range(6, ell_max), witness_prime=trace_p).runs:
+    for run in certify_form(form4, primes_in_range(6, ell_max), witness_prime=trace_p):
         # Outside the exceptional set the family obstruction proves
         # irreducibility; inside it the run's discriminant test must.
         entry: dict = {"ell": run.ell}
@@ -346,7 +346,7 @@ def full_paper_verification(
     form2 = forms["weight2_level512"]
     ell2 = exp2["split"]["ell"]
     disc_exp = exp2["pinned_discriminant"]
-    runs2 = certify_form(form2, [ell2], witness_prime=disc_exp["witness_prime"]).runs
+    runs2 = certify_form(form2, [ell2], witness_prime=disc_exp["witness_prime"])
     roots = [run.embedding_root for run in runs2]
     disc_certs = {}
     for run in runs2:  # a missing certificate has no table leaf either

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import json
 import math
 import sys
 
@@ -30,6 +31,22 @@ def imports_outside_stdlib(path) -> set[str]:
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     return {m for m in imported if m.split(".")[0] not in sys.stdlib_module_names}
+
+
+def certify_report(form, ells, runs, fmt: str) -> str:
+    """The certify report of `runs`, certify_form's over `ells`, in `fmt`:
+    the reference certify_range's bytes are held to. JSON is json.dumps of
+    the envelope with each run as its to_dict(); text is the header, each
+    run's lines and the footer."""
+    proved = all(run.proved for run in runs)
+    if fmt == "json":
+        envelope = {"all_proved": proved, "ells": sorted(set(ells)), "form": form.form_id,
+                    "runs": runs}
+        return json.dumps(envelope, default=lambda o: o.to_dict(), sort_keys=True,
+                          indent=2) + "\n"
+    lines = [f"certify form={form.form_id}", *(line for run in runs for line in run.text_lines()),
+             f"all proved: {'yes' if proved else 'no'}"]
+    return "\n".join(lines) + "\n"
 
 
 def stored_at(form, primes):

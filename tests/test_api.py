@@ -47,7 +47,9 @@ PUBLIC_API = [
 # (residual_rep(form, ell, root) reduces under it); splits and
 # QuadInt.square_if_rational, since a value has no field of its own (the form
 # owns d, and repmodel.refusal decides whether ell splits); embeddings, since
-# repmodel.residual_reps gives the reductions under them with one ask of the rule.
+# repmodel.residual_reps gives the reductions under them with one ask of the
+# rule; and CertifyReport, since certify_form returns its runs and
+# certify_range is the one writer of their report.
 # norm_discriminant, EmbeddingChoice, reduce_mod and splits were in quadfield,
 # which is gone: they are looked for in repmodel, which took in its rest.
 REMOVED = [
@@ -70,6 +72,7 @@ REMOVED = [
     ("nonelliptic.repmodel", "reduce_mod"),
     ("nonelliptic.repmodel", "splits"),
     ("nonelliptic.repmodel", "embeddings"),
+    ("nonelliptic.certify", "CertifyReport"),
 ]
 
 REMOVED_MEMBERS = [

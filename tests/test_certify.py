@@ -6,6 +6,7 @@ import time
 import warnings
 
 import pytest
+from conftest import certify_report
 from hypothesis import assume, example, given, settings, strategies as st
 
 from nonelliptic.arith import legendre, primes_in_range, trial_factor
@@ -343,8 +344,8 @@ def test_certify_form_factors_the_level_once():
     # no eigenvalues: every ell falls through to the conductor bound
     form = NewformData(form_id="bare", level=2560, weight=2, d=None, eigenvalues={},
                        claimed_conductor_equality=True)
-    report = certify_form(form, [7, 11, 13, 17, 19])
-    assert [r.conductor.witness["conductor"] for r in report.runs] == [2560] * 5
+    runs = certify_form(form, [7, 11, 13, 17, 19])
+    assert [r.conductor.witness["conductor"] for r in runs] == [2560] * 5
     assert trial_factor.cache_info().misses == 1
 
 
@@ -488,10 +489,8 @@ def bundled_certificates() -> tuple[Certificate, ...]:
         warnings.simplefilter("ignore")
         degenerate = NewformData("t", 25, 4, None, {31: QuadInt(1 + 31**3)})
     certs = [reducibility_obstruction(f, p) for f, p in ((schoen, 11), (degenerate, 31))]
-    certs += [c for r in certify_form(schoen, primes_in_range(7, 60)).runs
-              for c in r.certificates()]
-    certs += [c for r in certify_form(sqrt2, [7, 17, 23, 31, 41, 47]).runs
-              for c in r.certificates()]
+    certs += [c for r in certify_form(schoen, primes_in_range(7, 60)) for c in r.certificates()]
+    certs += [c for r in certify_form(sqrt2, [7, 17, 23, 31, 41, 47]) for c in r.certificates()]
     certs += [conductor_bound_test(n) for n in (1, 275, 1375)]
     return tuple(certs)
 
@@ -710,8 +709,8 @@ def test_certify_proves_d_square_free_once():
     d = 10**9 + 7  # prime, so square-free
     trial_factor.cache_clear()
     form = NewformData("t", 512, 2, d, {3: QuadInt(1, 1), 5: QuadInt(1)})
-    report = certify_form(form, [ell for ell in primes_in_range(7, 3000) if legendre(d, ell) == 1])
-    assert len(report.runs) > 200
+    runs = certify_form(form, [ell for ell in primes_in_range(7, 3000) if legendre(d, ell) == 1])
+    assert len(runs) > 200
     assert trial_factor.cache_info().misses == 1
     assert trial_factor.cache_info().hits == 0  # no ell asks again
 
@@ -836,35 +835,31 @@ def test_verify_paper_json_is_what_the_standard_library_writes(make_report):
 
 
 def test_certify_form_pipeline(schoen_form, sqrt2_form):
-    report = certify_form(schoen_form, [11, 13])
-    assert report.all_proved
-    assert [r.ell for r in report.runs] == [11, 13]
-    assert all(check(c) for r in report.runs for c in r.certificates())
+    runs = certify_form(schoen_form, [13, 11, 13])  # sorted, each ell once
+    assert all(r.proved for r in runs)
+    assert [r.ell for r in runs] == [11, 13]
+    assert all(check(c) for r in runs for c in r.certificates())
 
-    report = certify_form(schoen_form, [7])
-    assert not report.all_proved
+    assert not certify_form(schoen_form, [7])[0].proved
 
-    report = certify_form(sqrt2_form, [7])  # both embeddings
-    assert report.all_proved
-    assert [r.embedding_root for r in report.runs] == [3, 4]
+    runs = certify_form(sqrt2_form, [7])  # both embeddings
+    assert all(r.proved for r in runs)
+    assert [r.embedding_root for r in runs] == [3, 4]
     # non-ellipticity comes through the conductor route at ell = 7
-    assert all(r.conductor.verdict == NON_ELLIPTIC for r in report.runs)
+    assert all(r.conductor.verdict == NON_ELLIPTIC for r in runs)
 
 
 def test_certify_form_with_empty_eigenvalue_map():
     # a valid but empty record: everything comes back unproved, not an error
     form = NewformData("empty", 25, 4, None, {})
-    report = certify_form(form, [11])
-    assert not report.all_proved
-    run = report.runs[0]
+    (run,) = certify_form(form, [11])
+    assert not run.proved
     assert run.irreducible is None
     assert run.trace_tests == ()
 
 
 def test_certify_form_with_pinned_witness(sqrt2_form):
-    report = certify_form(sqrt2_form, [7], root=3, witness_prime=29)
-    assert len(report.runs) == 1
-    run = report.runs[0]
+    (run,) = certify_form(sqrt2_form, [7], root=3, witness_prime=29)
     assert run.irreducible.witness["p"] == 29
     assert run.irreducible.witness["delta"] == 5
     assert run.proved_non_elliptic  # conductor route
@@ -927,12 +922,11 @@ def renamed(form_id):
 @example(renamed("\x00per_ell"))
 def test_certify_range_json_is_what_the_standard_library_writes(case):
     form, ells, root, witness_prime = case
-    report = certify_form(form, ells, root, witness_prime)
-    want = json.dumps(report, default=lambda o: o.to_dict(), sort_keys=True, indent=2,
-                      ensure_ascii=True) + "\n"
+    runs = certify_form(form, ells, root, witness_prime)
     out = io.StringIO()
-    assert certify_range(form, ells, root, witness_prime, "json", out) == report.all_proved
-    assert out.getvalue() == want
+    proved = certify_range(form, ells, root, witness_prime, "json", out)
+    assert proved == all(run.proved for run in runs)
+    assert out.getvalue() == certify_report(form, ells, runs, "json")
 
 
 @functools.cache
@@ -948,7 +942,7 @@ def test_the_producer_the_checker_and_the_census_agree(case):
     # verdict at a p the census covers avoids every trace of a curve over F_p
     # mod ell and the level-raising values ±(p+1)
     form, ells, root, witness_prime = case
-    for run in certify_form(form, ells, root, witness_prime).runs:
+    for run in certify_form(form, ells, root, witness_prime):
         assert all(check(cert) for cert in run.certificates())
         for cert in run.trace_tests:
             p, ell = cert.witness["p"], cert.ell
@@ -958,7 +952,7 @@ def test_the_producer_the_checker_and_the_census_agree(case):
 
 
 def test_a_run_with_a_certificate_of_another_method_has_no_json(schoen_form):
-    run = certify_form(schoen_form, [11]).runs[0]
+    (run,) = certify_form(schoen_form, [11])
     family = reducibility_obstruction(schoen_form, 11)
     with pytest.raises(ValueError, match="no JSON template for a ReducibilityObstruction"):
         certify._run_json(dataclasses.replace(run, irreducible=family), "    ")

@@ -9,7 +9,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nonelliptic
 from nonelliptic.arith import primes_in_range
@@ -130,8 +130,8 @@ def test_certify_range_identical_across_runs(capsys, fmt):
 # sha256 of each report as written before the direct JSON writer replaced
 # json.dumps(indent=2), and before the text report read run objects instead
 # of dicts: the bytes must not move. Together the text reports take every
-# branch of CertifyReport.to_text (irreducibility not established, notes,
-# the trace route, the conductor route).
+# branch of EllCertification.text_lines (irreducibility not established,
+# notes, the trace route, the conductor route).
 PINNED_CERTIFY_REPORTS = [
     (SCHOEN, "3000", "json", "dbec122deac1817d6af849b3171316e3e933719b944084a38a7364f660ea363d"),
     (SCHOEN, "3000", "text", "125e38c61a97b6a24a7c7037b65272518975b61bc272a827b4409bb3590ebdb6"),
@@ -652,6 +652,24 @@ def test_a_warning_is_one_line_before_the_error(tmp_path):
                            "error: ell=9 must be a prime > 5\n")
 
 
+def test_a_form_id_stays_on_one_stderr_line(tmp_path):
+    # an id holding a newline is escaped as repr escapes it, in the warning and
+    # in the --root refusal alike
+    form = tmp_path / "t.json"
+    form.write_text(json.dumps({"id": "a\nb", "level": 49, "weight": 2,
+                                "field": {"type": "rational"},
+                                "eigenvalues": {"5": {"x": 100, "y": 0}}}))
+    warning = ("warning: RamanujanBoundWarning: a_5 of form a\\nb violates the "
+               "Ramanujan bound a_p^2 <= 4 p^(k-1)\n")
+    proc = run_child(["certify", "-i", str(form), "--ell", "9"], timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == warning + "error: ell=9 must be a prime > 5\n"
+    proc = run_child(["certify", "-i", str(form), "--ell", "11", "--root", "3"], timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == warning + ("error: --root 3 given, but form a\\nb has a rational "
+                                     "coefficient field, which takes no embedding\n")
+
+
 # --- totality: every input finishes or is refused -----------------------------
 
 # integers from the buckets where faults were found: small, a Carmichael
@@ -662,6 +680,9 @@ CLI_INTS = st.one_of(
     st.builds(lambda e, k: 10**e + k, st.integers(12, 40), st.integers(0, 100)),
     st.integers(-10**40, -1),
 )
+
+
+BAD_INTS = st.sampled_from(["x", "1" * 5000])
 
 
 @st.composite
@@ -688,8 +709,10 @@ def generated_forms(draw):
 def cli_argv(draw):
     """(argv, form): argv of one of the five commands, ranges at most 10^4
     wide, with "FORM" for the form file of certify and falsify (a bundled path
-    or a generated record; None for the other commands)."""
-    n = lambda: str(draw(CLI_INTS))  # noqa: E731
+    or a generated record; None for the other commands). One integer
+    argument in ten is a token argparse must refuse: one that is no integer,
+    or one past the 4,300-digit conversion limit."""
+    n = lambda: str(draw(CLI_INTS)) if draw(st.integers(0, 9)) else draw(BAD_INTS)  # noqa: E731
     opt = lambda flag: [flag, n()] if draw(st.booleans()) else []  # noqa: E731
     fmt = ["--format", draw(st.sampled_from(["text", "json"]))]
     command = draw(st.sampled_from(["verify-paper", "certify", "scan", "oracle", "falsify"]))
@@ -721,6 +744,8 @@ def form_dir(tmp_path_factory):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(case=cli_argv())
+@example(case=(["certify", "-i", "FORM", "--ell", "x", "--format", "json"], SCHOEN))
+@example(case=(["scan", "7", "1" * 5000, "--format", "text"], None))
 def test_every_cli_input_finishes_or_is_refused(form_dir, case):
     # Aim 3: each input finishes within 5 s and 1 GiB with exit 0 or 2, or is
     # refused with exit 1 and one error line; never a traceback or a hang.
@@ -770,6 +795,23 @@ def test_falsify_witness(capsys):
     assert code == 0
     assert "witness at p=2" in out
     assert "0 != 5" in out
+
+
+def test_falsify_finds_no_witness_against_the_curves_own_form(tmp_path, capsys):
+    # the weight-2 newform 11a against a curve of conductor 11: every compared
+    # trace agrees, so falsify reports no witness and exits Inconclusive
+    form = tmp_path / "11a.json"
+    form.write_text(json.dumps({"id": "11a", "level": 11, "weight": 2,
+                                "field": {"type": "rational"},
+                                "eigenvalues": {str(p): {"x": a, "y": 0} for p, a in
+                                                ((2, -2), (3, -1), (5, 1), (7, -2), (13, 4))}}))
+    argv = ("falsify", "--curve=0,-1,1,0,0", "-i", str(form), "--ell", "7")
+    assert run(capsys, *argv) == (2, "no witness found (not a proof of isomorphism; "
+                                     "compared p in [2, 3, 5, 13])\n", "")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"curve": [0, -1, 1, 0, 0], "ell": 7, "compared": [2, 3, 5, 13],
+                               "witness": None}
 
 
 def test_falsify_singular_curve(capsys):
@@ -855,10 +897,8 @@ def test_falsify_json(capsys):
     ("certify", "-i", SCHOEN, "--ell", "11", "--workers", "2"),
 ], ids=["verify-paper", "certify"])
 def test_workers_flag_is_gone(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+    # argparse's refusal is the one error line and exit 1, not its usage and exit 2
+    assert run(capsys, *argv) == (1, "", "error: unrecognized arguments: --workers 2\n")
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")

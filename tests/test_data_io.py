@@ -5,11 +5,13 @@ import warnings
 from importlib import resources
 
 import pytest
+from conftest import certify_report
 from hypothesis import example, given, strategies as st
 from jsonschema import Draft202012Validator
 
 from nonelliptic.arith import primes_in_range
-from nonelliptic.certify import certify_form
+from nonelliptic import certify
+from nonelliptic.certify import certify_form, certify_range
 from nonelliptic.data_io import (
     BUNDLED_FORMS,
     SchemaError,
@@ -324,15 +326,33 @@ def test_write_report_determinism_and_empty():
     assert out.getvalue() == ""
 
 
-def test_write_report_streams_a_certify_report_in_bounded_pieces(schoen_form):
-    # write_report hands a library CertifyReport to json.dumps whole; the
-    # CLI streams a range through certify.certify_range, tested there
-    report = certify_form(schoen_form, primes_in_range(7, 2000))
-    text = written(report, "json")
-    assert text == canonical_json(report)
-    assert text == json.dumps(report, default=lambda o: o.to_dict(), sort_keys=True,
-                              indent=2, ensure_ascii=True) + "\n"
-    assert written(report, "text") == report.to_text() + "\n"
+class Pieces(io.StringIO):
+    """A text stream that keeps each string handed to write."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return super().write(text)
+
+
+def test_certify_range_streams_its_report_in_bounded_pieces(monkeypatch, schoen_form):
+    # certify_range writes the report of certify_form's runs in both formats,
+    # and hands each batch's text to the stream on its own, never joined:
+    # no piece holds the runs of more than one batch
+    monkeypatch.setattr(certify, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(certify, "_BATCH_ELLS", 50)
+    ells = primes_in_range(7, 2000)
+    runs = certify_form(schoen_form, ells)
+    for fmt, head in (("json", '\n      "conductor": '), ("text", "\n  ell=")):
+        out = Pieces()
+        certify_range(schoen_form, ells, None, None, fmt, out)
+        assert out.getvalue() == certify_report(schoen_form, ells, runs, fmt)
+        counts = [("\n" + piece).count(head) for piece in out.pieces]
+        assert sum(counts) == len(runs) == len(ells)
+        assert max(counts) == 50
 
 
 def test_write_json_list_splices_the_texts_into_the_one_empty_list_at_its_key():

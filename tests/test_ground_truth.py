@@ -74,7 +74,7 @@ def runs(name: str) -> tuple:
     """Every certify run of the curve's three forms, over their admitted ells."""
     curve = CURVES[name]
     return tuple(run for form in twisted_forms(name, curve)
-                 for run in certify_form(form, admitted_ells(form, ELLS, "[7, 2000]")).runs)
+                 for run in certify_form(form, admitted_ells(form, ELLS, "[7, 2000]")))
 
 
 @pytest.mark.parametrize("name", TATE)

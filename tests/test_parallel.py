@@ -14,13 +14,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import certify_report
 
 import nonelliptic
 from nonelliptic import certify
 from nonelliptic.arith import primes_in_range
 from nonelliptic.certify import certify_form
 from nonelliptic.cli import main
-from nonelliptic.data_io import bundled_form, write_report
+from nonelliptic.data_io import bundled_form
 from nonelliptic.repmodel import admitted_ells
 
 SRC = str(Path(nonelliptic.__file__).resolve().parents[1])
@@ -288,7 +289,8 @@ def test_one_cpu_certifies_and_renders_in_batches_too(monkeypatch, fmt, batch):
         ells = admitted_ells(form, primes_in_range(7, 3000), "[7, 3000]")
         whole = certify_form(form, ells)
         rendered.clear()
-        assert _ranged(form, ells, fmt) == (_written(whole, fmt), whole.all_proved)
+        assert _ranged(form, ells, fmt) == (certify_report(form, ells, whole, fmt),
+                                            all(run.proved for run in whole))
         assert rendered == certify.batches(ells, 1)
         assert len(rendered) == -(-len(ells) // batch)
 
@@ -297,7 +299,7 @@ def test_one_cpu_certifies_and_renders_in_batches_too(monkeypatch, fmt, batch):
 def test_an_empty_range_gives_the_empty_report(fmt):
     form = bundled_form("schoen_s4_25")
     written, proved = _ranged(form, [], fmt)
-    assert (written, proved) == (_written(certify_form(form, []), fmt), True)
+    assert (written, proved) == (certify_report(form, [], certify_form(form, []), fmt), True)
     if fmt == "json":
         assert json.loads(written) == {"form": "schoen_s4_25", "all_proved": True,
                                        "ells": [], "runs": []}
@@ -315,9 +317,3 @@ def _ranged(form, ells, fmt):
     out = io.StringIO()
     proved = certify.certify_range(form, ells, None, None, fmt, out)
     return out.getvalue(), proved
-
-
-def _written(report, fmt):
-    out = io.StringIO()
-    write_report(report, fmt, out)
-    return out.getvalue()
