@@ -20,6 +20,7 @@ _EXPORTS = {
     "trial_factor": "arith",
     "conductor_bound_test": "certify",
     "certify_form": "certify",
+    "certify_range": "certify",
     "irreducibility_by_discriminant": "certify",
     "non_elliptic_trace_test": "certify",
     "reducibility_obstruction": "certify",

@@ -103,7 +103,8 @@ _NARROW = 64
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p <= hi. A window narrow next to isqrt(hi),
     (hi - lo) * _NARROW < isqrt(hi), has each odd candidate proved by
-    is_prime; a wider one is sieved over [lo, hi] alone, so memory grows with
+    is_prime; a wider one is sieved over [lo, hi] alone, with the base primes
+    up to isqrt(hi) sieved in segments no wider than it, so memory grows with
     the width, not with hi. Raises ValueError for hi >= MILLER_RABIN_LIMIT, as
     is_prime does, and for a sieve wider than the index size."""
     lo = max(lo, 2)
@@ -120,9 +121,11 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     # From bytes: a failed bytearray repeat makes CPython print a stray
     # SystemError to stderr next to the MemoryError.
     sieve = bytearray(b"\x01" * (hi - lo + 1))
-    for p in primes_in_range(2, math.isqrt(hi)):
-        start = max(p * p, -(-lo // p) * p)
-        sieve[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
+    root = math.isqrt(hi)
+    for base in range(2, root + 1, hi - lo + 1):
+        for p in primes_in_range(base, min(base + hi - lo, root)):
+            start = max(p * p, -(-lo // p) * p)
+            sieve[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
     return list(compress(range(lo, hi + 1), sieve))
 
 

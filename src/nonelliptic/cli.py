@@ -10,12 +10,14 @@ is a first-class outcome):
 
 An error is one stderr line, `error: <message>`; each warning before it, such
 as a Ramanujan-bound violation in a form record, is one line too,
-`warning: <category>: <message>`.
+`warning: <category>: <message>`. Either shows a number of more than 64
+digits by its first 20 digits and its length.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import warnings
 
@@ -210,9 +212,18 @@ _COMMANDS = {
 }
 
 
+_LONG_NUMBER = re.compile("[0-9]{65,}")
+
+
+def _shortened(message) -> str:
+    """str(message) with each run of more than 64 digits cut to its first 20
+    digits and its length, so an echoed number cannot make a line huge."""
+    return _LONG_NUMBER.sub(lambda m: f"{m[0][:20]}…({len(m[0])} digits)", str(message))
+
+
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
     """warnings.showwarning for the CLI: one line, without the source location."""
-    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+    print(f"warning: {category.__name__}: {_shortened(message)}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -222,9 +233,9 @@ def main(argv: list[str] | None = None) -> int:
             args = _build_parser().parse_args(argv)
             return _COMMANDS[args.command](args)
         except data_io.SchemaError as exc:
-            print(f"error: invalid form record: {exc}", file=sys.stderr)
+            print(f"error: invalid form record: {_shortened(exc)}", file=sys.stderr)
         except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {_shortened(exc)}", file=sys.stderr)
         except MemoryError:
             print("error: out of memory; the request is too large (narrow the range)",
                   file=sys.stderr)

@@ -65,8 +65,8 @@ def _members(value, path: str, required: tuple, optional: tuple = ()) -> dict:
 
 def parse_form(text: str | bytes) -> NewformData:
     """Parse and validate one FormRecord in one walk: the wire format of
-    data/form_record.schema.json here, the mathematics in NewformData.
-    Errors carry the JSON path of the offending value."""
+    data/form_record.schema.json and an id that prints here, the mathematics
+    in NewformData. Errors carry the JSON path of the offending value."""
     # imported here: `oracle` writes a report through this module but parses
     # no form, so it need not compile the form model
     from .repmodel import FormDataError, NewformData, QuadInt
@@ -81,8 +81,8 @@ def parse_form(text: str | bytes) -> NewformData:
         raise SchemaError(f"schema violation: {exc}") from None
     _members(record, "$", ("id", "level", "weight", "field", "eigenvalues"),
              ("claimed_conductor_equality", "notes"))
-    if not _typed(record["id"], str, "$.id"):
-        raise _violation("$.id", "'' should be non-empty")
+    if not (_typed(record["id"], str, "$.id") and record["id"].isprintable()):
+        raise _violation("$.id", f"{record['id']!r} should be non-empty and printable")
     level = _typed(record["level"], int, "$.level")
     weight = _typed(record["weight"], int, "$.weight")
     field = record["field"]

@@ -117,9 +117,8 @@ class NewformData:
         # before the power is built
         if ((self.weight - 1) * (p.bit_length() - 1) < square.bit_length()
                 and square > 4 * p ** (self.weight - 1)):
-            # the id escaped as repr escapes it, so the warning stays one line
             warnings.warn(
-                f"a_{p} of form {repr(self.form_id)[1:-1]} violates the Ramanujan bound "
+                f"a_{p} of form {self.form_id} violates the Ramanujan bound "
                 f"a_p^2 <= 4 p^(k-1)",
                 RamanujanBoundWarning,
                 stacklevel=4,  # the constructor's caller, past the generated __init__
@@ -181,7 +180,7 @@ def refusal(form: NewformData, ell: int, root: int | None = None) -> ValueError 
         return BadReductionError(f"bad reduction prime: {ell} divides the level {form.level}")
     if d is None:
         if root is not None:
-            return ValueError(f"--root {root} given, but form {repr(form.form_id)[1:-1]} has a "
+            return ValueError(f"--root {root} given, but form {form.form_id} has a "
                               "rational coefficient field, which takes no embedding")
     else:
         if d % ell == 0:

@@ -18,6 +18,7 @@ PUBLIC_API = [
     "__version__",
     "bundled_form",
     "certify_form",
+    "certify_range",
     "check",
     "closed_form_scan",
     "conductor_bound_test",
@@ -100,7 +101,7 @@ def test_quadfield_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("nonelliptic.quadfield")
     assert nonelliptic.QuadInt.__module__ == "nonelliptic.repmodel"
-    assert len(nonelliptic.__all__) == 30
+    assert len(nonelliptic.__all__) == 31
 
 
 def test_parallel_is_gone():

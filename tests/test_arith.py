@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nonelliptic
 from conftest import hasse_interval
 from nonelliptic import arith
 from nonelliptic.arith import (
@@ -395,3 +400,23 @@ def test_primes_in_range(monkeypatch):
     # the sieve's width is refused before the bytearray overflows
     with pytest.raises(ValueError, match=r"too wide to sieve: its width passes the index size"):
         primes_in_range(6, 10**20)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_a_wide_window_sieves_its_base_primes_in_window_sized_pieces():
+    # A child inherits its spawner's peak RSS across exec, and pytest's peak
+    # is large, so a fresh interpreter spawns the one that measures. Sieving
+    # the base primes up to 10^7 at once grew the peak by 39.5 MiB; in pieces
+    # of the window's 2*10^5, by about 1 MiB.
+    measure = (
+        "import resource\n"
+        "from nonelliptic.arith import primes_in_range\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "primes_in_range(10**14, 10**14 + 2 * 10**5)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    helper = "import subprocess, sys\nsubprocess.run([sys.executable, '-c', sys.argv[1]])\n"
+    src = str(Path(nonelliptic.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", helper, measure], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert int(proc.stdout) < 8 * 1024, proc.stderr

@@ -10,7 +10,8 @@ from conftest import certify_report
 from hypothesis import assume, example, given, settings, strategies as st
 
 from nonelliptic.arith import legendre, primes_in_range, trial_factor
-from nonelliptic import certify
+from nonelliptic import certify, paper
+from nonelliptic.cli import main
 from nonelliptic.certify import (
     EXCLUDED_SET_LIMIT,
     certify_form,
@@ -292,6 +293,19 @@ def test_scan_range_validation():
         closed_form_scan(3, 5)
     with pytest.raises(ValueError):
         closed_form_scan(11, 7)
+
+
+def test_scan_reports_a_failed_fermat_cross_check(monkeypatch, capsys):
+    # every scanned ell is prime, so only a composite handed in reaches the
+    # failure branch: 2^24 = 10 and 4^(-1) = 7 (mod 27), and 10 is not in
+    # {1, 4, 9}, so 27 does not join the holds
+    monkeypatch.setattr(paper, "primes_in_range", lambda lo, hi: [7, 27])
+    report = closed_form_scan(7, 27)
+    assert report.fermat_ok is False
+    assert report.holds == (7,)
+    assert report.to_text().endswith("FAILED")
+    assert main(["scan", "7", "27"]) == 1
+    assert capsys.readouterr().out.endswith("FAILED\n")
 
 
 def test_scan_matches_trace_test(schoen_form):

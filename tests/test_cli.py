@@ -653,21 +653,30 @@ def test_a_warning_is_one_line_before_the_error(tmp_path):
 
 
 def test_a_form_id_stays_on_one_stderr_line(tmp_path):
-    # an id holding a newline is escaped as repr escapes it, in the warning and
-    # in the --root refusal alike
-    form = tmp_path / "t.json"
-    form.write_text(json.dumps({"id": "a\nb", "level": 49, "weight": 2,
-                                "field": {"type": "rational"},
-                                "eigenvalues": {"5": {"x": 100, "y": 0}}}))
-    warning = ("warning: RamanujanBoundWarning: a_5 of form a\\nb violates the "
-               "Ramanujan bound a_p^2 <= 4 p^(k-1)\n")
-    proc = run_child(["certify", "-i", str(form), "--ell", "9"], timeout=60)
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == warning + "error: ell=9 must be a prime > 5\n"
-    proc = run_child(["certify", "-i", str(form), "--ell", "11", "--root", "3"], timeout=60)
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == warning + ("error: --root 3 given, but form a\\nb has a rational "
-                                     "coefficient field, which takes no embedding\n")
+    # an id that does not print, a line break or a terminal control, is
+    # refused where the record is loaded, so no later message or report
+    # prints it; the refusal shows it as repr escapes it
+    for form_id in ("a\nb", "a\x1b[2Jb"):
+        form = tmp_path / "t.json"
+        form.write_text(json.dumps({"id": form_id, "level": 49, "weight": 2,
+                                    "field": {"type": "rational"},
+                                    "eigenvalues": {"5": {"x": 100, "y": 0}}}))
+        error = (f"error: invalid form record: schema violation at $.id: {form_id!r} "
+                 "should be non-empty and printable\n")
+        for ells in (["--ell", "9"], ["--ell", "11", "--root", "3"], ["--ell", "11"]):
+            proc = run_child(["certify", "-i", str(form), *ells], timeout=60)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", error)
+
+
+@pytest.mark.parametrize("token", ["1" * 5000, "9" * 4000], ids=["argparse", "sieve"])
+def test_a_long_number_in_a_message_is_cut(capsys, token):
+    # argparse echoes the first token whole, and primes_in_range's refusal
+    # the second: each run of more than 64 digits shows its first 20 digits
+    # and its length
+    code, out, err = run(capsys, "scan", "7", token)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err.encode()) <= 200
+    assert f"{token[:20]}…({len(token)} digits)" in err
 
 
 # --- totality: every input finishes or is refused -----------------------------

@@ -137,7 +137,7 @@ KEYS = [
     "02", "0", "", " 2", "+2", "1_3", "\u0662", "2\n", "13\n",
 ]
 VALUES = [
-    None, True, False, 0, 1, 2, -1, 8, 4.0, "", "2", "rational", [], {},
+    None, True, False, 0, 1, 2, -1, 8, 4.0, "", "2", "rational", "a\nb", [], {},
     {"x": 1, "y": 0}, {"type": "rational"}, {"type": "quadratic", "d": 2},
 ]
 
@@ -222,8 +222,10 @@ def _agrees_with_the_schema(rec):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RamanujanBoundWarning)
         # float literals have been refused on top of the schema since they
-        # were found to pass it; keys with a trailing newline are new here
-        if (not SCHEMA.is_valid(rec) or _has_float(rec)
+        # were found to pass it, and so are keys with a trailing newline; an
+        # id that does not print is refused too, which no JSON-schema pattern
+        # can say
+        if (not SCHEMA.is_valid(rec) or _has_float(rec) or not rec["id"].isprintable()
                 or any(key.endswith("\n") for key in rec["eigenvalues"])):
             with pytest.raises(SchemaError, match=r"^schema violation"):
                 parse_form(text)
@@ -285,15 +287,16 @@ def _rebuilt(rec):
 @st.composite
 def forms(draw):
     """A rational form or a form over Q(sqrt(d)) whose a_p include rational
-    values (y = 0). Weight 16 and up keeps every a_p within the Ramanujan
-    bound."""
+    values (y = 0), with an id that prints. Weight 16 and up keeps every a_p
+    within the Ramanujan bound."""
     d = draw(st.sampled_from([None, 2, 3, 5, 6, 7, 10]))
     level = draw(st.sampled_from([1, 25, 512]))
     primes = [p for p in primes_in_range(2, 60) if level % p]
     ys = st.just(0) if d is None else st.one_of(st.just(0), st.integers(-9, 9))
     eigenvalues = {p: QuadInt(draw(st.integers(-99, 99)), draw(ys))
                    for p in draw(st.lists(st.sampled_from(primes), unique=True, max_size=6))}
-    return NewformData(draw(st.text(min_size=1, max_size=8)), level, draw(st.integers(16, 20)),
+    form_id = draw(st.text(min_size=1, max_size=8).filter(str.isprintable))
+    return NewformData(form_id, level, draw(st.integers(16, 20)),
                        d, eigenvalues, draw(st.booleans()), draw(st.text(max_size=8)))
 
 
