@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -528,7 +529,11 @@ POOL_MIN_RUNS = 2000
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on."""
+    """The CPUs this process may run on, or 1 while another thread runs: a
+    forked child keeps only the thread that forked, so a lock another thread
+    held would stay held in it."""
+    if threading.active_count() > 1:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -565,9 +570,8 @@ def certify_range(
     proved. This is the one writer of a certify report.
     The ells are certified and rendered in `batches` of consecutive ells:
     over forked workers for at least POOL_MIN_RUNS runs on a platform that
-    forks, in a process allowed more than one CPU; else in this process. The
-    first error in ell order is raised before anything is written. Only a
-    single-threaded process, such as the CLI, may use the pool."""
+    forks, when `usable_cpus` gives more than one; else in this process. The
+    first error in ell order is raised before anything is written."""
     if fmt not in ("json", "text"):
         raise ValueError(f"unknown report format {fmt!r}")
     ells = sorted(set(ells))

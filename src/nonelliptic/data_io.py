@@ -1,10 +1,10 @@
 """Eigenvalue-data ingestion (strict JSON wire format), the bundled datasets,
 and deterministic report serialization.
 
-Map keys are primes as decimal strings; unknown keys are rejected outright so
-typos in hand-entered data surface immediately. A Ramanujan-bound violation
-warns but does not reject: nothing downstream relies on the bound, and the
-warning is the useful signal.
+Map keys are primes as decimal strings; unknown and repeated keys are
+rejected outright so typos in hand-entered data surface immediately. A
+Ramanujan-bound violation warns but does not reject: nothing downstream relies
+on the bound, and the warning is the useful signal.
 """
 
 from __future__ import annotations
@@ -37,6 +37,18 @@ def _reject_float(literal: str):
     raise SchemaError(f"schema violation: number {literal} is not an integer literal")
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json.loads would keep only the last of a repeated key, silently
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"schema violation: key {key!r} appears twice in one object")
+            seen.add(key)
+    return obj
+
+
 _PRIME_KEY = re.compile("[1-9][0-9]*")
 _JSON_TYPE = {int: "integer", str: "string", bool: "boolean", dict: "object"}
 
@@ -65,14 +77,15 @@ def _members(value, path: str, required: tuple, optional: tuple = ()) -> dict:
 
 def parse_form(text: str | bytes) -> NewformData:
     """Parse and validate one FormRecord in one walk: the wire format of
-    data/form_record.schema.json and an id that prints here, the mathematics
-    in NewformData. Errors carry the JSON path of the offending value."""
+    data/form_record.schema.json, with no key repeated in an object and an id
+    that prints here, the mathematics in NewformData. Errors carry the JSON
+    path of the offending value."""
     # imported here: `oracle` writes a report through this module but parses
     # no form, so it need not compile the form model
     from .repmodel import FormDataError, NewformData, QuadInt
 
     try:
-        record = json.loads(text, parse_float=_reject_float)
+        record = json.loads(text, parse_float=_reject_float, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
     except SchemaError:

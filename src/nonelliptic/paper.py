@@ -98,7 +98,6 @@ class VerificationReport:
     ell_max: int
     sections: dict
     mismatches: tuple[str, ...]
-    certificates: tuple[Certificate, ...]
 
     @property
     def passed(self) -> bool:
@@ -269,14 +268,12 @@ def full_paper_verification(
             "weight2_level512": data_io.bundled_form("s2_512_sqrt2"),
         }
     mismatches: list[str] = []
-    certs: list[Certificate] = []
 
     # --- weight-4 level-25 section ---------------------------------------
     exp4 = expectations["weight4_level25"]
     form4 = forms["weight4_level25"]
     family_cert = reducibility_obstruction(form4, exp4["family_obstruction"]["witness_prime"])
     exceptional = family_cert.witness["exceptional"]  # sorted
-    certs.append(family_cert)
 
     trace_p = exp4["trace_test_witness_prime"]
     inconclusive_exp = set(exp4["trace_inconclusive_ells"])
@@ -295,7 +292,6 @@ def full_paper_verification(
         entry["twist_exponent"] = run.twist_exponent
         entry["trace_test"] = run.trace_tests[0] if run.trace_tests else None
         per_ell.append(entry)
-        certs.extend(c for c in (entry.get("discriminant"), entry["trace_test"]) if c)
         # the per-ell verdicts have no table leaf: each is checked here
         if not entry["irreducible"]:
             mismatches.append(f"ell={run.ell}: irreducibility not certified")
@@ -355,13 +351,9 @@ def full_paper_verification(
                               f"at p={disc_exp['witness_prime']}")
         else:
             disc_certs[f"root_{run.embedding_root}"] = run.irreducible
-    certs.extend(disc_certs.values())
 
-    conductor_certs = {}
-    for n_str in exp2["conductor_violations"]:
-        cert = conductor_bound_test(int(n_str), ell=ell2, form_id=form2.form_id)
-        conductor_certs[n_str] = cert
-        certs.append(cert)
+    conductor_certs = {n_str: conductor_bound_test(int(n_str), ell=ell2, form_id=form2.form_id)
+                       for n_str in exp2["conductor_violations"]}
 
     serre = {
         p_str: serre_bound_predicate(ell2, int(p_str))
@@ -393,5 +385,4 @@ def full_paper_verification(
         ell_max=ell_max,
         sections={"weight4_level25": section4, "weight2_level512": section2},
         mismatches=tuple(mismatches),
-        certificates=tuple(certs),
     )

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from nonelliptic import bundled_form, is_prime
+from nonelliptic import Certificate, bundled_form, is_prime
 
 
 def hasse_interval(p: int) -> set[int]:
@@ -47,6 +47,28 @@ def certify_report(form, ells, runs, fmt: str) -> str:
     lines = [f"certify form={form.form_id}", *(line for run in runs for line in run.text_lines()),
              f"all proved: {'yes' if proved else 'no'}"]
     return "\n".join(lines) + "\n"
+
+
+def written_certificates(text: str) -> list[Certificate]:
+    """Every certificate in the JSON report `text`, in document order: each
+    object, at any depth, whose keys include a certificate's five, read back
+    by Certificate.from_dict."""
+    keys = {"verdict", "method", "ell", "witness", "inputs"}
+    found = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            if keys <= node.keys():
+                found.append(Certificate.from_dict(node))
+            else:
+                for value in node.values():
+                    walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value)
+
+    walk(json.loads(text))
+    return found
 
 
 def stored_at(form, primes):

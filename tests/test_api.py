@@ -148,5 +148,16 @@ def test_removed_residual_rep_field_is_gone(field):
     assert field not in {f.name for f in dataclasses.fields(nonelliptic.ResidualRep)}
 
 
+def test_dir_lists_every_public_name():
+    # the lazy exports are listed before any of them is loaded
+    assert set(nonelliptic.__all__) <= set(dir(nonelliptic))
+
+
+def test_verification_report_certificates_field_is_gone():
+    # a report's certificates are in its sections and in the JSON it writes
+    report = importlib.import_module("nonelliptic.paper").VerificationReport
+    assert "certificates" not in {f.name for f in dataclasses.fields(report)}
+
+
 def test_quadint_holds_only_its_components():
     assert [f.name for f in dataclasses.fields(nonelliptic.QuadInt)] == ["x", "y"]

@@ -6,7 +6,7 @@ import time
 import warnings
 
 import pytest
-from conftest import certify_report
+from conftest import certify_report, written_certificates
 from hypothesis import assume, example, given, settings, strategies as st
 
 from nonelliptic.arith import legendre, primes_in_range, trial_factor
@@ -43,6 +43,7 @@ from nonelliptic.repmodel import (
     QuadInt,
     RamanujanBoundWarning,
     ResidualRep,
+    admitted_ells,
     refusal,
     residual_rep,
     residual_reps,
@@ -735,7 +736,10 @@ def test_full_verification_passes():
     report = full_paper_verification(ell_max=300)
     assert report.passed
     assert report.mismatches == ()
-    assert all(check(c) for c in report.certificates)
+    written = io.StringIO()
+    report.write_json(written)
+    certs = written_certificates(written.getvalue())
+    assert len(certs) == 65 and all(check(c) for c in certs)
     s4 = report.sections["weight4_level25"]
     assert s4["exceptional"] == [5, 11]
     entry11 = next(e for e in s4["per_ell"] if e["ell"] == 11)
@@ -760,6 +764,16 @@ def test_full_verification_detects_tampering():
     )
     assert not report.passed
     assert report.mismatches
+
+
+def test_a_conductor_with_no_violation_is_reported_inconclusive():
+    # 256 = 2^8 is within an elliptic curve's bound at 2
+    expectations = load_expectations()
+    expectations["weight2_level512"]["conductor_violations"] = {"512": [2, 9, 8], "256": None}
+    report = full_paper_verification(ell_max=30, expectations=expectations)
+    assert report.passed
+    text = report.to_text()
+    assert "\n  conductor 256: -> Inconclusive\n  conductor 512: violates" in text
 
 
 def missing_data_report(store_a29=True):
@@ -941,6 +955,24 @@ def test_certify_range_json_is_what_the_standard_library_writes(case):
     proved = certify_range(form, ells, root, witness_prime, "json", out)
     assert proved == all(run.proved for run in runs)
     assert out.getvalue() == certify_report(form, ells, runs, "json")
+
+
+@pytest.mark.parametrize("form_id,n_runs,n_certs", [("schoen_s4_25", 427, 856),
+                                                    ("s2_512_sqrt2", 420, 848)])
+def test_every_certificate_a_certify_report_writes_passes_check(form_id, n_runs, n_certs):
+    # the certificates read back from the written JSON are certify_form's,
+    # each once, and each re-verifies
+    form = bundled_form(form_id)
+    ells = admitted_ells(form, primes_in_range(7, 3000), "[7, 3000]")
+    out = io.StringIO()
+    certify_range(form, ells, None, None, "json", out)
+    certs = written_certificates(out.getvalue())
+    runs = certify_form(form, ells)
+    assert (len(runs), len(certs)) == (n_runs, n_certs)
+    records = sorted(json.dumps(c.to_dict(), sort_keys=True)
+                     for run in runs for c in run.certificates())
+    assert sorted(json.dumps(c.to_dict(), sort_keys=True) for c in certs) == records
+    assert all(check(c) for c in certs)
 
 
 @functools.cache

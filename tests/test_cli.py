@@ -495,6 +495,27 @@ def test_certify_refuses_an_eigenvalue_key_past_the_digit_limit(tmp_path, capsys
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+# json.loads keeps the last of a repeated key: the first edit would be
+# certified with a_2 = 3, and the schema sees only the parsed record
+REPEATED_KEYS = [
+    ('"2": {"x": 1, "y": 0},', '"2": {"x": 1, "y": 0}, "2": {"x": 3, "y": 0},', "2"),
+    ('"level": 25,', '"level": 25, "level": 125,', "level"),
+    ('"3": {"x": 7, "y": 0}', '"3": {"x": 7, "y": 0, "x": 8}', "x"),
+]
+
+
+@pytest.mark.parametrize("old,new,key", REPEATED_KEYS, ids=[k for _, _, k in REPEATED_KEYS])
+def test_certify_refuses_a_repeated_key(tmp_path, capsys, old, new, key):
+    text = Path(SCHOEN).read_text()
+    assert text.count(old) == 1
+    bad = tmp_path / "repeated.json"
+    bad.write_text(text.replace(old, new))
+    code, out, err = run(capsys, "certify", "-i", str(bad), "--ell", "11")
+    assert (code, out) == (1, "")
+    assert err == (f"error: invalid form record: schema violation: key {key!r} appears "
+                   "twice in one object\n")
+
+
 def test_certify_with_a_huge_weight_finishes(tmp_path, capsys):
     # the Ramanujan check must not build p**(k-1) for k = 10**12
     huge = tmp_path / "huge.json"

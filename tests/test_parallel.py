@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,36 @@ def test_a_process_that_cannot_fork_or_has_one_cpu_stays_in_process(capsys, chun
     monkeypatch.delattr(os, "fork")
     assert run(capsys, *argv) == serial
     assert pools == []
+
+
+def test_a_live_thread_keeps_the_range_in_process(monkeypatch):
+    # a forked worker keeps only the thread that forked, and any lock another
+    # thread held at that moment: while another thread runs, nothing forks
+    form = bundled_form("schoen_s4_25")
+    ells = primes_in_range(7, 300)
+    serial = _ranged(form, ells, "json")
+    monkeypatch.setattr(certify, "POOL_MIN_RUNS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pools = []
+    pool_map = certify._pool_map
+
+    def spy(work, parts, cpus):
+        pools.append(cpus)
+        return pool_map(work, parts, cpus)
+
+    monkeypatch.setattr(certify, "_pool_map", spy)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        assert _ranged(form, ells, "json") == serial
+    finally:
+        stop.set()
+        waiter.join()
+    assert pools == []
+    assert _ranged(form, ells, "json") == serial  # the thread is gone: the pool runs
+    assert pools == [2]
+    assert _children() == []
 
 
 def _child(script: str, *args: str, flags=()) -> subprocess.CompletedProcess:
