@@ -159,6 +159,11 @@ class Factorization:
 def legendre(a: int, ell: int) -> int:
     """Legendre symbol (a / ell) in {-1, 0, +1}, by Euler's criterion."""
     require_odd_prime(ell)
+    return _euler_criterion(a, ell)
+
+
+def _euler_criterion(a: int, ell: int) -> int:
+    """legendre(a, ell) for an ell its caller has proved an odd prime."""
     a = a % ell
     if a == 0:
         return 0

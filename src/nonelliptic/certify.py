@@ -17,11 +17,19 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 
-from .arith import TRIAL_DIVISION_LIMIT, is_prime, legendre, require_odd_prime, trial_factor
+from .arith import (
+    TRIAL_DIVISION_LIMIT,
+    _euler_criterion,
+    is_prime,
+    primes_in_range,
+    require_odd_prime,
+    trial_factor,
+)
 from .checker import (
     DEFAULT_CONDUCTOR_BOUND,
     ELLIPTIC_CONDUCTOR_BOUNDS,
@@ -40,17 +48,27 @@ from .repmodel import (
     InsufficientDataError,
     NewformData,
     ResidualRep,
-    residual_reps,
-    twist_to_det_chi,
+    _det_chi_twist,
+    _reductions,
 )
 
 
-def _provenance(rep: ResidualRep) -> dict:
-    return {
-        "form": rep.source.form_id,
-        "embedding_root": rep.root,
-        "twist_exponent": rep.twist_exponent,
-    }
+def _provenance(form_id: str, root: int | None, twist_exponent: int) -> dict:
+    return {"form": form_id, "embedding_root": root, "twist_exponent": twist_exponent}
+
+
+def _discriminant(ell: int, p: int, tr: int, m: int, provenance: dict) -> Certificate:
+    """The discriminant certificate at p of a reduction with trace tr at p
+    and determinant exponent m mod the odd prime ell."""
+    delta = (tr * tr - 4 * pow(p, m, ell)) % ell
+    sym = _euler_criterion(delta, ell)
+    return Certificate(
+        verdict=IRREDUCIBLE if sym == -1 else INCONCLUSIVE,
+        method=METHOD_DISCRIMINANT,
+        ell=ell,
+        witness={"p": p, "trace": tr, "det_exponent": m, "delta": delta, "legendre": sym},
+        inputs=provenance | {"assumed_odd": True},
+    )
 
 
 def irreducibility_by_discriminant(rep: ResidualRep, p: int) -> Certificate:
@@ -58,25 +76,8 @@ def irreducibility_by_discriminant(rep: ResidualRep, p: int) -> Certificate:
     Frobenius characteristic polynomial x^2 - trace(p) x + p^m is a
     non-residue mod ell, the polynomial is irreducible over F_ell and the
     (odd) representation cannot be reducible."""
-    ell = rep.ell
-    tr = rep.trace_at(p)
-    m = rep.det_exponent
-    delta = (tr * tr - 4 * pow(p, m, ell)) % ell
-    sym = legendre(delta, ell)
-    verdict = IRREDUCIBLE if sym == -1 else INCONCLUSIVE
-    return Certificate(
-        verdict=verdict,
-        method=METHOD_DISCRIMINANT,
-        ell=ell,
-        witness={
-            "p": p,
-            "trace": tr,
-            "det_exponent": m,
-            "delta": delta,
-            "legendre": sym,
-        },
-        inputs=_provenance(rep) | {"assumed_odd": True},
-    )
+    return _discriminant(rep.ell, p, rep.trace_at(p), rep.det_exponent,
+                         _provenance(rep.source.form_id, rep.root, rep.twist_exponent))
 
 
 def reducibility_obstruction(form: NewformData, p: int) -> Certificate:
@@ -150,6 +151,19 @@ def excluded_trace_set(p: int, ell: int) -> list[int]:
     return sorted(excluded)
 
 
+def _trace_test(ell: int, p: int, tr: int, provenance: dict) -> Certificate:
+    """The trace certificate at p, p != 1 (mod ell), of a reduction with
+    determinant chi and trace tr at p."""
+    excluded = excluded_trace_set(p, ell)
+    return Certificate(
+        verdict=NON_ELLIPTIC if tr not in excluded else INCONCLUSIVE,
+        method=METHOD_TRACE,
+        ell=ell,
+        witness={"p": p, "trace": tr, "excluded": excluded},
+        inputs=provenance | {"extended": p != 2},
+    )
+
+
 def non_elliptic_trace_test(rep: ResidualRep, p: int) -> Certificate:
     """Non-ellipticity from one unramified prime p with p ≢ 1 (mod ell).
 
@@ -168,14 +182,31 @@ def non_elliptic_trace_test(rep: ResidualRep, p: int) -> Certificate:
         raise ValueError(
             f"ramification dichotomy unavailable: p={p} = 1 (mod {ell})"
         )
-    excluded = excluded_trace_set(p, ell)
-    verdict = NON_ELLIPTIC if tr not in excluded else INCONCLUSIVE
+    return _trace_test(ell, p, tr, _provenance(rep.source.form_id, rep.root, rep.twist_exponent))
+
+
+def _conductor_witness(conductor: int) -> dict:
+    """The witness of a conductor certificate for the conductor >= 1: its
+    factors and the first exponent past the elliptic bound, if any. It does
+    not depend on ell."""
+    factors = [list(qe) for qe in trial_factor(conductor).factors]
+    violation = None
+    for q, e in factors:
+        bound = ELLIPTIC_CONDUCTOR_BOUNDS.get(q, DEFAULT_CONDUCTOR_BOUND)
+        if e > bound:
+            violation = {"p": q, "exponent": e, "bound": bound}
+            break
+    return {"conductor": conductor, "factors": factors, "violation": violation}
+
+
+def _conductor(witness: dict, ell: int | None, form_id: str | None) -> Certificate:
+    """The conductor certificate of `_conductor_witness`'s witness at ell."""
     return Certificate(
-        verdict=verdict,
-        method=METHOD_TRACE,
+        verdict=NON_ELLIPTIC if witness["violation"] else INCONCLUSIVE,
+        method=METHOD_CONDUCTOR,
         ell=ell,
-        witness={"p": p, "trace": tr, "excluded": excluded},
-        inputs=_provenance(rep) | {"extended": p != 2},
+        witness=witness,
+        inputs={} if form_id is None else {"form": form_id},
     )
 
 
@@ -194,24 +225,7 @@ def conductor_bound_test(
         raise ValueError(f"ell={ell!r} is not an odd prime")
     if conductor < 1:
         raise ValueError("conductor must be positive")
-    factors = [list(qe) for qe in trial_factor(conductor).factors]
-    violation = None
-    for q, e in factors:
-        bound = ELLIPTIC_CONDUCTOR_BOUNDS.get(q, DEFAULT_CONDUCTOR_BOUND)
-        if e > bound:
-            violation = {"p": q, "exponent": e, "bound": bound}
-            break
-    verdict = NON_ELLIPTIC if violation else INCONCLUSIVE
-    inputs = {}
-    if form_id is not None:
-        inputs["form"] = form_id
-    return Certificate(
-        verdict=verdict,
-        method=METHOD_CONDUCTOR,
-        ell=ell,
-        witness={"conductor": conductor, "factors": factors, "violation": violation},
-        inputs=inputs,
-    )
+    return _conductor(_conductor_witness(conductor), ell, form_id)
 
 
 def serre_bound_predicate(ell: int, p: int) -> str:
@@ -322,16 +336,16 @@ class EllCertification:
         return lines
 
 
-def certify_at_ell(rep: ResidualRep, witness_prime: int | None = None) -> EllCertification:
-    """Run the full certification pipeline on one reduction: one ell, one root.
-
-    Irreducibility: discriminant test over the available witness primes,
-    first success wins. Non-ellipticity: trace tests on the determinant-chi
-    twist over the same primes, falling back to the conductor bound when the
-    conductor is known exactly.
-    """
-    form, ell = rep.source, rep.ell
-    candidates = [witness_prime] if witness_prime is not None else rep.witness_primes()
+def _certify_run(form: NewformData, ell: int, root: int | None, m: int,
+                 traces: dict[int, int], twisted_by: int, witness_prime: int | None,
+                 conductor: Callable[[], dict]) -> EllCertification:
+    """certify_at_ell on a reduction given by its data, trusted: traces
+    (p -> trace, reduced) under `root` at the odd prime ell, determinant
+    exponent m, already twisted by chi^twisted_by. `conductor` returns the
+    form's conductor witness; it is called only if a run needs it. Only the
+    traces a trace test reads are twisted."""
+    candidates = [witness_prime] if witness_prime is not None else sorted(traces)
+    provenance = _provenance(form.form_id, root, twisted_by)
     notes: list[str] = []
 
     irreducible: Certificate | None = None
@@ -340,11 +354,10 @@ def certify_at_ell(rep: ResidualRep, witness_prime: int | None = None) -> EllCer
         if p == ell:
             notes.append(f"p={p} is ell: no Frobenius trace there; discriminant test skipped")
             continue
-        try:
-            cert = irreducibility_by_discriminant(rep, p)
-        except InsufficientDataError:
+        if p not in traces:
             notes.append(f"no eigenvalue at p={p}; discriminant test skipped")
             continue
+        cert = _discriminant(ell, p, traces[p], m, provenance)
         tried.append(p)
         if cert.verdict == IRREDUCIBLE:
             irreducible = cert
@@ -353,22 +366,22 @@ def certify_at_ell(rep: ResidualRep, witness_prime: int | None = None) -> EllCer
 
     twist_exponent: int | None = None
     trace_tests: list[Certificate] = []
-    if rep.det_exponent % 2 == 1:
-        twisted = twist_to_det_chi(rep)
-        twist_exponent = twisted.twist_exponent
+    if m % 2 == 1:
+        t, twist_exponent = _det_chi_twist(m, ell, twisted_by)
+        twisted_provenance = provenance | {"twist_exponent": twist_exponent}
         for p in candidates:
-            if p not in twisted.traces:
+            if p not in traces:
                 continue
             if p % ell == 1:
                 notes.append(f"p={p} = 1 (mod {ell}); trace test unavailable there")
                 continue
-            cert = non_elliptic_trace_test(twisted, p)
+            cert = _trace_test(ell, p, traces[p] * pow(p, t, ell) % ell, twisted_provenance)
             trace_tests.append(cert)
             if cert.verdict == NON_ELLIPTIC:
                 break
     else:
         notes.append(
-            f"determinant exponent {rep.det_exponent} is even: no determinant-chi "
+            f"determinant exponent {m} is even: no determinant-chi "
             "twist exists, trace test skipped"
         )
 
@@ -376,7 +389,7 @@ def certify_at_ell(rep: ResidualRep, witness_prime: int | None = None) -> EllCer
     if not any(c.verdict == NON_ELLIPTIC for c in trace_tests):
         if form.claimed_conductor_equality:
             # the Serre conductor is the level
-            conductor_cert = conductor_bound_test(form.level, ell=ell, form_id=form.form_id)
+            conductor_cert = _conductor(conductor(), ell, form.form_id)
         else:
             notes.append(
                 "conductor known only up to divisibility; conductor bound not usable"
@@ -384,7 +397,7 @@ def certify_at_ell(rep: ResidualRep, witness_prime: int | None = None) -> EllCer
 
     return EllCertification(
         ell=ell,
-        embedding_root=rep.root,
+        embedding_root=root,
         irreducible=irreducible,
         irreducible_tried=tuple(tried),
         twist_exponent=twist_exponent,
@@ -392,6 +405,42 @@ def certify_at_ell(rep: ResidualRep, witness_prime: int | None = None) -> EllCer
         conductor=conductor_cert,
         notes=tuple(notes),
     )
+
+
+def certify_at_ell(rep: ResidualRep, witness_prime: int | None = None) -> EllCertification:
+    """Run the full certification pipeline on one reduction: one ell, one root.
+
+    Irreducibility: discriminant test over the available witness primes
+    (`witness_prime` alone when given), first success wins. Non-ellipticity:
+    trace tests on the determinant-chi twist (as twist_to_det_chi makes it)
+    over the same primes, falling back to the conductor bound when the
+    conductor is known exactly. Each certificate is the one
+    irreducibility_by_discriminant, non_elliptic_trace_test and
+    conductor_bound_test give.
+    """
+    form = rep.source
+    return _certify_run(form, rep.ell, rep.root, rep.det_exponent, rep.traces,
+                        rep.twist_exponent, witness_prime,
+                        partial(_conductor_witness, form.level))
+
+
+# A sorted ell list whose width plus the square root of its largest ell is
+# under this many times its length is proved by one sieve. is_prime takes 9-18
+# us on a prime from 10^5 to 10^9, the sieve and its set 40-65 ns per unit of
+# width plus isqrt(hi) (Python 3.11): so the sieve costs at most about a third
+# of proving the ells one by one.
+_SIEVE_DENSITY = 64
+
+
+def _sieved_primes(ells: list[int]) -> set[int]:
+    """The odd primes of the sorted list `ells` when one primes_in_range over
+    its span proves them sooner than is_prime would one by one, else the
+    empty set: an ell outside it is still to be proved."""
+    if ells and all(type(ell) is int for ell in ells):
+        lo, hi = ells[0], ells[-1]
+        if hi - lo + math.isqrt(max(hi, 0)) < _SIEVE_DENSITY * len(ells):
+            return set(primes_in_range(max(lo, 3), hi))
+    return set()
 
 
 def certify_form(
@@ -402,11 +451,24 @@ def certify_form(
 ) -> tuple[EllCertification, ...]:
     """Certification pipeline over a list of ells: the runs in sorted ell
     order, one per reduction `repmodel.residual_reps` gives at each ell, so
-    one per ell over Q and one per root over a quadratic field. certify_range
-    writes their report."""
-    return tuple(certify_at_ell(rep, witness_prime)
-                 for ell in sorted(set(ells))
-                 for rep in residual_reps(form, ell, root))
+    one per ell over Q and one per root over a quadratic field, each what
+    certify_at_ell gives on that reduction. certify_range writes their report.
+
+    The first ell, in sorted order, that is not an odd prime or that the rule
+    refuses raises residual_reps' error. Each ell is proved once, the whole
+    list by one sieve when it is dense, and the rule is asked once per ell;
+    no ResidualRep is built, and the runs share one conductor witness."""
+    ells = sorted(set(ells))
+    proved = _sieved_primes(ells)
+    conductor = cache(partial(_conductor_witness, form.level))
+    runs = []
+    for ell in ells:
+        if ell not in proved:
+            require_odd_prime(ell)
+        m, reductions = _reductions(form, ell, root)
+        runs += [_certify_run(form, ell, r, m, traces, 0, witness_prime, conductor)
+                 for r, traces in reductions]
+    return tuple(runs)
 
 
 # A batch holds at most this many ells, so a process holds one batch of run
@@ -521,11 +583,14 @@ def batches(ells: list[int], cpus: int) -> list[list[int]]:
 # A range of fewer runs than this is certified in this process. The pool's
 # fixed cost, about 55 ms (importing concurrent.futures and multiprocessing,
 # forking, sending back the text, joining), is what one CPU takes to certify
-# and render about 500 runs in JSON. On 2 CPUs, `certify schoen_s4_25` in JSON
-# in the pool against one process tied at 1,500 runs, won 0-10% at 2,000,
-# 10-16% at 2,500 and 22-23% at 4,000 (two sweeps, medians of 10 runs each,
-# Python 3.11).
-POOL_MIN_RUNS = 2000
+# and render about 1,600 runs in JSON (34 us a run). In six interleaved
+# sweeps on 2 CPUs of a shared host (`certify schoen_s4_25` in JSON, the pool
+# against one process, 10 runs a side at each size, Python 3.11), the pool
+# lost or tied at every size up to 4,000 runs; it won in 1 of 5 sweeps at
+# 5,000 and 3 of 5 at 6,000 (losing, by up to 53%, while the second CPU was
+# taken by other work), and in all 3 sweeps at 7,000 and 8,000, by 14-20%
+# (BENCH_per_ell.json).
+POOL_MIN_RUNS = 6000
 
 
 def usable_cpus() -> int:
@@ -576,7 +641,8 @@ def certify_range(
         raise ValueError(f"unknown report format {fmt!r}")
     ells = sorted(set(ells))
     cpus = usable_cpus()
-    size = len(ells) * len(residual_reps(form, ells[0], root)) if ells else 0
+    # one run per ell, or per root of d when a quadratic field's root is not given
+    size = len(ells) * (2 if form.d is not None and root is None else 1)
     work = partial(render_runs, form, root, witness_prime, fmt)
     if cpus < 2 or size < POOL_MIN_RUNS or not hasattr(os, "fork"):
         parts = list(map(work, batches(ells, 1)))

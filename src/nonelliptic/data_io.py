@@ -92,6 +92,8 @@ def parse_form(text: str | bytes) -> NewformData:
         raise
     except ValueError as exc:  # an integer literal past the int-string digit limit
         raise SchemaError(f"schema violation: {exc}") from None
+    except RecursionError:  # nested past the decoder's depth; no field nests so deep
+        raise SchemaError("schema violation: arrays or objects nested too deeply to parse") from None
     _members(record, "$", ("id", "level", "weight", "field", "eigenvalues"),
              ("claimed_conductor_equality", "notes"))
     if not (_typed(record["id"], str, "$.id") and record["id"].isprintable()):

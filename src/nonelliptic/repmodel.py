@@ -218,7 +218,7 @@ def admitted_ells(form: NewformData, ells: list[int], span: str) -> list[int]:
 def _sqrt_mod(a: int, ell: int) -> int:
     """A square root of a mod the odd prime ell, for a a nonzero square mod
     ell, by Tonelli-Shanks (Shanks 1973): O(log(ell)**2) multiplications.
-    Trusts its caller, `residual_reps`: at a composite ell it may never return."""
+    Trusts its caller, `_reductions`: at a composite ell it may never return."""
     a %= ell
     q, s = ell - 1, 0
     while q % 2 == 0:
@@ -240,6 +240,25 @@ def _sqrt_mod(a: int, ell: int) -> int:
     return r
 
 
+def _reductions(form: NewformData, ell: int,
+                root: int | None) -> tuple[int, list[tuple[int | None, dict[int, int]]]]:
+    """The data of residual_reps(form, ell, root), unvalidated: the
+    determinant exponent and a (root, traces) pair per reduction, for an ell
+    its caller has proved an odd prime. The rule is asked once; its refusal is
+    raised. What the rule admits meets every check of ResidualRep, so a caller
+    that only reads the traces need not build one."""
+    error = refusal(form, ell, root)
+    if error is not None:
+        raise error
+    roots = (root,)
+    if form.d is not None and root is None:
+        r = _sqrt_mod(form.d, ell)
+        roots = (min(r, ell - r), max(r, ell - r))
+    return (form.weight - 1) % (ell - 1), [
+        (r, {p: (a.x + a.y * (r or 0)) % ell for p, a in form.eigenvalues.items() if p != ell})
+        for r in roots]
+
+
 def residual_reps(form: NewformData, ell: int, root: int | None = None) -> tuple[ResidualRep, ...]:
     """The mod-ell reductions of the eigenvalue system of `form`, one per
     embedding the rule (`refusal`) admits at ell: one over Q; over Q(sqrt(d))
@@ -249,18 +268,10 @@ def residual_reps(form: NewformData, ell: int, root: int | None = None) -> tuple
     ValueError unless ell is an odd prime, then the refusal when the rule
     refuses ell."""
     require_odd_prime(ell)
-    error = refusal(form, ell, root)
-    if error is not None:
-        raise error
-    roots = (root,)
-    if form.d is not None and root is None:
-        r = _sqrt_mod(form.d, ell)
-        roots = (min(r, ell - r), max(r, ell - r))
-    return tuple(ResidualRep(ell=ell, det_exponent=(form.weight - 1) % (ell - 1),
-                             traces={p: (a.x + a.y * (r or 0)) % ell
-                                     for p, a in form.eigenvalues.items() if p != ell},
+    det_exponent, reductions = _reductions(form, ell, root)
+    return tuple(ResidualRep(ell=ell, det_exponent=det_exponent, traces=traces,
                              source=form, root=r)
-                 for r in roots)
+                 for r, traces in reductions)
 
 
 def residual_rep(form: NewformData, ell: int, root: int | None = None) -> ResidualRep:
@@ -280,12 +291,19 @@ def twist_to_det_chi(rep: ResidualRep) -> ResidualRep:
     ell, m = rep.ell, rep.det_exponent
     if m % 2 == 0:
         raise ValueError(f"no determinant-chi twist exists: exponent {m} is even")
-    t = ((1 - m) // 2) % ((ell - 1) // 2)
+    t, twist_exponent = _det_chi_twist(m, ell, rep.twist_exponent)
     return ResidualRep(
         ell=ell,
         det_exponent=1,
         traces={p: (tr * pow(p, t, ell)) % ell for p, tr in rep.traces.items()},
         source=rep.source,
         root=rep.root,
-        twist_exponent=(rep.twist_exponent + t) % (ell - 1),
+        twist_exponent=twist_exponent,
     )
+
+
+def _det_chi_twist(m: int, ell: int, twisted_by: int) -> tuple[int, int]:
+    """twist_to_det_chi's t for the odd determinant exponent m, and the twist
+    exponent it records for a rep already twisted by chi^twisted_by."""
+    t = ((1 - m) // 2) % ((ell - 1) // 2)
+    return t, (twisted_by + t) % (ell - 1)

@@ -14,6 +14,7 @@ from nonelliptic import certify, paper
 from nonelliptic.cli import main
 from nonelliptic.certify import (
     EXCLUDED_SET_LIMIT,
+    certify_at_ell,
     certify_form,
     certify_range,
     conductor_bound_test,
@@ -955,6 +956,91 @@ def test_certify_range_json_is_what_the_standard_library_writes(case):
     proved = certify_range(form, ells, root, witness_prime, "json", out)
     assert proved == all(run.proved for run in runs)
     assert out.getvalue() == certify_report(form, ells, runs, "json")
+
+
+def _runs_one_by_one(form, ells, root, witness_prime):
+    """certify_at_ell on each reduction residual_reps gives, ell by ell in
+    sorted order: what certify_form computes without building them."""
+    return tuple(certify_at_ell(rep, witness_prime)
+                 for ell in sorted(set(ells)) for rep in residual_reps(form, ell, root))
+
+
+def _outcome(f, *args):
+    """("runs", f(*args)), or ("error", type, message) of what it raised."""
+    try:
+        return "runs", f(*args)
+    except (ValueError, TypeError) as exc:
+        return "error", type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(certify_cases(), st.lists(st.integers(-3, 80), max_size=3))
+@example(renamed("x"), [15])
+@example(renamed("x"), [5, 9])
+def test_certify_form_is_certify_at_ell_on_each_reduction(case, extra):
+    # the list path (one sieve, one ask of the rule per ell, no ResidualRep,
+    # one conductor witness) gives the public path's runs, or the same error
+    # at the same first ell when `extra` adds a composite or refused ell; every
+    # certificate is the public method's, and every twisted trace
+    # twist_to_det_chi's
+    form, ells, root, witness_prime = case
+    ells = [*ells, *extra]
+    outcome = _outcome(certify_form, form, ells, root, witness_prime)
+    assert outcome == _outcome(_runs_one_by_one, form, ells, root, witness_prime)
+    if outcome[0] == "error":
+        return
+    reps = [rep for ell in sorted(set(ells)) for rep in residual_reps(form, ell, root)]
+    for run, rep in zip(outcome[1], reps, strict=True):
+        _assert_public_certificates(run, rep)
+        if rep.det_exponent % 2 == 1:
+            # a twisted rep takes the twist by chi^0 and keeps its exponent
+            twisted = twist_to_det_chi(rep)
+            _assert_public_certificates(certify_at_ell(twisted, witness_prime), twisted)
+
+
+def _assert_public_certificates(run, rep):
+    """Each certificate of `run`, certify_at_ell's on rep, is what the public
+    method gives, and each twisted trace is twist_to_det_chi's."""
+    if run.irreducible is not None:
+        assert run.irreducible == irreducibility_by_discriminant(rep, run.irreducible.witness["p"])
+    if run.conductor is not None:
+        assert run.conductor == conductor_bound_test(rep.source.level, rep.ell,
+                                                     rep.source.form_id)
+    if rep.det_exponent % 2 == 0:
+        assert (run.twist_exponent, run.trace_tests) == (None, ())
+        return
+    twisted = twist_to_det_chi(rep)
+    assert run.twist_exponent == twisted.twist_exponent
+    for cert in run.trace_tests:
+        p = cert.witness["p"]
+        assert cert.witness["trace"] == twisted.traces[p]
+        assert cert == non_elliptic_trace_test(twisted, p)
+
+
+@pytest.mark.parametrize("ells,sieved,error", [
+    ([7, 11, 15], True, "modulus 15 is not an odd prime"),
+    ([13, 2, 7], True, "modulus 2 is not an odd prime"),
+    ([7, 11, 13, 16, 17, 9], True, "modulus 9 is not an odd prime"),
+    ([25, 7, 5, 9], True, "bad reduction prime: 5 divides the level 25"),
+    ([7, 10**12 + 40], False, "modulus 1000000000040 is not an odd prime"),
+    ([7, 10**12 + 39, 10**12 + 61, 10**12 + 93], False, "modulus 1000000000093 is not an odd prime"),
+    ([7, 11.0, 13], False, "is_prime needs an int, not float"),
+], ids=["composite", "two", "first-of-two", "refused-first", "sparse", "sparse-last",
+        "not-an-int"])
+def test_a_library_ell_list_is_proved_and_its_first_error_wins(monkeypatch, schoen_form, ells,
+                                                              sieved, error):
+    # certify_form takes any list: a dense one is proved by one sieve, a sparse
+    # one ell by ell, and the smallest ell that is not an odd prime or that
+    # the rule refuses raises what residual_reps raises there
+    sieves = []
+    monkeypatch.setattr(certify, "primes_in_range", lambda lo, hi: sieves.append((lo, hi))
+                        or primes_in_range(lo, hi))
+    with pytest.raises((ValueError, TypeError)) as exc:
+        certify_form(schoen_form, ells)
+    assert str(exc.value) == error
+    assert bool(sieves) == sieved
+    assert _outcome(_runs_one_by_one, schoen_form, ells, None, None) == (
+        "error", type(exc.value), error)
 
 
 @pytest.mark.parametrize("form_id,n_runs,n_certs", [("schoen_s4_25", 427, 856),

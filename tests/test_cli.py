@@ -190,11 +190,11 @@ def test_certify_range_over_quadratic_field_takes_split_ells(capsys):
     assert json.loads(single)["runs"] == [r for r in report["runs"] if r["ell"] == 23]
 
 
-@pytest.mark.parametrize("path,asks", [(SQRT2, 64), (SCHOEN, 87)], ids=["sqrt2", "schoen"])
+@pytest.mark.parametrize("path,asks", [(SQRT2, 63), (SCHOEN, 86)], ids=["sqrt2", "schoen"])
 def test_certify_range_asks_the_rule_once_per_prime_and_run(monkeypatch, capsys, path, asks):
     # [7, 200] holds 43 primes: the range filter asks the rule once for each,
-    # the run count once more, and the pipeline once per admitted ell (20 of
-    # them split in Q(sqrt(2)); all 43 are admitted over Q)
+    # and the pipeline once per admitted ell (20 of them split in Q(sqrt(2));
+    # all 43 are admitted over Q); counting the runs asks it nothing
     import nonelliptic.repmodel as repmodel
 
     asked = []
@@ -204,6 +204,26 @@ def test_certify_range_asks_the_rule_once_per_prime_and_run(monkeypatch, capsys,
     _, _, err = run(capsys, "certify", "-i", path, "--ell-min", "7", "--ell-max", "200")
     assert err == ""
     assert len(asked) == asks
+
+
+def test_a_sieved_range_proves_no_ell_again(monkeypatch, capsys):
+    # primes_in_range proved each ell of the range, and certify_form's one
+    # sieve of each batch proves them again without Miller-Rabin
+    import nonelliptic.arith as arith
+    from nonelliptic import certify
+
+    proofs = []
+    strong = arith._strong_probable_prime
+    monkeypatch.setattr(arith, "_strong_probable_prime",
+                        lambda n, *args: proofs.append(n) or strong(n, *args))
+    monkeypatch.setattr(certify, "usable_cpus", lambda: 1)  # every run in this process
+    arith.is_prime.cache_clear()
+    for path in (SQRT2, SCHOEN):
+        code, _, err = run(capsys, "certify", "-i", path, "--ell-min", "7", "--ell-max", "10000",
+                           "--format", "json")
+        assert (code, err) == (2, "")
+    assert proofs == []
+    assert arith.is_prime(10007) and proofs  # the spy sees a proof
 
 
 def test_certify_range_without_split_ell_exits_1(capsys):
@@ -514,6 +534,23 @@ def test_certify_refuses_a_repeated_key(tmp_path, capsys, old, new, key):
     assert (code, out) == (1, "")
     assert err == (f"error: invalid form record: schema violation: key {key!r} appears "
                    "twice in one object\n")
+
+
+@pytest.mark.parametrize("opener,closer", [("[", "]"), ('{"a": ', "}")],
+                         ids=["arrays", "objects"])
+def test_certify_refuses_a_record_nested_too_deeply(tmp_path, capsys, opener, closer):
+    # json.loads gives up past its recursion depth: one error line, no traceback
+    record = json.loads(Path(SCHOEN).read_text())
+    del record["notes"]
+    inner = "[]" if opener == "[" else "0"
+    deep = opener * 100_000 + inner + closer * 100_000
+    bad = tmp_path / "deep.json"
+    bad.write_text(json.dumps(record)[:-1] + f', "notes": {deep}}}')
+    message = "schema violation: arrays or objects nested too deeply to parse"
+    with pytest.raises(SchemaError, match=message):
+        parse_form(bad.read_bytes())
+    code, out, err = run(capsys, "certify", "-i", str(bad), "--ell", "11")
+    assert (code, out, err) == (1, "", f"error: invalid form record: {message}\n")
 
 
 def test_certify_with_a_huge_weight_finishes(tmp_path, capsys):

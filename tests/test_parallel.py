@@ -50,10 +50,16 @@ def _form(tmp_path, name, record):
 
 
 def _children() -> list[bytes]:
-    """Command lines of this process's live children (Linux)."""
-    pids = [pid for path in Path("/proc/self/task").glob("*/children")
-            for pid in path.read_text().split()]
-    return [Path(f"/proc/{pid}/cmdline").read_bytes() for pid in pids]
+    """Command lines of this process's live children (Linux). A thread that
+    exits between the listing and the read, or a child that exits before its
+    command line is read, makes the listing start again."""
+    while True:
+        try:
+            pids = [pid for path in Path("/proc/self/task").glob("*/children")
+                    for pid in path.read_text().split()]
+            return [Path(f"/proc/{pid}/cmdline").read_bytes() for pid in pids]
+        except (FileNotFoundError, ProcessLookupError):
+            continue
 
 
 @pytest.fixture

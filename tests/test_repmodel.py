@@ -292,8 +292,10 @@ def test_admitted_ells_keeps_what_the_rule_admits():
 
 
 def test_the_rule_takes_no_square_root_twice_per_ell(monkeypatch, sqrt2_form, schoen_form):
+    import io
+
     import nonelliptic.repmodel as repmodel
-    from nonelliptic.certify import certify_form
+    from nonelliptic.certify import certify_form, certify_range
 
     roots, asked = [], []
     sqrt_mod, rule = repmodel._sqrt_mod, repmodel.refusal
@@ -311,6 +313,12 @@ def test_the_rule_takes_no_square_root_twice_per_ell(monkeypatch, sqrt2_form, sc
     asked.clear()
     certify_form(schoen_form, primes)
     assert asked == primes
+    asked.clear()
+    roots.clear()
+    # the range counts its runs without a reduction: one ask per admitted ell
+    certify_range(sqrt2_form, ells, None, None, "json", io.StringIO())
+    assert asked == ells
+    assert roots == ells
     asked.clear()
     residual_rep(sqrt2_form, 7)
     assert asked == [7]
