@@ -18,6 +18,7 @@ import math
 import os
 import threading
 from collections.abc import Callable
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii
@@ -580,17 +581,14 @@ def batches(ells: list[int], cpus: int) -> list[list[int]]:
     return [ells[len(ells) * i // count:len(ells) * (i + 1) // count] for i in range(count)]
 
 
-# A range of fewer runs than this is certified in this process. The pool's
-# fixed cost, about 55 ms (importing concurrent.futures and multiprocessing,
-# forking, sending back the text, joining), is what one CPU takes to certify
-# and render about 1,600 runs in JSON (34 us a run). In six interleaved
-# sweeps on 2 CPUs of a shared host (`certify schoen_s4_25` in JSON, the pool
-# against one process, 10 runs a side at each size, Python 3.11), the pool
-# lost or tied at every size up to 4,000 runs; it won in 1 of 5 sweeps at
-# 5,000 and 3 of 5 at 6,000 (losing, by up to 53%, while the second CPU was
-# taken by other work), and in all 3 sweeps at 7,000 and 8,000, by 14-20%
-# (BENCH_per_ell.json).
-POOL_MIN_RUNS = 6000
+# A range of fewer runs than this is certified in this process. In four
+# interleaved sweeps on 2 CPUs of a shared host (`certify schoen_s4_25` in
+# JSON, forked against one process, 10 runs a side at each size, Python 3.11),
+# forking lost at 500 runs in all four, won 2 or 3 of 4 at 1,000-2,000, and
+# won all four from 3,000 runs up, by 10-22% at 3,000. With another process
+# busy-looping, it lost 3-9% at 2,000, was within 4% at 3,000 and 4,000, and
+# won by 11-16% from 6,000 (BENCH_fork.json).
+POOL_MIN_RUNS = 3000
 
 
 def usable_cpus() -> int:
@@ -605,21 +603,129 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_map(work, parts: list[list[int]], cpus: int) -> list[tuple[str, bool]]:
-    """work over the batches `parts` in `cpus` forked workers, which take the
-    next batch as they become free. The first error in batch order is raised;
-    the batches not yet started are cancelled, and no worker outlives the
-    call. A worker that dies gives ChildProcessError. Only this function
-    loads concurrent.futures and multiprocessing."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+# A spool frame is a header, the batch index (4 bytes), the kind (1 byte:
+# proved, 0 or 1, or _ERROR) and the body's length (8 bytes), then the body:
+# the batch's text in UTF-8, or its error pickled.
+_HEAD = 13
+_ERROR = 2
 
+
+def _serve(work, parts: list[list[int]], tasks: int, keep, parent: int | None = None) -> None:
+    """Take batch indices, 4 bytes each, from the pipe `tasks` until it is
+    empty, and keep(i, (text, proved)) each batch's result or keep(i, error)
+    its error; an error empties the pipe, so that no new batch starts. A
+    child, given its `parent`'s pid, stops once that parent is gone."""
+    while (parent is None or os.getppid() == parent) and (index := os.read(tasks, 4)):
+        i = int.from_bytes(index, "little")
+        try:
+            result = work(parts[i])
+        except Exception as exc:
+            result = exc
+            while os.read(tasks, 65536):
+                pass
+        keep(i, result)
+
+
+def _spooled(spool, i: int, result) -> None:
+    """Write batch i's result to the child's spool as one frame."""
+    import pickle
+
+    if isinstance(result, Exception):
+        body, kind = pickle.dumps(result), _ERROR
+    else:
+        body, kind = result[0].encode("utf-8", "surrogatepass"), result[1]
+    spool.write(i.to_bytes(4, "little") + bytes([kind]) + len(body).to_bytes(8, "little"))
+    spool.write(body)
+
+
+def _read(fd: int, length: int, at: int) -> str:
+    """The text of a child's batch: `length` bytes at `at` in its spool."""
+    return os.pread(fd, length, at).decode("utf-8", "surrogatepass")
+
+
+def _frames(spool):
+    """(i, result) for each whole frame in a child's spool: the error, or
+    (text, proved) with the text left in the spool, read by calling it."""
+    import pickle
+
+    fd = spool.fileno()
+    end, at = os.fstat(fd).st_size, 0
+    while at + _HEAD <= end:
+        head = os.pread(fd, _HEAD, at)
+        body, at = at + _HEAD, at + _HEAD + int.from_bytes(head[5:], "little")
+        if at > end:  # cut short by the child's death
+            return
+        i, kind = int.from_bytes(head[:4], "little"), head[4]
+        yield i, (pickle.loads(os.pread(fd, at - body, body)) if kind == _ERROR
+                  else (partial(_read, fd, at - body, body), bool(kind)))
+
+
+def _fork_map(work, parts: list[list[int]], cpus: int, spools: list) -> list[tuple]:
+    """work over the batches `parts`, in order, in this process and cpus - 1
+    forked children: (text, proved) for each, the text a str or, for a
+    child's batch, a call that reads it from the child's spool file, which is
+    appended to `spools` for the caller to close once the texts are written.
+    Every worker takes the next batch index from one pipe, so a CPU busy with
+    other work takes fewer batches. The first error in batch order is raised;
+    a child that dies or leaves a batch out gives ChildProcessError. No child
+    outlives the call: each stops before its next batch once this process is
+    gone, and on any exception here, KeyboardInterrupt included, they are
+    killed. A range of more batches than one pipe holds (16,384 in Linux's
+    default 64 KiB) runs here alone. Only this route loads pickle."""
+    import signal
+    import tempfile
+
+    tasks, fill = os.pipe()
     try:
-        with ProcessPoolExecutor(cpus, mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(work, parts))
-    except BrokenProcessPool:
-        raise ChildProcessError("a certify worker exited before sending its runs") from None
+        os.set_blocking(fill, False)
+        indices = b"".join(i.to_bytes(4, "little") for i in range(len(parts)))
+        try:
+            fits = os.write(fill, indices) == len(indices)
+        except BlockingIOError:
+            fits = False
+    finally:
+        os.close(fill)
+    if not fits:
+        os.close(tasks)
+        return list(map(work, parts))
+    results = {}
+    children = []
+    parent = os.getpid()
+    died = False
+    try:
+        for _ in range(cpus - 1):
+            spools.append(spool := tempfile.TemporaryFile())
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    _serve(work, parts, tasks, partial(_spooled, spool), parent)
+                    spool.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append(pid)
+        _serve(work, parts, tasks, results.__setitem__)
+        while children:
+            died |= os.waitpid(children[-1], 0)[1] != 0
+            children.pop()
+    finally:
+        os.close(tasks)
+        for pid in children:
+            with suppress(ProcessLookupError, ChildProcessError):  # reaped as the interrupt came
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    for spool in spools:
+        results.update(_frames(spool))
+    for i in range(len(parts)):
+        if i not in results:
+            died = True
+            break
+        if isinstance(results[i], Exception):
+            raise results[i]
+    if died:
+        raise ChildProcessError("a certify worker exited before sending its runs")
+    return [results[i] for i in range(len(parts))]
 
 
 def certify_range(
@@ -634,8 +740,9 @@ def certify_range(
     or "text") to the text stream `out`, and return whether every run was
     proved. This is the one writer of a certify report.
     The ells are certified and rendered in `batches` of consecutive ells:
-    over forked workers for at least POOL_MIN_RUNS runs on a platform that
-    forks, when `usable_cpus` gives more than one; else in this process. The
+    by this process and forked children, one worker per CPU (`_fork_map`),
+    for at least POOL_MIN_RUNS runs on a platform that forks, when
+    `usable_cpus` gives more than one; else in this process alone. The
     first error in ell order is raised before anything is written."""
     if fmt not in ("json", "text"):
         raise ValueError(f"unknown report format {fmt!r}")
@@ -644,19 +751,26 @@ def certify_range(
     # one run per ell, or per root of d when a quadratic field's root is not given
     size = len(ells) * (2 if form.d is not None and root is None else 1)
     work = partial(render_runs, form, root, witness_prime, fmt)
-    if cpus < 2 or size < POOL_MIN_RUNS or not hasattr(os, "fork"):
-        parts = list(map(work, batches(ells, 1)))
-    else:
-        parts = _pool_map(work, batches(ells, cpus), cpus)
-    proved = all(p for _, p in parts)
-    # each batch's text is megabytes: written as it is, never joined
-    if fmt == "json":
-        envelope = {"all_proved": proved, "ells": ells, "form": form.form_id, "runs": []}
-        write_json_list(out, envelope, "runs", (text for text, _ in parts))
-    else:
-        out.write(f"certify form={form.form_id}\n")
-        for text, _ in parts:
-            out.write(text)
-            out.write("\n")
-        out.write(f"all proved: {'yes' if proved else 'no'}\n")
+    spools = []
+    try:
+        if cpus < 2 or size < POOL_MIN_RUNS or not hasattr(os, "fork"):
+            parts = list(map(work, batches(ells, 1)))
+        else:
+            parts = _fork_map(work, batches(ells, cpus), cpus, spools)
+        proved = all(p for _, p in parts)
+        # each batch's text is megabytes: written as it is, never joined, and
+        # a child's is read from its spool only when it is written
+        texts = (text if isinstance(text, str) else text() for text, _ in parts)
+        if fmt == "json":
+            envelope = {"all_proved": proved, "ells": ells, "form": form.form_id, "runs": []}
+            write_json_list(out, envelope, "runs", texts)
+        else:
+            out.write(f"certify form={form.form_id}\n")
+            for text in texts:
+                out.write(text)
+                out.write("\n")
+            out.write(f"all proved: {'yes' if proved else 'no'}\n")
+    finally:
+        for spool in spools:
+            spool.close()
     return proved

@@ -1033,12 +1033,19 @@ def test_import_leaves_out_jsonschema_and_process_pools():
         "    nonelliptic.cli.main(['certify', '-i', sys.argv[1], '--ell-min', '7',\n"
         "                          '--ell-max', '3000'])\n"
         "loaded()\n"
+        "from nonelliptic import certify\n"
+        "certify.POOL_MIN_RUNS, certify.usable_cpus = 1, lambda: 2\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    nonelliptic.cli.main(['certify', '-i', sys.argv[1], '--ell-min', '7',\n"
+        "                          '--ell-max', '3000'])\n"
+        "loaded()\n"
     )
     proc = subprocess.run([sys.executable, "-c", code, SCHOEN], capture_output=True,
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     # after import, after certify (which parses a form), after verify-paper,
-    # after a range too small to pay for the process pool
-    assert proc.stdout.splitlines() == ["[]", "[]", "[]", "[]"], proc.stderr
+    # after a range too small to fork, and after a range forced to fork: the
+    # forked route loads neither pool module
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]", "[]", "[]"], proc.stderr
 
     # at start-up the CLI loads only what every command needs
     code = ("import sys, nonelliptic.cli\n"

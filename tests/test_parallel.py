@@ -9,9 +9,12 @@ and the CPU count to 2 or 3, so they run the same on any machine.
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -35,12 +38,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def _active_children():
-    import multiprocessing
-
-    return multiprocessing.active_children()
 
 
 def _form(tmp_path, name, record):
@@ -139,6 +136,18 @@ def test_chunked_report_equals_the_in_process_one(tmp_path, capsys, chunked, fmt
         assert len(json.loads(out)["runs"]) > 6
 
 
+def test_more_workers_than_cpus_take_each_batch_once(capsys, chunked, monkeypatch):
+    # 6 workers take 427 one-ell batches from one pipe: a batch lost or
+    # taken twice would change the report
+    argv = ("certify", "-i", SCHOEN, "--ell-min", "7", "--ell-max", "3000", "--format", "json")
+    serial = run(capsys, *argv)
+    cuts = chunked(6)
+    monkeypatch.setattr(certify, "_BATCH_ELLS", 1)
+    assert run(capsys, *argv) == serial
+    assert [len(cut) for cut in cuts] == [427]
+    assert _children() == []
+
+
 def test_chunked_root_error_equals_the_in_process_one(capsys, chunked):
     # 3 is a square root of 2 mod 7 only: the in-process run fails at 17, in
     # the first batch, and every later batch fails too
@@ -146,7 +155,6 @@ def test_chunked_root_error_equals_the_in_process_one(capsys, chunked):
         capsys, chunked, 3, "certify", "-i", SQRT2, "--ell-min", "7", "--ell-max", "300",
         "--root", "3")
     assert err == "error: --root 3 is not a square root of 2 mod 17\n"
-    assert _active_children() == []
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -164,7 +172,6 @@ def test_a_workers_error_reaches_the_parent(tmp_path, capsys, chunked, cpus):
     assert cuts == 2 * ([[[37, 41, 43], [47, 53, 59]]] if cpus == 2
                         else [[[37, 41], [43, 47], [53, 59]]])
     assert err == f"error: {UNFACTORABLE} exceeds the trial-division guard 2**64\n"
-    assert _active_children() == []
 
 
 def test_the_first_batchs_error_wins_and_no_child_is_left(tmp_path, capsys, chunked):
@@ -178,7 +185,6 @@ def test_the_first_batchs_error_wins_and_no_child_is_left(tmp_path, capsys, chun
     assert (code, out) == (1, "")
     assert err == f"error: {UNFACTORABLE} exceeds the trial-division guard 2**64\n"
     assert cuts[0][0][0] == 7
-    assert _active_children() == []
 
 
 def test_a_process_that_cannot_fork_or_has_one_cpu_stays_in_process(capsys, chunked,
@@ -186,13 +192,42 @@ def test_a_process_that_cannot_fork_or_has_one_cpu_stays_in_process(capsys, chun
     argv = ("certify", "-i", SCHOEN, "--ell-min", "7", "--ell-max", "300")
     serial = run(capsys, *argv)
     pools = []
-    monkeypatch.setattr(certify, "_pool_map", lambda *args: pools.append(args))
+    monkeypatch.setattr(certify, "_fork_map", lambda *args: pools.append(args))
     chunked(1)
     assert run(capsys, *argv) == serial
     chunked(2)
     monkeypatch.delattr(os, "fork")
     assert run(capsys, *argv) == serial
     assert pools == []
+
+
+def test_more_batches_than_the_pipe_holds_run_in_process(monkeypatch):
+    # each worker takes a batch index from one pipe, filled before the fork:
+    # a pipe of one page holds 1,024 indices, so 1,226 batches of one ell do
+    # not fit, and the range runs in this process rather than block
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe size cannot be set here")
+    form = bundled_form("schoen_s4_25")
+    ells = admitted_ells(form, primes_in_range(7, 10000), "[7, 10000]")
+    serial = _ranged(form, ells, "json")
+    pipe = os.pipe
+
+    def one_page():
+        tasks, fill = pipe()
+        fcntl.fcntl(fill, fcntl.F_SETPIPE_SZ, 4096)
+        return tasks, fill
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(certify, "POOL_MIN_RUNS", 1)
+    monkeypatch.setattr(certify, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(certify, "_BATCH_ELLS", 1)
+    monkeypatch.setattr(os, "pipe", one_page)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert len(certify.batches(ells, 2)) == len(ells) == 1226
+    assert _ranged(form, ells, "json") == serial
 
 
 def test_a_live_thread_keeps_the_range_in_process(monkeypatch):
@@ -204,13 +239,13 @@ def test_a_live_thread_keeps_the_range_in_process(monkeypatch):
     monkeypatch.setattr(certify, "POOL_MIN_RUNS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     pools = []
-    pool_map = certify._pool_map
+    fork_map = certify._fork_map
 
-    def spy(work, parts, cpus):
+    def spy(work, parts, cpus, spools):
         pools.append(cpus)
-        return pool_map(work, parts, cpus)
+        return fork_map(work, parts, cpus, spools)
 
-    monkeypatch.setattr(certify, "_pool_map", spy)
+    monkeypatch.setattr(certify, "_fork_map", spy)
     stop = threading.Event()
     waiter = threading.Thread(target=stop.wait)
     waiter.start()
@@ -220,7 +255,7 @@ def test_a_live_thread_keeps_the_range_in_process(monkeypatch):
         stop.set()
         waiter.join()
     assert pools == []
-    assert _ranged(form, ells, "json") == serial  # the thread is gone: the pool runs
+    assert _ranged(form, ells, "json") == serial  # the thread is gone: the range forks
     assert pools == [2]
     assert _children() == []
 
@@ -231,24 +266,31 @@ def _child(script: str, *args: str, flags=()) -> subprocess.CompletedProcess:
 
 
 FORCED = (
-    "import multiprocessing, sys\n"
+    "import os, sys\n"
     "from nonelliptic import certify\n"
     "from nonelliptic.cli import main\n"
     "certify.POOL_MIN_RUNS = 1\n"
     "certify.usable_cpus = lambda: 3\n"
     "code = main(sys.argv[1:])\n"
-    "assert multiprocessing.active_children() == []\n"
-    "sys.exit(code)\n"
+    "try:\n"
+    "    os.waitpid(-1, os.WNOHANG)\n"
+    "    sys.exit('a child is left')\n"
+    "except ChildProcessError:\n"
+    "    sys.exit(code)\n"
 )
 
-# A worker that certifies a batch holding 53 dies at once, as if killed.
+# A child dies at once on the first batch it takes, as if killed. The parent,
+# which takes batches too and cannot report its own death, renders its
+# batches only once a child has died, so a child always takes one.
 DYING = (
     "import os\n"
     "from nonelliptic import certify\n"
     "render = certify.render_runs\n"
+    "parent = os.getpid()\n"
     "def render_runs(form, root, witness_prime, fmt, ells):\n"
-    "    if 53 in ells:\n"
+    "    if os.getpid() != parent:\n"
     "        os._exit(3)\n"
+    "    os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)\n"
     "    return render(form, root, witness_prime, fmt, ells)\n"
     "certify.render_runs = render_runs\n"
 )
@@ -284,6 +326,114 @@ def test_a_dying_worker_exits_1_and_leaves_no_child():
     proc = _child(DYING + FORCED, "certify", "-i", SCHOEN, "--ell-min", "7", "--ell-max", "300")
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "error: a certify worker exited before sending its runs\n"
+
+
+def test_the_parents_error_waits_for_a_child_mid_batch(tmp_path):
+    # The parent takes batches too. A child marks the batch it starts, then
+    # sleeps and raises; the parent raises on its first batch after the
+    # marked one, while the child is still in it. The parent must wait for
+    # the child, and the child's error, first in batch order, wins.
+    mark = tmp_path / "mark"
+    hook = (
+        "import os, time\n"
+        "from nonelliptic import certify\n"
+        "certify._BATCH_ELLS = 7\n"
+        "render = certify.render_runs\n"
+        "parent = os.getpid()\n"
+        f"mark = {str(mark)!r}\n"
+        "def render_runs(form, root, witness_prime, fmt, ells):\n"
+        "    if os.getpid() != parent:\n"
+        "        with open(mark + '.new', 'w') as f:\n"
+        "            f.write(str(ells[0]))\n"
+        "        os.replace(mark + '.new', mark)\n"
+        "        time.sleep(0.3)\n"
+        "        raise ValueError(f'child batch from {ells[0]}')\n"
+        "    while not os.path.exists(mark):\n"
+        "        time.sleep(0.002)\n"
+        "    if ells[0] > int(open(mark).read()):\n"
+        "        raise ValueError(f'parent batch from {ells[0]}')\n"
+        "    return render(form, root, witness_prime, fmt, ells)\n"
+        "certify.render_runs = render_runs\n"
+    )
+    proc = _child(hook + FORCED.replace("lambda: 3", "lambda: 2"), "certify", "-i", SCHOEN,
+                  "--ell-min", "7", "--ell-max", "300", "--format", "json")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: child batch from {mark.read_text()}\n"
+
+
+LONG_RANGE = ("certify", "-i", SCHOEN, "--ell-min", "7", "--ell-max", "1000000",
+              "--format", "json")
+
+
+def _workers(pid: int) -> list[int]:
+    """The pids of a process's children, once it has some (Linux)."""
+    deadline = time.monotonic() + 60
+    while True:
+        try:
+            pids = [int(child) for path in Path(f"/proc/{pid}/task").glob("*/children")
+                    for child in path.read_text().split()]
+        except (FileNotFoundError, ProcessLookupError):
+            pids = []
+        if pids:
+            return pids
+        assert time.monotonic() < deadline, "the range never forked"
+        time.sleep(0.005)
+
+
+def _alive(pid: int) -> bool:
+    """Whether pid runs: a zombie that no one reaps counts as gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
+@contextmanager
+def _signalled(sig: int, script: str = FORCED.replace("lambda: 3", "lambda: 2")):
+    """Start a forced range of 2 workers long enough to still run, send `sig`
+    to the CLI once its child has been at work for a moment, and give the
+    seconds the CLI took to exit and its children's pids; a child left
+    running is killed on leaving."""
+    proc = subprocess.Popen([sys.executable, "-c", script, *LONG_RANGE],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                            env={**os.environ, "PYTHONPATH": SRC})
+    workers = []
+    try:
+        workers = _workers(proc.pid)
+        time.sleep(0.1)  # past the fork, into the batches
+        assert proc.poll() is None
+        start = time.monotonic()
+        proc.send_signal(sig)
+        proc.wait(timeout=30)
+        yield time.monotonic() - start, workers
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+def test_a_killed_cli_leaves_no_worker(sig):
+    # a child stops before its next batch once its parent is gone: it holds
+    # the caller's stdout and stderr, so a caller reading them would hang
+    with _signalled(sig) as (_, workers):
+        deadline = time.monotonic() + 2
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(map(_alive, workers))
+
+
+def test_an_interrupted_range_exits_within_a_second_and_leaves_no_worker():
+    # the interrupt kills the children, with no wait for their batches;
+    # the handler is set because a shell may start the suite with SIGINT ignored
+    script = ("import signal\nsignal.signal(signal.SIGINT, signal.default_int_handler)\n"
+              + FORCED.replace("lambda: 3", "lambda: 2"))
+    with _signalled(signal.SIGINT, script) as (took, workers):
+        assert took < 1
+        assert not any(map(_alive, workers))
 
 
 @pytest.mark.parametrize("cpus,ells,batch,sizes", [
