@@ -279,6 +279,8 @@ FORCED = (
     "    sys.exit(code)\n"
 )
 
+FORCED_2 = FORCED.replace("lambda: 3", "lambda: 2")  # one child
+
 # A child dies at once on the first batch it takes, as if killed. The parent,
 # which takes batches too and cannot report its own death, renders its
 # batches only once a child has died, so a child always takes one.
@@ -355,8 +357,8 @@ def test_the_parents_error_waits_for_a_child_mid_batch(tmp_path):
         "    return render(form, root, witness_prime, fmt, ells)\n"
         "certify.render_runs = render_runs\n"
     )
-    proc = _child(hook + FORCED.replace("lambda: 3", "lambda: 2"), "certify", "-i", SCHOEN,
-                  "--ell-min", "7", "--ell-max", "300", "--format", "json")
+    proc = _child(hook + FORCED_2, "certify", "-i", SCHOEN, "--ell-min", "7", "--ell-max", "300",
+                  "--format", "json")
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: child batch from {mark.read_text()}\n"
 
@@ -390,7 +392,7 @@ def _alive(pid: int) -> bool:
 
 
 @contextmanager
-def _signalled(sig: int, script: str = FORCED.replace("lambda: 3", "lambda: 2")):
+def _signalled(sig: int, script: str = FORCED_2):
     """Start a forced range of 2 workers long enough to still run, send `sig`
     to the CLI once its child has been at work for a moment, and give the
     seconds the CLI took to exit and its children's pids; a child left
@@ -429,8 +431,7 @@ def test_a_killed_cli_leaves_no_worker(sig):
 def test_an_interrupted_range_exits_within_a_second_and_leaves_no_worker():
     # the interrupt kills the children, with no wait for their batches;
     # the handler is set because a shell may start the suite with SIGINT ignored
-    script = ("import signal\nsignal.signal(signal.SIGINT, signal.default_int_handler)\n"
-              + FORCED.replace("lambda: 3", "lambda: 2"))
+    script = "import signal\nsignal.signal(signal.SIGINT, signal.default_int_handler)\n" + FORCED_2
     with _signalled(signal.SIGINT, script) as (took, workers):
         assert took < 1
         assert not any(map(_alive, workers))
