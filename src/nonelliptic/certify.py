@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import select
 import threading
 from collections.abc import Callable
 from contextlib import suppress
@@ -473,10 +474,16 @@ def certify_form(
 
 
 # A batch holds at most this many ells, so a process holds one batch of run
-# objects (about 1.7 KB a run) besides their text (1.3 KB a run in JSON), and
-# a worker's text travels back batch by batch, not as one pickled copy of its
-# share.
+# objects (about 1.7 KB a run) and their text (1.3 KB a run in JSON) at a
+# time; a forked worker spools each batch's text as it finishes it.
 _BATCH_ELLS = 1000
+
+# A range is cut into at most this many batches, so that their indices, 4
+# bytes each, fit in one write of at most PIPE_BUF bytes, which an empty pipe
+# takes whole: 1,024 on Linux, so a batch passes _BATCH_ELLS only beyond
+# 1,024,000 ells. 512 is the least PIPE_BUF POSIX allows; a platform without
+# it (Windows) has no os.fork either.
+_MAX_BATCHES = getattr(select, "PIPE_BUF", 512) // 4
 
 
 # The JSON templates below, and write_json_list for the report around them,
@@ -576,8 +583,10 @@ def render_runs(form: NewformData, root: int | None, witness_prime: int | None, 
 def batches(ells: list[int], cpus: int) -> list[list[int]]:
     """`ells` cut in order into near-equal batches of at most _BATCH_ELLS, as
     many as a multiple of `cpus` allows, so that each CPU gets the same share
-    when all are free; never more batches than ells."""
-    count = min(len(ells), cpus * -(-len(ells) // (cpus * _BATCH_ELLS)))
+    when all are free; never more batches than ells or _MAX_BATCHES, and
+    past _MAX_BATCHES * _BATCH_ELLS ells the batches grow instead."""
+    per_cpu = min(-(-len(ells) // (cpus * _BATCH_ELLS)), _MAX_BATCHES // cpus)
+    count = min(len(ells), _MAX_BATCHES, cpus * max(per_cpu, 1))
     return [ells[len(ells) * i // count:len(ells) * (i + 1) // count] for i in range(count)]
 
 
@@ -610,41 +619,34 @@ _HEAD = 13
 _ERROR = 2
 
 
-def _serve(work, parts: list[list[int]], tasks: int, keep, parent: int | None = None) -> None:
+def _serve(work, parts: list[list[int]], tasks: int, spool, parent: int | None = None) -> None:
     """Take batch indices, 4 bytes each, from the pipe `tasks` until it is
-    empty, and keep(i, (text, proved)) each batch's result or keep(i, error)
-    its error; an error empties the pipe, so that no new batch starts. A
-    child, given its `parent`'s pid, stops once that parent is gone."""
+    empty, and write each batch's result to the file `spool` as one frame;
+    an error empties the pipe, so that no new batch starts. A child, given
+    its `parent`'s pid, stops once that parent is gone."""
+    import pickle
+
     while (parent is None or os.getppid() == parent) and (index := os.read(tasks, 4)):
         i = int.from_bytes(index, "little")
         try:
-            result = work(parts[i])
+            text, kind = work(parts[i])
+            body = text.encode("utf-8", "surrogatepass")
         except Exception as exc:
-            result = exc
+            body, kind = pickle.dumps(exc), _ERROR
             while os.read(tasks, 65536):
                 pass
-        keep(i, result)
-
-
-def _spooled(spool, i: int, result) -> None:
-    """Write batch i's result to the child's spool as one frame."""
-    import pickle
-
-    if isinstance(result, Exception):
-        body, kind = pickle.dumps(result), _ERROR
-    else:
-        body, kind = result[0].encode("utf-8", "surrogatepass"), result[1]
-    spool.write(i.to_bytes(4, "little") + bytes([kind]) + len(body).to_bytes(8, "little"))
-    spool.write(body)
+        spool.write(i.to_bytes(4, "little") + bytes([kind]) + len(body).to_bytes(8, "little"))
+        spool.write(body)
+    spool.flush()
 
 
 def _read(fd: int, length: int, at: int) -> str:
-    """The text of a child's batch: `length` bytes at `at` in its spool."""
+    """The text of a batch: `length` bytes at `at` in its worker's spool."""
     return os.pread(fd, length, at).decode("utf-8", "surrogatepass")
 
 
 def _frames(spool):
-    """(i, result) for each whole frame in a child's spool: the error, or
+    """(i, result) for each whole frame in a worker's spool: the error, or
     (text, proved) with the text left in the spool, read by calling it."""
     import pickle
 
@@ -653,7 +655,7 @@ def _frames(spool):
     while at + _HEAD <= end:
         head = os.pread(fd, _HEAD, at)
         body, at = at + _HEAD, at + _HEAD + int.from_bytes(head[5:], "little")
-        if at > end:  # cut short by the child's death
+        if at > end:  # cut short by the worker's death
             return
         i, kind = int.from_bytes(head[:4], "little"), head[4]
         yield i, (pickle.loads(os.pread(fd, at - body, body)) if kind == _ERROR
@@ -661,53 +663,43 @@ def _frames(spool):
 
 
 def _fork_map(work, parts: list[list[int]], cpus: int, spools: list) -> list[tuple]:
-    """work over the batches `parts`, in order, in this process and cpus - 1
-    forked children: (text, proved) for each, the text a str or, for a
-    child's batch, a call that reads it from the child's spool file, which is
-    appended to `spools` for the caller to close once the texts are written.
-    Every worker takes the next batch index from one pipe, so a CPU busy with
-    other work takes fewer batches. The first error in batch order is raised;
-    a child that dies or leaves a batch out gives ChildProcessError. No child
-    outlives the call: each stops before its next batch once this process is
-    gone, and on any exception here, KeyboardInterrupt included, they are
-    killed. A range of more batches than one pipe holds (16,384 in Linux's
-    default 64 KiB) runs here alone. Only this route loads pickle."""
+    """work over the batches `parts`, at most _MAX_BATCHES, in order, in this
+    process and cpus - 1 forked children: (text, proved) for each, the text a
+    call that reads it from the spool file of the worker that made it. Each
+    worker's spool is appended to `spools` for the caller to close once the
+    texts are written. Every worker takes the next batch index from one
+    pipe, so a CPU busy with other work takes fewer batches. The first error
+    in batch order is raised; a batch that no spool holds, as when a child
+    dies, gives ChildProcessError. No child outlives the call: each stops
+    before its next batch once this process is gone, and on any exception
+    here, KeyboardInterrupt included, they are killed. Only this route
+    loads pickle."""
     import signal
     import tempfile
 
     tasks, fill = os.pipe()
     try:
-        os.set_blocking(fill, False)
-        indices = b"".join(i.to_bytes(4, "little") for i in range(len(parts)))
-        try:
-            fits = os.write(fill, indices) == len(indices)
-        except BlockingIOError:
-            fits = False
+        # at most PIPE_BUF bytes: the write lands whole in the empty pipe
+        os.write(fill, b"".join(i.to_bytes(4, "little") for i in range(len(parts))))
     finally:
         os.close(fill)
-    if not fits:
-        os.close(tasks)
-        return list(map(work, parts))
-    results = {}
     children = []
     parent = os.getpid()
-    died = False
     try:
         for _ in range(cpus - 1):
             spools.append(spool := tempfile.TemporaryFile())
             pid = os.fork()
             if pid == 0:
-                code = 1
                 try:
-                    _serve(work, parts, tasks, partial(_spooled, spool), parent)
-                    spool.flush()
-                    code = 0
+                    _serve(work, parts, tasks, spool, parent)
                 finally:
-                    os._exit(code)
+                    os._exit(0)
             children.append(pid)
-        _serve(work, parts, tasks, results.__setitem__)
+        spools.append(spool := tempfile.TemporaryFile())
+        _serve(work, parts, tasks, spool)
         while children:
-            died |= os.waitpid(children[-1], 0)[1] != 0
+            with suppress(ChildProcessError):  # SIGCHLD ignored: waited for, reaped by the kernel
+                os.waitpid(children[-1], 0)
             children.pop()
     finally:
         os.close(tasks)
@@ -715,16 +707,14 @@ def _fork_map(work, parts: list[list[int]], cpus: int, spools: list) -> list[tup
             with suppress(ProcessLookupError, ChildProcessError):  # reaped as the interrupt came
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    results = {}
     for spool in spools:
         results.update(_frames(spool))
     for i in range(len(parts)):
         if i not in results:
-            died = True
-            break
+            raise ChildProcessError("a certify worker exited before sending its runs")
         if isinstance(results[i], Exception):
             raise results[i]
-    if died:
-        raise ChildProcessError("a certify worker exited before sending its runs")
     return [results[i] for i in range(len(parts))]
 
 
@@ -742,8 +732,10 @@ def certify_range(
     The ells are certified and rendered in `batches` of consecutive ells:
     by this process and forked children, one worker per CPU (`_fork_map`),
     for at least POOL_MIN_RUNS runs on a platform that forks, when
-    `usable_cpus` gives more than one; else in this process alone. The
-    first error in ell order is raised before anything is written."""
+    `usable_cpus` gives more than one, each worker spooling its batches'
+    text to a file that is read back one batch at a time as the report is
+    written; else in this process alone. The first error in ell order is
+    raised before anything is written."""
     if fmt not in ("json", "text"):
         raise ValueError(f"unknown report format {fmt!r}")
     ells = sorted(set(ells))
@@ -759,7 +751,7 @@ def certify_range(
             parts = _fork_map(work, batches(ells, cpus), cpus, spools)
         proved = all(p for _, p in parts)
         # each batch's text is megabytes: written as it is, never joined, and
-        # a child's is read from its spool only when it is written
+        # a spooled one is read only when it is written
         texts = (text if isinstance(text, str) else text() for text, _ in parts)
         if fmt == "json":
             envelope = {"all_proved": proved, "ells": ells, "form": form.form_id, "runs": []}

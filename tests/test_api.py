@@ -105,7 +105,7 @@ def test_quadfield_is_gone():
 
 
 def test_parallel_is_gone():
-    # the batch path and the process pool live in certify, next to certify_range
+    # the batch path and its forked workers live in certify, next to certify_range
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("nonelliptic.parallel")
     # a certify range writes its own report: no runs rendered ahead of it

@@ -344,18 +344,21 @@ class Pieces(io.StringIO):
 def test_certify_range_streams_its_report_in_bounded_pieces(monkeypatch, schoen_form):
     # certify_range writes the report of certify_form's runs in both formats,
     # and hands each batch's text to the stream on its own, never joined:
-    # no piece holds the runs of more than one batch
-    monkeypatch.setattr(certify, "usable_cpus", lambda: 1)
+    # no piece holds the runs of more than one batch, in one process or
+    # read back from the forked workers' spools
+    monkeypatch.setattr(certify, "POOL_MIN_RUNS", 1)
     monkeypatch.setattr(certify, "_BATCH_ELLS", 50)
     ells = primes_in_range(7, 2000)
     runs = certify_form(schoen_form, ells)
-    for fmt, head in (("json", '\n      "conductor": '), ("text", "\n  ell=")):
-        out = Pieces()
-        certify_range(schoen_form, ells, None, None, fmt, out)
-        assert out.getvalue() == certify_report(schoen_form, ells, runs, fmt)
-        counts = [("\n" + piece).count(head) for piece in out.pieces]
-        assert sum(counts) == len(runs) == len(ells)
-        assert max(counts) == 50
+    for cpus in (1, 2):
+        monkeypatch.setattr(certify, "usable_cpus", lambda: cpus)
+        for fmt, head in (("json", '\n      "conductor": '), ("text", "\n  ell=")):
+            out = Pieces()
+            certify_range(schoen_form, ells, None, None, fmt, out)
+            assert out.getvalue() == certify_report(schoen_form, ells, runs, fmt)
+            counts = [("\n" + piece).count(head) for piece in out.pieces]
+            assert sum(counts) == len(runs) == len(ells)
+            assert max(counts) == 50
 
 
 def test_write_json_list_splices_the_texts_into_the_one_empty_list_at_its_key():

@@ -136,6 +136,40 @@ def test_chunked_report_equals_the_in_process_one(tmp_path, capsys, chunked, fmt
         assert len(json.loads(out)["runs"]) > 6
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_the_parents_batches_come_back_through_its_spool(tmp_path, capsys, chunked, monkeypatch,
+                                                         fmt):
+    # every worker spools its batches, the parent too: each batch's text is
+    # read back from a spool once, as the report is written. A child waits
+    # until the parent has rendered a batch, so the parent always takes one.
+    mark = tmp_path / "mark"
+    parent = os.getpid()
+    mine, reads = [], []
+    render, read = certify.render_runs, certify._read
+
+    def render_runs(form, root, witness_prime, fmt, ells):
+        if os.getpid() == parent:
+            mine.append(ells)
+            mark.touch()
+        else:
+            while not mark.exists():
+                time.sleep(0.002)
+        return render(form, root, witness_prime, fmt, ells)
+
+    def spy(fd, length, at):
+        reads.append(at)
+        return read(fd, length, at)
+
+    argv = ("certify", "-i", SCHOEN, "--ell-min", "7", "--ell-max", "300", "--format", fmt)
+    serial = run(capsys, *argv)
+    cuts = chunked(2)
+    monkeypatch.setattr(certify, "render_runs", render_runs)
+    monkeypatch.setattr(certify, "_read", spy)
+    assert run(capsys, *argv) == serial
+    assert _children() == []
+    assert mine and len(reads) == len(cuts[0]) == 10
+
+
 def test_more_workers_than_cpus_take_each_batch_once(capsys, chunked, monkeypatch):
     # 6 workers take 427 one-ell batches from one pipe: a batch lost or
     # taken twice would change the report
@@ -201,33 +235,41 @@ def test_a_process_that_cannot_fork_or_has_one_cpu_stays_in_process(capsys, chun
     assert pools == []
 
 
-def test_more_batches_than_the_pipe_holds_run_in_process(monkeypatch):
-    # each worker takes a batch index from one pipe, filled before the fork:
-    # a pipe of one page holds 1,024 indices, so 1,226 batches of one ell do
-    # not fit, and the range runs in this process rather than block
+def test_the_most_batches_fit_a_one_page_pipe_and_fork(monkeypatch):
+    # each worker takes a batch index from one pipe, filled before the fork
+    # by one write: a range is cut into at most 1,024 batches, so even a pipe
+    # of one page (PIPE_BUF on Linux) takes all their indices, and 1,226
+    # ells in batches of at most one ell still fork
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_SETPIPE_SZ"):
         pytest.skip("the pipe size cannot be set here")
     form = bundled_form("schoen_s4_25")
     ells = admitted_ells(form, primes_in_range(7, 10000), "[7, 10000]")
     serial = _ranged(form, ells, "json")
-    pipe = os.pipe
+    pipe, fork = os.pipe, os.fork
+    forks = []
 
     def one_page():
+        # nonblocking, so that indices past one page fail rather than hang
         tasks, fill = pipe()
         fcntl.fcntl(fill, fcntl.F_SETPIPE_SZ, 4096)
+        os.set_blocking(fill, False)
         return tasks, fill
 
-    def no_fork():
-        raise AssertionError("forked")
+    def counted_fork():
+        forks.append(1)
+        return fork()
 
     monkeypatch.setattr(certify, "POOL_MIN_RUNS", 1)
     monkeypatch.setattr(certify, "usable_cpus", lambda: 2)
     monkeypatch.setattr(certify, "_BATCH_ELLS", 1)
     monkeypatch.setattr(os, "pipe", one_page)
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert len(certify.batches(ells, 2)) == len(ells) == 1226
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert len(ells) == 1226
+    assert len(certify.batches(ells, 2)) == certify._MAX_BATCHES == 1024
     assert _ranged(form, ells, "json") == serial
+    assert forks == [1]
+    assert _children() == []
 
 
 def test_a_live_thread_keeps_the_range_in_process(monkeypatch):
@@ -281,6 +323,9 @@ FORCED = (
 
 FORCED_2 = FORCED.replace("lambda: 3", "lambda: 2")  # one child
 
+# SIGCHLD ignored survives exec, as some supervisors start their children
+IGNORING_SIGCHLD = "import signal\nsignal.signal(signal.SIGCHLD, signal.SIG_IGN)\n"
+
 # A child dies at once on the first batch it takes, as if killed. The parent,
 # which takes batches too and cannot report its own death, renders its
 # batches only once a child has died, so a child always takes one.
@@ -321,6 +366,17 @@ def test_chunked_route_is_clean_under_dev_mode_and_warnings_as_errors():
                     "certify", "-i", SCHOEN, "--ell-min", "7", "--ell-max", "3000",
                     "--format", "json")
     assert proc.stdout == serial.stdout
+
+
+def test_a_range_started_with_sigchld_ignored_gives_the_default_output():
+    # the kernel reaps the children at once, and waitpid, which still
+    # blocks until a child ends, then finds none; FORCED_2 asserts that no
+    # child outlives main()
+    argv = ("certify", "-i", SCHOEN, "--ell-min", "7", "--ell-max", "3000", "--format", "json")
+    ignoring = _child(IGNORING_SIGCHLD + FORCED_2, *argv)
+    default = _child(FORCED_2, *argv)
+    assert (default.returncode, default.stderr) == (2, "")
+    assert (ignoring.returncode, ignoring.stderr, ignoring.stdout) == (2, "", default.stdout)
 
 
 def test_a_dying_worker_exits_1_and_leaves_no_child():
@@ -444,16 +500,20 @@ def test_an_interrupted_range_exits_within_a_second_and_leaves_no_worker():
     (3, 6, 7, [2, 2, 2]),
     (4, 9589, 1000, [799] * 11 + [800]),
     (3, 2, 7, [1, 1]),  # fewer ells than CPUs: no empty batch
+    (2, 1226, 1, [2] * 202 + [1] * 822),  # at the bound, 1,024 batches: they grow instead
+    (3, 2000, 1, [2] * 977 + [1] * 46),  # 1,023, the most a multiple of 3 allows
 ])
 def test_batches_cut_the_ells_in_order_into_near_equal_batches(monkeypatch, cpus, ells,
                                                                 batch, sizes):
     monkeypatch.setattr(certify, "_BATCH_ELLS", batch)
+    monkeypatch.setattr(certify, "_MAX_BATCHES", 1024)  # PIPE_BUF // 4 on Linux
     items = list(range(100, 100 + ells))
     got = certify.batches(items, cpus)
     assert sorted(map(len, got)) == sorted(sizes)
     assert [ell for b in got for ell in b] == items
     assert max(map(len, got)) - min(map(len, got)) <= 1
-    assert max(map(len, got)) <= batch
+    assert max(map(len, got)) <= batch or len(got) > 1024 - cpus
+    assert len(got) <= 1024
     assert len(got) % cpus == 0 or len(got) == ells
 
 
