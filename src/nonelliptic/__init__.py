@@ -21,6 +21,7 @@ _EXPORTS = {
     "conductor_bound_test": "certify",
     "certify_form": "certify",
     "certify_range": "certify",
+    "family_trace_obstruction": "certify",
     "irreducibility_by_discriminant": "certify",
     "non_elliptic_trace_test": "certify",
     "reducibility_obstruction": "certify",

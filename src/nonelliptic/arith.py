@@ -103,10 +103,11 @@ _NARROW = 64
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p <= hi. A window narrow next to isqrt(hi),
     (hi - lo) * _NARROW < isqrt(hi), has each odd candidate proved by
-    is_prime; a wider one is sieved over [lo, hi] alone, with the base primes
-    up to isqrt(hi) sieved in segments no wider than it, so memory grows with
-    the width, not with hi. Raises ValueError for hi >= MILLER_RABIN_LIMIT, as
-    is_prime does, and for a sieve wider than the index size."""
+    is_prime; a wider one is sieved over the odd numbers of [lo, hi] alone,
+    one byte each, with the odd base primes up to isqrt(hi) sieved in
+    segments no wider than the window, so memory grows with the width, not
+    with hi. Raises ValueError for hi >= MILLER_RABIN_LIMIT, as is_prime
+    does, and for a sieve wider than the index size."""
     lo = max(lo, 2)
     if hi < lo:
         return []
@@ -118,15 +119,23 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     if hi - lo >= sys.maxsize:
         raise ValueError(f"[{lo}, {hi}] is too wide to sieve: its width passes the "
                          f"index size {sys.maxsize} (narrow the range)")
+    # index i stands for the odd number lo1 + 2i
+    lo1 = lo | 1
+    size = (hi - lo1) // 2 + 1
     # From bytes: a failed bytearray repeat makes CPython print a stray
     # SystemError to stderr next to the MemoryError.
-    sieve = bytearray(b"\x01" * (hi - lo + 1))
+    sieve = bytearray(b"\x01" * size)
     root = math.isqrt(hi)
     for base in range(2, root + 1, hi - lo + 1):
         for p in primes_in_range(base, min(base + hi - lo, root)):
-            start = max(p * p, -(-lo // p) * p)
-            sieve[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
-    return list(compress(range(lo, hi + 1), sieve))
+            if p == 2:  # no odd multiple
+                continue
+            # the first odd multiple of p at or past both lo1 and p*p: the
+            # index i with lo1 + 2i = 0 (mod p) is -(lo1 + p) / 2 mod p
+            start = max((p * p - lo1) // 2, (-(lo1 + p) // 2) % p)
+            sieve[start::p] = b"\x00" * ((size - 1 - start) // p + 1)
+    odd = list(compress(range(lo1, hi + 1, 2), sieve))
+    return [2, *odd] if lo == 2 else odd
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .checker import (
     IRREDUCIBLE,
     METHOD_CONDUCTOR,
     METHOD_DISCRIMINANT,
+    METHOD_FAMILY_TRACE,
     METHOD_OBSTRUCTION,
     METHOD_TRACE,
     NON_ELLIPTIC,
@@ -49,9 +50,11 @@ from .data_io import write_json_list
 from .repmodel import (
     InsufficientDataError,
     NewformData,
+    NotSplitError,
     ResidualRep,
     _det_chi_twist,
     _reductions,
+    refusal,
 )
 
 
@@ -125,6 +128,65 @@ def reducibility_obstruction(form: NewformData, p: int) -> Certificate:
         ell=None,
         witness={"p": p, "a_p": a.x, "weight": form.weight, "level": form.level,
                  "M": m_value, "factors": factors, "exceptional": exceptional},
+        inputs={"form": form.form_id},
+    )
+
+
+def _primes(n: int) -> set[int]:
+    return {q for q, _ in trial_factor(n).factors}
+
+
+def family_trace_obstruction(form: NewformData, p: int) -> Certificate:
+    """Family-level non-ellipticity from one good prime p, for a form of even
+    weight k: at an admitted ell the determinant-chi twist has trace t with
+    t^2 ≡ a_p^2 p^(2-k) (mod ell), and the excluded set of the trace test at
+    p is closed under negation, so t lies in it only if ell divides some
+    D_s = a_p^2 - s^2 p^(k-2), s in 0..isqrt(4p) or p+1. Over Q(sqrt(d)) the
+    witness holds the norms N(D_s), which cover both embeddings.
+
+    The witness's "exceptional" list E is the primes of every D_s, of p(p-1)
+    (where the trace test at p is unavailable) and those the rule refuses
+    other than as inert; the certificate asserts non-ellipticity for every
+    admitted ell outside E. Some D_s = 0, as for an elliptic curve's own a_p,
+    is Inconclusive, with E empty. Raises ValueError for odd k.
+    """
+    k, d = form.weight, form.d or 0
+    if k % 2:
+        raise ValueError(f"the family trace obstruction needs an even weight, not {k}")
+    if form.level % p == 0:
+        raise ValueError(f"witness prime {p} divides the level {form.level}")
+    try:
+        a = form.eigenvalues[p]
+    except KeyError:
+        raise InsufficientDataError(f"insufficient data: no eigenvalue stored at p={p}") from None
+    bound = math.isqrt(4 * p)
+    if 2 * bound + 3 > EXCLUDED_SET_LIMIT:
+        raise ValueError(f"the excluded set at p={p} lists {2 * bound + 3} residues, "
+                         f"over the limit of {EXCLUDED_SET_LIMIT}")
+    x2, v2 = a.x * a.x + d * a.y * a.y, d * (2 * a.x * a.y) ** 2
+    # (p+1)^2 p^(k-2) > p^k past x^2 + d y^2 + d (2xy)^2 + 2**64 puts D_{p+1}
+    # past trial_factor's guard: refuse before the power is built
+    if k * (p.bit_length() - 1) >= (x2 + v2 + TRIAL_DIVISION_LIMIT).bit_length():
+        raise ValueError(f"D_s = a_{p}^2 - s^2*{p}^{k - 2} exceeds the trial-division guard 2**64")
+    power = p ** (k - 2)
+    values = [x2 - s * s * power for s in [*range(bound + 1), p + 1]]
+    if form.d is not None:  # D_s = u + 2xy sqrt(d) has norm u^2 - d (2xy)^2
+        values = [u * u - v2 for u in values]
+    factors: list = []
+    exceptional: list[int] = []
+    if all(values):
+        factors = [[list(qe) for qe in trial_factor(abs(v)).factors] for v in values]
+        # The rule refuses an odd ell other than as inert only where ell
+        # divides the level or d, or ell - 1 divides k - 1: for even k, ell = 2.
+        refused = {q for q in {2} | _primes(form.level) | _primes(d or 1)
+                   if not isinstance(refusal(form, q), (type(None), NotSplitError))}
+        exceptional = sorted({q for f in factors for q, _ in f} | {p} | _primes(p - 1) | refused)
+    return Certificate(
+        verdict=NON_ELLIPTIC if exceptional else INCONCLUSIVE,
+        method=METHOD_FAMILY_TRACE,
+        ell=None,
+        witness={"p": p, "a_p": [a.x, a.y], "weight": k, "level": form.level, "d": form.d,
+                 "D": values, "factors": factors, "exceptional": exceptional},
         inputs={"form": form.form_id},
     )
 

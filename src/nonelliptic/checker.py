@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import Factorization, is_prime, legendre, trial_factor
+from .arith import TRIAL_DIVISION_LIMIT, Factorization, is_prime, legendre, trial_factor
 
 IRREDUCIBLE = "Irreducible"
 NON_ELLIPTIC = "NonElliptic"
@@ -21,6 +21,7 @@ METHOD_DISCRIMINANT = "DiscriminantNonResidue"
 METHOD_OBSTRUCTION = "ReducibilityObstruction"
 METHOD_TRACE = "TraceObstruction"
 METHOD_CONDUCTOR = "ConductorBound"
+METHOD_FAMILY_TRACE = "FamilyTraceObstruction"
 
 # An elliptic curve over Q has v_2(N) <= 8, v_3(N) <= 5, v_p(N) <= 2 for p > 3
 # (Silverman, Advanced Topics in the Arithmetic of Elliptic Curves, IV.10).
@@ -91,6 +92,15 @@ def _claimed_factors(n: int, factors) -> list[list[int]]:
     return [list(qe) for qe in fac.factors]
 
 
+def _exceptional(values: list[int], claimed, known: set[int]) -> tuple[list, list[int]]:
+    """The claimed factor lists of |n| for the nonzero ints `values`, one
+    each, and the exceptional set: their primes and `known`, sorted."""
+    if len(claimed) != len(values):
+        raise ValueError("one factor list per value")
+    lists = [_claimed_factors(abs(n), f) for n, f in zip(values, claimed)]
+    return lists, sorted({q for f in lists for q, _ in f} | known)
+
+
 def _check_discriminant(cert: Certificate) -> bool:
     ell, w = cert.ell, cert.witness
     p, tr, m = w["p"], w["trace"], w["det_exponent"]
@@ -119,8 +129,9 @@ def _check_obstruction(cert: Certificate) -> bool:
     if (p - 1) % modulus != 0:
         return False
     m_value = abs(1 + p ** (k - 1) - a_p)
-    factors = _claimed_factors(m_value, w["factors"]) if m_value else []
-    exceptional = sorted({q for q, _ in factors} | {p}) if m_value else []
+    factors, exceptional = [], []
+    if m_value:
+        (factors,), exceptional = _exceptional([m_value], [w["factors"]], {p})
     want = {"p": p, "a_p": a_p, "weight": k, "level": level, "M": m_value,
             "factors": factors, "exceptional": exceptional}
     return _same(w, want) and cert.verdict == (IRREDUCIBLE if m_value else INCONCLUSIVE)
@@ -152,6 +163,47 @@ def _check_trace(cert: Certificate) -> bool:
     return _same(w, want) and cert.verdict == (INCONCLUSIVE if tr in excluded else NON_ELLIPTIC)
 
 
+def _primes(n: int) -> set[int]:
+    return {q for q, _ in trial_factor(n).factors}
+
+
+def _check_family_trace(cert: Certificate) -> bool:
+    w = cert.witness
+    p, (x, y), k, level, d = w["p"], w["a_p"], w["weight"], w["level"], w["d"]
+    if not (cert.ell is None and _ints(p, x, y, k, level) and is_prime(p) and level >= 1
+            and level % p and k >= 2 and k % 2 == 0):
+        return False
+    # over Q a_p is rational; else d is a square-free int > 1 (past 2**64 trial_factor raises)
+    if d is None:
+        if y:
+            return False
+    elif not (_ints(d) and d > 1 and all(e == 1 for _, e in trial_factor(d).factors)):
+        return False
+    # one D_s per s in 0..B and p+1, B = isqrt(4p); and (p+1)^2 p^(k-2) > p^k
+    # past the bound below puts |D_{p+1}| past trial_factor's guard: refuse
+    # both before the power is built
+    bound, c = math.isqrt(4 * p), d or 0
+    x2, v2 = x * x + c * y * y, c * (2 * x * y) ** 2
+    if (len(w["D"]) != bound + 2
+            or k * (p.bit_length() - 1) >= (x2 + v2 + TRIAL_DIVISION_LIMIT).bit_length()):
+        return False
+    power = p ** (k - 2)
+    values = [x2 - s * s * power for s in [*range(bound + 1), p + 1]]
+    if d is not None:
+        values = [u * u - v2 for u in values]
+    if any(abs(v) > TRIAL_DIVISION_LIMIT for v in values):
+        return False
+    factors, exceptional = [], []
+    if all(values):
+        # E also holds p, the primes of p - 1, and those the admissibility
+        # rule refuses other than as inert: of the level, of d, and 2
+        known = {2, p} | _primes(p - 1) | _primes(level) | _primes(c or 1)
+        factors, exceptional = _exceptional(values, w["factors"], known)
+    want = {"p": p, "a_p": [x, y], "weight": k, "level": level, "d": d, "D": values,
+            "factors": factors, "exceptional": exceptional}
+    return _same(w, want) and cert.verdict == (NON_ELLIPTIC if exceptional else INCONCLUSIVE)
+
+
 def _check_conductor(cert: Certificate) -> bool:
     ell, w = cert.ell, cert.witness
     conductor = w["conductor"]
@@ -174,6 +226,7 @@ _CHECKERS = {
     METHOD_OBSTRUCTION: _check_obstruction,
     METHOD_TRACE: _check_trace,
     METHOD_CONDUCTOR: _check_conductor,
+    METHOD_FAMILY_TRACE: _check_family_trace,
 }
 
 

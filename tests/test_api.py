@@ -24,6 +24,7 @@ PUBLIC_API = [
     "conductor_bound_test",
     "dump_form",
     "falsify_curve",
+    "family_trace_obstruction",
     "full_paper_verification",
     "irreducibility_by_discriminant",
     "is_prime",
@@ -101,7 +102,7 @@ def test_quadfield_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("nonelliptic.quadfield")
     assert nonelliptic.QuadInt.__module__ == "nonelliptic.repmodel"
-    assert len(nonelliptic.__all__) == 31
+    assert len(nonelliptic.__all__) == 32
 
 
 def test_parallel_is_gone():

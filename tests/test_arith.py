@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -400,6 +401,27 @@ def test_primes_in_range(monkeypatch):
     # the sieve's width is refused before the bytearray overflows
     with pytest.raises(ValueError, match=r"too wide to sieve: its width passes the index size"):
         primes_in_range(6, 10**20)
+
+
+def test_the_odd_only_sieve_equals_is_prime_on_random_windows():
+    # seeded: lo and hi of both parities, widths 0..5000, so both the
+    # is_prime and the sieve side of _NARROW run
+    rng = random.Random(20041)
+    windows = []
+    for _ in range(500):
+        lo = rng.randint(-5, 2 * 10**4)
+        windows.append((lo, lo + rng.randint(0, 5000)))
+    # windows starting at p^2 - 1, p^2 and p^2 + 1, where crossing off begins
+    windows += [(p * p + e, p * p + e + w) for p in (3, 5, 7, 97) for e in (-1, 0, 1)
+                for w in (0, 1, 2, 3, 50, 1001)]
+    assert {lo % 2 for lo, _ in windows} == {hi % 2 for _, hi in windows} == {0, 1}
+    # past 10^12, just wider than its _NARROW edge: the sieve side
+    hi = 10**12 + 10**4
+    lo = hi - math.isqrt(hi) // _NARROW - 1
+    assert (hi - lo) * _NARROW >= math.isqrt(hi)
+    windows.append((lo, hi))
+    for lo, hi in windows:
+        assert primes_in_range(lo, hi) == [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")

@@ -2,7 +2,9 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -19,6 +21,7 @@ from nonelliptic.certify import (
     certify_range,
     conductor_bound_test,
     excluded_trace_set,
+    family_trace_obstruction,
     irreducibility_by_discriminant,
     non_elliptic_trace_test,
     reducibility_obstruction,
@@ -29,6 +32,7 @@ from nonelliptic.checker import (
     IRREDUCIBLE,
     METHOD_CONDUCTOR,
     METHOD_DISCRIMINANT,
+    METHOD_FAMILY_TRACE,
     METHOD_OBSTRUCTION,
     METHOD_TRACE,
     NON_ELLIPTIC,
@@ -44,6 +48,7 @@ from nonelliptic.repmodel import (
     QuadInt,
     RamanujanBoundWarning,
     ResidualRep,
+    NotSplitError,
     admitted_ells,
     refusal,
     residual_rep,
@@ -299,8 +304,8 @@ def test_scan_range_validation():
 
 def test_scan_reports_a_failed_fermat_cross_check(monkeypatch, capsys):
     # every scanned ell is prime, so only a composite handed in reaches the
-    # failure branch: 2^24 = 10 and 4^(-1) = 7 (mod 27), and 10 is not in
-    # {1, 4, 9}, so 27 does not join the holds
+    # failure branch: 2^24 = 10 and 4 * 10 = 13, not 1 (mod 27), and 10 is
+    # not in {1, 4, 9}, so 27 does not join the holds
     monkeypatch.setattr(paper, "primes_in_range", lambda lo, hi: [7, 27])
     report = closed_form_scan(7, 27)
     assert report.fermat_ok is False
@@ -308,6 +313,25 @@ def test_scan_reports_a_failed_fermat_cross_check(monkeypatch, capsys):
     assert report.to_text().endswith("FAILED")
     assert main(["scan", "7", "27"]) == 1
     assert capsys.readouterr().out.endswith("FAILED\n")
+
+
+def test_scan_keeps_fermats_congruence_on_a_base_2_pseudoprime(monkeypatch):
+    # 341 = 11 * 31 has 2^340 = 1 (mod 341), so 4 * 2^338 = 1: the cross-check
+    # is Fermat's congruence and passes; 2^338 = 256 is not in {1, 4, 9}
+    assert pow(2, 340, 341) == 1 and pow(2, 338, 341) == 256
+    monkeypatch.setattr(paper, "primes_in_range", lambda lo, hi: [7, 341])
+    report = closed_form_scan(7, 341)
+    assert report.fermat_ok is True
+    assert report.holds == (7,)
+
+
+@pytest.mark.parametrize("ell_max", [7, 100, 1009, 10**4])
+def test_scan_holds_where_the_family_trace_certificate_excepts(schoen_form, ell_max):
+    # the scan is "ell divides some D_s" for a_2 = 1, k = 4, p = 2
+    cert = family_trace_obstruction(schoen_form, 2)
+    assert cert.verdict == NON_ELLIPTIC
+    exceptional = [ell for ell in cert.witness["exceptional"] if 7 <= ell <= ell_max]
+    assert list(closed_form_scan(7, ell_max).holds) == exceptional
 
 
 def test_scan_matches_trace_test(schoen_form):
@@ -321,6 +345,179 @@ def test_scan_matches_trace_test(schoen_form):
             assert cert.verdict == INCONCLUSIVE
         else:
             assert cert.verdict == NON_ELLIPTIC
+
+
+# --- family trace obstruction -----------------------------------------------------
+
+@pytest.mark.parametrize("form_id, p, exceptional", [
+    ("schoen_s4_25", 2, [2, 3, 5, 7]),
+    ("schoen_s4_25", 3, [2, 3, 5, 7, 13, 19]),
+    ("schoen_s4_25", 7, [2, 3, 5, 7, 11, 13, 17, 29, 31, 41]),
+    ("schoen_s4_25", 11, [2, 3, 5, 7, 11, 13, 19, 23, 29, 43, 89, 109]),
+    ("s2_512_sqrt2", 3, [2, 3, 7]),
+    ("s2_512_sqrt2", 5, [2, 5, 7]),
+    ("s2_512_sqrt2", 11, [2, 5, 7, 11, 17, 23, 71]),
+    ("s2_512_sqrt2", 13, [2, 3, 7, 13, 17, 41, 47]),
+    ("s2_512_sqrt2", 29, [2, 3, 7, 17, 23, 29, 47, 71]),
+])
+def test_family_trace_exceptional_sets_of_the_bundled_forms(form_id, p, exceptional):
+    cert = family_trace_obstruction(bundled_form(form_id), p)
+    assert (cert.method, cert.ell, cert.verdict) == (METHOD_FAMILY_TRACE, None, NON_ELLIPTIC)
+    assert cert.witness["exceptional"] == exceptional
+    assert check(cert)
+
+
+def test_family_trace_at_2_on_the_weight_4_form(schoen_form):
+    # a_2 = 1, B = 2: D_s = 1 - 4 s^2 for s = 0, 1, 2 and p + 1 = 3
+    w = family_trace_obstruction(schoen_form, 2).witness
+    assert w["D"] == [1, -3, -15, -35]
+    assert w["factors"] == [[], [[3, 1]], [[3, 1], [5, 1]], [[5, 1], [7, 1]]]
+    assert (w["a_p"], w["weight"], w["level"], w["d"]) == ([1, 0], 4, 25, None)
+
+
+def test_family_trace_is_inconclusive_where_some_d_s_vanishes(sqrt2_form):
+    # a_7 = -4 and B = 5 on the weight-2 form: D_4 = 16 - 16 = 0, so no ell is
+    # ruled out at p = 7, as for ell = 7 in the paper
+    cert = family_trace_obstruction(sqrt2_form, 7)
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.witness["D"][4] == 0
+    assert (cert.witness["factors"], cert.witness["exceptional"]) == ([], [])
+    assert check(cert)
+
+
+def test_family_trace_refuses_what_it_cannot_certify(schoen_form):
+    with pytest.raises(ValueError, match="even weight, not 3"):
+        family_trace_obstruction(dataclasses.replace(schoen_form, weight=3), 2)
+    with pytest.raises(InsufficientDataError, match="p=13"):
+        family_trace_obstruction(schoen_form, 13)
+    with pytest.raises(ValueError, match="divides the level"):
+        family_trace_obstruction(schoen_form, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RamanujanBoundWarning)
+        big = NewformData("big", 25, 10**9, None, {2: QuadInt(1)})
+        huge_p = NewformData("huge", 1, 2, None, {10**12 + 39: QuadInt(1)})
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="trial-division guard"):
+        family_trace_obstruction(big, 2)  # refused before 2^(10^9 - 2) is built
+    with pytest.raises(ValueError, match="over the limit"):
+        family_trace_obstruction(huge_p, 10**12 + 39)  # B = 2 * 10^6
+    assert time.perf_counter() - start < 1
+
+
+@st.composite
+def family_trace_cases(draw):
+    """A form of even weight over Q or Q(sqrt(d)) with one eigenvalue, at a
+    good prime p below 60, with every D_s under 2**64. a_p = s p^(k/2 - 1),
+    drawn at times, makes D_s = 0."""
+    d = draw(st.sampled_from([None, 2, 3, 5, 7, 13]))
+    level = draw(st.sampled_from([1, 11, 25, 27, 512, 1375]))
+    p = draw(st.sampled_from([q for q in SMALL_PRIMES if level % q]))
+    k = draw(st.sampled_from([2, 4] if d else [2, 4, 6, 8]))
+    root = st.integers(0, math.isqrt(4 * p)).map(lambda s: s * p ** (k // 2 - 1))
+    x = draw(st.integers(-999, 999) | root)
+    y = 0 if d is None else draw(st.integers(-30, 30) | st.just(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RamanujanBoundWarning)
+        return NewformData("f", level, k, d, {p: QuadInt(x, y)}), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_trace_cases())
+def test_family_trace_agrees_with_the_trace_test_at_every_admitted_ell(case):
+    """At every admitted ell, with p = 0 or 1 (mod ell) set aside (there the
+    trace test is unavailable, and E holds ell): every reduction is
+    NonElliptic at p iff the certificate is NonElliptic and ell is outside
+    E. So E is exact, not only sound. The ells are those to 1000 and E's."""
+    form, p = case
+    cert = family_trace_obstruction(form, p)
+    assert check(cert)
+    exceptional = set(cert.witness["exceptional"])
+    assert (cert.verdict == NON_ELLIPTIC) == all(cert.witness["D"])
+    if cert.verdict == NON_ELLIPTIC:
+        assert {p} | {q for q, _ in trial_factor(p - 1).factors} <= exceptional
+    ells = {*primes_in_range(3, 1000), *(q for q in exceptional if 2 < q < 10**5)}
+    ells = sorted(ell for ell in ells if refusal(form, ell) is None and p % ell > 1)
+    verdicts: dict[int, list[str]] = {}
+    for run in certify_form(form, ells, witness_prime=p):
+        verdicts.setdefault(run.ell, []).append(run.trace_tests[0].verdict)
+    for ell in ells:
+        expected = cert.verdict == NON_ELLIPTIC and ell not in exceptional
+        assert (set(verdicts[ell]) == {NON_ELLIPTIC}) == expected, ell
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(primes_in_range(2, 2000)), st.integers(-10**4, 10**4),
+       st.sampled_from([None, 2, 3, 5, 6, 7]), st.sampled_from([2, 4]))
+def test_family_trace_exceptional_set_holds_every_odd_prime_to_2b_plus_1(p, x, d, k):
+    # there the Hasse interval fills F_ell: over Q always (so E holds 3 and 5),
+    # over Q(sqrt(d)) unless ell is inert, as no embedding exists then. Over
+    # Q(sqrt(d)) the weight is 2, which keeps each N(D_s) under 2**64.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RamanujanBoundWarning)
+        form = (NewformData("f", 1, k, None, {p: QuadInt(x)}) if d is None
+                else NewformData("f", 1, 2, d, {p: QuadInt(x, 1)}))
+    cert = family_trace_obstruction(form, p)
+    assume(cert.verdict == NON_ELLIPTIC)
+    exceptional = set(cert.witness["exceptional"])
+    for ell in primes_in_range(3, 2 * math.isqrt(4 * p) + 1):
+        assert ell in exceptional or isinstance(refusal(form, ell), NotSplitError), ell
+    if d is None:
+        assert {3, 5} <= exceptional
+
+
+def test_check_rejects_a_tampered_family_trace_certificate(schoen_form, sqrt2_form):
+    cert = family_trace_obstruction(schoen_form, 2)
+    w = cert.witness
+    assert check(cert)
+    for tampered in (
+        {"D": [1, -3, -15, -36]},  # a D_s
+        {"D": w["D"] + [-35]},  # one D_s too many
+        {"factors": [[], [[3, 1]], [[3, 1], [5, 1]], [[5, 1], [11, 1]]]},  # a factor
+        {"exceptional": [2, 3, 5]},  # E
+        {"exceptional": [2, 3, 5, 7, 11]},
+        {"a_p": [3, 0]},  # an a_p; -1 would pass, as it gives the same D_s
+    ):
+        assert not check(_tampered(cert, **tampered)), tampered
+    assert not check(_tampered(cert, a_p=[1, 1]))  # irrational a_p over Q
+    assert not check(dataclasses.replace(cert, verdict=INCONCLUSIVE))
+    assert not check(dataclasses.replace(cert, ell=7))
+    quad = family_trace_obstruction(sqrt2_form, 5)
+    assert check(quad)
+    assert not check(_tampered(quad, a_p=[1, -2]))  # a_5 = -2 sqrt(2); +2 sqrt(2) would pass
+    assert not check(_tampered(quad, d=3))
+
+
+def test_check_refuses_a_family_trace_witness_it_cannot_bound():
+    # p = 10^10 + 19 has B = 2 * 10^5: a witness listing 4 D_s is refused
+    # before any D_s is built (a_p = 2^70 passes the power's guard), so the
+    # check allocates next to nothing
+    bogus = Certificate(NON_ELLIPTIC, METHOD_FAMILY_TRACE, None, {
+        "p": 10**10 + 19, "a_p": [2**70, 0], "weight": 2, "level": 1, "d": None,
+        "D": [1, 0, 0, 0], "factors": [], "exceptional": []})
+    tracemalloc.start()
+    try:
+        assert not check(bogus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # x = 5 * 2^31 at p = 2, k = 64 gives D_s = 2^62 (25 - s^2): each factors
+    # by hand, yet D_0 = 25 * 2^62 passes the 2**64 guard the producer keeps
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RamanujanBoundWarning)
+        form = NewformData("big", 25, 64, None, {2: QuadInt(5 * 2**31)})
+    with pytest.raises(ValueError, match="trial-division guard"):
+        family_trace_obstruction(form, 2)
+    values = [2**62 * (25 - s * s) for s in range(4)]
+    factors = []
+    for v in values:
+        exponents = dict(trial_factor(v >> 62).factors)
+        exponents[2] = exponents.get(2, 0) + 62
+        factors.append([[q, e] for q, e in sorted(exponents.items())])
+    past_the_guard = Certificate(NON_ELLIPTIC, METHOD_FAMILY_TRACE, None, {
+        "p": 2, "a_p": [5 * 2**31, 0], "weight": 64, "level": 25, "d": None, "D": values,
+        "factors": factors, "exceptional": [2, 3, 5, 7]})
+    assert not check(past_the_guard)
 
 
 # --- conductor bound --------------------------------------------------------------
@@ -498,8 +695,9 @@ def _tampered(cert: Certificate, **witness) -> Certificate:
 
 @functools.lru_cache(maxsize=None)
 def bundled_certificates() -> tuple[Certificate, ...]:
-    """Certificates of all four methods, with both verdicts, from the bundled
-    forms (plus an M = 0 obstruction and a few conductors)."""
+    """Certificates of all five methods, with both verdicts, from the bundled
+    forms (plus an M = 0 obstruction, a few conductors and a family trace
+    certificate with D_2 = 0)."""
     schoen, sqrt2 = bundled_form("schoen_s4_25"), bundled_form("s2_512_sqrt2")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -508,6 +706,9 @@ def bundled_certificates() -> tuple[Certificate, ...]:
     certs += [c for r in certify_form(schoen, primes_in_range(7, 60)) for c in r.certificates()]
     certs += [c for r in certify_form(sqrt2, [7, 17, 23, 31, 41, 47]) for c in r.certificates()]
     certs += [conductor_bound_test(n) for n in (1, 275, 1375)]
+    certs += [family_trace_obstruction(schoen, p) for p in (2, 7)]
+    certs += [family_trace_obstruction(sqrt2, p) for p in (5, 7)]  # 7: D_4 = 0
+    certs += [family_trace_obstruction(NewformData("11a", 11, 2, None, {2: QuadInt(-2)}), 2)]
     return tuple(certs)
 
 
@@ -518,13 +719,15 @@ def test_bundled_certificates_cover_every_method_and_verdict():
         (METHOD_OBSTRUCTION, IRREDUCIBLE), (METHOD_OBSTRUCTION, INCONCLUSIVE),
         (METHOD_TRACE, NON_ELLIPTIC), (METHOD_TRACE, INCONCLUSIVE),
         (METHOD_CONDUCTOR, NON_ELLIPTIC), (METHOD_CONDUCTOR, INCONCLUSIVE),
+        (METHOD_FAMILY_TRACE, NON_ELLIPTIC), (METHOD_FAMILY_TRACE, INCONCLUSIVE),
     }
     assert all(check(_tampered(c)) for c in bundled_certificates())
 
 
 # The fields a producer takes as input, ell and witness fields; every other
 # witness field is derived.
-INPUT_FIELDS = {"ell", "p", "trace", "det_exponent", "a_p", "weight", "level", "conductor"}
+INPUT_FIELDS = {"ell", "p", "trace", "det_exponent", "a_p", "weight", "level", "conductor",
+                "d"}
 _PROBE = NewformData("probe", 1, 2, None, {})
 
 
@@ -545,6 +748,10 @@ def _produced(cert: Certificate) -> Certificate | None:
                 eigenvalues = {w["p"]: QuadInt(w["a_p"])}
                 form = NewformData("probe", w["level"], w["weight"], None, eigenvalues)
                 return reducibility_obstruction(form, w["p"])
+            if cert.method == METHOD_FAMILY_TRACE:
+                eigenvalues = {w["p"]: QuadInt(*w["a_p"])}
+                form = NewformData("probe", w["level"], w["weight"], w["d"], eigenvalues)
+                return family_trace_obstruction(form, w["p"])
             return conductor_bound_test(w["conductor"], ell=cert.ell)
     except Exception:
         return None
@@ -584,7 +791,8 @@ def _near(value) -> st.SearchStrategy:
 
 def _a_certificate(data) -> Certificate:
     method = data.draw(st.sampled_from(
-        [METHOD_DISCRIMINANT, METHOD_OBSTRUCTION, METHOD_TRACE, METHOD_CONDUCTOR]))
+        [METHOD_DISCRIMINANT, METHOD_OBSTRUCTION, METHOD_TRACE, METHOD_CONDUCTOR,
+         METHOD_FAMILY_TRACE]))
     return data.draw(st.sampled_from([c for c in bundled_certificates() if c.method == method]))
 
 

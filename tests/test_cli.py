@@ -1070,7 +1070,8 @@ def test_import_leaves_out_jsonschema_and_process_pools():
         (["certify", "-i", SCHOEN, "--ell", "11"],
          {"nonelliptic.ecoracle", "nonelliptic.paper"}),
         (["verify-paper"], {"nonelliptic.ecoracle"}),
-        (["scan", "7", "1000"], {"nonelliptic.certify", "nonelliptic.repmodel"}),
+        (["scan", "7", "1000"],
+         {"nonelliptic.certify", "nonelliptic.checker", "nonelliptic.repmodel"}),
         (["falsify", "--curve", "0,0,1,0,0", "-i", SCHOEN, "--ell", "11"],
          {"nonelliptic.certify", "nonelliptic.checker", "nonelliptic.paper"}),
     ]:

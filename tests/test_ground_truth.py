@@ -22,7 +22,8 @@ import random
 import pytest
 
 from nonelliptic.arith import primes_in_range, trial_factor
-from nonelliptic.certify import certify_form, reducibility_obstruction
+from nonelliptic.certify import certify_form, family_trace_obstruction, reducibility_obstruction
+from nonelliptic.checker import INCONCLUSIVE, check
 from nonelliptic.ecoracle import CurveQ, trace_of_frobenius
 from nonelliptic.repmodel import NewformData, QuadInt, admitted_ells
 
@@ -91,6 +92,16 @@ def test_no_elliptic_curve_is_proved_non_elliptic(name):
     wrong = [(r.ell, r.twist_exponent, r.trace_tests[-1].witness)
              for r in runs(name) if r.proved_non_elliptic]
     assert wrong == [], f"{name}: {len(wrong)} runs proved non-elliptic, first {wrong[:3]}"
+
+
+@pytest.mark.parametrize("name", CURVES)
+def test_every_family_trace_certificate_of_a_curve_is_inconclusive(name):
+    # a_p * p^j in weight 2j + 2 gives D_s = 0 at s = |a_p| <= 2 sqrt(p) (Hasse)
+    for form in twisted_forms(name, CURVES[name]):
+        for p in form.eigenvalues:
+            cert = family_trace_obstruction(form, p)
+            assert (cert.verdict, cert.witness["exceptional"]) == (INCONCLUSIVE, []), (form, p)
+            assert check(cert)
 
 
 @pytest.mark.parametrize("name", TATE)
