@@ -22,8 +22,6 @@ _EXPORTS = {
     "certify_form": "certify",
     "certify_range": "certify",
     "family_trace_obstruction": "certify",
-    "irreducibility_by_discriminant": "certify",
-    "non_elliptic_trace_test": "certify",
     "reducibility_obstruction": "certify",
     "serre_bound_predicate": "certify",
     "Certificate": "checker",
@@ -41,9 +39,6 @@ _EXPORTS = {
     "full_paper_verification": "paper",
     "NewformData": "repmodel",
     "QuadInt": "repmodel",
-    "ResidualRep": "repmodel",
-    "residual_rep": "repmodel",
-    "twist_to_det_chi": "repmodel",
 }
 
 

@@ -51,20 +51,18 @@ from .repmodel import (
     InsufficientDataError,
     NewformData,
     NotSplitError,
-    ResidualRep,
     _det_chi_twist,
     _reductions,
     refusal,
 )
 
 
-def _provenance(form_id: str, root: int | None, twist_exponent: int) -> dict:
-    return {"form": form_id, "embedding_root": root, "twist_exponent": twist_exponent}
-
-
 def _discriminant(ell: int, p: int, tr: int, m: int, provenance: dict) -> Certificate:
     """The discriminant certificate at p of a reduction with trace tr at p
-    and determinant exponent m mod the odd prime ell."""
+    and determinant exponent m mod the odd prime ell: if the discriminant of
+    the Frobenius characteristic polynomial x^2 - tr x + p^m is a
+    non-residue mod ell, the polynomial is irreducible over F_ell and the
+    (odd) representation cannot be reducible."""
     delta = (tr * tr - 4 * pow(p, m, ell)) % ell
     sym = _euler_criterion(delta, ell)
     return Certificate(
@@ -74,15 +72,6 @@ def _discriminant(ell: int, p: int, tr: int, m: int, provenance: dict) -> Certif
         witness={"p": p, "trace": tr, "det_exponent": m, "delta": delta, "legendre": sym},
         inputs=provenance | {"assumed_odd": True},
     )
-
-
-def irreducibility_by_discriminant(rep: ResidualRep, p: int) -> Certificate:
-    """Irreducibility from a witness prime p: if the discriminant of the
-    Frobenius characteristic polynomial x^2 - trace(p) x + p^m is a
-    non-residue mod ell, the polynomial is irreducible over F_ell and the
-    (odd) representation cannot be reducible."""
-    return _discriminant(rep.ell, p, rep.trace_at(p), rep.det_exponent,
-                         _provenance(rep.source.form_id, rep.root, rep.twist_exponent))
 
 
 def reducibility_obstruction(form: NewformData, p: int) -> Certificate:
@@ -217,7 +206,10 @@ def excluded_trace_set(p: int, ell: int) -> list[int]:
 
 def _trace_test(ell: int, p: int, tr: int, provenance: dict) -> Certificate:
     """The trace certificate at p, p != 1 (mod ell), of a reduction with
-    determinant chi and trace tr at p."""
+    determinant chi and trace tr at p. Had the reduction come from an
+    elliptic curve, tr would land in excluded_trace_set(p, ell): the Hasse
+    interval if the curve is unramified at p, ±(p+1) by level raising if it
+    is semistable. A trace outside that set is a proof of non-ellipticity."""
     excluded = excluded_trace_set(p, ell)
     return Certificate(
         verdict=NON_ELLIPTIC if tr not in excluded else INCONCLUSIVE,
@@ -226,27 +218,6 @@ def _trace_test(ell: int, p: int, tr: int, provenance: dict) -> Certificate:
         witness={"p": p, "trace": tr, "excluded": excluded},
         inputs=provenance | {"extended": p != 2},
     )
-
-
-def non_elliptic_trace_test(rep: ResidualRep, p: int) -> Certificate:
-    """Non-ellipticity from one unramified prime p with p ≢ 1 (mod ell).
-
-    If the representation (determinant chi) came from an elliptic curve, its
-    trace at Frob p would land in excluded_trace_set(p, ell): the Hasse
-    interval if the curve is unramified at p, ±(p+1) by level raising if it
-    is semistable. A trace outside that set is a proof of non-ellipticity.
-    """
-    ell = rep.ell
-    if rep.det_exponent != 1:
-        raise ValueError(
-            "trace test needs determinant chi; apply twist_to_det_chi first"
-        )
-    tr = rep.trace_at(p)
-    if p % ell == 1:
-        raise ValueError(
-            f"ramification dichotomy unavailable: p={p} = 1 (mod {ell})"
-        )
-    return _trace_test(ell, p, tr, _provenance(rep.source.form_id, rep.root, rep.twist_exponent))
 
 
 def _conductor_witness(conductor: int) -> dict:
@@ -401,15 +372,21 @@ class EllCertification:
 
 
 def _certify_run(form: NewformData, ell: int, root: int | None, m: int,
-                 traces: dict[int, int], twisted_by: int, witness_prime: int | None,
+                 traces: dict[int, int], witness_prime: int | None,
                  conductor: Callable[[], dict]) -> EllCertification:
-    """certify_at_ell on a reduction given by its data, trusted: traces
+    """The pipeline on one reduction of `_reductions`, trusted: traces
     (p -> trace, reduced) under `root` at the odd prime ell, determinant
-    exponent m, already twisted by chi^twisted_by. `conductor` returns the
-    form's conductor witness; it is called only if a run needs it. Only the
-    traces a trace test reads are twisted."""
+    exponent m.
+
+    Irreducibility: the discriminant test over the stored witness primes
+    (`witness_prime` alone when given), first success wins. Non-ellipticity:
+    trace tests on the determinant-chi twist (`_det_chi_twist`) over the
+    same primes, falling back to the conductor bound when the conductor is
+    known exactly. `conductor` returns the form's conductor witness; it is
+    called only if a run needs it. Only the traces a trace test reads are
+    twisted."""
     candidates = [witness_prime] if witness_prime is not None else sorted(traces)
-    provenance = _provenance(form.form_id, root, twisted_by)
+    provenance = {"form": form.form_id, "embedding_root": root, "twist_exponent": 0}
     notes: list[str] = []
 
     irreducible: Certificate | None = None
@@ -431,8 +408,8 @@ def _certify_run(form: NewformData, ell: int, root: int | None, m: int,
     twist_exponent: int | None = None
     trace_tests: list[Certificate] = []
     if m % 2 == 1:
-        t, twist_exponent = _det_chi_twist(m, ell, twisted_by)
-        twisted_provenance = provenance | {"twist_exponent": twist_exponent}
+        t = twist_exponent = _det_chi_twist(m, ell)
+        twisted_provenance = provenance | {"twist_exponent": t}
         for p in candidates:
             if p not in traces:
                 continue
@@ -471,23 +448,6 @@ def _certify_run(form: NewformData, ell: int, root: int | None, m: int,
     )
 
 
-def certify_at_ell(rep: ResidualRep, witness_prime: int | None = None) -> EllCertification:
-    """Run the full certification pipeline on one reduction: one ell, one root.
-
-    Irreducibility: discriminant test over the available witness primes
-    (`witness_prime` alone when given), first success wins. Non-ellipticity:
-    trace tests on the determinant-chi twist (as twist_to_det_chi makes it)
-    over the same primes, falling back to the conductor bound when the
-    conductor is known exactly. Each certificate is the one
-    irreducibility_by_discriminant, non_elliptic_trace_test and
-    conductor_bound_test give.
-    """
-    form = rep.source
-    return _certify_run(form, rep.ell, rep.root, rep.det_exponent, rep.traces,
-                        rep.twist_exponent, witness_prime,
-                        partial(_conductor_witness, form.level))
-
-
 # A sorted ell list whose width plus the square root of its largest ell is
 # under this many times its length is proved by one sieve. is_prime takes 9-18
 # us on a prime from 10^5 to 10^9, the sieve and its set 40-65 ns per unit of
@@ -514,14 +474,14 @@ def certify_form(
     witness_prime: int | None = None,
 ) -> tuple[EllCertification, ...]:
     """Certification pipeline over a list of ells: the runs in sorted ell
-    order, one per reduction `repmodel.residual_reps` gives at each ell, so
-    one per ell over Q and one per root over a quadratic field, each what
-    certify_at_ell gives on that reduction. certify_range writes their report.
+    order, one per reduction `repmodel._reductions` gives at each ell under
+    `root`, so one per ell over Q and one per root over a quadratic field
+    unless `root` picks one. certify_range writes their report.
 
-    The first ell, in sorted order, that is not an odd prime or that the rule
-    refuses raises residual_reps' error. Each ell is proved once, the whole
-    list by one sieve when it is dense, and the rule is asked once per ell;
-    no ResidualRep is built, and the runs share one conductor witness."""
+    The first ell, in sorted order, that is not an odd prime raises
+    ValueError; the first the rule refuses raises its refusal. Each ell is
+    proved once, the whole list by one sieve when it is dense, and the rule
+    is asked once per ell; the runs share one conductor witness."""
     ells = sorted(set(ells))
     proved = _sieved_primes(ells)
     conductor = cache(partial(_conductor_witness, form.level))
@@ -530,7 +490,7 @@ def certify_form(
         if ell not in proved:
             require_odd_prime(ell)
         m, reductions = _reductions(form, ell, root)
-        runs += [_certify_run(form, ell, r, m, traces, 0, witness_prime, conductor)
+        runs += [_certify_run(form, ell, r, m, traces, witness_prime, conductor)
                  for r, traces in reductions]
     return tuple(runs)
 
@@ -549,7 +509,7 @@ _MAX_BATCHES = getattr(select, "PIPE_BUF", 512) // 4
 
 
 # The JSON templates below, and write_json_list for the report around them,
-# write the runs of certify_at_ell and their certificates as json.dumps(envelope,
+# write the runs of certify_form and their certificates as json.dumps(envelope,
 # default=lambda o: o.to_dict(), sort_keys=True, indent=2, ensure_ascii=True)
 # does with the runs in the envelope's "runs" list, keys in sorted order, in
 # about a ninth of its time. json.dumps is the reference the tests hold them
@@ -574,7 +534,7 @@ def _list(texts, indent: str) -> str:
 
 
 def _cert_json(cert: Certificate, i0: str) -> str:
-    """A per-ell certificate of certify_at_ell's as JSON at nesting `i0`."""
+    """A per-ell certificate of a certify_form run as JSON at nesting `i0`."""
     i1 = i0 + "  "
     i2 = i1 + "  "
     w, a = cert.witness, cert.inputs

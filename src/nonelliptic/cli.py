@@ -175,7 +175,6 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_falsify(args) -> int:
     from .ecoracle import CurveQ, falsify_curve
-    from .repmodel import residual_rep, twist_to_det_chi
 
     try:
         coeffs = [int(c) for c in args.curve.split(",")]
@@ -187,10 +186,7 @@ def _cmd_falsify(args) -> int:
 
     form = data_io.load_form(args.input)
     ell = _check_ell(args.ell)
-    # the smaller root unless --root picks one, as certify's first run
-    rep = residual_rep(form, ell, args.root)
-    twisted = twist_to_det_chi(rep)
-    result = falsify_curve(curve, twisted)
+    result = falsify_curve(curve, form, ell, args.root)
     if args.format == "json":
         w = result.witness
         witness = None if w is None else {"p": w.p, "curve_trace": w.curve_trace,

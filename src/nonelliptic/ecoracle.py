@@ -18,10 +18,10 @@ from itertools import product
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .arith import is_prime, legendre
+from .arith import is_prime, legendre, require_odd_prime
 
-if TYPE_CHECKING:  # an annotation only: the census needs no representation
-    from .repmodel import ResidualRep
+if TYPE_CHECKING:  # an annotation only: the census needs no form
+    from .repmodel import NewformData
 
 # The census costs O(p^4); beyond this it is not a reasonable oracle.
 ENUMERATION_BUDGET = 50
@@ -168,27 +168,37 @@ class FalsifyResult:
         )
 
 
-def falsify_curve(curve: CurveQ, rep: ResidualRep) -> FalsifyResult:
-    """Search for a good-reduction prime where curve and representation traces
-    disagree mod ell.
+def falsify_curve(curve: CurveQ, form: NewformData, ell: int,
+                  root: int | None = None) -> FalsifyResult:
+    """Search for a good-reduction prime where the traces of curve and of the
+    determinant-chi twist of the mod-ell reduction of `form` disagree mod ell.
 
-    Only the stored primes of rep below POINT_COUNT_BUDGET and away from the
+    The reduction is the first `repmodel._reductions` gives: under `root`,
+    by default under the smaller square root of d mod ell, as certify's
+    first run. Raises ValueError unless ell is an odd prime, then the rule's
+    refusal, then for an even determinant exponent, which no twist takes to
+    chi. Only the stored primes below POINT_COUNT_BUDGET and away from the
     model's discriminant are compared (no minimal models: skipping a prime is
     conservative, a witness is always sound). First mismatch in increasing p.
     """
-    if rep.det_exponent != 1:
-        raise ValueError(
-            "falsification needs determinant chi (twist the representation first)"
-        )
+    from .repmodel import _det_chi_twist, _reductions  # the census needs neither
+
+    require_odd_prime(ell)
+    m, reductions = _reductions(form, ell, root)
+    if m % 2 == 0:
+        raise ValueError(f"no determinant-chi twist exists: exponent {m} is even")
+    t = _det_chi_twist(m, ell)
+    traces = reductions[0][1]
     compared = []
     witness = None
-    for p in rep.witness_primes():
+    for p in sorted(traces):
         if p >= POINT_COUNT_BUDGET or curve.disc % p == 0:
             continue
         compared.append(p)
-        t = trace_of_frobenius(curve, p)
-        if t % rep.ell != rep.traces[p]:
-            witness = FalsificationWitness(p, t, rep.traces[p], rep.ell)
+        curve_trace = trace_of_frobenius(curve, p)
+        rep_trace = traces[p] * pow(p, t, ell) % ell
+        if curve_trace % ell != rep_trace:
+            witness = FalsificationWitness(p, curve_trace, rep_trace, ell)
             break
     if not compared:
         raise ValueError(

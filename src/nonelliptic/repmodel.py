@@ -3,12 +3,13 @@ admit (only split ell: an embedding of Q(sqrt(d)) into F_ell is named by a
 square root of d mod ell), and the residual mod-ell representations they
 induce.
 
-A residual representation is described purely by data: the reduced traces of
-Frobenius at the stored good primes, the exponent m of the cyclotomic
-character giving the determinant, and the source form, whose level is the
-prime-to-ell (Serre) conductor. The eigenvalue map is sparse; every
-downstream operation must tolerate missing primes and say so instead of
-inventing values.
+A residual representation is named by (form, ell, root) and held as data,
+not as an object: `_reductions` gives the exponent m of the cyclotomic
+character giving its determinant and its reduced traces of Frobenius at the
+stored good primes, and `_det_chi_twist` the twist to determinant chi. The
+form's level is the prime-to-ell (Serre) conductor. The eigenvalue map is
+sparse; every downstream operation must tolerate missing primes and say so
+instead of inventing values.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .arith import is_prime, require_odd_prime, trial_factor
+from .arith import is_prime, trial_factor
 
 
 class BadReductionError(ValueError):
@@ -125,50 +126,6 @@ class NewformData:
             )
 
 
-@dataclass(frozen=True)
-class ResidualRep:
-    """A 2-dimensional mod-ell representation given by trace data.
-
-    traces maps p -> trace(Frob p) as an integer in [0, ell) for the stored
-    primes p coprime to level*ell. The determinant is the det_exponent-th
-    power of the mod-ell cyclotomic character. root names the embedding the
-    traces were reduced under (None over Q).
-    """
-
-    ell: int
-    det_exponent: int
-    traces: dict[int, int]
-    source: NewformData
-    root: int | None = None
-    twist_exponent: int = 0
-
-    def __post_init__(self) -> None:
-        require_odd_prime(self.ell)
-        if not 1 <= self.det_exponent <= self.ell - 2:
-            raise ValueError(
-                f"determinant exponent {self.det_exponent} outside [1, {self.ell - 2}]"
-            )
-        level = self.source.level
-        if level % self.ell == 0:
-            raise ValueError("Serre conductor must be prime to ell")
-        for p, t in self.traces.items():
-            if p % self.ell == 0 or level % p == 0:
-                raise ValueError(f"trace key {p} not coprime to N*ell")
-            if not 0 <= t < self.ell:
-                raise ValueError(f"trace at {p} not reduced mod {self.ell}")
-
-    def trace_at(self, p: int) -> int:
-        try:
-            return self.traces[p]
-        except KeyError:
-            raise InsufficientDataError(
-                f"insufficient data: no eigenvalue stored at p={p}"
-            ) from None
-
-    def witness_primes(self) -> list[int]:
-        return sorted(self.traces)
-
-
 def refusal(form: NewformData, ell: int, root: int | None = None) -> ValueError | None:
     """The one admissibility rule: why the recipe refuses the odd prime ell
     (not re-proved here) for `form` and `root`, returned, not raised, or None.
@@ -242,11 +199,15 @@ def _sqrt_mod(a: int, ell: int) -> int:
 
 def _reductions(form: NewformData, ell: int,
                 root: int | None) -> tuple[int, list[tuple[int | None, dict[int, int]]]]:
-    """The data of residual_reps(form, ell, root), unvalidated: the
-    determinant exponent and a (root, traces) pair per reduction, for an ell
-    its caller has proved an odd prime. The rule is asked once; its refusal is
-    raised. What the rule admits meets every check of ResidualRep, so a caller
-    that only reads the traces need not build one."""
+    """The mod-ell reductions of the eigenvalue system of `form`, for an ell
+    its caller has proved an odd prime: the determinant exponent m, the
+    power of the cyclotomic character giving the determinant, and a (root,
+    traces) pair per embedding the rule (`refusal`) admits at ell. That is
+    one over Q; over Q(sqrt(d)) one under each square root r of d mod ell,
+    smaller first, or only under `root` when given, x + y*sqrt(d) going to
+    x + y*r. The rule is asked once; its refusal is raised. What it admits
+    has 1 <= m <= ell - 2 and traces p -> trace(Frob p) in [0, ell) at the
+    stored primes away from level*ell: a_ell, when stored, is dropped."""
     error = refusal(form, ell, root)
     if error is not None:
         raise error
@@ -259,51 +220,14 @@ def _reductions(form: NewformData, ell: int,
         for r in roots]
 
 
-def residual_reps(form: NewformData, ell: int, root: int | None = None) -> tuple[ResidualRep, ...]:
-    """The mod-ell reductions of the eigenvalue system of `form`, one per
-    embedding the rule (`refusal`) admits at ell: one over Q; over Q(sqrt(d))
-    one under each square root r of d mod ell, smaller first, or only under
-    `root` when given, x + y*sqrt(d) going to x + y*r. a_ell, when stored, is
-    dropped: only primes away from level*ell are usable traces. Raises
-    ValueError unless ell is an odd prime, then the refusal when the rule
-    refuses ell."""
-    require_odd_prime(ell)
-    det_exponent, reductions = _reductions(form, ell, root)
-    return tuple(ResidualRep(ell=ell, det_exponent=det_exponent, traces=traces,
-                             source=form, root=r)
-                 for r, traces in reductions)
 
 
-def residual_rep(form: NewformData, ell: int, root: int | None = None) -> ResidualRep:
-    """The first of residual_reps(form, ell, root): the reduction under
-    `root`, by default under the smaller square root of d mod ell."""
-    return residual_reps(form, ell, root)[0]
+def _det_chi_twist(m: int, ell: int) -> int:
+    """The t whose twist by chi^t takes a reduction of odd determinant
+    exponent m to determinant chi itself, its trace at p times p^t mod ell.
 
-
-def twist_to_det_chi(rep: ResidualRep) -> ResidualRep:
-    """The cyclotomic twist of rep whose determinant is chi itself.
-
-    Tensoring by chi^t takes the determinant exponent m to m + 2t, so t must
-    solve m + 2t ≡ 1 (mod ell-1): solvable iff m is odd. Of the two solutions
-    mod ell-1 we take the smaller non-negative one, t = (1-m)/2 reduced mod
-    (ell-1)/2; for m = 3 this is (ell-3)/2 and for m = 1 it is 0.
-    """
-    ell, m = rep.ell, rep.det_exponent
-    if m % 2 == 0:
-        raise ValueError(f"no determinant-chi twist exists: exponent {m} is even")
-    t, twist_exponent = _det_chi_twist(m, ell, rep.twist_exponent)
-    return ResidualRep(
-        ell=ell,
-        det_exponent=1,
-        traces={p: (tr * pow(p, t, ell)) % ell for p, tr in rep.traces.items()},
-        source=rep.source,
-        root=rep.root,
-        twist_exponent=twist_exponent,
-    )
-
-
-def _det_chi_twist(m: int, ell: int, twisted_by: int) -> tuple[int, int]:
-    """twist_to_det_chi's t for the odd determinant exponent m, and the twist
-    exponent it records for a rep already twisted by chi^twisted_by."""
-    t = ((1 - m) // 2) % ((ell - 1) // 2)
-    return t, (twisted_by + t) % (ell - 1)
+    Tensoring by chi^t takes m to m + 2t, so t must solve m + 2t = 1 (mod
+    ell-1): solvable iff m is odd. Of the two solutions mod ell-1 this is the
+    smaller non-negative one, t = (1-m)/2 reduced mod (ell-1)/2; for m = 3
+    it is (ell-3)/2 and for m = 1 it is 0."""
+    return ((1 - m) // 2) % ((ell - 1) // 2)

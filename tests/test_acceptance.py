@@ -11,9 +11,8 @@ import time
 from conftest import hasse_interval, stored_at, written_certificates
 from nonelliptic.arith import primes_in_range
 from nonelliptic.certify import (
+    certify_form,
     conductor_bound_test,
-    irreducibility_by_discriminant,
-    non_elliptic_trace_test,
     reducibility_obstruction,
     serre_bound_predicate,
 )
@@ -26,7 +25,6 @@ from nonelliptic.ecoracle import (
     weierstrass_discriminant,
 )
 from nonelliptic.paper import closed_form_scan, full_paper_verification
-from nonelliptic.repmodel import residual_rep, residual_reps, twist_to_det_chi
 
 
 def test_criterion_1_irreducibility_reproduction(schoen_form):
@@ -38,7 +36,7 @@ def test_criterion_1_irreducibility_reproduction(schoen_form):
     assert cert.witness["factors"] == [[5, 3], [11, 1]]
     assert sorted(exceptional) == [5, 11]
 
-    disc_cert = irreducibility_by_discriminant(residual_rep(schoen_form, 11), 2)
+    disc_cert = certify_form(schoen_form, [11], witness_prime=2)[0].irreducible
     assert disc_cert.verdict == IRREDUCIBLE
     assert disc_cert.witness["delta"] == 2
     assert disc_cert.witness["legendre"] == -1
@@ -47,10 +45,8 @@ def test_criterion_1_irreducibility_reproduction(schoen_form):
         if ell not in exceptional:
             certified = cert.verdict == IRREDUCIBLE  # family certificate covers ell
         else:
-            certified = (
-                irreducibility_by_discriminant(residual_rep(schoen_form, ell), 2).verdict
-                == IRREDUCIBLE
-            )
+            [run] = certify_form(schoen_form, [ell], witness_prime=2)
+            certified = run.irreducible.verdict == IRREDUCIBLE
         assert certified, f"irreducibility not certified at ell={ell}"
 
     elapsed = time.perf_counter() - start
@@ -62,14 +58,13 @@ def test_criterion_1_irreducibility_reproduction(schoen_form):
 
 def test_criterion_2_non_ellipticity_reproduction(schoen_form):
     start = time.perf_counter()
-    for ell in primes_in_range(6, 10**4 - 1):
-        if ell == 7:
-            continue
-        tw = twist_to_det_chi(residual_rep(schoen_form, ell))
-        cert = non_elliptic_trace_test(tw, 2)
-        assert cert.verdict == NON_ELLIPTIC, f"ell={ell}: {cert.verdict}"
+    runs = certify_form(schoen_form, primes_in_range(6, 10**4 - 1), witness_prime=2)
+    for run in runs[1:]:
+        cert = run.trace_tests[0]
+        assert cert.verdict == NON_ELLIPTIC, f"ell={run.ell}: {cert.verdict}"
 
-    cert7 = non_elliptic_trace_test(twist_to_det_chi(residual_rep(schoen_form, 7)), 2)
+    assert runs[0].ell == 7
+    cert7 = runs[0].trace_tests[0]
     assert cert7.verdict == INCONCLUSIVE
     assert cert7.witness["excluded"] == list(range(7))  # all of F_7
 
@@ -92,11 +87,11 @@ def test_criterion_3_closed_form_equivalence():
 
 
 def test_criterion_4_weight2_reproduction(sqrt2_form):
-    reps = residual_reps(sqrt2_form, 7)  # 7 splits: the rule admits it
-    assert tuple(rep.root for rep in reps) == (3, 4)
+    runs = certify_form(sqrt2_form, [7], witness_prime=29)  # 7 splits: the rule admits it
+    assert tuple(run.embedding_root for run in runs) == (3, 4)
 
-    for rep in reps:
-        cert = irreducibility_by_discriminant(rep, 29)
+    for run in runs:
+        cert = run.irreducible
         assert cert.verdict == IRREDUCIBLE
         assert cert.witness["delta"] == 5
         assert cert.witness["legendre"] == -1
@@ -123,7 +118,7 @@ def test_criterion_5_oracle_cross_validation():
 
 
 def test_criterion_6_falsification_consistency(schoen_form):
-    tw = twist_to_det_chi(residual_rep(stored_at(schoen_form, (2,)), 11))
+    form = stored_at(schoen_form, (2,))
     rng = random.Random(20260810)
     sampled = 0
     while sampled < 50:
@@ -132,7 +127,7 @@ def test_criterion_6_falsification_consistency(schoen_form):
         if disc == 0 or disc % 2 == 0:  # need nonsingular + good reduction at 2
             continue
         sampled += 1
-        result = falsify_curve(CurveQ(*coeffs), tw)
+        result = falsify_curve(CurveQ(*coeffs), form, 11)
         assert result.found, f"no witness for {coeffs}"
         assert result.witness.p == 2
     print("ACCEPTANCE 6 PASS: 50/50 sampled curves with good reduction at 2 "

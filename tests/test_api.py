@@ -14,7 +14,6 @@ PUBLIC_API = [
     "Factorization",
     "NewformData",
     "QuadInt",
-    "ResidualRep",
     "__version__",
     "bundled_form",
     "certify_form",
@@ -26,32 +25,33 @@ PUBLIC_API = [
     "falsify_curve",
     "family_trace_obstruction",
     "full_paper_verification",
-    "irreducibility_by_discriminant",
     "is_prime",
     "legendre",
     "load_form",
-    "non_elliptic_trace_test",
     "parse_form",
     "primes_in_range",
     "reducibility_obstruction",
-    "residual_rep",
     "serre_bound_predicate",
     "trace_of_frobenius",
     "trace_set",
     "trial_factor",
-    "twist_to_det_chi",
     "write_report",
 ]
 
 # Names the package no longer has: helpers that only tests used; dump_report,
 # which returned the whole report as one string (write_report); and
 # EmbeddingChoice and reduce_mod, since an embedding is named by its root
-# (residual_rep(form, ell, root) reduces under it); splits and
+# (certify_form(form, ells, root) reduces under it); splits and
 # QuadInt.square_if_rational, since a value has no field of its own (the form
 # owns d, and repmodel.refusal decides whether ell splits); embeddings, since
-# repmodel.residual_reps gives the reductions under them with one ask of the
+# repmodel._reductions gives the reductions under them with one ask of the
 # rule; and CertifyReport, since certify_form returns its runs and
-# certify_range is the one writer of their report.
+# certify_range is the one writer of their report. ResidualRep went with the
+# functions that built, twisted or took one (its constructors residual_reps
+# and residual_rep, twist_to_det_chi, certify_at_ell and the one-certificate
+# wrappers irreducibility_by_discriminant and non_elliptic_trace_test): a
+# per-ell run is certify_form(form, [ell], root, witness_prime), and
+# falsify_curve takes the form too.
 # norm_discriminant, EmbeddingChoice, reduce_mod and splits were in quadfield,
 # which is gone: they are looked for in repmodel, which took in its rest.
 REMOVED = [
@@ -75,6 +75,13 @@ REMOVED = [
     ("nonelliptic.repmodel", "splits"),
     ("nonelliptic.repmodel", "embeddings"),
     ("nonelliptic.certify", "CertifyReport"),
+    ("nonelliptic.repmodel", "ResidualRep"),
+    ("nonelliptic.repmodel", "residual_reps"),
+    ("nonelliptic.repmodel", "residual_rep"),
+    ("nonelliptic.repmodel", "twist_to_det_chi"),
+    ("nonelliptic.certify", "certify_at_ell"),
+    ("nonelliptic.certify", "irreducibility_by_discriminant"),
+    ("nonelliptic.certify", "non_elliptic_trace_test"),
 ]
 
 REMOVED_MEMBERS = [
@@ -102,7 +109,7 @@ def test_quadfield_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("nonelliptic.quadfield")
     assert nonelliptic.QuadInt.__module__ == "nonelliptic.repmodel"
-    assert len(nonelliptic.__all__) == 32
+    assert len(nonelliptic.__all__) == 27
 
 
 def test_parallel_is_gone():
@@ -115,7 +122,7 @@ def test_parallel_is_gone():
 
 
 def test_embedding_choices_is_internal():
-    # repmodel.residual_reps is the public way to an embedding's roots
+    # certify_form(form, ells, root) is the public way to an embedding's roots
     assert "embedding_choices" not in nonelliptic.__all__
     assert not hasattr(nonelliptic, "embedding_choices")
 
@@ -142,11 +149,6 @@ def test_removed_member_is_gone(cls, member):
 @pytest.mark.parametrize("cls", ["Factorization", "QuadInt"])
 def test_str_override_is_gone(cls):
     assert "__str__" not in vars(getattr(nonelliptic, cls))
-
-
-@pytest.mark.parametrize("field", ["serre_conductor", "conductor_is_exact", "embedding"])
-def test_removed_residual_rep_field_is_gone(field):
-    assert field not in {f.name for f in dataclasses.fields(nonelliptic.ResidualRep)}
 
 
 def test_dir_lists_every_public_name():

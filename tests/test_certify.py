@@ -16,14 +16,11 @@ from nonelliptic import certify, paper
 from nonelliptic.cli import main
 from nonelliptic.certify import (
     EXCLUDED_SET_LIMIT,
-    certify_at_ell,
     certify_form,
     certify_range,
     conductor_bound_test,
     excluded_trace_set,
     family_trace_obstruction,
-    irreducibility_by_discriminant,
-    non_elliptic_trace_test,
     reducibility_obstruction,
     serre_bound_predicate,
 )
@@ -47,13 +44,9 @@ from nonelliptic.repmodel import (
     NewformData,
     QuadInt,
     RamanujanBoundWarning,
-    ResidualRep,
     NotSplitError,
     admitted_ells,
     refusal,
-    residual_rep,
-    residual_reps,
-    twist_to_det_chi,
 )
 
 
@@ -61,10 +54,16 @@ def squares_mod(ell):
     return {(x * x) % ell for x in range(1, ell)}
 
 
+def run_at(form, ell, p=None, root=None):
+    """The first run of certify_form at ell alone, under `root` (by default
+    the smaller square root of d), with the witness prime p when given."""
+    return certify_form(form, [ell], root, p)[0]
+
+
 # --- irreducibility by discriminant -------------------------------------------
 
 def test_discriminant_weight4_ell11_p2(schoen_form):
-    cert = irreducibility_by_discriminant(residual_rep(schoen_form, 11), 2)
+    cert = run_at(schoen_form, 11, 2).irreducible
     assert cert.verdict == IRREDUCIBLE
     assert cert.witness["delta"] == 2  # -31 = 2 (mod 11)
     assert cert.witness["legendre"] == -1
@@ -72,12 +71,14 @@ def test_discriminant_weight4_ell11_p2(schoen_form):
 
 
 def test_discriminant_weight2_ell7_p29_both_roots(sqrt2_form):
-    for rep in residual_reps(sqrt2_form, 7):
-        cert = irreducibility_by_discriminant(rep, 29)
+    runs = certify_form(sqrt2_form, [7], witness_prime=29)
+    assert [run.embedding_root for run in runs] == [3, 4]
+    for run in runs:
+        cert = run.irreducible
         assert cert.verdict == IRREDUCIBLE
         assert cert.witness["delta"] == 5  # -44 = 5 (mod 7)
         assert cert.witness["legendre"] == -1
-        assert cert.inputs["embedding_root"] == rep.root
+        assert cert.inputs["embedding_root"] == run.embedding_root
         assert check(cert)
 
 
@@ -85,25 +86,25 @@ def test_discriminant_weight4_ell13_p3(schoen_form):
     # Delta = 49 - 108 = -59 = 6 (mod 13), and 6 is not a square mod 13
     assert (-59) % 13 == 6
     assert 6 not in squares_mod(13)
-    cert = irreducibility_by_discriminant(residual_rep(schoen_form, 13), 3)
+    cert = run_at(schoen_form, 13, 3).irreducible
     assert cert.verdict == IRREDUCIBLE
     assert cert.witness["delta"] == 6
 
 
 def test_discriminant_inconclusive_when_square(schoen_form):
     # At ell=7 every stored witness gives delta = 4, a square
-    rep = residual_rep(schoen_form, 7)
     for p in (2, 3, 11):
-        cert = irreducibility_by_discriminant(rep, p)
+        cert = run_at(schoen_form, 7, p).irreducible
         assert cert.verdict == INCONCLUSIVE
         assert cert.witness["delta"] == 4
         assert check(cert)
 
 
 def test_discriminant_missing_prime(schoen_form):
-    rep = residual_rep(schoen_form, 11)
-    with pytest.raises(InsufficientDataError):
-        irreducibility_by_discriminant(rep, 13)
+    # no a_13 is stored: the run says so and tests nothing there
+    run = run_at(schoen_form, 11, 13)
+    assert (run.irreducible, run.irreducible_tried, run.trace_tests) == (None, (), ())
+    assert run.notes[0] == "no eigenvalue at p=13; discriminant test skipped"
 
 
 # --- reducibility obstruction ---------------------------------------------------
@@ -208,8 +209,7 @@ def test_certify_form_proves_ell_an_odd_prime_first(schoen_form):
 # --- non-elliptic trace test ----------------------------------------------------
 
 def test_trace_test_ell11(schoen_form):
-    tw = twist_to_det_chi(residual_rep(schoen_form, 11))
-    cert = non_elliptic_trace_test(tw, 2)
+    cert = run_at(schoen_form, 11, 2).trace_tests[0]
     assert cert.verdict == NON_ELLIPTIC
     assert cert.witness["trace"] == 5
     assert cert.witness["excluded"] == [0, 1, 2, 3, 8, 9, 10]
@@ -218,36 +218,41 @@ def test_trace_test_ell11(schoen_form):
 
 
 def test_trace_test_ell7_inconclusive(schoen_form):
-    tw = twist_to_det_chi(residual_rep(schoen_form, 7))
-    cert = non_elliptic_trace_test(tw, 2)
+    cert = run_at(schoen_form, 7, 2).trace_tests[0]
     assert cert.verdict == INCONCLUSIVE
     assert cert.witness["excluded"] == [0, 1, 2, 3, 4, 5, 6]  # all of F_7
     assert check(cert)
 
 
 def test_trace_test_ell13(schoen_form):
-    tw = twist_to_det_chi(residual_rep(schoen_form, 13))
-    cert = non_elliptic_trace_test(tw, 2)
+    cert = run_at(schoen_form, 13, 2).trace_tests[0]
     assert cert.verdict == NON_ELLIPTIC
     assert cert.witness["trace"] == 6
     assert cert.witness["excluded"] == [0, 1, 2, 3, 10, 11, 12]
 
 
 def test_trace_test_requires_det_chi(schoen_form):
-    rep = residual_rep(schoen_form, 11)  # det exponent 3
-    with pytest.raises(ValueError, match="determinant chi"):
-        non_elliptic_trace_test(rep, 2)
+    # det exponent 3 at ell = 11: the test reads a_2 = 1 twisted by chi^4,
+    # which takes 3 to 3 + 2*4 = 1 (mod 10)
+    run = run_at(schoen_form, 11, 2)
+    assert run.twist_exponent == run.trace_tests[0].inputs["twist_exponent"] == 4
+    assert run.trace_tests[0].witness["trace"] == 1 * 2**4 % 11 == 5
+    # weight 3 gives the even exponent 2 at ell = 7, which no twist takes to 1
+    form = NewformData("t", 25, 3, None, {2: QuadInt(1)})
+    run = run_at(form, 7, 2)
+    assert (run.twist_exponent, run.trace_tests) == (None, ())
+    assert ("determinant exponent 2 is even: no determinant-chi twist exists, "
+            "trace test skipped") in run.notes
 
 
 def test_trace_test_p_congruent_1_rejected(sqrt2_form):
-    tw = twist_to_det_chi(residual_rep(sqrt2_form, 7))
-    with pytest.raises(ValueError, match="ramification dichotomy"):
-        non_elliptic_trace_test(tw, 29)  # 29 = 1 (mod 7)
+    run = run_at(sqrt2_form, 7, 29)  # 29 = 1 (mod 7)
+    assert run.trace_tests == ()
+    assert "p=29 = 1 (mod 7); trace test unavailable there" in run.notes
 
 
 def test_trace_test_extended_flag(schoen_form):
-    tw = twist_to_det_chi(residual_rep(schoen_form, 11))
-    cert = non_elliptic_trace_test(tw, 3)
+    cert = run_at(schoen_form, 11, 3).trace_tests[0]
     assert cert.inputs["extended"] is True
 
 
@@ -338,10 +343,9 @@ def test_scan_matches_trace_test(schoen_form):
     # Squaring the trace congruence: NonElliptic at p=2 iff 2^(ell-3) is
     # outside {1, 4, 9} mod ell. Check the equivalence across the range.
     holds = set(closed_form_scan(7, 1000).holds)
-    for ell in primes_in_range(7, 1000):
-        tw = twist_to_det_chi(residual_rep(schoen_form, ell))
-        cert = non_elliptic_trace_test(tw, 2)
-        if ell in holds:
+    for run in certify_form(schoen_form, primes_in_range(7, 1000), witness_prime=2):
+        cert = run.trace_tests[0]
+        if run.ell in holds:
             assert cert.verdict == INCONCLUSIVE
         else:
             assert cert.verdict == NON_ELLIPTIC
@@ -589,7 +593,7 @@ def test_serre_predicate_other_cases():
 # --- certificate closure and tamper resistance ---------------------------------------
 
 def test_check_rejects_tampered_certificates(schoen_form):
-    cert = irreducibility_by_discriminant(residual_rep(schoen_form, 11), 2)
+    cert = run_at(schoen_form, 11, 2).irreducible
     assert check(cert)
     d = cert.to_dict()
 
@@ -607,8 +611,7 @@ def test_check_rejects_tampered_certificates(schoen_form):
 
 
 def test_check_rejects_tampered_trace_certificates(schoen_form):
-    tw = twist_to_det_chi(residual_rep(schoen_form, 11))
-    cert = non_elliptic_trace_test(tw, 2)
+    cert = run_at(schoen_form, 11, 2).trace_tests[0]
     d = cert.to_dict()
 
     bad = json.loads(json.dumps(d))
@@ -670,7 +673,7 @@ def test_check_trace_at_a_huge_witness_prime_is_quick():
 def test_check_is_fast_at_huge_ell(schoen_form):
     # ell = 2^61 - 1: primality of ell is the only costly part of the check
     ell = 2**61 - 1
-    cert = irreducibility_by_discriminant(residual_rep(schoen_form, ell), 7)
+    cert = run_at(schoen_form, ell, 7).irreducible
     forged = cert.to_dict()
     forged["ell"] = 2**89 - 1  # beyond the proven primality range
     start = time.perf_counter()
@@ -728,22 +731,26 @@ def test_bundled_certificates_cover_every_method_and_verdict():
 # witness field is derived.
 INPUT_FIELDS = {"ell", "p", "trace", "det_exponent", "a_p", "weight", "level", "conductor",
                 "d"}
-_PROBE = NewformData("probe", 1, 2, None, {})
 
 
 def _produced(cert: Certificate) -> Certificate | None:
     """What the producing code emits from the certificate's input fields, or
-    None where it refuses them."""
+    None where it refuses them or emits no such certificate."""
     w = cert.witness
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            if cert.method == METHOD_DISCRIMINANT:
-                rep = ResidualRep(cert.ell, w["det_exponent"], {w["p"]: w["trace"]}, _PROBE)
-                return irreducibility_by_discriminant(rep, w["p"])
-            if cert.method == METHOD_TRACE:
-                rep = ResidualRep(cert.ell, 1, {w["p"]: w["trace"]}, _PROBE)
-                return non_elliptic_trace_test(rep, w["p"])
+            if cert.method in (METHOD_DISCRIMINANT, METHOD_TRACE):
+                # a level-1 probe form with a_p = trace: weight m + 1 gives the
+                # determinant exponent m, weight 2 the determinant chi, which a
+                # trace test reads untwisted
+                discriminant = cert.method == METHOD_DISCRIMINANT
+                weight = w["det_exponent"] + 1 if discriminant else 2
+                form = NewformData("probe", 1, weight, None, {w["p"]: QuadInt(w["trace"])})
+                run = run_at(form, cert.ell, w["p"])
+                if discriminant:
+                    return run.irreducible
+                return run.trace_tests[0] if run.trace_tests else None
             if cert.method == METHOD_OBSTRUCTION:
                 eigenvalues = {w["p"]: QuadInt(w["a_p"])}
                 form = NewformData("probe", w["level"], w["weight"], None, eigenvalues)
@@ -847,7 +854,7 @@ def test_check_accepts_changed_inputs_that_rebuild_the_same_record(schoen_form):
     # to its form's eigenvalues is a separate check.
     cert = reducibility_obstruction(schoen_form, 11)
     assert check(_tampered(cert, a_p=2 * (1 + 11**3) + 43))
-    disc = irreducibility_by_discriminant(residual_rep(schoen_form, 11), 2)
+    disc = run_at(schoen_form, 11, 2).irreducible
     assert check(_tampered(disc, trace=11 - disc.witness["trace"]))
 
 
@@ -855,15 +862,14 @@ def test_check_rejects_inputs_no_producer_emits(schoen_form):
     # Frobenius at a prime of bad reduction, or at ell itself, says nothing.
     cert = reducibility_obstruction(schoen_form, 11)
     assert not check(_tampered(cert, level=5 * 11))
-    disc = irreducibility_by_discriminant(residual_rep(schoen_form, 13), 3)
+    disc = run_at(schoen_form, 13, 3).irreducible
     tr, m = disc.witness["trace"], disc.witness["det_exponent"]
     at_ell = _tampered(disc, p=13, delta=tr * tr % 13, legendre=1).witness
     assert not check(Certificate(INCONCLUSIVE, METHOD_DISCRIMINANT, 13, at_ell))
     # p^(m ± 12) = p^m (mod 13), but det_exponent lives in [1, ell - 2]
     for exponent in (m + 12, m - 12):
         assert not check(_tampered(disc, det_exponent=exponent))
-    tw = twist_to_det_chi(residual_rep(schoen_form, 7))
-    trace = non_elliptic_trace_test(tw, 2)
+    trace = run_at(schoen_form, 7, 2).trace_tests[0]
     assert check(trace) and trace.witness["excluded"] == list(range(7))
     assert not check(_tampered(trace, p=7))
 
@@ -876,11 +882,12 @@ def test_check_rejects_non_integer_inputs(schoen_form):
     assert not check(_tampered(cert, factors=[[5, 3.0], [11, 1]]))
     assert not check(_tampered(conductor_bound_test(512), factors=[[2, 9.0]],
                                violation={"p": 2, "exponent": 9.0, "bound": 8}))
-    trace = non_elliptic_trace_test(twist_to_det_chi(residual_rep(schoen_form, 11)), 2)
+    run = run_at(schoen_form, 11, 2)
+    trace = run.trace_tests[0]
     assert not check(_tampered(trace, trace=float(trace.witness["trace"])))
     # derived fields: the rebuilt witness compares equal to 2.0 or True unless
     # the comparison is type-exact
-    disc = irreducibility_by_discriminant(residual_rep(schoen_form, 11), 2)
+    disc = run.irreducible
     assert (disc.witness["delta"], disc.witness["legendre"]) == (2, -1)
     assert not check(_tampered(disc, delta=2.0))
     assert not check(_tampered(disc, legendre=-1.0))
@@ -1167,10 +1174,9 @@ def test_certify_range_json_is_what_the_standard_library_writes(case):
 
 
 def _runs_one_by_one(form, ells, root, witness_prime):
-    """certify_at_ell on each reduction residual_reps gives, ell by ell in
-    sorted order: what certify_form computes without building them."""
-    return tuple(certify_at_ell(rep, witness_prime)
-                 for ell in sorted(set(ells)) for rep in residual_reps(form, ell, root))
+    """certify_form on each ell alone, in sorted order, the runs joined."""
+    return tuple(run for ell in sorted(set(ells))
+                 for run in certify_form(form, [ell], root, witness_prime))
 
 
 def _outcome(f, *args):
@@ -1185,44 +1191,54 @@ def _outcome(f, *args):
 @given(certify_cases(), st.lists(st.integers(-3, 80), max_size=3))
 @example(renamed("x"), [15])
 @example(renamed("x"), [5, 9])
-def test_certify_form_is_certify_at_ell_on_each_reduction(case, extra):
-    # the list path (one sieve, one ask of the rule per ell, no ResidualRep,
-    # one conductor witness) gives the public path's runs, or the same error
-    # at the same first ell when `extra` adds a composite or refused ell; every
-    # certificate is the public method's, and every twisted trace
-    # twist_to_det_chi's
+def test_certify_form_on_a_list_is_certify_form_on_each_ell(case, extra):
+    # the list path (one sieve, one ask of the rule per ell, one conductor
+    # witness) gives the runs of each ell alone, or the same error at the same
+    # first ell when `extra` adds a composite or refused ell; every
+    # certificate holds the traces reduced here from the form's eigenvalues
     form, ells, root, witness_prime = case
     ells = [*ells, *extra]
     outcome = _outcome(certify_form, form, ells, root, witness_prime)
     assert outcome == _outcome(_runs_one_by_one, form, ells, root, witness_prime)
     if outcome[0] == "error":
         return
-    reps = [rep for ell in sorted(set(ells)) for rep in residual_reps(form, ell, root)]
-    for run, rep in zip(outcome[1], reps, strict=True):
-        _assert_public_certificates(run, rep)
-        if rep.det_exponent % 2 == 1:
-            # a twisted rep takes the twist by chi^0 and keeps its exponent
-            twisted = twist_to_det_chi(rep)
-            _assert_public_certificates(certify_at_ell(twisted, witness_prime), twisted)
+    for run in outcome[1]:
+        _assert_certificates_from_the_eigenvalues(form, run)
 
 
-def _assert_public_certificates(run, rep):
-    """Each certificate of `run`, certify_at_ell's on rep, is what the public
-    method gives, and each twisted trace is twist_to_det_chi's."""
+def _assert_certificates_from_the_eigenvalues(form, run):
+    """Each certificate of `run` holds the trace x + y*root mod ell of the
+    form's a_p = x + y*sqrt(d), twisted by p^t for a trace test, where chi^t
+    takes the determinant exponent m to 1."""
+    ell, root = run.ell, run.embedding_root
+    m = (form.weight - 1) % (ell - 1)
+    provenance = {"form": form.form_id, "embedding_root": root}
+
+    def trace(p):
+        a = form.eigenvalues[p]
+        return (a.x + a.y * (root or 0)) % ell
+
     if run.irreducible is not None:
-        assert run.irreducible == irreducibility_by_discriminant(rep, run.irreducible.witness["p"])
+        p = run.irreducible.witness["p"]
+        delta = (trace(p) ** 2 - 4 * p**m) % ell
+        assert run.irreducible.witness == {"p": p, "trace": trace(p), "det_exponent": m,
+                                           "delta": delta, "legendre": legendre(delta, ell)}
+        assert run.irreducible.inputs == provenance | {"twist_exponent": 0, "assumed_odd": True}
     if run.conductor is not None:
-        assert run.conductor == conductor_bound_test(rep.source.level, rep.ell,
-                                                     rep.source.form_id)
-    if rep.det_exponent % 2 == 0:
+        assert run.conductor == conductor_bound_test(form.level, ell, form.form_id)
+    if m % 2 == 0:
         assert (run.twist_exponent, run.trace_tests) == (None, ())
         return
-    twisted = twist_to_det_chi(rep)
-    assert run.twist_exponent == twisted.twist_exponent
+    t = ((1 - m) // 2) % ((ell - 1) // 2)
+    assert (m + 2 * t) % (ell - 1) == 1
+    assert run.twist_exponent == t
     for cert in run.trace_tests:
         p = cert.witness["p"]
-        assert cert.witness["trace"] == twisted.traces[p]
-        assert cert == non_elliptic_trace_test(twisted, p)
+        twisted = trace(p) * pow(p, t, ell) % ell
+        assert cert.witness == {"p": p, "trace": twisted, "excluded": excluded_trace_set(p, ell)}
+        assert cert.verdict == (INCONCLUSIVE if twisted in cert.witness["excluded"]
+                                else NON_ELLIPTIC)
+        assert cert.inputs == provenance | {"twist_exponent": t, "extended": p != 2}
 
 
 @pytest.mark.parametrize("ells,sieved,error", [
@@ -1239,7 +1255,7 @@ def test_a_library_ell_list_is_proved_and_its_first_error_wins(monkeypatch, scho
                                                               sieved, error):
     # certify_form takes any list: a dense one is proved by one sieve, a sparse
     # one ell by ell, and the smallest ell that is not an odd prime or that
-    # the rule refuses raises what residual_reps raises there
+    # the rule refuses raises what certify_form raises on that ell alone
     sieves = []
     monkeypatch.setattr(certify, "primes_in_range", lambda lo, hi: sieves.append((lo, hi))
                         or primes_in_range(lo, hi))

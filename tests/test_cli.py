@@ -904,8 +904,18 @@ def test_falsify_malformed_curve(capsys):
     (("-i", SQRT2, "--ell", "11", "--root", "3"),
      "inert prime: no rational embedding: 11 is inert in Q(sqrt(2))"),
     (("-i", SCHOEN, "--ell", "11", "--root", "3"), ROOT_OVER_Q),
-], ids=["composite-ell", "small-ell", "bad-root", "inert", "inert-with-root", "root-over-q"])
-def test_falsify_input_errors(capsys, argv, message):
+    # weight 3 at ell = 7: m = 2, and no twist chi^t takes m to 1 mod 6
+    (("-i", "WEIGHT3", "--ell", "7"), "no determinant-chi twist exists: exponent 2 is even"),
+], ids=["composite-ell", "small-ell", "bad-root", "inert", "inert-with-root", "root-over-q",
+        "even-exponent"])
+def test_falsify_input_errors(tmp_path, capsys, argv, message):
+    if argv[1] == "WEIGHT3":
+        weight3 = tmp_path / "weight3.json"
+        weight3.write_text(json.dumps({
+            "id": "t", "level": 25, "weight": 3, "field": {"type": "rational"},
+            "eigenvalues": {"2": {"x": 1, "y": 0}, "3": {"x": 2, "y": 0}},
+        }))
+        argv = ("-i", str(weight3), *argv[2:])
     code, out, err = run(capsys, "falsify", "--curve", "0,0,1,0,0", *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
 

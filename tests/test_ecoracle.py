@@ -16,7 +16,7 @@ from nonelliptic.ecoracle import (
     trace_set,
     weierstrass_discriminant,
 )
-from nonelliptic.repmodel import residual_rep, twist_to_det_chi
+from nonelliptic.repmodel import NewformData, QuadInt
 
 
 # --- trace_of_frobenius --------------------------------------------------------
@@ -171,44 +171,48 @@ def test_trace_set_budget():
 # --- falsify_curve ------------------------------------------------------------------
 
 def test_falsify_supersingular_curve_at_2(schoen_form):
-    tw = twist_to_det_chi(residual_rep(schoen_form, 11))
-    result = falsify_curve(CurveQ(0, 0, 1, 0, 0), tw)
+    result = falsify_curve(CurveQ(0, 0, 1, 0, 0), schoen_form, 11)
     assert result.found
     assert result.witness.p == 2
     assert result.witness.curve_trace == 0
-    assert result.witness.rep_trace == 5
+    assert result.witness.rep_trace == 5  # a_2 = 1 twisted by chi^4: 2^4 = 5 (mod 11)
     # the emitted witness re-verifies by recomputation
     trace = trace_of_frobenius(CurveQ(0, 0, 1, 0, 0), 2)
     assert trace % 11 == result.witness.curve_trace % 11
-    assert trace % 11 != tw.traces[2]
+    assert trace % 11 != 1 * 2**4 % 11
 
 
 def test_falsify_requires_det_chi(schoen_form):
-    rep = residual_rep(schoen_form, 11)
-    with pytest.raises(ValueError, match="determinant chi"):
-        falsify_curve(CurveQ(0, 0, 1, 0, 0), rep)
+    # det exponent 3 at ell = 11 is twisted to chi (above); weight 3 gives the
+    # even exponent 2 at ell = 7, which no twist takes to chi
+    form = NewformData("t", 25, 3, None, {2: QuadInt(1)})
+    with pytest.raises(ValueError, match="^no determinant-chi twist exists: exponent 2 is even$"):
+        falsify_curve(CurveQ(0, 0, 1, 0, 0), form, 7)
+    # the smaller root names the reduction unless one is given
+    sqrt2 = NewformData("t", 512, 2, 2, {5: QuadInt(0, 1)})  # the curve: trace 0 at 5
+    assert falsify_curve(CurveQ(0, 0, 1, 0, 0), sqrt2, 7).witness.rep_trace == 3
+    assert falsify_curve(CurveQ(0, 0, 1, 0, 0), sqrt2, 7, 4).witness.rep_trace == 4
 
 
 def test_falsify_insufficient_overlap(schoen_form):
-    tw = twist_to_det_chi(residual_rep(schoen_form, 11))
     # disc of y^2 = x^3 + 77^2 is -432*77^4... divisible by 2, 3, 7, 11
     curve = CurveQ(0, 0, 0, 0, 77**2)
     assert all(curve.disc % p == 0 for p in (2, 3, 7, 11))
     with pytest.raises(ValueError, match="insufficient overlap"):
-        falsify_curve(curve, tw)
+        falsify_curve(curve, schoen_form, 11)
 
 
 def test_falsify_skips_bad_reduction_primes(schoen_form):
-    tw = twist_to_det_chi(residual_rep(stored_at(schoen_form, (2, 3, 7)), 11))
+    form = stored_at(schoen_form, (2, 3, 7))
     curve = CurveQ(0, 0, 1, 0, 0)  # disc -27: bad at 3 only
-    result = falsify_curve(curve, tw)
+    result = falsify_curve(curve, form, 11)
     assert 3 not in result.compared
 
 
 def test_falsify_consistency_with_trace_test(schoen_form):
     # criterion-2 logic: any curve with good reduction at 2 has trace in the
     # Hasse set mod 11, and the twisted representation trace 5 is outside it
-    tw = twist_to_det_chi(residual_rep(stored_at(schoen_form, (2,)), 11))
+    form = stored_at(schoen_form, (2,))
     rng = random.Random(11)
     found = 0
     while found < 10:
@@ -217,5 +221,5 @@ def test_falsify_consistency_with_trace_test(schoen_form):
         if disc == 0 or disc % 2 == 0:
             continue
         found += 1
-        result = falsify_curve(CurveQ(*coeffs), tw)
+        result = falsify_curve(CurveQ(*coeffs), form, 11)
         assert result.found and result.witness.p == 2

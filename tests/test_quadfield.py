@@ -12,9 +12,9 @@ from nonelliptic.repmodel import (
     NotSplitError,
     QuadInt,
     RamifiedError,
+    _reductions,
     _sqrt_mod,
     refusal,
-    residual_reps,
 )
 
 
@@ -22,19 +22,19 @@ def roots(d, ell):
     """Both square roots of d mod ell, smaller first, as the rule gives them
     for a level-1 form over Q(sqrt(d)) of weight 40, where no ell > 2 has a
     vanishing determinant exponent."""
-    return tuple(rep.root for rep in residual_reps(NewformData("t", 1, 40, d, {}), ell))
+    return tuple(root for root, _ in _reductions(NewformData("t", 1, 40, d, {}), ell, None)[1])
 
 
 def reduced(values, ell, root, d=2):
     """The images in F_ell of `values` under the embedding named by `root`,
-    read off the one reduction residual_reps gives of a level-1 form over
+    read off the one reduction _reductions gives of a level-1 form over
     Q(sqrt(d)) holding them as a_p at the primes 2, 3, 5, ... (skipping ell).
     Its weight, 40, is high enough that no value here breaks the Ramanujan
     bound."""
     primes = [p for p in primes_in_range(2, 100) if p != ell][:len(values)]
     form = NewformData("t", 1, 40, d, dict(zip(primes, values)))
-    [rep] = residual_reps(form, ell, root)
-    return [rep.traces[p] for p in primes]
+    [(_, traces)] = _reductions(form, ell, root)[1]
+    return [traces[p] for p in primes]
 
 
 @pytest.mark.parametrize("root", range(7))

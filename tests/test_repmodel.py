@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 import nonelliptic
 from conftest import imports_outside_stdlib
 from nonelliptic.arith import primes_in_range, trial_factor
+from nonelliptic.certify import certify_form, family_trace_obstruction
+from nonelliptic.ecoracle import CurveQ, falsify_curve
 from nonelliptic.repmodel import (
     BadReductionError,
     FormDataError,
@@ -17,61 +20,61 @@ from nonelliptic.repmodel import (
     QuadInt,
     RamanujanBoundWarning,
     RamifiedError,
-    ResidualRep,
+    _det_chi_twist,
+    _reductions,
     admitted_ells,
     refusal,
-    residual_rep,
-    residual_reps,
-    twist_to_det_chi,
 )
 
 
-def test_residual_rep_of_weight4_form_at_11(schoen_form):
-    rep = residual_rep(schoen_form, 11)
-    assert rep.traces == {2: 1, 3: 7, 7: 6}  # a_11 dropped: p = ell
-    assert rep.det_exponent == 3
-    assert rep.source.level == 25
-    assert rep.source.claimed_conductor_equality is False
-    assert rep.root is None
+def test_reduction_of_weight4_form_at_11(schoen_form):
+    m, [(root, traces)] = _reductions(schoen_form, 11, None)
+    assert traces == {2: 1, 3: 7, 7: 6}  # a_11 dropped: p = ell
+    assert m == 3
+    assert root is None
+    assert schoen_form.level == 25
+    assert schoen_form.claimed_conductor_equality is False
 
 
-def test_residual_rep_of_weight2_form_at_7(sqrt2_form):
-    rep = residual_rep(sqrt2_form, 7)  # defaults to the smaller root, 3
-    assert rep.root == 3
-    assert rep.traces[29] == 4  # 6*3 = 18 = 4 (mod 7)
-    assert rep.det_exponent == 1
-    assert 7 not in rep.traces  # a_7 dropped: p = ell
-    assert rep.source.claimed_conductor_equality is True
+def test_reductions_of_weight2_form_at_7(sqrt2_form):
+    m, [(root, traces), (other, other_traces)] = _reductions(sqrt2_form, 7, None)
+    assert (root, other) == (3, 4)  # the smaller root first
+    assert traces[29] == 4  # 6*3 = 18 = 4 (mod 7)
+    assert m == 1
+    assert 7 not in traces  # a_7 dropped: p = ell
+    assert sqrt2_form.claimed_conductor_equality is True
 
-    other = residual_rep(sqrt2_form, 7, residual_reps(sqrt2_form, 7)[1].root)
-    assert other.traces[29] == (6 * 4) % 7 == 3
+    assert _reductions(sqrt2_form, 7, 4) == (1, [(4, other_traces)])
+    assert other_traces[29] == (6 * 4) % 7 == 3
 
 
-def test_residual_rep_bad_reduction_prime(schoen_form):
+def test_a_bad_reduction_prime_is_refused(schoen_form):
     with pytest.raises(BadReductionError, match="bad reduction"):
-        residual_rep(schoen_form, 5)
+        _reductions(schoen_form, 5, None)
     level49 = NewformData("t", 49, 2, None, {2: QuadInt(1)})
     with pytest.raises(BadReductionError):
-        residual_rep(level49, 7)
+        certify_form(level49, [7])
     # ell = 2 fails earlier: it is not an odd prime at all
     with pytest.raises(ValueError, match="odd prime"):
-        residual_rep(level49, 2)
+        certify_form(level49, [2])
+    with pytest.raises(ValueError, match="odd prime"):
+        falsify_curve(CurveQ(0, 0, 1, 0, 0), level49, 2)
 
 
-def test_residual_rep_inert_prime_rejected(sqrt2_form):
+def test_an_inert_prime_is_refused(sqrt2_form):
     with pytest.raises(NotSplitError):
-        residual_rep(sqrt2_form, 11)  # 2 is a non-square mod 11
+        _reductions(sqrt2_form, 11, None)  # 2 is a non-square mod 11
 
 
 def test_rational_trace_values_do_not_depend_on_embedding(sqrt2_form):
     # at ell = 17 (split: 6^2 = 2) the rational a_7 = -4 survives in the
     # trace map and must reduce identically under both roots
-    r1, r2 = residual_reps(sqrt2_form, 17)
-    assert r1.traces[7] == r2.traces[7] == (-4) % 17
-    assert r1.traces[29] != r2.traces[29]  # the surd values do depend on it
+    _, [(_, t1), (_, t2)] = _reductions(sqrt2_form, 17, None)
+    assert t1[7] == t2[7] == (-4) % 17
+    assert t1[29] != t2[29]  # the surd values do depend on it
 
     form = NewformData("t", 25, 4, None, {2: QuadInt(1), 3: QuadInt(7)})
-    assert residual_rep(form, 13).traces == {2: 1, 3: 7}
+    assert _reductions(form, 13, None) == (3, [(None, {2: 1, 3: 7})])
 
 
 @pytest.mark.parametrize("ell,k", [(7, 4), (11, 4), (13, 4), (7, 2), (11, 2), (97, 4)])
@@ -79,61 +82,68 @@ def test_det_exponent_is_weight_rule(ell, k, schoen_form, sqrt2_form):
     form = schoen_form if k == 4 else sqrt2_form
     if form.d is not None:
         try:
-            rep = residual_rep(form, ell)
+            m, _ = _reductions(form, ell, None)
         except NotSplitError:
             return
     else:
-        rep = residual_rep(form, ell)
-    assert rep.det_exponent == (k - 1) % (ell - 1)
+        m, _ = _reductions(form, ell, None)
+    assert m == (k - 1) % (ell - 1)
 
 
 def test_twist_examples(schoen_form, sqrt2_form):
-    rep11 = residual_rep(schoen_form, 11)
-    tw11 = twist_to_det_chi(rep11)
-    assert tw11.twist_exponent == 4 == (11 - 3) // 2
-    assert tw11.traces[2] == 5  # 1 * 2^4 = 16 = 5 (mod 11)
-    assert tw11.det_exponent == 1
+    run11 = certify_form(schoen_form, [11], witness_prime=2)[0]
+    assert run11.twist_exponent == 4 == (11 - 3) // 2
+    assert run11.trace_tests[0].witness["trace"] == 5  # 1 * 2^4 = 16 = 5 (mod 11)
 
-    rep7 = residual_rep(sqrt2_form, 7)
-    tw7 = twist_to_det_chi(rep7)
-    assert tw7.twist_exponent == 0
-    assert tw7.traces == rep7.traces  # determinant already chi
+    # determinant already chi: each trace test reads the trace as reduced
+    _, reductions = _reductions(sqrt2_form, 7, None)
+    for root, traces in reductions:
+        for p in [p for p in traces if p % 7 != 1]:
+            [run] = certify_form(sqrt2_form, [7], root, p)
+            assert run.twist_exponent == 0
+            assert run.trace_tests[0].witness["trace"] == traces[p]
 
-    rep13 = residual_rep(schoen_form, 13)
-    tw13 = twist_to_det_chi(rep13)
-    assert tw13.twist_exponent == 5
-    assert tw13.traces[2] == 6  # 2^5 = 32 = 6 (mod 13)
+    run13 = certify_form(schoen_form, [13], witness_prime=2)[0]
+    assert run13.twist_exponent == 5
+    assert run13.trace_tests[0].witness["trace"] == 6  # 2^5 = 32 = 6 (mod 13)
 
 
 @pytest.mark.parametrize("ell", [7, 11, 13, 17, 19, 23, 97])
 def test_twist_normalizes_determinant(ell, schoen_form):
-    rep = residual_rep(schoen_form, ell)
-    m = rep.det_exponent
-    tw = twist_to_det_chi(rep)
-    assert tw.det_exponent == 1
-    assert (m + 2 * tw.twist_exponent) % (ell - 1) == 1
+    m, _ = _reductions(schoen_form, ell, None)
+    [run] = certify_form(schoen_form, [ell])
+    assert (m + 2 * run.twist_exponent) % (ell - 1) == 1
+    assert all(c.inputs["twist_exponent"] == run.twist_exponent for c in run.trace_tests)
 
 
-def test_twist_of_even_exponent_rejected(sqrt2_form):
-    rep = residual_rep(sqrt2_form, 7)
-    from dataclasses import replace
-
+def test_twist_of_even_exponent_rejected():
     # every odd exponent mod 6 twists to determinant chi: t = (1-m)/2 mod 3
     for m, t in [(1, 0), (3, 2), (5, 1)]:
-        tw = twist_to_det_chi(replace(rep, det_exponent=m))
-        assert (tw.det_exponent, tw.twist_exponent) == (1, t)
-        assert tw.traces == {p: tr * pow(p, t, 7) % 7 for p, tr in rep.traces.items()}
-    # weight 3 would give even det exponent; simulate via a direct replace
-    bad = replace(rep, det_exponent=2)
-    with pytest.raises(ValueError, match="no determinant-chi twist"):
-        twist_to_det_chi(bad)
+        assert _det_chi_twist(m, 7) == t
+        assert (m + 2 * t) % 6 == 1
+        # weight m + 1 gives m at ell = 7; at 7 every trace test is
+        # inconclusive, so the run tests both primes, each trace times p^t
+        form = NewformData("t", 25, m + 1, None, {2: QuadInt(1), 3: QuadInt(2)})
+        [run] = certify_form(form, [7])
+        assert [c.witness["trace"] for c in run.trace_tests] == [
+            1 * pow(2, t, 7) % 7, 2 * pow(3, t, 7) % 7]
+    # weight 3 gives the even exponent 2: no run twists it, and falsify refuses it
+    form = NewformData("t", 25, 3, None, {2: QuadInt(1), 3: QuadInt(2)})
+    [run] = certify_form(form, [7])
+    assert (run.twist_exponent, run.trace_tests) == (None, ())
+    with pytest.raises(ValueError, match="^no determinant-chi twist exists: exponent 2 is even$"):
+        falsify_curve(CurveQ(0, 0, 1, 0, 0), form, 7)
 
 
 def test_trace_at_missing_prime_is_insufficient_data(schoen_form):
-    rep = residual_rep(schoen_form, 11)
+    # a run notes the missing prime and tests nothing there
+    [run] = certify_form(schoen_form, [11], witness_prime=13)
+    assert (run.irreducible, run.trace_tests) == (None, ())
+    assert run.notes[0] == "no eigenvalue at p=13; discriminant test skipped"
+    # a family certificate needs it: a ValueError whose str() is the message
+    # itself, with no KeyError quotes
     with pytest.raises(InsufficientDataError, match="insufficient data") as exc:
-        rep.trace_at(13)
-    # a ValueError: its str() is the message itself, with no KeyError quotes
+        family_trace_obstruction(schoen_form, 13)
     assert str(exc.value) == "insufficient data: no eigenvalue stored at p=13"
 
 
@@ -155,20 +165,41 @@ def test_newform_validation():
         NewformData("t", 25, 1, None, {})
 
 
-@pytest.mark.parametrize("ell,det_exponent,traces,message", [
-    (7, 0, {}, r"^determinant exponent 0 outside \[1, 5\]$"),
-    (7, 6, {}, r"^determinant exponent 6 outside \[1, 5\]$"),
-    (5, 3, {}, "^Serre conductor must be prime to ell$"),
-    (7, 3, {5: 1}, r"^trace key 5 not coprime to N\*ell$"),
-    (7, 3, {7: 1}, r"^trace key 7 not coprime to N\*ell$"),
-    (7, 3, {2: 7}, "^trace at 2 not reduced mod 7$"),
-    (7, 3, {2: -1}, "^trace at 2 not reduced mod 7$"),
-], ids=["exponent-0", "exponent-ell-1", "ell-divides-level", "key-divides-level",
-        "key-is-ell", "trace-ell", "trace-negative"])
-def test_residual_rep_refuses_an_inconsistent_record(schoen_form, ell, det_exponent, traces,
-                                                     message):
-    with pytest.raises(ValueError, match=message):
-        ResidualRep(ell, det_exponent, traces, schoen_form)
+# What a reduction of `_reductions` holds at every ell the rule admits, each
+# under the name of the record it rules out.
+PROMISES = {
+    "exponent-0": lambda form, ell, m, traces: m != 0,
+    "exponent-ell-1": lambda form, ell, m, traces: 1 <= m <= ell - 2,
+    "ell-divides-level": lambda form, ell, m, traces: form.level % ell != 0,
+    "key-divides-level": lambda form, ell, m, traces: all(form.level % p for p in traces),
+    "key-is-ell": lambda form, ell, m, traces: ell not in traces,
+    "trace-ell": lambda form, ell, m, traces: all(t < ell for t in traces.values()),
+    "trace-negative": lambda form, ell, m, traces: all(t >= 0 for t in traces.values()),
+}
+
+
+@pytest.mark.parametrize("promise", PROMISES.values(), ids=PROMISES)
+def test_a_reduction_holds_what_the_rule_promises(promise):
+    # levels divisible by small ells, weights whose k - 1 some ell - 1
+    # divides, and values at every good prime, ell included, negative or
+    # past ell
+    admitted = refused = 0
+    for level, weight, d in [(25, 4, None), (77, 7, None), (3, 13, 2), (1, 2, 7), (55, 3, 3)]:
+        y = 0 if d is None else -1
+        primes = [p for p in primes_in_range(2, 60) if level % p]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RamanujanBoundWarning)
+            form = NewformData("t", level, weight, d, {p: QuadInt(-7 * p, y) for p in primes})
+        for ell in primes_in_range(3, 60):
+            try:
+                m, reductions = _reductions(form, ell, None)
+            except ValueError:
+                refused += 1
+                continue
+            for _, traces in reductions:
+                admitted += 1
+                assert promise(form, ell, m, traces), (form, ell)
+    assert admitted > 20 and refused > 20
 
 
 def test_ramanujan_violation_warns_but_loads():
@@ -212,11 +243,13 @@ def test_refusals_come_in_one_order(level, weight, d, ell, root, error, message)
     assert type(got) is error
     with pytest.raises(error, match=message):
         raise got
-    # residual_reps and residual_rep raise the same refusal
+    # the reductions, a certify run and falsify raise the same refusal
     with pytest.raises(error, match=message):
-        residual_reps(form, ell, root)
+        _reductions(form, ell, root)
     with pytest.raises(error, match=message):
-        residual_rep(form, ell, root)
+        certify_form(form, [ell], root)
+    with pytest.raises(error, match=message):
+        falsify_curve(CurveQ(0, 0, 1, 0, 0), form, ell, root)
 
 
 def test_each_refusal_names_its_kind():
@@ -237,33 +270,39 @@ def test_the_rule_proves_ell_prime_before_it_takes_a_root():
     assert pow(2, 280, 561) == 1 and refusal(form, 561) is None
     src = str(Path(nonelliptic.__file__).resolve().parents[1])
     code = (
-        "from nonelliptic.repmodel import NewformData, residual_reps\n"
-        "try:\n"
-        "    residual_reps(NewformData('t', 1, 2, 2, {}), 561)\n"
-        "except ValueError as exc:\n"
-        "    print(exc)\n"
+        "from nonelliptic.certify import certify_form\n"
+        "from nonelliptic.ecoracle import CurveQ, falsify_curve\n"
+        "from nonelliptic.repmodel import NewformData\n"
+        "form = NewformData('t', 1, 2, 2, {})\n"
+        "for run in (lambda: certify_form(form, [561]),\n"
+        "            lambda: falsify_curve(CurveQ(0, 0, 1, 0, 0), form, 561)):\n"
+        "    try:\n"
+        "        run()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=10, env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout == "modulus 561 is not an odd prime\n", proc.stderr
+    assert proc.stdout == "modulus 561 is not an odd prime\n" * 2, proc.stderr
 
 
 def test_embeddings_of_an_admitted_ell():
     form = _form(3, 2, 2)
     assert refusal(form, 7) is refusal(form, 7, 3) is None
-    assert [rep.root for rep in residual_reps(form, 7)] == [3, 4]
-    assert [rep.root for rep in residual_reps(form, 7, 4)] == [4]
-    assert [rep.root for rep in residual_reps(_form(3, 2, None), 7)] == [None]
+    assert [root for root, _ in _reductions(form, 7, None)[1]] == [3, 4]
+    assert [root for root, _ in _reductions(form, 7, 4)[1]] == [4]
+    assert [root for root, _ in _reductions(_form(3, 2, None), 7, None)[1]] == [None]
+    assert [run.embedding_root for run in certify_form(form, [7])] == [3, 4]
 
 
-def test_residual_rep_puts_an_explicit_embedding_through_the_rule(sqrt2_form, schoen_form):
+def test_an_explicit_embedding_goes_through_the_rule(sqrt2_form, schoen_form):
     with pytest.raises(ValueError, match="rational coefficient field, which takes no embedding"):
-        residual_rep(schoen_form, 7, 3)
+        certify_form(schoen_form, [7], 3)
     with pytest.raises(NotSplitError):
-        residual_rep(sqrt2_form, 11, 3)
+        certify_form(sqrt2_form, [11], 3)
     # the d = 7 form at the ramified 7: no embedding exists to hand in
     with pytest.raises(RamifiedError):
-        residual_rep(_form(3, 2, 7), 7, 0)
+        certify_form(_form(3, 2, 7), [7], 0)
 
 
 @pytest.mark.parametrize("level,weight,d,message", [
@@ -295,7 +334,7 @@ def test_the_rule_takes_no_square_root_twice_per_ell(monkeypatch, sqrt2_form, sc
     import io
 
     import nonelliptic.repmodel as repmodel
-    from nonelliptic.certify import certify_form, certify_range
+    from nonelliptic.certify import certify_range
 
     roots, asked = [], []
     sqrt_mod, rule = repmodel._sqrt_mod, repmodel.refusal
@@ -320,8 +359,10 @@ def test_the_rule_takes_no_square_root_twice_per_ell(monkeypatch, sqrt2_form, sc
     assert asked == ells
     assert roots == ells
     asked.clear()
-    residual_rep(sqrt2_form, 7)
+    roots.clear()
+    falsify_curve(CurveQ(0, 0, 1, 0, 0), sqrt2_form, 7)
     assert asked == [7]
+    assert roots == [7]
 
 
 def test_repmodel_imports_only_the_stdlib_and_arith():
