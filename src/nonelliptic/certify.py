@@ -51,7 +51,6 @@ from .repmodel import (
     InsufficientDataError,
     NewformData,
     NotSplitError,
-    _det_chi_twist,
     _reductions,
     refusal,
 )
@@ -137,11 +136,14 @@ def family_trace_obstruction(form: NewformData, p: int) -> Certificate:
     (where the trace test at p is unavailable) and those the rule refuses
     other than as inert; the certificate asserts non-ellipticity for every
     admitted ell outside E. Some D_s = 0, as for an elliptic curve's own a_p,
-    is Inconclusive, with E empty. Raises ValueError for odd k.
+    is Inconclusive, with E empty. Raises ValueError for odd k or a p that
+    is not a prime int.
     """
     k, d = form.weight, form.d or 0
     if k % 2:
         raise ValueError(f"the family trace obstruction needs an even weight, not {k}")
+    if not (type(p) is int and is_prime(p)):
+        raise ValueError(f"witness prime p={p!r} is not prime")
     if form.level % p == 0:
         raise ValueError(f"witness prime {p} divides the level {form.level}")
     try:
@@ -258,6 +260,8 @@ def conductor_bound_test(
     (not mere divisors)."""
     if ell is not None and not (type(ell) is int and ell != 2 and is_prime(ell)):
         raise ValueError(f"ell={ell!r} is not an odd prime")
+    if type(conductor) is not int:
+        raise ValueError(f"conductor={conductor!r} is not an int")
     if conductor < 1:
         raise ValueError("conductor must be positive")
     return _conductor(_conductor_witness(conductor), ell, form_id)
@@ -371,20 +375,19 @@ class EllCertification:
         return lines
 
 
-def _certify_run(form: NewformData, ell: int, root: int | None, m: int,
+def _certify_run(form: NewformData, ell: int, root: int | None, m: int, t: int | None,
                  traces: dict[int, int], witness_prime: int | None,
                  conductor: Callable[[], dict]) -> EllCertification:
     """The pipeline on one reduction of `_reductions`, trusted: traces
     (p -> trace, reduced) under `root` at the odd prime ell, determinant
-    exponent m.
+    exponent m, twist t to determinant chi (None for an even m).
 
     Irreducibility: the discriminant test over the stored witness primes
     (`witness_prime` alone when given), first success wins. Non-ellipticity:
-    trace tests on the determinant-chi twist (`_det_chi_twist`) over the
-    same primes, falling back to the conductor bound when the conductor is
-    known exactly. `conductor` returns the form's conductor witness; it is
-    called only if a run needs it. Only the traces a trace test reads are
-    twisted."""
+    trace tests on the twist by chi^t over the same primes, falling back to
+    the conductor bound when the conductor is known exactly. `conductor`
+    returns the form's conductor witness; it is called only if a run needs
+    it. Only the traces a trace test reads are twisted."""
     candidates = [witness_prime] if witness_prime is not None else sorted(traces)
     provenance = {"form": form.form_id, "embedding_root": root, "twist_exponent": 0}
     notes: list[str] = []
@@ -405,10 +408,8 @@ def _certify_run(form: NewformData, ell: int, root: int | None, m: int,
             break
         irreducible = irreducible or cert
 
-    twist_exponent: int | None = None
     trace_tests: list[Certificate] = []
-    if m % 2 == 1:
-        t = twist_exponent = _det_chi_twist(m, ell)
+    if t is not None:
         twisted_provenance = provenance | {"twist_exponent": t}
         for p in candidates:
             if p not in traces:
@@ -441,7 +442,7 @@ def _certify_run(form: NewformData, ell: int, root: int | None, m: int,
         embedding_root=root,
         irreducible=irreducible,
         irreducible_tried=tuple(tried),
-        twist_exponent=twist_exponent,
+        twist_exponent=t,
         trace_tests=tuple(trace_tests),
         conductor=conductor_cert,
         notes=tuple(notes),
@@ -489,8 +490,8 @@ def certify_form(
     for ell in ells:
         if ell not in proved:
             require_odd_prime(ell)
-        m, reductions = _reductions(form, ell, root)
-        runs += [_certify_run(form, ell, r, m, traces, witness_prime, conductor)
+        m, t, reductions = _reductions(form, ell, root)
+        runs += [_certify_run(form, ell, r, m, t, traces, witness_prime, conductor)
                  for r, traces in reductions]
     return tuple(runs)
 

@@ -181,13 +181,12 @@ def falsify_curve(curve: CurveQ, form: NewformData, ell: int,
     model's discriminant are compared (no minimal models: skipping a prime is
     conservative, a witness is always sound). First mismatch in increasing p.
     """
-    from .repmodel import _det_chi_twist, _reductions  # the census needs neither
+    from .repmodel import _reductions  # the census needs no reduction
 
     require_odd_prime(ell)
-    m, reductions = _reductions(form, ell, root)
-    if m % 2 == 0:
+    m, t, reductions = _reductions(form, ell, root)
+    if t is None:
         raise ValueError(f"no determinant-chi twist exists: exponent {m} is even")
-    t = _det_chi_twist(m, ell)
     traces = reductions[0][1]
     compared = []
     witness = None

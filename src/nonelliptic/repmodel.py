@@ -5,11 +5,11 @@ induce.
 
 A residual representation is named by (form, ell, root) and held as data,
 not as an object: `_reductions` gives the exponent m of the cyclotomic
-character giving its determinant and its reduced traces of Frobenius at the
-stored good primes, and `_det_chi_twist` the twist to determinant chi. The
-form's level is the prime-to-ell (Serre) conductor. The eigenvalue map is
-sparse; every downstream operation must tolerate missing primes and say so
-instead of inventing values.
+character giving its determinant, the twist to determinant chi and its
+reduced traces of Frobenius at the stored good primes. The form's level is
+the prime-to-ell (Serre) conductor. The eigenvalue map is sparse; every
+downstream operation must tolerate missing primes and say so instead of
+inventing values.
 """
 
 from __future__ import annotations
@@ -197,17 +197,24 @@ def _sqrt_mod(a: int, ell: int) -> int:
     return r
 
 
-def _reductions(form: NewformData, ell: int,
-                root: int | None) -> tuple[int, list[tuple[int | None, dict[int, int]]]]:
+def _reductions(form: NewformData, ell: int, root: int | None
+                ) -> tuple[int, int | None, list[tuple[int | None, dict[int, int]]]]:
     """The mod-ell reductions of the eigenvalue system of `form`, for an ell
     its caller has proved an odd prime: the determinant exponent m, the
-    power of the cyclotomic character giving the determinant, and a (root,
-    traces) pair per embedding the rule (`refusal`) admits at ell. That is
-    one over Q; over Q(sqrt(d)) one under each square root r of d mod ell,
-    smaller first, or only under `root` when given, x + y*sqrt(d) going to
-    x + y*r. The rule is asked once; its refusal is raised. What it admits
-    has 1 <= m <= ell - 2 and traces p -> trace(Frob p) in [0, ell) at the
-    stored primes away from level*ell: a_ell, when stored, is dropped."""
+    power of the cyclotomic character giving the determinant, the twist t
+    to determinant chi, and a (root, traces) pair per embedding the rule
+    (`refusal`) admits at ell. That is one over Q; over Q(sqrt(d)) one under
+    each square root r of d mod ell, smaller first, or only under `root`
+    when given, x + y*sqrt(d) going to x + y*r. The rule is asked once; its
+    refusal is raised. What it admits has 1 <= m <= ell - 2 and traces
+    p -> trace(Frob p) in [0, ell) at the stored primes away from level*ell:
+    a_ell, when stored, is dropped.
+
+    Twisting by chi^t takes m to m + 2t and the trace at p to it times p^t
+    mod ell, so t solves m + 2t = 1 (mod ell-1): solvable iff m is odd, and
+    None for an even m. Of the two solutions mod ell-1, t is the smaller
+    non-negative one, (1-m)/2 reduced mod (ell-1)/2: (ell-3)/2 for m = 3
+    and 0 for m = 1."""
     error = refusal(form, ell, root)
     if error is not None:
         raise error
@@ -215,19 +222,8 @@ def _reductions(form: NewformData, ell: int,
     if form.d is not None and root is None:
         r = _sqrt_mod(form.d, ell)
         roots = (min(r, ell - r), max(r, ell - r))
-    return (form.weight - 1) % (ell - 1), [
+    m = (form.weight - 1) % (ell - 1)
+    t = ((1 - m) // 2) % ((ell - 1) // 2) if m % 2 else None
+    return m, t, [
         (r, {p: (a.x + a.y * (r or 0)) % ell for p, a in form.eigenvalues.items() if p != ell})
         for r in roots]
-
-
-
-
-def _det_chi_twist(m: int, ell: int) -> int:
-    """The t whose twist by chi^t takes a reduction of odd determinant
-    exponent m to determinant chi itself, its trace at p times p^t mod ell.
-
-    Tensoring by chi^t takes m to m + 2t, so t must solve m + 2t = 1 (mod
-    ell-1): solvable iff m is odd. Of the two solutions mod ell-1 this is the
-    smaller non-negative one, t = (1-m)/2 reduced mod (ell-1)/2; for m = 3
-    it is (ell-3)/2 and for m = 1 it is 0."""
-    return ((1 - m) // 2) % ((ell - 1) // 2)

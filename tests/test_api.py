@@ -82,6 +82,7 @@ REMOVED = [
     ("nonelliptic.certify", "certify_at_ell"),
     ("nonelliptic.certify", "irreducibility_by_discriminant"),
     ("nonelliptic.certify", "non_elliptic_trace_test"),
+    ("nonelliptic.repmodel", "_det_chi_twist"),
 ]
 
 REMOVED_MEMBERS = [

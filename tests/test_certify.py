@@ -390,22 +390,32 @@ def test_family_trace_is_inconclusive_where_some_d_s_vanishes(sqrt2_form):
 
 
 def test_family_trace_refuses_what_it_cannot_certify(schoen_form):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RamanujanBoundWarning)
+        weight3 = dataclasses.replace(schoen_form, weight=3)  # a_7 and a_11 break the bound
+        big = NewformData("big", 25, 10**9, None, {2: QuadInt(1)})
+        huge_p = NewformData("huge", 1, 2, None, {10**12 + 39: QuadInt(1)})
     with pytest.raises(ValueError, match="even weight, not 3"):
-        family_trace_obstruction(dataclasses.replace(schoen_form, weight=3), 2)
+        family_trace_obstruction(weight3, 2)
     with pytest.raises(InsufficientDataError, match="p=13"):
         family_trace_obstruction(schoen_form, 13)
     with pytest.raises(ValueError, match="divides the level"):
         family_trace_obstruction(schoen_form, 5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RamanujanBoundWarning)
-        big = NewformData("big", 25, 10**9, None, {2: QuadInt(1)})
-        huge_p = NewformData("huge", 1, 2, None, {10**12 + 39: QuadInt(1)})
     start = time.perf_counter()
     with pytest.raises(ValueError, match="trial-division guard"):
         family_trace_obstruction(big, 2)  # refused before 2^(10^9 - 2) is built
     with pytest.raises(ValueError, match="over the limit"):
         family_trace_obstruction(huge_p, 10**12 + 39)  # B = 2 * 10^6
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 2.0, True])
+def test_family_trace_refuses_a_witness_that_is_not_a_prime(schoen_form, p):
+    # refused before the level is read: 0 raised ZeroDivisionError there, 1
+    # and True "divided the level", 4 was looked up as a prime and 2.0 raised
+    # TypeError
+    with pytest.raises(ValueError, match=f"^witness prime p={p!r} is not prime$"):
+        family_trace_obstruction(schoen_form, p)
 
 
 @st.composite
@@ -548,9 +558,13 @@ def test_conductor_bound_examples():
     (lambda: conductor_bound_test(512, ell=7.0), "^ell=7.0 is not an odd prime$"),
     (lambda: conductor_bound_test(0), "^conductor must be positive$"),
     (lambda: conductor_bound_test(-512, ell=7), "^conductor must be positive$"),
+    # True passed as 1 and 2.0 failed in trial_factor: neither is an exact conductor
+    (lambda: conductor_bound_test(True, ell=7), "^conductor=True is not an int$"),
+    (lambda: conductor_bound_test(2.0, ell=7), "^conductor=2.0 is not an int$"),
     (lambda: serre_bound_predicate(7, 4), "^4 is not prime$"),
     (lambda: serre_bound_predicate(7, 1), "^1 is not prime$"),
-], ids=["ell-2", "ell-9", "ell-float", "conductor-0", "conductor-negative", "p-4", "p-1"])
+], ids=["ell-2", "ell-9", "ell-float", "conductor-0", "conductor-negative", "conductor-bool",
+        "conductor-float", "p-4", "p-1"])
 def test_conductor_and_serre_refuse_what_they_cannot_judge(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -132,19 +132,37 @@ def test_certify_range_identical_across_runs(capsys, fmt):
 # of dicts: the bytes must not move. Together the text reports take every
 # branch of EllCertification.text_lines (irreducibility not established,
 # notes, the trace route, the conductor route).
+# The weight-5 record (even determinant exponent at every ell, so no
+# determinant-chi twist and the note that says so, and a claimed conductor
+# with no violation) was pinned before the twist moved into _reductions.
 PINNED_CERTIFY_REPORTS = [
     (SCHOEN, "3000", "json", "dbec122deac1817d6af849b3171316e3e933719b944084a38a7364f660ea363d"),
     (SCHOEN, "3000", "text", "125e38c61a97b6a24a7c7037b65272518975b61bc272a827b4409bb3590ebdb6"),
     (SQRT2, "200", "json", "07aab601c553eeefa59f0641d6098c08e15d2bea2f5b2c2ef53ac582943c8c9b"),
     (SQRT2, "200", "text", "a93414284c0c56205f24c718f83810cee9a9d8c9f85db3d0aa19e0b7d0bde2da"),
+    ("WEIGHT5", "400", "json", "af1a22dc8fe61e47320695ed521b8d4a2fa24e0e7923d385680005c7ffe73fb3"),
+    ("WEIGHT5", "400", "text", "7d6f7f3802c9ad2762a59fa668e3da67b83744da45ffea4468856862a4c05200"),
 ]
+
+
+def _weight5_claimed(tmp_path):
+    """The Schoen record at weight 5 with a claimed conductor, under an id
+    json must escape."""
+    record = json.loads(Path(SCHOEN).read_text())
+    record.update(id='w5 "\u00e9"\\', weight=5, claimed_conductor_equality=True)
+    weight5 = tmp_path / "weight5.json"
+    weight5.write_text(json.dumps(record))
+    return str(weight5)
 
 
 @pytest.mark.parametrize(
     "form,ell_max,fmt,sha256", PINNED_CERTIFY_REPORTS,
-    ids=[f"{Path(f).stem}-7..{m}-{fmt}" for f, m, fmt, _ in PINNED_CERTIFY_REPORTS],
+    ids=[f"{'weight5-claimed' if f == 'WEIGHT5' else Path(f).stem}-7..{m}-{fmt}"
+         for f, m, fmt, _ in PINNED_CERTIFY_REPORTS],
 )
-def test_certify_range_report_bytes_pinned(capsys, form, ell_max, fmt, sha256):
+def test_certify_range_report_bytes_pinned(tmp_path, capsys, form, ell_max, fmt, sha256):
+    if form == "WEIGHT5":
+        form = _weight5_claimed(tmp_path)
     code, out, err = run(capsys, "certify", "-i", form, "--ell-min", "7",
                          "--ell-max", ell_max, "--format", fmt)
     assert (code, err) == (2, "")
@@ -166,11 +184,7 @@ CERTIFY_JSON_ARGV = {
 @pytest.mark.parametrize("argv", CERTIFY_JSON_ARGV.values(), ids=CERTIFY_JSON_ARGV)
 def test_certify_json_is_what_the_standard_library_writes(tmp_path, capsys, argv):
     if argv[0] == "WEIGHT5":
-        record = json.loads(Path(SCHOEN).read_text())
-        record.update(id='w5 "\u00e9"\\', weight=5, claimed_conductor_equality=True)
-        weight5 = tmp_path / "weight5.json"
-        weight5.write_text(json.dumps(record))
-        argv = (str(weight5), *argv[1:])
+        argv = (_weight5_claimed(tmp_path), *argv[1:])
     code, out, err = run(capsys, "certify", "-i", *argv, "--format", "json")
     assert code in (0, 2) and err == ""
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
@@ -862,6 +876,32 @@ def test_falsify_witness(capsys):
     assert code == 0
     assert "witness at p=2" in out
     assert "0 != 5" in out
+
+
+# Each report's exact bytes, pinned before the determinant-chi twist moved
+# into _reductions: the text line, then the sha256 of the JSON.
+PINNED_FALSIFY_REPORTS = [
+    ("0,0,1,0,0", SCHOEN, "11", "witness at p=2: curve trace 0 != 5 (mod 11)\n",
+     "bcb8e966ec82c89d0940ffad0c4f8551d2064f4a6423d5119697d84ede606566"),
+    ("0,0,1,0,0", SQRT2, "7", "witness at p=5: curve trace 0 != 1 (mod 7)\n",
+     "3e04484ed410bcd721eba13b2d93b57efbe46a128a78b03a4f567b94c7e2f14c"),
+    ("0,-1,1,0,0", SQRT2, "17", "witness at p=3: curve trace -1 != 6 (mod 17)\n",
+     "24474b7eafe29c0cef99156c75d4859cef6543f2d4c3f920270b5cea68b4b002"),
+    ("1,0,0,-3,2", SCHOEN, "13", "witness at p=2: curve trace -1 != 6 (mod 13)\n",
+     "bf5f8b48caaa963614ef090b3062abe03b6793cf0ce93fa06c26b2c81d01dc56"),
+]
+
+
+@pytest.mark.parametrize(
+    "curve,form,ell,text,sha256", PINNED_FALSIFY_REPORTS,
+    ids=[f"{c}-{Path(f).stem}-{ell}" for c, f, ell, _, _ in PINNED_FALSIFY_REPORTS],
+)
+def test_falsify_report_bytes_pinned(capsys, curve, form, ell, text, sha256):
+    argv = ("falsify", f"--curve={curve}", "-i", form, "--ell", ell)
+    assert run(capsys, *argv) == (0, text, "")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_falsify_finds_no_witness_against_the_curves_own_form(tmp_path, capsys):

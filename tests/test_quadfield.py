@@ -22,7 +22,7 @@ def roots(d, ell):
     """Both square roots of d mod ell, smaller first, as the rule gives them
     for a level-1 form over Q(sqrt(d)) of weight 40, where no ell > 2 has a
     vanishing determinant exponent."""
-    return tuple(root for root, _ in _reductions(NewformData("t", 1, 40, d, {}), ell, None)[1])
+    return tuple(root for root, _ in _reductions(NewformData("t", 1, 40, d, {}), ell, None)[2])
 
 
 def reduced(values, ell, root, d=2):
@@ -33,7 +33,7 @@ def reduced(values, ell, root, d=2):
     bound."""
     primes = [p for p in primes_in_range(2, 100) if p != ell][:len(values)]
     form = NewformData("t", 1, 40, d, dict(zip(primes, values)))
-    [(_, traces)] = _reductions(form, ell, root)[1]
+    [(_, traces)] = _reductions(form, ell, root)[2]
     return [traces[p] for p in primes]
 
 

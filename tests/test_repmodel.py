@@ -20,7 +20,6 @@ from nonelliptic.repmodel import (
     QuadInt,
     RamanujanBoundWarning,
     RamifiedError,
-    _det_chi_twist,
     _reductions,
     admitted_ells,
     refusal,
@@ -28,23 +27,23 @@ from nonelliptic.repmodel import (
 
 
 def test_reduction_of_weight4_form_at_11(schoen_form):
-    m, [(root, traces)] = _reductions(schoen_form, 11, None)
+    m, t, [(root, traces)] = _reductions(schoen_form, 11, None)
     assert traces == {2: 1, 3: 7, 7: 6}  # a_11 dropped: p = ell
-    assert m == 3
+    assert (m, t) == (3, 4)
     assert root is None
     assert schoen_form.level == 25
     assert schoen_form.claimed_conductor_equality is False
 
 
 def test_reductions_of_weight2_form_at_7(sqrt2_form):
-    m, [(root, traces), (other, other_traces)] = _reductions(sqrt2_form, 7, None)
+    m, t, [(root, traces), (other, other_traces)] = _reductions(sqrt2_form, 7, None)
     assert (root, other) == (3, 4)  # the smaller root first
     assert traces[29] == 4  # 6*3 = 18 = 4 (mod 7)
-    assert m == 1
+    assert (m, t) == (1, 0)
     assert 7 not in traces  # a_7 dropped: p = ell
     assert sqrt2_form.claimed_conductor_equality is True
 
-    assert _reductions(sqrt2_form, 7, 4) == (1, [(4, other_traces)])
+    assert _reductions(sqrt2_form, 7, 4) == (1, 0, [(4, other_traces)])
     assert other_traces[29] == (6 * 4) % 7 == 3
 
 
@@ -69,12 +68,12 @@ def test_an_inert_prime_is_refused(sqrt2_form):
 def test_rational_trace_values_do_not_depend_on_embedding(sqrt2_form):
     # at ell = 17 (split: 6^2 = 2) the rational a_7 = -4 survives in the
     # trace map and must reduce identically under both roots
-    _, [(_, t1), (_, t2)] = _reductions(sqrt2_form, 17, None)
+    _, _, [(_, t1), (_, t2)] = _reductions(sqrt2_form, 17, None)
     assert t1[7] == t2[7] == (-4) % 17
     assert t1[29] != t2[29]  # the surd values do depend on it
 
     form = NewformData("t", 25, 4, None, {2: QuadInt(1), 3: QuadInt(7)})
-    assert _reductions(form, 13, None) == (3, [(None, {2: 1, 3: 7})])
+    assert _reductions(form, 13, None) == (3, 5, [(None, {2: 1, 3: 7})])
 
 
 @pytest.mark.parametrize("ell,k", [(7, 4), (11, 4), (13, 4), (7, 2), (11, 2), (97, 4)])
@@ -82,11 +81,11 @@ def test_det_exponent_is_weight_rule(ell, k, schoen_form, sqrt2_form):
     form = schoen_form if k == 4 else sqrt2_form
     if form.d is not None:
         try:
-            m, _ = _reductions(form, ell, None)
+            m, _, _ = _reductions(form, ell, None)
         except NotSplitError:
             return
     else:
-        m, _ = _reductions(form, ell, None)
+        m, _, _ = _reductions(form, ell, None)
     assert m == (k - 1) % (ell - 1)
 
 
@@ -96,7 +95,7 @@ def test_twist_examples(schoen_form, sqrt2_form):
     assert run11.trace_tests[0].witness["trace"] == 5  # 1 * 2^4 = 16 = 5 (mod 11)
 
     # determinant already chi: each trace test reads the trace as reduced
-    _, reductions = _reductions(sqrt2_form, 7, None)
+    _, _, reductions = _reductions(sqrt2_form, 7, None)
     for root, traces in reductions:
         for p in [p for p in traces if p % 7 != 1]:
             [run] = certify_form(sqrt2_form, [7], root, p)
@@ -110,25 +109,27 @@ def test_twist_examples(schoen_form, sqrt2_form):
 
 @pytest.mark.parametrize("ell", [7, 11, 13, 17, 19, 23, 97])
 def test_twist_normalizes_determinant(ell, schoen_form):
-    m, _ = _reductions(schoen_form, ell, None)
+    m, t, _ = _reductions(schoen_form, ell, None)
     [run] = certify_form(schoen_form, [ell])
-    assert (m + 2 * run.twist_exponent) % (ell - 1) == 1
+    assert run.twist_exponent == t
+    assert (m + 2 * t) % (ell - 1) == 1
     assert all(c.inputs["twist_exponent"] == run.twist_exponent for c in run.trace_tests)
 
 
 def test_twist_of_even_exponent_rejected():
     # every odd exponent mod 6 twists to determinant chi: t = (1-m)/2 mod 3
     for m, t in [(1, 0), (3, 2), (5, 1)]:
-        assert _det_chi_twist(m, 7) == t
-        assert (m + 2 * t) % 6 == 1
         # weight m + 1 gives m at ell = 7; at 7 every trace test is
         # inconclusive, so the run tests both primes, each trace times p^t
         form = NewformData("t", 25, m + 1, None, {2: QuadInt(1), 3: QuadInt(2)})
+        assert _reductions(form, 7, None)[:2] == (m, t)
+        assert (m + 2 * t) % 6 == 1
         [run] = certify_form(form, [7])
         assert [c.witness["trace"] for c in run.trace_tests] == [
             1 * pow(2, t, 7) % 7, 2 * pow(3, t, 7) % 7]
     # weight 3 gives the even exponent 2: no run twists it, and falsify refuses it
     form = NewformData("t", 25, 3, None, {2: QuadInt(1), 3: QuadInt(2)})
+    assert _reductions(form, 7, None)[:2] == (2, None)
     [run] = certify_form(form, [7])
     assert (run.twist_exponent, run.trace_tests) == (None, ())
     with pytest.raises(ValueError, match="^no determinant-chi twist exists: exponent 2 is even$"):
@@ -192,10 +193,14 @@ def test_a_reduction_holds_what_the_rule_promises(promise):
             form = NewformData("t", level, weight, d, {p: QuadInt(-7 * p, y) for p in primes})
         for ell in primes_in_range(3, 60):
             try:
-                m, reductions = _reductions(form, ell, None)
+                m, t, reductions = _reductions(form, ell, None)
             except ValueError:
                 refused += 1
                 continue
+            # the twist to determinant chi exists iff m is odd, and is the
+            # smaller solution of m + 2t = 1 (mod ell - 1)
+            assert (t is None) == (m % 2 == 0), (form, ell)
+            assert t is None or ((m + 2 * t) % (ell - 1) == 1 and 0 <= t < (ell - 1) // 2)
             for _, traces in reductions:
                 admitted += 1
                 assert promise(form, ell, m, traces), (form, ell)
@@ -289,9 +294,9 @@ def test_the_rule_proves_ell_prime_before_it_takes_a_root():
 def test_embeddings_of_an_admitted_ell():
     form = _form(3, 2, 2)
     assert refusal(form, 7) is refusal(form, 7, 3) is None
-    assert [root for root, _ in _reductions(form, 7, None)[1]] == [3, 4]
-    assert [root for root, _ in _reductions(form, 7, 4)[1]] == [4]
-    assert [root for root, _ in _reductions(_form(3, 2, None), 7, None)[1]] == [None]
+    assert [root for root, _ in _reductions(form, 7, None)[2]] == [3, 4]
+    assert [root for root, _ in _reductions(form, 7, 4)[2]] == [4]
+    assert [root for root, _ in _reductions(_form(3, 2, None), 7, None)[2]] == [None]
     assert [run.embedding_root for run in certify_form(form, [7])] == [3, 4]
 
 
