@@ -82,8 +82,11 @@ def reducibility_obstruction(form: NewformData, p: int) -> Certificate:
 
     The witness's "exceptional" list is the prime factors of M plus p
     itself (Frob p says nothing mod p); the certificate asserts
-    irreducibility for every prime ell > 5 outside it.
+    irreducibility for every prime ell > 5 outside it. A p that is not a
+    prime int is a ValueError.
     """
+    if not (type(p) is int and is_prime(p)):
+        raise ValueError(f"witness prime p={p!r} is not prime")
     # epsilon has conductor c with c^2 dividing the level, so epsilon(p) = 1
     # is guaranteed by p ≡ 1 modulo prod q^floor(v_q(N)/2).
     modulus = math.prod(q ** (e // 2) for q, e in trial_factor(form.level).factors)

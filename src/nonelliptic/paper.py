@@ -6,6 +6,7 @@ pipeline plus a diff; nothing proves anything of its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -15,6 +16,8 @@ from .arith import primes_in_range
 if TYPE_CHECKING:
     from .checker import Certificate
     from .repmodel import NewformData
+
+_PRODUCT_BITS = 256  # a scan group's product of moduli, in bits: see closed_form_scan
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,12 @@ def closed_form_scan(ell_min: int, ell_max: int) -> ScanReport:
     ell that is 2^(ell-3) ≡ 4^(-1), with no inverse taken.
 
     Every ell comes from `primes_in_range`, which is exact (its sieve or
-    is_prime is the primality proof), so no ell is tested again, and the one
-    residue per ell comes straight from the built-in `pow`.
+    is_prime is the primality proof), so no ell is tested again. Consecutive
+    ells are taken in groups whose product stays near _PRODUCT_BITS bits:
+    x = 2^(first-3) mod the product is one `pow`, and r = (x << (ell -
+    first)) % ell for each ell of the group. That is exact for any ascending
+    integers, prime or not: ell divides the product, so x ≡ 2^(first-3)
+    (mod ell), and the shift multiplies by 2^(ell-first).
     """
     if not 5 < ell_min <= ell_max:
         raise ValueError("scan range must satisfy 5 < ell_min <= ell_max")
@@ -76,14 +83,19 @@ def closed_form_scan(ell_min: int, ell_max: int) -> ScanReport:
     residues: dict[int, int] = {}
     fermat_ok = True
     primes = primes_in_range(ell_min, ell_max)
-    for ell in primes:
-        r = pow(2, ell - 3, ell)
-        if 4 * r % ell != 1:
-            fermat_ok = False
-        # r < ell, and ell > 5 leaves 1 and 4 as they are: only 9 is reduced
-        if r == 1 or r == 4 or r == 9 % ell:
-            holds.append(ell)
-            residues[ell] = r
+    size = _PRODUCT_BITS // primes[-1].bit_length() if primes else 1  # ell < 2^82: size >= 3
+    for i in range(0, len(primes), size):
+        group = primes[i:i + size]
+        first = group[0]
+        x = pow(2, first - 3, math.prod(group))
+        for ell in group:
+            r = (x << (ell - first)) % ell
+            if 4 * r % ell != 1:
+                fermat_ok = False
+            # r < ell, and ell > 5 leaves 1 and 4 as they are: only 9 is reduced
+            if r == 1 or r == 4 or r == 9 % ell:
+                holds.append(ell)
+                residues[ell] = r
     return ScanReport(
         ell_min=ell_min,
         ell_max=ell_max,

@@ -1,8 +1,11 @@
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
+import random
+import re
 import time
 import tracemalloc
 import warnings
@@ -168,6 +171,17 @@ def test_obstruction_rejects_bad_witness(schoen_form):
         reducibility_obstruction(schoen_form, 31)  # 31 = 1 (mod 5) but unknown
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -11, True, 2.0], ids=repr)
+def test_obstruction_refuses_a_witness_that_is_no_prime_int(schoen_form, p):
+    # refused by name before the congruence or the eigenvalue lookup reads p:
+    # 2.0 found a_2 through the float key and failed in bit_length, and 1 and
+    # True reached the lookup on the level-25 form
+    level_1 = NewformData("t", 1, 12, None, {2: QuadInt(-24)})
+    for form in (schoen_form, level_1):
+        with pytest.raises(ValueError, match=rf"^witness prime p={re.escape(repr(p))} is not prime$"):
+            reducibility_obstruction(form, p)
+
+
 def test_obstruction_needs_rational_eigenvalue():
     # level 512: witness must be 1 mod 16; a_p for p=17 not stored, so build one
     form = NewformData("t", 512, 2, 2, {17: QuadInt(0, 1)})
@@ -328,6 +342,70 @@ def test_scan_keeps_fermats_congruence_on_a_base_2_pseudoprime(monkeypatch):
     report = closed_form_scan(7, 341)
     assert report.fermat_ok is True
     assert report.holds == (7,)
+
+
+def scan_by_one_pow_per_n(ns):
+    """(fermat_ok, holds, hold_residues) of the scan over ns, one pow per n."""
+    residues = {n: pow(2, n - 3, n) for n in ns}
+    fermat_ok = all(4 * r % n == 1 for n, r in residues.items())
+    hold_residues = {n: r for n, r in residues.items() if r in {1, 4, 9 % n}}
+    return fermat_ok, tuple(hold_residues), hold_residues
+
+
+def odd_sample(rng, lo, hi, k):
+    """k distinct odd integers in [lo, hi), ascending."""
+    if hi - lo < 10**6:
+        return sorted(rng.sample(range(lo | 1, hi, 2), k))
+    picked = set()
+    while len(picked) < k:
+        picked.add(rng.randrange(lo, hi) | 1)
+    return sorted(picked)
+
+
+def test_scan_groups_powers_exactly_for_any_ascending_odd_integers(monkeypatch):
+    # the scan takes one pow per group of ells; a composite at the start, in
+    # the middle or at the end of a group (27, and the base-2 pseudoprimes
+    # 341, 561 = 3*11*17 and 1105 = 5*13*17) must not change any residue
+    composites = (27, 341, 561, 1105)
+    seen = set()
+    for seed in range(2):
+        rng = random.Random(seed)
+        for c, b in itertools.product(composites, (None, 24)):
+            # the largest n, c itself or top, has b bits and sets the group size G;
+            # b = 24 makes G = 10, small enough for 27 to end a group
+            b = b or c.bit_length()
+            G = paper._PRODUCT_BITS // b
+            top = (1 << b) - 1
+            for length, (slot, where) in itertools.product(
+                    (1, G - 1, G, G + 1, 3 * G + 2),
+                    ((0, "start"), (G // 2, "middle"), (G - 1, "end"))):
+                j = slot + G * rng.randrange(max(1, (length - slot + G - 1) // G))
+                between = length - j - 2  # how many ns lie strictly between c and top
+                fits = (c.bit_length() == b if between == -1
+                        else 0 <= between < (top - c) // 2)
+                if j > (c - 7) // 2 or not fits:
+                    continue
+                ns = odd_sample(rng, 7, c, j) + [c]
+                if between >= 0:
+                    ns += odd_sample(rng, c + 2, top, between) + [top]
+                assert len(ns) == length and ns == sorted(set(ns))
+                assert paper._PRODUCT_BITS // ns[-1].bit_length() == G
+                monkeypatch.setattr(paper, "primes_in_range", lambda lo, hi: ns)
+                report = closed_form_scan(7, ns[-1])
+                got = (report.fermat_ok, report.holds, report.hold_residues)
+                assert got == scan_by_one_pow_per_n(ns), (ns, c, j)
+                seen.add((c, where))
+    assert seen == set(itertools.product(composites, ("start", "middle", "end")))
+
+
+@pytest.mark.parametrize("lo", [10**9, 10**12, 10**18, 10**24])
+def test_scan_groups_powers_exactly_on_consecutive_primes(lo):
+    ells = primes_in_range(lo, lo + 3000)
+    assert len(ells) > 3 * (paper._PRODUCT_BITS // ells[-1].bit_length())  # several groups
+    report = closed_form_scan(lo, lo + 3000)
+    assert report.scanned == len(ells)
+    got = (report.fermat_ok, report.holds, report.hold_residues)
+    assert got == scan_by_one_pow_per_n(ells) == (True, (), {})
 
 
 @pytest.mark.parametrize("ell_max", [7, 100, 1009, 10**4])

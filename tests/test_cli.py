@@ -628,6 +628,18 @@ def test_scan_report_bytes(capsys, argv, expected):
     assert (code, out, err) == (0, expected, "")
 
 
+# sha256 of the scan over the benchmark's range, taken while the scan still
+# took one modular power per ell: grouping the powers must not move a byte
+@pytest.mark.parametrize("fmt,sha256", [
+    ("text", "d47dc5adf3622d88c20a7ea04c311c19a0b5236bdfd39d57f51471b947145f77"),
+    ("json", "7ac585060eeba9f68a63a7b1df95fec9409ba138a723231b109b341db6e667e3"),
+])
+def test_scan_report_bytes_pinned_to_a_million(capsys, fmt, sha256):
+    code, out, err = run(capsys, "scan", "7", "1000000", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_scan_bad_range(capsys):
     code, _, err = run(capsys, "scan", "3", "5")
     assert code == 1
