@@ -5,13 +5,15 @@ Miller-Rabin test with a proven base set (correct for every n below
 MILLER_RABIN_LIMIT, an error above it), factorization by division by the
 first 13 primes and then Pollard's rho, each factor proved prime by that
 test, and all values are exact Python integers.
+
+`Record` is the base of the package's records, here because every module
+that defines one imports `arith`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
 
@@ -138,17 +140,40 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [2, *odd] if lo == 2 else odd
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Record:
+    """A record: its fields are its __slots__, set once by its __init__ and
+    never changed. Equality, hashing and repr read them in order. A plain
+    class, not a dataclass: importing dataclasses loads inspect and ast
+    (6-8 ms a command), each class generates its methods with exec (about
+    1 ms), and a frozen instance costs about four times a slotted one."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Factorization(Record):
     """A complete prime factorization: n == prod(q**e for q, e in factors)."""
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "factors")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]) -> None:
         prod = 1
         prev = 1
-        for q, e in self.factors:
+        for q, e in factors:
             if not is_prime(q):
                 raise ValueError(f"factor {q} is not prime")
             if q <= prev:
@@ -157,12 +182,14 @@ class Factorization:
             if type(e) is not int or e < 1:
                 raise ValueError(f"exponent {e!r} must be a positive int")
             # q**e >= 2**(e*(bits(q)-1)) > n already: refuse before computing it
-            if e * (q.bit_length() - 1) >= self.n.bit_length():
-                raise ValueError(f"{q}^{e} exceeds {self.n}")
+            if e * (q.bit_length() - 1) >= n.bit_length():
+                raise ValueError(f"{q}^{e} exceeds {n}")
             prev = q
             prod *= q**e
-        if prod != self.n:
-            raise ValueError(f"factors reconstruct {prod}, not {self.n}")
+        if prod != n:
+            raise ValueError(f"factors reconstruct {prod}, not {n}")
+        self.n = n
+        self.factors = factors
 
 
 def legendre(a: int, ell: int) -> int:

@@ -20,12 +20,12 @@ import select
 import threading
 from collections.abc import Callable
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 
 from .arith import (
     TRIAL_DIVISION_LIMIT,
+    Record,
     _euler_criterion,
     is_prime,
     primes_in_range,
@@ -56,21 +56,14 @@ from .repmodel import (
 )
 
 
-def _discriminant(ell: int, p: int, tr: int, m: int, provenance: dict) -> Certificate:
-    """The discriminant certificate at p of a reduction with trace tr at p
-    and determinant exponent m mod the odd prime ell: if the discriminant of
-    the Frobenius characteristic polynomial x^2 - tr x + p^m is a
-    non-residue mod ell, the polynomial is irreducible over F_ell and the
-    (odd) representation cannot be reducible."""
+def _discriminant(ell: int, p: int, tr: int, m: int) -> tuple[int, int]:
+    """The discriminant delta of the Frobenius characteristic polynomial
+    x^2 - tr x + p^m at p of a reduction with trace tr at p and determinant
+    exponent m mod the odd prime ell, and its Legendre symbol: if delta is a
+    non-residue, the polynomial is irreducible over F_ell and the (odd)
+    representation cannot be reducible."""
     delta = (tr * tr - 4 * pow(p, m, ell)) % ell
-    sym = _euler_criterion(delta, ell)
-    return Certificate(
-        verdict=IRREDUCIBLE if sym == -1 else INCONCLUSIVE,
-        method=METHOD_DISCRIMINANT,
-        ell=ell,
-        witness={"p": p, "trace": tr, "det_exponent": m, "delta": delta, "legendre": sym},
-        inputs=provenance | {"assumed_odd": True},
-    )
+    return delta, _euler_criterion(delta, ell)
 
 
 def reducibility_obstruction(form: NewformData, p: int) -> Certificate:
@@ -80,10 +73,12 @@ def reducibility_obstruction(form: NewformData, p: int) -> Certificate:
     epsilon(p) = 1. The nonzero integer M = |1 + p^(k-1) - a_p| then confines
     reducibility to the primes dividing M.
 
-    The witness's "exceptional" list is the prime factors of M plus p
-    itself (Frob p says nothing mod p); the certificate asserts
-    irreducibility for every prime ell > 5 outside it. A p that is not a
-    prime int is a ValueError.
+    That inertia type 1 + omega^(k-1) holds only where Fontaine-Laffaille
+    applies, ell not dividing the level with k <= ell + 1. So the witness's
+    "exceptional" list E is the prime factors of M, p itself (Frob p says
+    nothing mod p), and every prime ell > 5 with ell <= k - 2 or ell
+    dividing the level; the certificate asserts irreducibility for every
+    prime ell > 5 outside E. A p that is not a prime int is a ValueError.
     """
     if not (type(p) is int and is_prime(p)):
         raise ValueError(f"witness prime p={p!r} is not prime")
@@ -111,8 +106,11 @@ def reducibility_obstruction(form: NewformData, p: int) -> Certificate:
                          "trial-division guard 2**64")
     # M = 0 confines nothing: Inconclusive, with an empty exceptional set
     m_value = abs(1 + p ** (form.weight - 1) - a.x)
-    factors = [list(qe) for qe in trial_factor(m_value).factors] if m_value else []
-    exceptional = sorted({q for q, _ in factors} | {p}) if m_value else []
+    factors, exceptional = [], []
+    if m_value:
+        factors = [list(qe) for qe in trial_factor(m_value).factors]
+        beyond = {q for q in _primes(form.level) if q > 5} | {*primes_in_range(7, form.weight - 2)}
+        exceptional = sorted({q for q, _ in factors} | {p} | beyond)
     return Certificate(
         verdict=IRREDUCIBLE if m_value else INCONCLUSIVE,
         method=METHOD_OBSTRUCTION,
@@ -216,13 +214,9 @@ def _trace_test(ell: int, p: int, tr: int, provenance: dict) -> Certificate:
     interval if the curve is unramified at p, ±(p+1) by level raising if it
     is semistable. A trace outside that set is a proof of non-ellipticity."""
     excluded = excluded_trace_set(p, ell)
-    return Certificate(
-        verdict=NON_ELLIPTIC if tr not in excluded else INCONCLUSIVE,
-        method=METHOD_TRACE,
-        ell=ell,
-        witness={"p": p, "trace": tr, "excluded": excluded},
-        inputs=provenance | {"extended": p != 2},
-    )
+    return Certificate(NON_ELLIPTIC if tr not in excluded else INCONCLUSIVE, METHOD_TRACE, ell,
+                       {"p": p, "trace": tr, "excluded": excluded},
+                       provenance | {"extended": p != 2})
 
 
 def _conductor_witness(conductor: int) -> dict:
@@ -292,28 +286,29 @@ def serre_bound_predicate(ell: int, p: int) -> str:
 # per-form certification pipeline (the CLI `certify` engine)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EllCertification:
-    """Everything the pipeline established about one (ell, embedding) run."""
+class EllCertification(Record):
+    """Everything the pipeline established about one (ell, embedding) run.
+    proved_irreducible and proved_non_elliptic are read off the
+    certificates once, when the run is made."""
 
-    ell: int
-    embedding_root: int | None
-    irreducible: Certificate | None
-    irreducible_tried: tuple[int, ...]
-    twist_exponent: int | None
-    trace_tests: tuple[Certificate, ...]
-    conductor: Certificate | None
-    notes: tuple[str, ...]
+    __slots__ = ("ell", "embedding_root", "irreducible", "irreducible_tried", "twist_exponent",
+                 "trace_tests", "conductor", "notes", "proved_irreducible", "proved_non_elliptic")
 
-    @property
-    def proved_irreducible(self) -> bool:
-        return self.irreducible is not None and self.irreducible.verdict == IRREDUCIBLE
-
-    @property
-    def proved_non_elliptic(self) -> bool:
-        if any(c.verdict == NON_ELLIPTIC for c in self.trace_tests):
-            return True
-        return self.conductor is not None and self.conductor.verdict == NON_ELLIPTIC
+    def __init__(self, ell: int, embedding_root: int | None, irreducible: Certificate | None,
+                 irreducible_tried: tuple[int, ...], twist_exponent: int | None,
+                 trace_tests: tuple[Certificate, ...], conductor: Certificate | None,
+                 notes: tuple[str, ...]) -> None:
+        self.ell = ell
+        self.embedding_root = embedding_root
+        self.irreducible = irreducible
+        self.irreducible_tried = irreducible_tried
+        self.twist_exponent = twist_exponent
+        self.trace_tests = trace_tests
+        self.conductor = conductor
+        self.notes = notes
+        self.proved_irreducible = irreducible is not None and irreducible.verdict == IRREDUCIBLE
+        self.proved_non_elliptic = (any(c.verdict == NON_ELLIPTIC for c in trace_tests)
+                                    or conductor is not None and conductor.verdict == NON_ELLIPTIC)
 
     @property
     def proved(self) -> bool:
@@ -395,7 +390,8 @@ def _certify_run(form: NewformData, ell: int, root: int | None, m: int, t: int |
     provenance = {"form": form.form_id, "embedding_root": root, "twist_exponent": 0}
     notes: list[str] = []
 
-    irreducible: Certificate | None = None
+    # the discriminant attempt kept: the first Irreducible, else the first tried
+    kept: tuple[int, int, int] | None = None
     tried: list[int] = []
     for p in candidates:
         if p == ell:
@@ -404,12 +400,19 @@ def _certify_run(form: NewformData, ell: int, root: int | None, m: int, t: int |
         if p not in traces:
             notes.append(f"no eigenvalue at p={p}; discriminant test skipped")
             continue
-        cert = _discriminant(ell, p, traces[p], m, provenance)
+        delta, sym = _discriminant(ell, p, traces[p], m)
         tried.append(p)
-        if cert.verdict == IRREDUCIBLE:
-            irreducible = cert
+        if kept is None or sym == -1:
+            kept = p, delta, sym
+        if sym == -1:
             break
-        irreducible = irreducible or cert
+    irreducible: Certificate | None = None
+    if kept is not None:
+        p, delta, sym = kept
+        irreducible = Certificate(
+            IRREDUCIBLE if sym == -1 else INCONCLUSIVE, METHOD_DISCRIMINANT, ell,
+            {"p": p, "trace": traces[p], "det_exponent": m, "delta": delta, "legendre": sym},
+            provenance | {"assumed_odd": True})
 
     trace_tests: list[Certificate] = []
     if t is not None:
@@ -440,16 +443,8 @@ def _certify_run(form: NewformData, ell: int, root: int | None, m: int, t: int |
                 "conductor known only up to divisibility; conductor bound not usable"
             )
 
-    return EllCertification(
-        ell=ell,
-        embedding_root=root,
-        irreducible=irreducible,
-        irreducible_tried=tuple(tried),
-        twist_exponent=t,
-        trace_tests=tuple(trace_tests),
-        conductor=conductor_cert,
-        notes=tuple(notes),
-    )
+    return EllCertification(ell, root, irreducible, tuple(tried), t, tuple(trace_tests),
+                            conductor_cert, tuple(notes))
 
 
 # A sorted ell list whose width plus the square root of its largest ell is
@@ -500,7 +495,7 @@ def certify_form(
 
 
 # A batch holds at most this many ells, so a process holds one batch of run
-# objects (about 1.7 KB a run) and their text (1.3 KB a run in JSON) at a
+# objects (about 1.3 KB a run) and their text (1.3 KB a run in JSON) at a
 # time; a forked worker spools each batch's text as it finishes it.
 _BATCH_ELLS = 1000
 

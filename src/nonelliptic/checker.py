@@ -9,9 +9,9 @@ certificate, so a fault there shows up here as a rejected record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .arith import TRIAL_DIVISION_LIMIT, Factorization, is_prime, legendre, trial_factor
+from .arith import (TRIAL_DIVISION_LIMIT, Factorization, Record, is_prime, legendre,
+                    primes_in_range, trial_factor)
 
 IRREDUCIBLE = "Irreducible"
 NON_ELLIPTIC = "NonElliptic"
@@ -29,19 +29,22 @@ ELLIPTIC_CONDUCTOR_BOUNDS = {2: 8, 3: 5}
 DEFAULT_CONDUCTOR_BOUND = 2
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """A verdict plus the witness data needed to re-verify it.
 
     ell is None for statements that quantify over all ell at once (the
     family-level reducibility obstruction, a bare conductor bound).
     """
 
-    verdict: str
-    method: str
-    ell: int | None
-    witness: dict
-    inputs: dict = field(default_factory=dict)
+    __slots__ = ("verdict", "method", "ell", "witness", "inputs")
+
+    def __init__(self, verdict: str, method: str, ell: int | None, witness: dict,
+                 inputs: dict | None = None) -> None:
+        self.verdict = verdict
+        self.method = method
+        self.ell = ell
+        self.witness = witness
+        self.inputs = {} if inputs is None else inputs
 
     def to_dict(self) -> dict:
         return {
@@ -131,7 +134,13 @@ def _check_obstruction(cert: Certificate) -> bool:
     m_value = abs(1 + p ** (k - 1) - a_p)
     factors, exceptional = [], []
     if m_value:
-        (factors,), exceptional = _exceptional([m_value], [w["factors"]], {p})
+        # E holds every prime in (5, k-2], and pi(x) > x/ln x > x/bits(x) for
+        # x >= 17 (Rosser-Schoenfeld 1962): a shorter E is refused before the
+        # sieve, whose cost its length then bounds
+        if k > 18 and len(w["exceptional"]) < (k - 2) // (k - 2).bit_length() - 3:
+            return False
+        beyond = {q for q in _primes(level) if q > 5} | {*primes_in_range(7, k - 2)}
+        (factors,), exceptional = _exceptional([m_value], [w["factors"]], {p} | beyond)
     want = {"p": p, "a_p": a_p, "weight": k, "level": level, "M": m_value,
             "factors": factors, "exceptional": exceptional}
     return _same(w, want) and cert.verdict == (IRREDUCIBLE if m_value else INCONCLUSIVE)

@@ -13,12 +13,11 @@ p^5 coefficient tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .arith import is_prime, legendre, require_odd_prime
+from .arith import Record, is_prime, legendre, require_odd_prime
 
 if TYPE_CHECKING:  # an annotation only: the census needs no form
     from .repmodel import NewformData
@@ -38,19 +37,15 @@ def weierstrass_discriminant(a1: int, a2: int, a3: int, a4: int, a6: int) -> int
     return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
-@dataclass(frozen=True)
-class CurveQ:
+class CurveQ(Record):
     """A nonsingular general-Weierstrass curve over Q with integer coefficients."""
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
+    __slots__ = ("a1", "a2", "a3", "a4", "a6")
 
-    def __post_init__(self) -> None:
-        if self.disc == 0:
+    def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int) -> None:
+        if weierstrass_discriminant(a1, a2, a3, a4, a6) == 0:
             raise ValueError("singular curve: discriminant is zero")
+        self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
 
     @property
     def disc(self) -> int:
@@ -136,20 +131,21 @@ def trace_set(p: int) -> set[int]:
     return traces
 
 
-@dataclass(frozen=True)
-class FalsificationWitness:
+class FalsificationWitness(Record):
     """A prime where a curve's Frobenius trace contradicts the representation."""
 
-    p: int
-    curve_trace: int
-    rep_trace: int
-    ell: int
+    __slots__ = ("p", "curve_trace", "rep_trace", "ell")
+
+    def __init__(self, p: int, curve_trace: int, rep_trace: int, ell: int) -> None:
+        self.p, self.curve_trace, self.rep_trace, self.ell = p, curve_trace, rep_trace, ell
 
 
-@dataclass(frozen=True)
-class FalsifyResult:
-    witness: FalsificationWitness | None
-    compared: tuple[int, ...]
+class FalsifyResult(Record):
+    __slots__ = ("witness", "compared")
+
+    def __init__(self, witness: FalsificationWitness | None, compared: tuple[int, ...]) -> None:
+        self.witness = witness
+        self.compared = compared
 
     @property
     def found(self) -> bool:

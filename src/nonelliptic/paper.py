@@ -7,11 +7,10 @@ pipeline plus a diff; nothing proves anything of its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import data_io
-from .arith import primes_in_range
+from .arith import Record, primes_in_range
 
 if TYPE_CHECKING:
     from .checker import Certificate
@@ -20,16 +19,19 @@ if TYPE_CHECKING:
 _PRODUCT_BITS = 256  # a scan group's product of moduli, in bits: see closed_form_scan
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Record):
     """Result of the closed-form scan 2^(ell-3) ∈ {1, 4, 9} (mod ell)."""
 
-    ell_min: int
-    ell_max: int
-    scanned: int
-    holds: tuple[int, ...]
-    hold_residues: dict[int, int]
-    fermat_ok: bool
+    __slots__ = ("ell_min", "ell_max", "scanned", "holds", "hold_residues", "fermat_ok")
+
+    def __init__(self, ell_min: int, ell_max: int, scanned: int, holds: tuple[int, ...],
+                 hold_residues: dict[int, int], fermat_ok: bool) -> None:
+        self.ell_min = ell_min
+        self.ell_max = ell_max
+        self.scanned = scanned
+        self.holds = holds
+        self.hold_residues = hold_residues
+        self.fermat_ok = fermat_ok
 
     def to_dict(self) -> dict:
         return {
@@ -106,12 +108,15 @@ def closed_form_scan(ell_min: int, ell_max: int) -> ScanReport:
     )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    expectations_version: int
-    ell_max: int
-    sections: dict
-    mismatches: tuple[str, ...]
+class VerificationReport(Record):
+    __slots__ = ("expectations_version", "ell_max", "sections", "mismatches")
+
+    def __init__(self, expectations_version: int, ell_max: int, sections: dict,
+                 mismatches: tuple[str, ...]) -> None:
+        self.expectations_version = expectations_version
+        self.ell_max = ell_max
+        self.sections = sections
+        self.mismatches = mismatches
 
     @property
     def passed(self) -> bool:

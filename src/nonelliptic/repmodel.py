@@ -15,9 +15,8 @@ inventing values.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
-from .arith import is_prime, trial_factor
+from .arith import Record, is_prime, trial_factor
 
 
 class BadReductionError(ValueError):
@@ -49,35 +48,41 @@ class RamanujanBoundWarning(UserWarning):
     """An eigenvalue violates |a_p| <= 2 p^((k-1)/2): almost surely a typo."""
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(Record):
     """x + y*sqrt(d), read in the field of the NewformData holding it: the
     form owns d and refuses y != 0 over Q."""
 
-    x: int
-    y: int = 0
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: int, y: int = 0) -> None:
+        self.x = x
+        self.y = y
 
     @property
     def is_rational(self) -> bool:
         return self.y == 0
 
 
-@dataclass(frozen=True)
-class NewformData:
+class NewformData(Record):
     """Level, weight, coefficient field and a sparse prime -> a_p map.
 
     Only good primes (p not dividing the level) may carry eigenvalues.
     """
 
-    form_id: str
-    level: int
-    weight: int
-    d: int | None  # None: rational coefficient field; else Q(sqrt(d))
-    eigenvalues: dict[int, QuadInt]
-    claimed_conductor_equality: bool = False
-    notes: str = ""
+    __slots__ = ("form_id", "level", "weight", "d", "eigenvalues",
+                 "claimed_conductor_equality", "notes")
 
-    def __post_init__(self) -> None:
+    def __init__(self, form_id: str, level: int, weight: int,
+                 d: int | None,  # None: rational coefficient field; else Q(sqrt(d))
+                 eigenvalues: dict[int, QuadInt], claimed_conductor_equality: bool = False,
+                 notes: str = "") -> None:
+        self.form_id = form_id
+        self.level = level
+        self.weight = weight
+        self.d = d
+        self.eigenvalues = eigenvalues
+        self.claimed_conductor_equality = claimed_conductor_equality
+        self.notes = notes
         # The form owns its field: a QuadInt value is read in it.
         if self.d is not None:
             where = ("field", "d")
@@ -122,7 +127,7 @@ class NewformData:
                 f"a_{p} of form {self.form_id} violates the Ramanujan bound "
                 f"a_p^2 <= 4 p^(k-1)",
                 RamanujanBoundWarning,
-                stacklevel=4,  # the constructor's caller, past the generated __init__
+                stacklevel=3,  # the constructor's caller
             )
 
 

@@ -1,5 +1,5 @@
 import ast
-import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -71,10 +71,18 @@ def written_certificates(text: str) -> list[Certificate]:
     return found
 
 
+def replaced(record, **changes):
+    """`record` built again by its own constructor, which validates, with the
+    fields in `changes` replaced: the package's records are slotted classes,
+    not dataclasses."""
+    names = inspect.signature(type(record)).parameters
+    return type(record)(**{name: changes.get(name, getattr(record, name)) for name in names})
+
+
 def stored_at(form, primes):
     """`form` with its eigenvalues kept only at `primes`: what a representation
     reduced from it can compare, e.g. in falsify_curve."""
-    return dataclasses.replace(form, eigenvalues={p: form.eigenvalues[p] for p in primes})
+    return replaced(form, eigenvalues={p: form.eigenvalues[p] for p in primes})
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import io
 import itertools
@@ -11,11 +10,11 @@ import tracemalloc
 import warnings
 
 import pytest
-from conftest import certify_report, written_certificates
+from conftest import certify_report, replaced, written_certificates
 from hypothesis import assume, example, given, settings, strategies as st
 
 from nonelliptic.arith import legendre, primes_in_range, trial_factor
-from nonelliptic import certify, paper
+from nonelliptic import certify, checker, paper
 from nonelliptic.cli import main
 from nonelliptic.certify import (
     EXCLUDED_SET_LIMIT,
@@ -151,8 +150,9 @@ def test_obstruction_hypothetical_p41():
 
 
 @pytest.mark.parametrize("level,weight,p,a_p,m_value,want", [
-    (11, 2, 3, 3, 1, [3]),  # M = 1: only the witness prime is exceptional
-    (1, 12, 2, -24, 2073, [2, 3, 691]),  # Ramanujan's Delta: 2073 = 3 * 691
+    (11, 2, 3, 3, 1, [3, 11]),  # M = 1: the witness prime and the level's 11
+    # Ramanujan's Delta: 2073 = 3 * 691, and 7 <= k - 2 = 10
+    (1, 12, 2, -24, 2073, [2, 3, 7, 691]),
 ], ids=["M=1", "delta"])
 def test_obstruction_exceptional_set(level, weight, p, a_p, m_value, want):
     form = NewformData("t", level, weight, None, {p: QuadInt(a_p)})
@@ -162,6 +162,42 @@ def test_obstruction_exceptional_set(level, weight, p, a_p, m_value, want):
     assert cert.witness["M"] == m_value
     assert sorted(exceptional) == cert.witness["exceptional"] == want
     assert check(cert)
+
+
+def test_obstruction_exceptional_set_holds_what_fontaine_laffaille_leaves_out():
+    # rho-bar of Delta mod 7 is reducible: tau(p) = p + p^4 (mod 7), so 7,
+    # which divides no M, must be in E; so must a prime > 5 of the level
+    delta = reducibility_obstruction(NewformData("delta", 1, 12, None, {2: QuadInt(-24)}), 2)
+    assert all((tau - p - p**4) % 7 == 0 for p, tau in [(2, -24), (3, 252), (5, 4830),
+                                                         (11, 534612), (13, -577738)])
+    assert delta.witness["exceptional"] == [2, 3, 7, 691] and check(delta)
+    old = Certificate.from_dict(delta.to_dict() | {
+        "witness": delta.witness | {"exceptional": [2, 3, 691]}})
+    assert not check(old)
+    # 13 divides the level 13^2 * 2; 3 and 5 of the level stay out
+    level = reducibility_obstruction(NewformData("t", 2 * 3 * 5 * 13**2, 2, None,
+                                                 {53: QuadInt(-2)}), 53)
+    assert level.witness["M"] == 56 and level.witness["exceptional"] == [2, 7, 13, 53]
+    assert check(level)
+    assert not check(Certificate.from_dict(level.to_dict() | {
+        "witness": level.witness | {"exceptional": [2, 7, 53]}}))
+
+
+def test_check_refuses_an_obstruction_whose_exceptional_set_is_too_short_to_sieve(monkeypatch):
+    # k - 2 = 10^6 has 78,498 primes up to it: an E of 3 cannot list those
+    # above 5, and is refused before the sieve runs
+    sieved = []
+    monkeypatch.setattr(checker, "primes_in_range", lambda lo, hi: sieved.append(hi) or [])
+    k = 10**6 + 2
+    witness = {"p": 2, "a_p": 2 ** (k - 1) - 2, "weight": k, "level": 1, "M": 3,
+               "factors": [[3, 1]], "exceptional": [2, 3, 7]}
+    assert not check(Certificate(IRREDUCIBLE, METHOD_OBSTRUCTION, None, witness))
+    assert sieved == []
+    # an E as long as pi(x) - 3 > x/bits(x) - 3 allows does reach the sieve
+    long = list(range(10**6 // 20 - 3))
+    assert not check(Certificate(IRREDUCIBLE, METHOD_OBSTRUCTION, None,
+                                 witness | {"exceptional": long}))
+    assert sieved == [10**6]
 
 
 def test_obstruction_rejects_bad_witness(schoen_form):
@@ -470,7 +506,7 @@ def test_family_trace_is_inconclusive_where_some_d_s_vanishes(sqrt2_form):
 def test_family_trace_refuses_what_it_cannot_certify(schoen_form):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RamanujanBoundWarning)
-        weight3 = dataclasses.replace(schoen_form, weight=3)  # a_7 and a_11 break the bound
+        weight3 = replaced(schoen_form, weight=3)  # a_7 and a_11 break the bound
         big = NewformData("big", 25, 10**9, None, {2: QuadInt(1)})
         huge_p = NewformData("huge", 1, 2, None, {10**12 + 39: QuadInt(1)})
     with pytest.raises(ValueError, match="even weight, not 3"):
@@ -571,8 +607,8 @@ def test_check_rejects_a_tampered_family_trace_certificate(schoen_form, sqrt2_fo
     ):
         assert not check(_tampered(cert, **tampered)), tampered
     assert not check(_tampered(cert, a_p=[1, 1]))  # irrational a_p over Q
-    assert not check(dataclasses.replace(cert, verdict=INCONCLUSIVE))
-    assert not check(dataclasses.replace(cert, ell=7))
+    assert not check(replaced(cert, verdict=INCONCLUSIVE))
+    assert not check(replaced(cert, ell=7))
     quad = family_trace_obstruction(sqrt2_form, 5)
     assert check(quad)
     assert not check(_tampered(quad, a_p=[1, -2]))  # a_5 = -2 sqrt(2); +2 sqrt(2) would pass
@@ -740,11 +776,14 @@ def test_check_obstruction_with_unfactorable_level_is_false_quickly(schoen_form)
     d = reducibility_obstruction(schoen_form, 11).to_dict()
     semiprime = json.loads(json.dumps(d))
     semiprime["witness"]["level"] = 1000000007 * 1000000009  # split by rho
+    # each prime > 5 of the level is exceptional
+    semiprime["witness"]["exceptional"] = [5, 11, 1000000007, 1000000009]
     # above 2**64 the producer cannot factor the level either
     too_large = json.loads(json.dumps(d))
     too_large["witness"]["level"] = 25 * (2**61 - 1)
     prime_cofactor = json.loads(json.dumps(d))
     prime_cofactor["witness"]["level"] = 4 * (2**61 - 1)  # 2^2 * a prime > 10^12
+    prime_cofactor["witness"]["exceptional"] = [5, 11, 2**61 - 1]
     start = time.perf_counter()
     assert check(Certificate.from_dict(semiprime))
     assert not check(Certificate.from_dict(too_large))
@@ -908,7 +947,7 @@ def test_tampering_a_witness_field_fails_check(data):
     value = data.draw(_near(old) | JSON_VALUES)
     assume(value != old)
     if key == "ell":
-        tampered = dataclasses.replace(_tampered(cert), ell=value)
+        tampered = replaced(_tampered(cert), ell=value)
     else:
         tampered = _tampered(cert, **{key: value})
     if check(tampered):
@@ -1247,7 +1286,7 @@ def certify_cases(draw):
 
 def renamed(form_id):
     """A case of certify_cases: the bundled weight-4 form under another id at 7 and 11."""
-    return dataclasses.replace(bundled_form("schoen_s4_25"), form_id=form_id), [7, 11], None, None
+    return replaced(bundled_form("schoen_s4_25"), form_id=form_id), [7, 11], None, None
 
 
 @settings(max_examples=300, deadline=None)
@@ -1403,4 +1442,4 @@ def test_a_run_with_a_certificate_of_another_method_has_no_json(schoen_form):
     (run,) = certify_form(schoen_form, [11])
     family = reducibility_obstruction(schoen_form, 11)
     with pytest.raises(ValueError, match="no JSON template for a ReducibilityObstruction"):
-        certify._run_json(dataclasses.replace(run, irreducible=family), "    ")
+        certify._run_json(replaced(run, irreducible=family), "    ")

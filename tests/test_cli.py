@@ -169,6 +169,23 @@ def test_certify_range_report_bytes_pinned(tmp_path, capsys, form, ell_max, fmt,
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# sha256 of the reports at the benchmark's size, 7..10^5: past POOL_MIN_RUNS
+# runs, so a fresh interpreter with more than one usable CPU forks workers and
+# spools their batches (the pins above run in one process)
+@pytest.mark.parametrize("form,fmt,sha256", [
+    (SCHOEN, "json", "bc4c28c774b12d75b5d437dea97c09c6d7cfdd43a0adce24fb2a6d2e80be9698"),
+    (SCHOEN, "text", "201d6a9b3448c83828ebd428ab841f4aa58cc3157ec3ce4e3e013eaa2c05ae57"),
+    (SQRT2, "json", "a5a5b83e308fdff01f97af75b8049a9af3d7ac28ed2404e9b9d7ca7da17c7336"),
+], ids=["schoen_s4_25-json", "schoen_s4_25-text", "s2_512_sqrt2-json"])
+def test_forked_certify_report_bytes_pinned_to_1e5(form, fmt, sha256):
+    src = str(Path(nonelliptic.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "nonelliptic", "certify", "-i", form,
+                           "--ell-min", "7", "--ell-max", "100000", "--format", fmt],
+                          capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (2, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == sha256
+
+
 # Each takes a branch of the run's JSON: the trace and the conductor routes,
 # a pinned root, an even determinant exponent with a claimed conductor and no
 # violation (weight 5, level 25) under an id json must escape, and p = ell.
@@ -1082,7 +1099,8 @@ def test_import_leaves_out_jsonschema_and_process_pools():
     src = str(Path(nonelliptic.__file__).resolve().parents[1])
     code = (
         "import contextlib, io, sys, nonelliptic.cli\n"
-        "heavy = ('jsonschema', 'concurrent.futures', 'multiprocessing')\n"
+        "heavy = ('jsonschema', 'concurrent.futures', 'multiprocessing', 'dataclasses',\n"
+        "         'inspect')\n"
         "def loaded(): print(sorted(m for m in heavy if m in sys.modules))\n"
         "loaded()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -1101,13 +1119,19 @@ def test_import_leaves_out_jsonschema_and_process_pools():
         "    nonelliptic.cli.main(['certify', '-i', sys.argv[1], '--ell-min', '7',\n"
         "                          '--ell-max', '3000'])\n"
         "loaded()\n"
+        "for argv in (['oracle', '5'], ['scan', '7', '1000'], ['falsify', '--curve',\n"
+        "             '0,-1,1,-10,-20', '-i', sys.argv[1], '--ell', '11']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        nonelliptic.cli.main(argv)\n"
+        "    loaded()\n"
     )
     proc = subprocess.run([sys.executable, "-c", code, SCHOEN], capture_output=True,
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     # after import, after certify (which parses a form), after verify-paper,
-    # after a range too small to fork, and after a range forced to fork: the
-    # forked route loads neither pool module
-    assert proc.stdout.splitlines() == ["[]", "[]", "[]", "[]", "[]"], proc.stderr
+    # after a range too small to fork, after a range forced to fork (the
+    # forked route loads neither pool module), and after oracle, scan and
+    # falsify: no command loads dataclasses or inspect
+    assert (proc.stdout.splitlines(), proc.stderr) == (["[]"] * 8, "")
 
     # at start-up the CLI loads only what every command needs
     code = ("import sys, nonelliptic.cli\n"
