@@ -56,16 +56,6 @@ from .repmodel import (
 )
 
 
-def _discriminant(ell: int, p: int, tr: int, m: int) -> tuple[int, int]:
-    """The discriminant delta of the Frobenius characteristic polynomial
-    x^2 - tr x + p^m at p of a reduction with trace tr at p and determinant
-    exponent m mod the odd prime ell, and its Legendre symbol: if delta is a
-    non-residue, the polynomial is irreducible over F_ell and the (odd)
-    representation cannot be reducible."""
-    delta = (tr * tr - 4 * pow(p, m, ell)) % ell
-    return delta, _euler_criterion(delta, ell)
-
-
 def reducibility_obstruction(form: NewformData, p: int) -> Certificate:
     """Family-level irreducibility: a reducible mod-ell reduction would split
     as a character pair epsilon + epsilon^-1 chi^(k-1) with epsilon unramified
@@ -201,22 +191,10 @@ def excluded_trace_set(p: int, ell: int) -> list[int]:
     if 2 * bound + 1 >= ell:
         # the interval alone already meets every residue class
         return list(range(ell))
-    excluded = {t % ell for t in range(-bound, bound + 1)}
-    excluded.add((p + 1) % ell)
-    excluded.add(-(p + 1) % ell)
-    return sorted(excluded)
-
-
-def _trace_test(ell: int, p: int, tr: int, provenance: dict) -> Certificate:
-    """The trace certificate at p, p != 1 (mod ell), of a reduction with
-    determinant chi and trace tr at p. Had the reduction come from an
-    elliptic curve, tr would land in excluded_trace_set(p, ell): the Hasse
-    interval if the curve is unramified at p, ±(p+1) by level raising if it
-    is semistable. A trace outside that set is a proof of non-ellipticity."""
-    excluded = excluded_trace_set(p, ell)
-    return Certificate(NON_ELLIPTIC if tr not in excluded else INCONCLUSIVE, METHOD_TRACE, ell,
-                       {"p": p, "trace": tr, "excluded": excluded},
-                       provenance | {"extended": p != 2})
+    # the interval is 0..B and ell-B..ell-1; ±(p+1) lie both inside or both between
+    a = (p + 1) % ell
+    return [*range(bound + 1), *(sorted({a, ell - a}) if bound < a < ell - bound else ()),
+            *range(ell - bound, ell)]
 
 
 def _conductor_witness(conductor: int) -> dict:
@@ -375,7 +353,7 @@ class EllCertification(Record):
 
 def _certify_run(form: NewformData, ell: int, root: int | None, m: int, t: int | None,
                  traces: dict[int, int], witness_prime: int | None,
-                 conductor: Callable[[], dict]) -> EllCertification:
+                 conductor: Callable[[], dict]) -> tuple:
     """The pipeline on one reduction of `_reductions`, trusted: traces
     (p -> trace, reduced) under `root` at the odd prime ell, determinant
     exponent m, twist t to determinant chi (None for an even m).
@@ -385,13 +363,17 @@ def _certify_run(form: NewformData, ell: int, root: int | None, m: int, t: int |
     trace tests on the twist by chi^t over the same primes, falling back to
     the conductor bound when the conductor is known exactly. `conductor`
     returns the form's conductor witness; it is called only if a run needs
-    it. Only the traces a trace test reads are twisted."""
+    it. Only the traces a trace test reads are twisted.
+
+    Returns (ell, root, m, t, kept, tried, tests, witness, notes): kept is the
+    attempt kept (p, trace, delta, symbol), tests a (p, twisted trace, excluded,
+    non-elliptic) per trace test, witness the conductor witness if applied."""
     candidates = [witness_prime] if witness_prime is not None else sorted(traces)
-    provenance = {"form": form.form_id, "embedding_root": root, "twist_exponent": 0}
     notes: list[str] = []
 
-    # the discriminant attempt kept: the first Irreducible, else the first tried
-    kept: tuple[int, int, int] | None = None
+    # A non-residue discriminant delta of Frobenius's x^2 - tr x + p^m at p makes it,
+    # so the (odd) reduction, irreducible. Kept: the first Irreducible, else the first.
+    kept: tuple[int, int, int, int] | None = None
     tried: list[int] = []
     for p in candidates:
         if p == ell:
@@ -400,51 +382,57 @@ def _certify_run(form: NewformData, ell: int, root: int | None, m: int, t: int |
         if p not in traces:
             notes.append(f"no eigenvalue at p={p}; discriminant test skipped")
             continue
-        delta, sym = _discriminant(ell, p, traces[p], m)
+        tr = traces[p]
+        delta = (tr * tr - 4 * pow(p, m, ell)) % ell
+        sym = _euler_criterion(delta, ell)
         tried.append(p)
         if kept is None or sym == -1:
-            kept = p, delta, sym
+            kept = p, tr, delta, sym
         if sym == -1:
             break
-    irreducible: Certificate | None = None
-    if kept is not None:
-        p, delta, sym = kept
-        irreducible = Certificate(
-            IRREDUCIBLE if sym == -1 else INCONCLUSIVE, METHOD_DISCRIMINANT, ell,
-            {"p": p, "trace": traces[p], "det_exponent": m, "delta": delta, "legendre": sym},
-            provenance | {"assumed_odd": True})
 
-    trace_tests: list[Certificate] = []
+    # An elliptic curve's twisted trace at p lies in excluded_trace_set(p, ell): the
+    # Hasse interval if unramified at p, ±(p+1) by level raising if semistable.
+    tests: list[tuple[int, int, list[int], bool]] = []
     if t is not None:
-        twisted_provenance = provenance | {"twist_exponent": t}
         for p in candidates:
             if p not in traces:
                 continue
             if p % ell == 1:
                 notes.append(f"p={p} = 1 (mod {ell}); trace test unavailable there")
                 continue
-            cert = _trace_test(ell, p, traces[p] * pow(p, t, ell) % ell, twisted_provenance)
-            trace_tests.append(cert)
-            if cert.verdict == NON_ELLIPTIC:
+            tr = traces[p] * pow(p, t, ell) % ell
+            excluded = excluded_trace_set(p, ell)
+            tests.append((p, tr, excluded, tr not in excluded))
+            if tr not in excluded:
                 break
     else:
-        notes.append(
-            f"determinant exponent {m} is even: no determinant-chi "
-            "twist exists, trace test skipped"
-        )
+        notes.append(f"determinant exponent {m} is even: no determinant-chi twist exists, "
+                     "trace test skipped")
 
-    conductor_cert: Certificate | None = None
-    if not any(c.verdict == NON_ELLIPTIC for c in trace_tests):
+    witness = None
+    if not (tests and tests[-1][3]):
         if form.claimed_conductor_equality:
-            # the Serre conductor is the level
-            conductor_cert = _conductor(conductor(), ell, form.form_id)
+            witness = conductor()  # the Serre conductor is the level
         else:
-            notes.append(
-                "conductor known only up to divisibility; conductor bound not usable"
-            )
+            notes.append("conductor known only up to divisibility; conductor bound not usable")
+    return ell, root, m, t, kept, tuple(tried), tests, witness, tuple(notes)
 
-    return EllCertification(ell, root, irreducible, tuple(tried), t, tuple(trace_tests),
-                            conductor_cert, tuple(notes))
+
+def _record(form_id: str, ell: int, root: int | None, m: int, t: int | None, kept, tried,
+            tests, witness: dict | None, notes: tuple[str, ...]) -> EllCertification:
+    """The record of a run from the values `_certify_run` decided."""
+    provenance = {"form": form_id, "embedding_root": root, "twist_exponent": 0}
+    irreducible = None if kept is None else Certificate(
+        IRREDUCIBLE if kept[3] == -1 else INCONCLUSIVE, METHOD_DISCRIMINANT, ell,
+        {"p": kept[0], "trace": kept[1], "det_exponent": m, "delta": kept[2], "legendre": kept[3]},
+        provenance | {"assumed_odd": True})
+    trace_tests = tuple(Certificate(NON_ELLIPTIC if ne else INCONCLUSIVE, METHOD_TRACE, ell,
+                                    {"p": p, "trace": tr, "excluded": excluded},
+                                    provenance | {"twist_exponent": t, "extended": p != 2})
+                        for p, tr, excluded, ne in tests)
+    conductor = None if witness is None else _conductor(witness, ell, form_id)
+    return EllCertification(ell, root, irreducible, tried, t, trace_tests, conductor, notes)
 
 
 # A sorted ell list whose width plus the square root of its largest ell is
@@ -466,12 +454,21 @@ def _sieved_primes(ells: list[int]) -> set[int]:
     return set()
 
 
-def certify_form(
-    form: NewformData,
-    ells: list[int],
-    root: int | None = None,
-    witness_prime: int | None = None,
-) -> tuple[EllCertification, ...]:
+def _runs(form: NewformData, ells: list[int], root: int | None, witness_prime: int | None):
+    """The values `_certify_run` decides for each run of certify_form, in order."""
+    ells = sorted(set(ells))
+    proved = _sieved_primes(ells)
+    conductor = cache(partial(_conductor_witness, form.level))
+    for ell in ells:
+        if ell not in proved:
+            require_odd_prime(ell)
+        m, t, reductions = _reductions(form, ell, root)
+        for r, traces in reductions:
+            yield _certify_run(form, ell, r, m, t, traces, witness_prime, conductor)
+
+
+def certify_form(form: NewformData, ells: list[int], root: int | None = None,
+                 witness_prime: int | None = None) -> tuple[EllCertification, ...]:
     """Certification pipeline over a list of ells: the runs in sorted ell
     order, one per reduction `repmodel._reductions` gives at each ell under
     `root`, so one per ell over Q and one per root over a quadratic field
@@ -480,23 +477,14 @@ def certify_form(
     The first ell, in sorted order, that is not an odd prime raises
     ValueError; the first the rule refuses raises its refusal. Each ell is
     proved once, the whole list by one sieve when it is dense, and the rule
-    is asked once per ell; the runs share one conductor witness."""
-    ells = sorted(set(ells))
-    proved = _sieved_primes(ells)
-    conductor = cache(partial(_conductor_witness, form.level))
-    runs = []
-    for ell in ells:
-        if ell not in proved:
-            require_odd_prime(ell)
-        m, t, reductions = _reductions(form, ell, root)
-        runs += [_certify_run(form, ell, r, m, t, traces, witness_prime, conductor)
-                 for r, traces in reductions]
-    return tuple(runs)
+    is asked once per ell; the runs share one conductor witness. A run is the
+    record of the values `_certify_run` decides, which render_runs writes."""
+    return tuple(_record(form.form_id, *run) for run in _runs(form, ells, root, witness_prime))
 
 
-# A batch holds at most this many ells, so a process holds one batch of run
-# objects (about 1.3 KB a run) and their text (1.3 KB a run in JSON) at a
-# time; a forked worker spools each batch's text as it finishes it.
+# A batch holds at most this many ells. A process builds one batch at a time: in
+# JSON its text alone (1.3 KB a run; a 2.4 MiB tracemalloc peak over 959 runs of
+# schoen_s4_25), in text its run objects too; a forked worker spools each text.
 _BATCH_ELLS = 1000
 
 # A range is cut into at most this many batches, so that their indices, 4
@@ -510,9 +498,12 @@ _MAX_BATCHES = getattr(select, "PIPE_BUF", 512) // 4
 # The JSON templates below, and write_json_list for the report around them,
 # write the runs of certify_form and their certificates as json.dumps(envelope,
 # default=lambda o: o.to_dict(), sort_keys=True, indent=2, ensure_ascii=True)
-# does with the runs in the envelope's "runs" list, keys in sorted order, in
-# about a ninth of its time. json.dumps is the reference the tests hold them
-# to; VerificationReport.write_json uses the certificate template too.
+# does. Each is written at the nesting a range's report gives it (a run at
+# _RUN_INDENT, its certificates 2 and 4 spaces in; _nested moves one), each value
+# as JSON or an int, a parameter named after its key. render_runs fills them from
+# each run's values, no record built: 13.5 and 9.4 us a run with the pipeline on
+# schoen_s4_25 and a weight-5 form, against 20.9 and 19.2 from records (Python
+# 3.11; BENCH_values.json).
 _RUN_INDENT = "    "
 
 
@@ -532,73 +523,121 @@ def _list(texts, indent: str) -> str:
     return f"[\n{inner}{body}\n{indent}]" if body else "[]"
 
 
+def _json(value, i0: str = "") -> str:
+    """A str, bool, int or None, or a list, tuple or dict (plain str keys)
+    of them, as JSON at nesting `i0`."""
+    if value is None:
+        return "null"
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is list or kind is tuple:
+        return _list([_json(v, i0 + "  ") for v in value], i0)
+    if kind is dict:
+        i1 = i0 + "  "
+        return "{\n" + ",\n".join(f'{i1}"{key}": {_json(value[key], i1)}'
+                                  for key in sorted(value)) + f"\n{i0}}}"
+    return str(value)
+
+
+def _discriminant_json(ell, verdict, assumed_odd, embedding_root, form, twist_exponent, delta,
+                       det_exponent, legendre, p, trace) -> str:
+    return (f'{{\n        "ell": {ell},\n        "inputs": {{\n          "assumed_odd": '
+            f'{assumed_odd},\n          "embedding_root": {embedding_root},'
+            f'\n          "form": {form},\n          "twist_exponent": {twist_exponent}'
+            f'\n        }},\n        "method": "{METHOD_DISCRIMINANT}",\n        "verdict": '
+            f'{verdict},\n        "witness": {{\n          "delta": {delta},'
+            f'\n          "det_exponent": {det_exponent},\n          "legendre": {legendre},'
+            f'\n          "p": {p},\n          "trace": {trace}\n        }}\n      }}')
+
+
+def _trace_json(ell, verdict, embedding_root, extended, form, twist_exponent, excluded, p,
+                trace) -> str:
+    return (f'{{\n          "ell": {ell},\n          "inputs": {{\n            "embedding_root":'
+            f' {embedding_root},\n            "extended": {extended},\n            "form": {form},'
+            f'\n            "twist_exponent": {twist_exponent}\n          }},\n          "method": '
+            f'"{METHOD_TRACE}",\n          "verdict": {verdict},\n          "witness": {{'
+            f'\n            "excluded": {_list(map(str, excluded), " " * 12)},'
+            f'\n            "p": {p},\n            "trace": {trace}\n          }}\n        }}')
+
+
+def _conductor_json(ell, verdict, form, conductor, factors, violation) -> str:
+    return (f'{{\n        "ell": {ell},\n        "inputs": {{\n          "form": {form}'
+            f'\n        }},\n        "method": "{METHOD_CONDUCTOR}",\n        "verdict": {verdict},'
+            f'\n        "witness": {{\n          "conductor": {conductor},\n          "factors": '
+            f'{_json(factors, " " * 10)},\n          "violation": {_json(violation, " " * 10)}'
+            f'\n        }}\n      }}')
+
+
+_TEMPLATES = {METHOD_DISCRIMINANT: _discriminant_json, METHOD_TRACE: _trace_json,
+              METHOD_CONDUCTOR: _conductor_json}
+
+
+def _nested(text: str, i0: str) -> str:
+    """The JSON `text`, its closing bracket on its last line, at nesting `i0`."""
+    at = text[text.rindex("\n"):-1]
+    return text if at == "\n" + i0 else text.replace(at, "\n" + i0)
+
+
 def _cert_json(cert: Certificate, i0: str) -> str:
-    """A per-ell certificate of a certify_form run as JSON at nesting `i0`."""
-    i1 = i0 + "  "
-    i2 = i1 + "  "
-    w, a = cert.witness, cert.inputs
-    if cert.method == METHOD_DISCRIMINANT:
-        inputs = (f'{{\n{i2}"assumed_odd": {_bool(a["assumed_odd"])},'
-                  f'\n{i2}"embedding_root": {_opt(a["embedding_root"])},'
-                  f'\n{i2}"form": {encode_basestring_ascii(a["form"])},'
-                  f'\n{i2}"twist_exponent": {_opt(a["twist_exponent"])}\n{i1}}}')
-        witness = (f'{{\n{i2}"delta": {w["delta"]},\n{i2}"det_exponent": {w["det_exponent"]},'
-                   f'\n{i2}"legendre": {w["legendre"]},\n{i2}"p": {w["p"]},'
-                   f'\n{i2}"trace": {w["trace"]}\n{i1}}}')
-    elif cert.method == METHOD_TRACE:
-        inputs = (f'{{\n{i2}"embedding_root": {_opt(a["embedding_root"])},'
-                  f'\n{i2}"extended": {_bool(a["extended"])},'
-                  f'\n{i2}"form": {encode_basestring_ascii(a["form"])},'
-                  f'\n{i2}"twist_exponent": {_opt(a["twist_exponent"])}\n{i1}}}')
-        witness = (f'{{\n{i2}"excluded": {_list(map(str, w["excluded"]), i2)},'
-                   f'\n{i2}"p": {w["p"]},\n{i2}"trace": {w["trace"]}\n{i1}}}')
-    elif cert.method == METHOD_CONDUCTOR:
-        inputs = f'{{\n{i2}"form": {encode_basestring_ascii(a["form"])}\n{i1}}}'
-        i3 = i2 + "  "
-        v = w["violation"]
-        violation = "null" if v is None else (
-            f'{{\n{i3}"bound": {v["bound"]},\n{i3}"exponent": {v["exponent"]},'
-            f'\n{i3}"p": {v["p"]}\n{i2}}}')
-        factors = _list([_list([str(q), str(e)], i3) for q, e in w["factors"]], i2)
-        witness = (f'{{\n{i2}"conductor": {w["conductor"]},\n{i2}"factors": {factors},'
-                   f'\n{i2}"violation": {violation}\n{i1}}}')
-    else:
+    """A per-ell certificate of a certify_form run as JSON at nesting `i0`:
+    its method's template takes each input, as JSON, and each witness value
+    by its key, so a key missing or extra is a TypeError naming it."""
+    if cert.method not in _TEMPLATES:
         raise ValueError(f"no JSON template for a {cert.method} certificate")
-    return (f'{{\n{i1}"ell": {_opt(cert.ell)},\n{i1}"inputs": {inputs},'
-            f'\n{i1}"method": {encode_basestring_ascii(cert.method)},'
-            f'\n{i1}"verdict": {encode_basestring_ascii(cert.verdict)},'
-            f'\n{i1}"witness": {witness}\n{i0}}}')
+    inputs = {key: _json(value) for key, value in cert.inputs.items()}
+    return _nested(_TEMPLATES[cert.method](_opt(cert.ell), _json(cert.verdict), **inputs,
+                                           **cert.witness), i0)
 
 
-def _run_json(run: EllCertification, i0: str) -> str:
-    """run as JSON at nesting `i0`, its certificates included."""
-    i1 = i0 + "  "
-    irreducible = "null" if run.irreducible is None else _cert_json(run.irreducible, i1)
-    conductor = "null" if run.conductor is None else _cert_json(run.conductor, i1)
-    i2 = i1 + "  "
-    trace_tests = _list([_cert_json(c, i2) for c in run.trace_tests], i1)
-    return (f'{{\n{i1}"conductor": {conductor},\n{i1}"ell": {run.ell},'
-            f'\n{i1}"embedding_root": {_opt(run.embedding_root)},'
-            f'\n{i1}"irreducible": {irreducible},'
-            f'\n{i1}"irreducible_tried": {_list(map(str, run.irreducible_tried), i1)},'
-            f'\n{i1}"notes": {_list(map(encode_basestring_ascii, run.notes), i1)},'
-            f'\n{i1}"proved_irreducible": {_bool(run.proved_irreducible)},'
-            f'\n{i1}"proved_non_elliptic": {_bool(run.proved_non_elliptic)},'
-            f'\n{i1}"trace_tests": {trace_tests},'
-            f'\n{i1}"twist_exponent": {_opt(run.twist_exponent)}\n{i0}}}')
+def _run(conductor, ell, root, irreducible, tried, notes, proved_irreducible,
+         proved_non_elliptic, trace_tests, t) -> str:
+    """A run as JSON from its values as JSON, in key order."""
+    return (f'{{\n      "conductor": {conductor},\n      "ell": {ell},\n      "embedding_root": '
+            f'{root},\n      "irreducible": {irreducible},\n      "irreducible_tried": {tried},'
+            f'\n      "notes": {notes},\n      "proved_irreducible": {proved_irreducible},'
+            f'\n      "proved_non_elliptic": {proved_non_elliptic},\n      "trace_tests": '
+            f'{trace_tests},\n      "twist_exponent": {t}\n    }}')
 
 
 def render_runs(form: NewformData, root: int | None, witness_prime: int | None, fmt: str,
                 ells: list[int]) -> tuple[str, bool]:
     """The runs of certify_form(form, ells, root, witness_prime) as report
     text in `fmt`, JSON elements of "runs" joined by its comma or text lines,
-    and whether all were proved."""
-    runs = certify_form(form, ells, root, witness_prime)
-    if fmt == "json":
-        text = (",\n" + _RUN_INDENT).join([_run_json(run, _RUN_INDENT) for run in runs])
-    else:
-        text = "\n".join(line for run in runs for line in run.text_lines())
-    return text, all(run.proved for run in runs)
+    and whether all were proved: text from the records, JSON from the values
+    each run decides, with its form id, lists and conductor rendered once."""
+    if fmt != "json":
+        runs = certify_form(form, ells, root, witness_prime)
+        return ("\n".join(line for run in runs for line in run.text_lines()),
+                all(run.proved for run in runs))
+    i0, i1 = _RUN_INDENT, _RUN_INDENT + "  "
+    form_id = encode_basestring_ascii(form.form_id)
+    lists: dict = {}  # (tried, notes) -> their JSON
+    conductor: list[str] = []  # the conductor certificate around its ell, held by a "\0"
+    texts, proved = [], True
+    for ell, r, m, t, kept, tried, tests, witness, notes in _runs(form, ells, root, witness_prime):
+        if (tried, notes) not in lists:
+            lists[tried, notes] = _json(tried, i1), _json(notes, i1)
+        rt, proved_irreducible = _opt(r), kept is not None and kept[3] == -1
+        irr = "null" if kept is None else _discriminant_json(
+            ell, f'"{IRREDUCIBLE if proved_irreducible else INCONCLUSIVE}"', "true", rt,
+            form_id, 0, kept[2], m, kept[3], kept[0], kept[1])
+        trace_tests = [_trace_json(ell, f'"{NON_ELLIPTIC if ne else INCONCLUSIVE}"', rt,
+                                   _bool(p != 2), form_id, t, excluded, p, tr)
+                       for p, tr, excluded, ne in tests]
+        proved_non_elliptic, cert = bool(tests) and tests[-1][3], "null"
+        if witness is not None:
+            proved_non_elliptic = bool(witness["violation"])  # JSON escapes any "\0"
+            conductor = conductor or _conductor_json(
+                "\0", f'"{NON_ELLIPTIC if proved_non_elliptic else INCONCLUSIVE}"',
+                form_id, **witness).split("\0")
+            cert = f"{conductor[0]}{ell}{conductor[1]}"
+        proved = proved and proved_irreducible and proved_non_elliptic
+        texts.append(_run(cert, ell, rt, irr, *lists[tried, notes], _bool(proved_irreducible),
+                          _bool(proved_non_elliptic), _list(trace_tests, i1), _opt(t)))
+    return (",\n" + i0).join(texts), proved
 
 
 def batches(ells: list[int], cpus: int) -> list[list[int]]:

@@ -137,7 +137,9 @@ class VerificationReport(Record):
         from .certify import _bool, _cert_json, _opt
 
         def entry(e: dict) -> str:
-            i0, i1 = " " * 8, " " * 10  # per_ell sits at nesting 3, its entries at 4
+            # per_ell sits at nesting 3, its entries at 4: each is written a step
+            # out, where the trace template sits, and moved in with one replace
+            i0, i1 = " " * 6, " " * 8
             disc = ""
             if "discriminant" in e:  # on the discriminant route alone, at times null
                 cert = e["discriminant"]
@@ -147,7 +149,8 @@ class VerificationReport(Record):
                     f'\n{i1}"irreducible": {_bool(e["irreducible"])},'
                     f'\n{i1}"irreducible_route": "{e["irreducible_route"]}",'
                     f'\n{i1}"trace_test": {trace},'
-                    f'\n{i1}"twist_exponent": {_opt(e["twist_exponent"])}\n{i0}}}')
+                    f'\n{i1}"twist_exponent": {_opt(e["twist_exponent"])}\n{i0}}}'
+                    ).replace("\n", "\n  ")
 
         s4 = self.sections["weight4_level25"]
         sections = self.sections | {"weight4_level25": s4 | {"per_ell": []}}

@@ -1439,7 +1439,22 @@ def test_the_producer_the_checker_and_the_census_agree(case):
 
 
 def test_a_run_with_a_certificate_of_another_method_has_no_json(schoen_form):
-    (run,) = certify_form(schoen_form, [11])
     family = reducibility_obstruction(schoen_form, 11)
     with pytest.raises(ValueError, match="no JSON template for a ReducibilityObstruction"):
-        certify._run_json(replaced(run, irreducible=family), "    ")
+        certify._cert_json(family, "    ")
+
+
+def test_a_certificate_with_a_key_renamed_has_no_json(schoen_form):
+    # each template parameter is named after the JSON key it fills: a witness
+    # or input key renamed, missing or extra is refused, not written under
+    # another key
+    (run,) = certify_form(schoen_form, [11])
+    cert = run.irreducible
+    assert json.loads(certify._cert_json(cert, "")) == json.loads(canonical_json(cert))
+    witness = dict(cert.witness)
+    witness["symbol"] = witness.pop("legendre")
+    inputs = {key: value for key, value in cert.inputs.items() if key != "assumed_odd"}
+    for bad in (replaced(cert, witness=witness), replaced(cert, inputs=inputs),
+                replaced(cert, witness=cert.witness | {"extra": 1})):
+        with pytest.raises(TypeError):
+            certify._cert_json(bad, "")

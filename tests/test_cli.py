@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from conftest import certify_report
 from hypothesis import example, given, settings, strategies as st
 
 import nonelliptic
@@ -171,19 +173,97 @@ def test_certify_range_report_bytes_pinned(tmp_path, capsys, form, ell_max, fmt,
 
 # sha256 of the reports at the benchmark's size, 7..10^5: past POOL_MIN_RUNS
 # runs, so a fresh interpreter with more than one usable CPU forks workers and
-# spools their batches (the pins above run in one process)
-@pytest.mark.parametrize("form,fmt,sha256", [
-    (SCHOEN, "json", "bc4c28c774b12d75b5d437dea97c09c6d7cfdd43a0adce24fb2a6d2e80be9698"),
-    (SCHOEN, "text", "201d6a9b3448c83828ebd428ab841f4aa58cc3157ec3ce4e3e013eaa2c05ae57"),
-    (SQRT2, "json", "a5a5b83e308fdff01f97af75b8049a9af3d7ac28ed2404e9b9d7ca7da17c7336"),
-], ids=["schoen_s4_25-json", "schoen_s4_25-text", "s2_512_sqrt2-json"])
-def test_forked_certify_report_bytes_pinned_to_1e5(form, fmt, sha256):
+# spools their batches (the pins above run in one process). The two under a
+# given witness prime were taken while a range's JSON was still written from
+# run records: at p = 3, 4,779 of the Schoen form's certificates are
+# Inconclusive; p = 29 is 1 (mod 7), so both runs of the sqrt(2) form at
+# ell = 7 carry the note that the trace test is unavailable there.
+@pytest.mark.parametrize("form,fmt,sha256,witness", [
+    (SCHOEN, "json", "bc4c28c774b12d75b5d437dea97c09c6d7cfdd43a0adce24fb2a6d2e80be9698", ()),
+    (SCHOEN, "text", "201d6a9b3448c83828ebd428ab841f4aa58cc3157ec3ce4e3e013eaa2c05ae57", ()),
+    (SQRT2, "json", "a5a5b83e308fdff01f97af75b8049a9af3d7ac28ed2404e9b9d7ca7da17c7336", ()),
+    (SCHOEN, "json", "e6863d3c14e9a6be0f066ec266edd68db7f48d1e968f7efbff7c5ac374b32b6a",
+     ("--witness-prime", "3")),
+    (SQRT2, "json", "ee0be2cfc23a92ade97dc379b8b7ea5052f128a9645937fc0e9e37d3312d69c9",
+     ("--witness-prime", "29")),
+], ids=["schoen_s4_25-json", "schoen_s4_25-text", "s2_512_sqrt2-json", "schoen_s4_25-p3-json",
+        "s2_512_sqrt2-p29-json"])
+def test_forked_certify_report_bytes_pinned_to_1e5(form, fmt, sha256, witness):
     src = str(Path(nonelliptic.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "nonelliptic", "certify", "-i", form,
-                           "--ell-min", "7", "--ell-max", "100000", "--format", fmt],
+                           "--ell-min", "7", "--ell-max", "100000", *witness, "--format", fmt],
                           capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert (proc.returncode, proc.stderr) == (2, b"")
     assert hashlib.sha256(proc.stdout).hexdigest() == sha256
+
+
+def test_certify_range_writes_json_without_building_a_record(monkeypatch):
+    # The JSON route writes each run from the values the pipeline decides:
+    # neither a Certificate nor an EllCertification is built. certify_form
+    # still builds the records the pinned reports were written from, and the
+    # text route, which writes those records, keeps its bytes.
+    from nonelliptic import certify
+    from nonelliptic.checker import Certificate
+
+    built = []
+
+    def spy(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(cls.__name__)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    spy(Certificate)
+    spy(certify.EllCertification)
+    monkeypatch.setattr(certify, "usable_cpus", lambda: 1)  # every run in this process
+    form = parse_form(Path(SCHOEN).read_bytes())
+    ells = primes_in_range(7, 3000)
+    pinned = {fmt: sha for f, m, fmt, sha in PINNED_CERTIFY_REPORTS if (f, m) == (SCHOEN, "3000")}
+    out = io.StringIO()
+    certify.certify_range(form, ells, None, None, "json", out)
+    assert built == []
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == pinned["json"]
+
+    runs = certify.certify_form(form, ells)
+    assert built.count("EllCertification") == len(runs) == 427
+    report = certify_report(form, ells, runs, "json")
+    assert hashlib.sha256(report.encode()).hexdigest() == pinned["json"]
+    out = io.StringIO()
+    certify.certify_range(form, ells, None, None, "text", out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == pinned["text"]
+
+
+def test_an_excluded_set_past_its_limit_fails_alike_on_every_route(tmp_path, capsys,
+                                                                    monkeypatch):
+    # At p = 10^12 + 39, B = isqrt(4p) = 2*10^6, so past ell = 10^6 the trace
+    # test would list ell residues: certify_form, the JSON writer (in this
+    # process and in forked workers) and the CLI refuse at the first ell alike,
+    # and nothing is written.
+    from nonelliptic import certify
+
+    p = 10**12 + 39
+    record = {"id": "probe", "level": 1, "weight": 4, "field": {"type": "rational"},
+              "eigenvalues": {str(p): {"x": 3, "y": 0}}}
+    form = parse_form(json.dumps(record).encode())
+    ells = primes_in_range(10**6, 10**6 + 100)
+    message = (f"trace test at p={p}, ell={ells[0]} would list up to {ells[0]} excluded "
+               "residues, over the limit of 1000000")
+    with pytest.raises(ValueError) as raised:
+        certify.certify_form(form, ells)
+    assert (type(raised.value), str(raised.value)) == (ValueError, message)
+    monkeypatch.setattr(certify, "POOL_MIN_RUNS", 1)
+    for cpus in (1, 2):
+        monkeypatch.setattr(certify, "usable_cpus", lambda: cpus)
+        out = io.StringIO()
+        with pytest.raises(ValueError) as raised:
+            certify.certify_range(form, ells, None, None, "json", out)
+        assert (type(raised.value), str(raised.value), out.getvalue()) == (ValueError, message, "")
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(record))
+    assert run(capsys, "certify", "-i", str(path), "--ell-min", str(10**6), "--ell-max",
+               str(10**6 + 100), "--format", "json") == (1, "", f"error: {message}\n")
 
 
 # Each takes a branch of the run's JSON: the trace and the conductor routes,
