@@ -26,6 +26,7 @@ _EXPORTS = {
     "serre_bound_predicate": "certify",
     "Certificate": "checker",
     "check": "checker",
+    "covers": "checker",
     "bundled_form": "data_io",
     "dump_form": "data_io",
     "load_form": "data_io",

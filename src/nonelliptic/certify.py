@@ -67,8 +67,9 @@ def reducibility_obstruction(form: NewformData, p: int) -> Certificate:
     applies, ell not dividing the level with k <= ell + 1. So the witness's
     "exceptional" list E is the prime factors of M, p itself (Frob p says
     nothing mod p), and every prime ell > 5 with ell <= k - 2 or ell
-    dividing the level; the certificate asserts irreducibility for every
-    prime ell > 5 outside E. A p that is not a prime int is a ValueError.
+    dividing the level. `checker.covers` states the claim: irreducibility
+    at every prime ell > 5 outside E. A p that is not a prime int is a
+    ValueError.
     """
     if not (type(p) is int and is_prime(p)):
         raise ValueError(f"witness prime p={p!r} is not prime")
@@ -125,10 +126,10 @@ def family_trace_obstruction(form: NewformData, p: int) -> Certificate:
 
     The witness's "exceptional" list E is the primes of every D_s, of p(p-1)
     (where the trace test at p is unavailable) and those the rule refuses
-    other than as inert; the certificate asserts non-ellipticity for every
-    admitted ell outside E. Some D_s = 0, as for an elliptic curve's own a_p,
-    is Inconclusive, with E empty. Raises ValueError for odd k or a p that
-    is not a prime int.
+    other than as inert. `checker.covers` states the claim: non-ellipticity
+    at every admitted ell outside E. Some D_s = 0, as for an elliptic
+    curve's own a_p, is Inconclusive, with E empty. Raises ValueError for
+    odd k or a p that is not a prime int.
     """
     k, d = form.weight, form.d or 0
     if k % 2:

@@ -250,3 +250,24 @@ def check(cert: Certificate) -> bool:
         return bool(_CHECKERS[cert.method](cert))
     except Exception:
         return False
+
+
+def covers(cert: Certificate, ell: int) -> str | None:
+    """The claim (IRREDUCIBLE or NON_ELLIPTIC) that a certificate `check()`
+    has accepted proves at the prime ell, or None; read from its method,
+    verdict, ell and witness alone. A per-ell certificate covers its own ell.
+    A ReducibilityObstruction covers every prime ell > 5 outside its
+    witness's exceptional list E, a FamilyTraceObstruction every odd prime
+    ell outside E where the witness's d, when not None, is a square mod ell
+    (the admitted ell). An Inconclusive certificate, and a ConductorBound
+    that names no ell, cover nothing; nor is a composite ell covered."""
+    if cert.verdict == INCONCLUSIVE or not is_prime(ell):
+        return None
+    w = cert.witness
+    if cert.method == METHOD_OBSTRUCTION:
+        held = ell > 5
+    elif cert.method == METHOD_FAMILY_TRACE:
+        held = ell > 2 and (w["d"] is None or legendre(w["d"], ell) == 1)
+    else:
+        return cert.verdict if ell == cert.ell else None
+    return cert.verdict if held and ell not in w["exceptional"] else None

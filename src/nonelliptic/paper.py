@@ -282,7 +282,7 @@ def full_paper_verification(
     # compiles neither the certification engine nor the checker
     from .certify import (certify_form, conductor_bound_test, reducibility_obstruction,
                           serre_bound_predicate)
-    from .checker import INCONCLUSIVE, IRREDUCIBLE, NON_ELLIPTIC
+    from .checker import INCONCLUSIVE, IRREDUCIBLE, NON_ELLIPTIC, covers
 
     if ell_max < 7:
         raise ValueError(f"ell_max={ell_max} leaves no prime ell > 5 to sample; need ell_max >= 7")
@@ -305,16 +305,17 @@ def full_paper_verification(
     inconclusive_exp = set(exp4["trace_inconclusive_ells"])
     per_ell = []
     for run in certify_form(form4, primes_in_range(6, ell_max), witness_prime=trace_p):
-        # Outside the exceptional set the family obstruction proves
-        # irreducibility; inside it the run's discriminant test must.
+        # Where the family obstruction covers ell it proves irreducibility;
+        # elsewhere one of the run's own certificates must.
         entry: dict = {"ell": run.ell}
-        if run.ell in exceptional:
-            entry["irreducible_route"] = "discriminant"
-            entry["discriminant"] = run.irreducible
-            entry["irreducible"] = run.proved_irreducible
-        else:
+        if covers(family_cert, run.ell) == IRREDUCIBLE:
             entry["irreducible_route"] = "family"
             entry["irreducible"] = True
+        else:
+            entry["irreducible_route"] = "discriminant"
+            entry["discriminant"] = run.irreducible
+            entry["irreducible"] = any(covers(c, run.ell) == IRREDUCIBLE
+                                       for c in run.certificates())
         entry["twist_exponent"] = run.twist_exponent
         entry["trace_test"] = run.trace_tests[0] if run.trace_tests else None
         per_ell.append(entry)

@@ -20,6 +20,7 @@ PUBLIC_API = [
     "check",
     "closed_form_scan",
     "conductor_bound_test",
+    "covers",
     "dump_form",
     "falsify_curve",
     "family_trace_obstruction",
@@ -109,7 +110,7 @@ def test_quadfield_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("nonelliptic.quadfield")
     assert nonelliptic.QuadInt.__module__ == "nonelliptic.repmodel"
-    assert len(nonelliptic.__all__) == 27
+    assert len(nonelliptic.__all__) == 28
 
 
 def test_parallel_is_gone():
