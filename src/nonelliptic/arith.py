@@ -237,6 +237,11 @@ def trial_factor(n: int) -> Factorization:
     return Factorization(n, tuple(sorted(exponents.items())))
 
 
+def _primes(n: int) -> set[int]:
+    """The primes dividing n >= 1, by trial_factor."""
+    return {q for q, _ in trial_factor(n).factors}
+
+
 def _rho(n: int) -> int:
     """A proper divisor of the composite n, which has no factor below 43:
     Pollard's rho on x**2 + c with Floyd's cycle finding (Pollard, BIT 15

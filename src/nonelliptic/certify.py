@@ -27,6 +27,7 @@ from .arith import (
     TRIAL_DIVISION_LIMIT,
     Record,
     _euler_criterion,
+    _primes,
     is_prime,
     primes_in_range,
     require_odd_prime,
@@ -110,10 +111,6 @@ def reducibility_obstruction(form: NewformData, p: int) -> Certificate:
                  "M": m_value, "factors": factors, "exceptional": exceptional},
         inputs={"form": form.form_id},
     )
-
-
-def _primes(n: int) -> set[int]:
-    return {q for q, _ in trial_factor(n).factors}
 
 
 def family_trace_obstruction(form: NewformData, p: int) -> Certificate:
@@ -311,46 +308,6 @@ class EllCertification(Record):
             "notes": self.notes,
         }
 
-    def text_lines(self) -> list[str]:
-        """This run's lines of the text report."""
-        head = f"ell={self.ell}"
-        if self.embedding_root is not None:
-            head += f" root={self.embedding_root}"
-        lines = [f"  {head}"]
-        if self.proved_irreducible:
-            w = self.irreducible.witness
-            lines.append(
-                f"    irreducible: yes, discriminant witness p={w['p']} "
-                f"(delta={w['delta']}, legendre={w['legendre']})"
-            )
-        else:
-            lines.append(
-                "    irreducible: not established "
-                f"(witness primes tried: {list(self.irreducible_tried)})"
-            )
-        if self.twist_exponent is not None:
-            lines.append(f"    twist to determinant chi: exponent {self.twist_exponent}")
-        trace = next((c for c in self.trace_tests if c.verdict == NON_ELLIPTIC), None)
-        if trace is not None:
-            w = trace.witness
-            lines.append(
-                f"    non-elliptic: yes, trace witness p={w['p']} "
-                f"(trace={w['trace']}, excluded={w['excluded']})"
-            )
-        elif self.proved_non_elliptic:
-            w = self.conductor.witness
-            v = w["violation"]
-            lines.append(
-                f"    non-elliptic: yes, conductor {w['conductor']} "
-                f"violates v_{v['p']} <= {v['bound']} (exponent {v['exponent']})"
-            )
-        else:
-            lines.append("    non-elliptic: not established (all tests inconclusive)")
-        for note in self.notes:
-            lines.append(f"    note: {note}")
-        lines.append(f"    overall: {'proved' if self.proved else 'inconclusive'}")
-        return lines
-
 
 def _certify_run(form: NewformData, ell: int, root: int | None, m: int, t: int | None,
                  traces: dict[int, int], witness_prime: int | None,
@@ -473,19 +430,21 @@ def certify_form(form: NewformData, ells: list[int], root: int | None = None,
     """Certification pipeline over a list of ells: the runs in sorted ell
     order, one per reduction `repmodel._reductions` gives at each ell under
     `root`, so one per ell over Q and one per root over a quadratic field
-    unless `root` picks one. certify_range writes their report.
+    unless `root` picks one. certify_range writes the report of the same runs.
 
     The first ell, in sorted order, that is not an odd prime raises
     ValueError; the first the rule refuses raises its refusal. Each ell is
     proved once, the whole list by one sieve when it is dense, and the rule
     is asked once per ell; the runs share one conductor witness. A run is the
-    record of the values `_certify_run` decides, which render_runs writes."""
+    record of the values `_certify_run` decides; render_runs writes those
+    values in either format without building it."""
     return tuple(_record(form.form_id, *run) for run in _runs(form, ells, root, witness_prime))
 
 
-# A batch holds at most this many ells. A process builds one batch at a time: in
-# JSON its text alone (1.3 KB a run; a 2.4 MiB tracemalloc peak over 959 runs of
-# schoen_s4_25), in text its run objects too; a forked worker spools each text.
+# A batch holds at most this many ells. A process builds one batch at a time, its
+# text alone in either format (tracemalloc peaks over 958 runs of schoen_s4_25:
+# 2.4 MiB in JSON, 1.3 KB a run; 0.6 MiB in text, 242 bytes a run); a forked
+# worker spools each text.
 _BATCH_ELLS = 1000
 
 # A range is cut into at most this many batches, so that their indices, 4
@@ -607,38 +566,61 @@ def render_runs(form: NewformData, root: int | None, witness_prime: int | None, 
                 ells: list[int]) -> tuple[str, bool]:
     """The runs of certify_form(form, ells, root, witness_prime) as report
     text in `fmt`, JSON elements of "runs" joined by its comma or text lines,
-    and whether all were proved: text from the records, JSON from the values
-    each run decides, with its form id, lists and conductor rendered once."""
-    if fmt != "json":
-        runs = certify_form(form, ells, root, witness_prime)
-        return ("\n".join(line for run in runs for line in run.text_lines()),
-                all(run.proved for run in runs))
+    and whether all were proved. Both are written from the values each run
+    decides, no record built, with the form id, the lists of primes tried
+    and notes, and the JSON conductor certificate rendered once."""
+    as_json = fmt == "json"
     i0, i1 = _RUN_INDENT, _RUN_INDENT + "  "
     form_id = encode_basestring_ascii(form.form_id)
-    lists: dict = {}  # (tried, notes) -> their JSON
+    lists: dict = {}  # (tried, notes) -> their JSON, or their text: the tried list and note lines
     conductor: list[str] = []  # the conductor certificate around its ell, held by a "\0"
-    texts, proved = [], True
+    texts, proved = [], True  # JSON: a text per run; text: the lines of every run
     for ell, r, m, t, kept, tried, tests, witness, notes in _runs(form, ells, root, witness_prime):
         if (tried, notes) not in lists:
-            lists[tried, notes] = _json(tried, i1), _json(notes, i1)
-        rt, proved_irreducible = _opt(r), kept is not None and kept[3] == -1
-        irr = "null" if kept is None else _discriminant_json(
-            ell, f'"{IRREDUCIBLE if proved_irreducible else INCONCLUSIVE}"', "true", rt,
-            form_id, 0, kept[2], m, kept[3], kept[0], kept[1])
-        trace_tests = [_trace_json(ell, f'"{NON_ELLIPTIC if ne else INCONCLUSIVE}"', rt,
-                                   _bool(p != 2), form_id, t, excluded, p, tr)
-                       for p, tr, excluded, ne in tests]
-        proved_non_elliptic, cert = bool(tests) and tests[-1][3], "null"
-        if witness is not None:
-            proved_non_elliptic = bool(witness["violation"])  # JSON escapes any "\0"
-            conductor = conductor or _conductor_json(
-                "\0", f'"{NON_ELLIPTIC if proved_non_elliptic else INCONCLUSIVE}"',
-                form_id, **witness).split("\0")
-            cert = f"{conductor[0]}{ell}{conductor[1]}"
+            lists[tried, notes] = ((_json(tried, i1), _json(notes, i1)) if as_json else
+                                   (str(list(tried)), [f"    note: {note}" for note in notes]))
+        proved_irreducible = kept is not None and kept[3] == -1
+        proved_non_elliptic = (bool(tests) and tests[-1][3] if witness is None
+                               else bool(witness["violation"]))
         proved = proved and proved_irreducible and proved_non_elliptic
-        texts.append(_run(cert, ell, rt, irr, *lists[tried, notes], _bool(proved_irreducible),
-                          _bool(proved_non_elliptic), _list(trace_tests, i1), _opt(t)))
-    return (",\n" + i0).join(texts), proved
+        if as_json:
+            rt = _opt(r)
+            irr = "null" if kept is None else _discriminant_json(
+                ell, f'"{IRREDUCIBLE if proved_irreducible else INCONCLUSIVE}"', "true", rt,
+                form_id, 0, kept[2], m, kept[3], kept[0], kept[1])
+            trace_tests = [_trace_json(ell, f'"{NON_ELLIPTIC if ne else INCONCLUSIVE}"', rt,
+                                       _bool(p != 2), form_id, t, excluded, p, tr)
+                           for p, tr, excluded, ne in tests]
+            cert = "null"
+            if witness is not None:
+                conductor = conductor or _conductor_json(  # JSON escapes any "\0"
+                    "\0", f'"{NON_ELLIPTIC if proved_non_elliptic else INCONCLUSIVE}"',
+                    form_id, **witness).split("\0")
+                cert = f"{conductor[0]}{ell}{conductor[1]}"
+            texts.append(_run(cert, ell, rt, irr, *lists[tried, notes], _bool(proved_irreducible),
+                              _bool(proved_non_elliptic), _list(trace_tests, i1), _opt(t)))
+        else:
+            tried_text, note_lines = lists[tried, notes]
+            texts.append(f"  ell={ell}" if r is None else f"  ell={ell} root={r}")
+            texts.append(f"    irreducible: yes, discriminant witness p={kept[0]} "
+                         f"(delta={kept[2]}, legendre={kept[3]})" if proved_irreducible else
+                         f"    irreducible: not established (witness primes tried: {tried_text})")
+            if t is not None:
+                texts.append(f"    twist to determinant chi: exponent {t}")
+            if tests and tests[-1][3]:
+                p, tr, excluded, _ = tests[-1]
+                texts.append(f"    non-elliptic: yes, trace witness p={p} "
+                             f"(trace={tr}, excluded={excluded})")
+            elif proved_non_elliptic:
+                v = witness["violation"]
+                texts.append(f"    non-elliptic: yes, conductor {witness['conductor']} "
+                             f"violates v_{v['p']} <= {v['bound']} (exponent {v['exponent']})")
+            else:
+                texts.append("    non-elliptic: not established (all tests inconclusive)")
+            texts += note_lines
+            texts.append("    overall: proved" if proved_irreducible and proved_non_elliptic
+                         else "    overall: inconclusive")
+    return (",\n" + i0 if as_json else "\n").join(texts), proved
 
 
 def batches(ells: list[int], cpus: int) -> list[list[int]]:

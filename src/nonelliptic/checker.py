@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import (TRIAL_DIVISION_LIMIT, Factorization, Record, is_prime, legendre,
+from .arith import (TRIAL_DIVISION_LIMIT, Factorization, Record, _primes, is_prime, legendre,
                     primes_in_range, trial_factor)
 
 IRREDUCIBLE = "Irreducible"
@@ -170,10 +170,6 @@ def _check_trace(cert: Certificate) -> bool:
     excluded = [t for run in runs for t in run]
     want = {"p": p, "trace": tr, "excluded": excluded}
     return _same(w, want) and cert.verdict == (INCONCLUSIVE if tr in excluded else NON_ELLIPTIC)
-
-
-def _primes(n: int) -> set[int]:
-    return {q for q, _ in trial_factor(n).factors}
 
 
 def _check_family_trace(cert: Certificate) -> bool:

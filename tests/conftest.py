@@ -35,18 +35,52 @@ def imports_outside_stdlib(path) -> set[str]:
 
 def certify_report(form, ells, runs, fmt: str) -> str:
     """The certify report of `runs`, certify_form's over `ells`, in `fmt`:
-    the reference certify_range's bytes are held to. JSON is json.dumps of
-    the envelope with each run as its to_dict(); text is the header, each
-    run's lines and the footer."""
+    the reference certify_range's bytes are held to, read from the records
+    and not from the values the writer reads. JSON is json.dumps of the
+    envelope with each run as its to_dict(); text is the header, each run's
+    lines and the footer."""
     proved = all(run.proved for run in runs)
     if fmt == "json":
         envelope = {"all_proved": proved, "ells": sorted(set(ells)), "form": form.form_id,
                     "runs": runs}
         return json.dumps(envelope, default=lambda o: o.to_dict(), sort_keys=True,
                           indent=2) + "\n"
-    lines = [f"certify form={form.form_id}", *(line for run in runs for line in run.text_lines()),
+    lines = [f"certify form={form.form_id}", *(line for run in runs for line in _run_lines(run)),
              f"all proved: {'yes' if proved else 'no'}"]
     return "\n".join(lines) + "\n"
+
+
+def _run_lines(run) -> list[str]:
+    """The lines of the text report for the run record `run`, read off its
+    certificates."""
+    head = f"ell={run.ell}"
+    if run.embedding_root is not None:
+        head += f" root={run.embedding_root}"
+    lines = [f"  {head}"]
+    if run.proved_irreducible:
+        w = run.irreducible.witness
+        lines.append(f"    irreducible: yes, discriminant witness p={w['p']} "
+                     f"(delta={w['delta']}, legendre={w['legendre']})")
+    else:
+        lines.append("    irreducible: not established "
+                     f"(witness primes tried: {list(run.irreducible_tried)})")
+    if run.twist_exponent is not None:
+        lines.append(f"    twist to determinant chi: exponent {run.twist_exponent}")
+    trace = next((c for c in run.trace_tests if c.verdict == "NonElliptic"), None)
+    if trace is not None:
+        w = trace.witness
+        lines.append(f"    non-elliptic: yes, trace witness p={w['p']} "
+                     f"(trace={w['trace']}, excluded={w['excluded']})")
+    elif run.proved_non_elliptic:
+        w = run.conductor.witness
+        v = w["violation"]
+        lines.append(f"    non-elliptic: yes, conductor {w['conductor']} "
+                     f"violates v_{v['p']} <= {v['bound']} (exponent {v['exponent']})")
+    else:
+        lines.append("    non-elliptic: not established (all tests inconclusive)")
+    lines += [f"    note: {note}" for note in run.notes]
+    lines.append(f"    overall: {'proved' if run.proved else 'inconclusive'}")
+    return lines
 
 
 def written_certificates(text: str) -> list[Certificate]:

@@ -132,8 +132,9 @@ def test_certify_range_identical_across_runs(capsys, fmt):
 # sha256 of each report as written before the direct JSON writer replaced
 # json.dumps(indent=2), and before the text report read run objects instead
 # of dicts: the bytes must not move. Together the text reports take every
-# branch of EllCertification.text_lines (irreducibility not established,
-# notes, the trace route, the conductor route).
+# branch of render_runs' text writer: irreducibility proved and not
+# established, the twist and its absence, the trace and the conductor routes,
+# non-ellipticity not established, notes, and each overall verdict.
 # The weight-5 record (even determinant exponent at every ell, so no
 # determinant-chi twist and the note that says so, and a claimed conductor
 # with no violation) was pinned before the twist moved into _reductions.
@@ -175,19 +176,22 @@ def test_certify_range_report_bytes_pinned(tmp_path, capsys, form, ell_max, fmt,
 # runs, so a fresh interpreter with more than one usable CPU forks workers and
 # spools their batches (the pins above run in one process). The two under a
 # given witness prime were taken while a range's JSON was still written from
-# run records: at p = 3, 4,779 of the Schoen form's certificates are
-# Inconclusive; p = 29 is 1 (mod 7), so both runs of the sqrt(2) form at
-# ell = 7 carry the note that the trace test is unavailable there.
+# run records, the sqrt(2) form's text (two runs per ell, each under an
+# "ell=... root=..." head line) while a range's text still was: at p = 3,
+# 4,779 of the Schoen form's certificates are Inconclusive; p = 29 is
+# 1 (mod 7), so both runs of the sqrt(2) form at ell = 7 carry the note that
+# the trace test is unavailable there.
 @pytest.mark.parametrize("form,fmt,sha256,witness", [
     (SCHOEN, "json", "bc4c28c774b12d75b5d437dea97c09c6d7cfdd43a0adce24fb2a6d2e80be9698", ()),
     (SCHOEN, "text", "201d6a9b3448c83828ebd428ab841f4aa58cc3157ec3ce4e3e013eaa2c05ae57", ()),
     (SQRT2, "json", "a5a5b83e308fdff01f97af75b8049a9af3d7ac28ed2404e9b9d7ca7da17c7336", ()),
+    (SQRT2, "text", "d4726b2e442bc8edc071eaec19b83fc659462cb966c5348f0dd666c88609c231", ()),
     (SCHOEN, "json", "e6863d3c14e9a6be0f066ec266edd68db7f48d1e968f7efbff7c5ac374b32b6a",
      ("--witness-prime", "3")),
     (SQRT2, "json", "ee0be2cfc23a92ade97dc379b8b7ea5052f128a9645937fc0e9e37d3312d69c9",
      ("--witness-prime", "29")),
-], ids=["schoen_s4_25-json", "schoen_s4_25-text", "s2_512_sqrt2-json", "schoen_s4_25-p3-json",
-        "s2_512_sqrt2-p29-json"])
+], ids=["schoen_s4_25-json", "schoen_s4_25-text", "s2_512_sqrt2-json", "s2_512_sqrt2-text",
+        "schoen_s4_25-p3-json", "s2_512_sqrt2-p29-json"])
 def test_forked_certify_report_bytes_pinned_to_1e5(form, fmt, sha256, witness):
     src = str(Path(nonelliptic.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "nonelliptic", "certify", "-i", form,
@@ -197,11 +201,12 @@ def test_forked_certify_report_bytes_pinned_to_1e5(form, fmt, sha256, witness):
     assert hashlib.sha256(proc.stdout).hexdigest() == sha256
 
 
-def test_certify_range_writes_json_without_building_a_record(monkeypatch):
-    # The JSON route writes each run from the values the pipeline decides:
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_certify_range_writes_a_report_without_building_a_record(monkeypatch, fmt):
+    # Both formats write each run from the values the pipeline decides:
     # neither a Certificate nor an EllCertification is built. certify_form
-    # still builds the records the pinned reports were written from, and the
-    # text route, which writes those records, keeps its bytes.
+    # still builds the records, and the reference report read from them
+    # has the same pinned bytes.
     from nonelliptic import certify
     from nonelliptic.checker import Certificate
 
@@ -222,17 +227,35 @@ def test_certify_range_writes_json_without_building_a_record(monkeypatch):
     ells = primes_in_range(7, 3000)
     pinned = {fmt: sha for f, m, fmt, sha in PINNED_CERTIFY_REPORTS if (f, m) == (SCHOEN, "3000")}
     out = io.StringIO()
-    certify.certify_range(form, ells, None, None, "json", out)
+    certify.certify_range(form, ells, None, None, fmt, out)
     assert built == []
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == pinned["json"]
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == pinned[fmt]
 
     runs = certify.certify_form(form, ells)
     assert built.count("EllCertification") == len(runs) == 427
-    report = certify_report(form, ells, runs, "json")
-    assert hashlib.sha256(report.encode()).hexdigest() == pinned["json"]
-    out = io.StringIO()
-    certify.certify_range(form, ells, None, None, "text", out)
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == pinned["text"]
+    report = certify_report(form, ells, runs, fmt)
+    assert hashlib.sha256(report.encode()).hexdigest() == pinned[fmt]
+
+
+def test_a_range_in_text_names_the_trace_test_that_proves(tmp_path, capsys):
+    # a_2 = 0 lies in the excluded set at 2 for every ell, so a run proved
+    # non-elliptic by a trace test is proved by a later one, at p = 3; at
+    # ell = 7 no test proves it, and 29 = 1 (mod 7) adds a second note
+    from nonelliptic.certify import certify_form
+
+    record = {"id": "probe", "level": 1, "weight": 4, "field": {"type": "rational"},
+              "eigenvalues": {"2": {"x": 0, "y": 0}, "3": {"x": 10, "y": 0},
+                              "29": {"x": 0, "y": 0}}}
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, "certify", "-i", str(path), "--ell-min", "7", "--ell-max", "100",
+                         "--format", "text")
+    assert (code, err) == (2, "")
+    form = parse_form(path.read_bytes())
+    ells = primes_in_range(7, 100)
+    assert out == certify_report(form, ells, certify_form(form, ells), "text")
+    assert "trace witness p=3" in out and "trace witness p=2" not in out
+    assert "(mod 7); trace test unavailable there\n    note: conductor known only" in out
 
 
 def test_an_excluded_set_past_its_limit_fails_alike_on_every_route(tmp_path, capsys,
