@@ -47,7 +47,7 @@ from .checker import (
     Certificate,
 )
 from .checker import check  # re-exported: perfbench/run.py calls certify.check
-from .data_io import write_json_list
+from .data_io import canonical_json, write_json_list
 from .repmodel import (
     InsufficientDataError,
     NewformData,
@@ -459,11 +459,12 @@ _MAX_BATCHES = getattr(select, "PIPE_BUF", 512) // 4
 # write the runs of certify_form and their certificates as json.dumps(envelope,
 # default=lambda o: o.to_dict(), sort_keys=True, indent=2, ensure_ascii=True)
 # does. Each is written at the nesting a range's report gives it (a run at
-# _RUN_INDENT, its certificates 2 and 4 spaces in; _nested moves one), each value
-# as JSON or an int, a parameter named after its key. render_runs fills them from
-# each run's values, no record built: 13.5 and 9.4 us a run with the pipeline on
+# _RUN_INDENT, its certificates 2 and 4 spaces in), each value as JSON or an
+# int, a parameter named after its key. render_runs fills them from each run's
+# values, no record built: 13.5 and 9.4 us a run with the pipeline on
 # schoen_s4_25 and a weight-5 form, against 20.9 and 19.2 from records (Python
-# 3.11; BENCH_values.json).
+# 3.11; BENCH_values.json). What a batch writes once, the conductor's factors
+# and violation, json.dumps writes.
 _RUN_INDENT = "    "
 
 
@@ -481,25 +482,6 @@ def _list(texts, indent: str) -> str:
     inner = indent + "  "
     body = (",\n" + inner).join(texts)
     return f"[\n{inner}{body}\n{indent}]" if body else "[]"
-
-
-def _json(value, i0: str = "") -> str:
-    """A str, bool, int or None, or a list, tuple or dict (plain str keys)
-    of them, as JSON at nesting `i0`."""
-    if value is None:
-        return "null"
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is list or kind is tuple:
-        return _list([_json(v, i0 + "  ") for v in value], i0)
-    if kind is dict:
-        i1 = i0 + "  "
-        return "{\n" + ",\n".join(f'{i1}"{key}": {_json(value[key], i1)}'
-                                  for key in sorted(value)) + f"\n{i0}}}"
-    return str(value)
 
 
 def _discriminant_json(ell, verdict, assumed_odd, embedding_root, form, twist_exponent, delta,
@@ -523,33 +505,24 @@ def _trace_json(ell, verdict, embedding_root, extended, form, twist_exponent, ex
             f'\n            "p": {p},\n            "trace": {trace}\n          }}\n        }}')
 
 
+def _trace_test_json(cert: Certificate) -> str:
+    """A trace certificate of certify_form as _trace_json writes it: each
+    input and witness value fills the parameter named after its key, so a key
+    renamed, missing or extra is a TypeError, never written under another."""
+    def fill(embedding_root, extended, form, twist_exponent, **witness) -> str:
+        return _trace_json(_opt(cert.ell), encode_basestring_ascii(cert.verdict),
+                           _opt(embedding_root), _bool(extended), encode_basestring_ascii(form),
+                           _opt(twist_exponent), **witness)
+    return fill(**cert.inputs, **cert.witness)
+
+
 def _conductor_json(ell, verdict, form, conductor, factors, violation) -> str:
+    factors, violation = (canonical_json(v)[:-1].replace("\n", "\n" + " " * 10)
+                          for v in (factors, violation))
     return (f'{{\n        "ell": {ell},\n        "inputs": {{\n          "form": {form}'
             f'\n        }},\n        "method": "{METHOD_CONDUCTOR}",\n        "verdict": {verdict},'
             f'\n        "witness": {{\n          "conductor": {conductor},\n          "factors": '
-            f'{_json(factors, " " * 10)},\n          "violation": {_json(violation, " " * 10)}'
-            f'\n        }}\n      }}')
-
-
-_TEMPLATES = {METHOD_DISCRIMINANT: _discriminant_json, METHOD_TRACE: _trace_json,
-              METHOD_CONDUCTOR: _conductor_json}
-
-
-def _nested(text: str, i0: str) -> str:
-    """The JSON `text`, its closing bracket on its last line, at nesting `i0`."""
-    at = text[text.rindex("\n"):-1]
-    return text if at == "\n" + i0 else text.replace(at, "\n" + i0)
-
-
-def _cert_json(cert: Certificate, i0: str) -> str:
-    """A per-ell certificate of a certify_form run as JSON at nesting `i0`:
-    its method's template takes each input, as JSON, and each witness value
-    by its key, so a key missing or extra is a TypeError naming it."""
-    if cert.method not in _TEMPLATES:
-        raise ValueError(f"no JSON template for a {cert.method} certificate")
-    inputs = {key: _json(value) for key, value in cert.inputs.items()}
-    return _nested(_TEMPLATES[cert.method](_opt(cert.ell), _json(cert.verdict), **inputs,
-                                           **cert.witness), i0)
+            f'{factors},\n          "violation": {violation}\n        }}\n      }}')
 
 
 def _run(conductor, ell, root, irreducible, tried, notes, proved_irreducible,
@@ -577,7 +550,8 @@ def render_runs(form: NewformData, root: int | None, witness_prime: int | None, 
     texts, proved = [], True  # JSON: a text per run; text: the lines of every run
     for ell, r, m, t, kept, tried, tests, witness, notes in _runs(form, ells, root, witness_prime):
         if (tried, notes) not in lists:
-            lists[tried, notes] = ((_json(tried, i1), _json(notes, i1)) if as_json else
+            lists[tried, notes] = ((_list(map(str, tried), i1),
+                                    _list(map(encode_basestring_ascii, notes), i1)) if as_json else
                                    (str(list(tried)), [f"    note: {note}" for note in notes]))
         proved_irreducible = kept is not None and kept[3] == -1
         proved_non_elliptic = (bool(tests) and tests[-1][3] if witness is None

@@ -132,9 +132,11 @@ class VerificationReport(Record):
         }
 
     def write_json(self, out) -> None:
-        """Write data_io.canonical_json(self) to the text stream out, 8-9 times as fast
-        as json.dumps: each per-ell entry (nearly all of it) from one template and certify's."""
-        from .certify import _bool, _cert_json, _opt
+        """Write data_io.canonical_json(self) to the text stream out, about 8 times as
+        fast as json.dumps (48-50 against 381-412 ms at ell_max 10^5, Python 3.11;
+        BENCH_encoders.json): each per-ell entry (nearly all of it) from one
+        template, its trace certificate from certify's."""
+        from .certify import _bool, _opt, _trace_test_json
 
         def entry(e: dict) -> str:
             # per_ell sits at nesting 3, its entries at 4: each is written a step
@@ -142,9 +144,9 @@ class VerificationReport(Record):
             i0, i1 = " " * 6, " " * 8
             disc = ""
             if "discriminant" in e:  # on the discriminant route alone, at times null
-                cert = e["discriminant"]
-                disc = f'"discriminant": {"null" if cert is None else _cert_json(cert, i1)},\n{i1}'
-            trace = "null" if e["trace_test"] is None else _cert_json(e["trace_test"], i1)
+                cert = data_io.canonical_json(e["discriminant"])[:-1].replace("\n", "\n" + i1)
+                disc = f'"discriminant": {cert},\n{i1}'
+            trace = "null" if e["trace_test"] is None else _trace_test_json(e["trace_test"])
             return (f'{{\n{i1}{disc}"ell": {e["ell"]},'
                     f'\n{i1}"irreducible": {_bool(e["irreducible"])},'
                     f'\n{i1}"irreducible_route": "{e["irreducible_route"]}",'

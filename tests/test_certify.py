@@ -1196,10 +1196,20 @@ def test_every_expectations_leaf_is_compared(keys, value, path):
         assert report.mismatches == ("weight2_level512.split.d: 2, expected 3",)
 
 
+def escaped_ids_report():
+    """verify-paper up to 100 on the bundled forms under ids json must escape:
+    each id differs from the table's, so the report fails and lists both."""
+    forms = {key: replaced(bundled_form(name), form_id=f'{name} "\u00e9"\\')
+             for key, name in (("weight4_level25", "schoen_s4_25"),
+                               ("weight2_level512", "s2_512_sqrt2"))}
+    return full_paper_verification(ell_max=100, forms=forms)
+
+
 @pytest.mark.parametrize("make_report", [
     *(functools.partial(full_paper_verification, ell_max) for ell_max in (7, 11, 100, 2000)),
     missing_data_report, functools.partial(missing_data_report, store_a29=False),
-], ids=["7", "11", "100", "2000", "missing data", "missing data, no a_29"])
+    escaped_ids_report,
+], ids=["7", "11", "100", "2000", "missing data", "missing data, no a_29", "escaped ids"])
 def test_verify_paper_json_is_what_the_standard_library_writes(make_report):
     report = make_report()
     out = io.StringIO()
@@ -1438,23 +1448,26 @@ def test_the_producer_the_checker_and_the_census_agree(case):
                 assert cert.witness["trace"] not in elliptic
 
 
-def test_a_run_with_a_certificate_of_another_method_has_no_json(schoen_form):
-    family = reducibility_obstruction(schoen_form, 11)
-    with pytest.raises(ValueError, match="no JSON template for a ReducibilityObstruction"):
-        certify._cert_json(family, "    ")
-
-
 def test_a_certificate_with_a_key_renamed_has_no_json(schoen_form):
-    # each template parameter is named after the JSON key it fills: a witness
-    # or input key renamed, missing or extra is refused, not written under
-    # another key
+    # each parameter of the trace template is named after the JSON key it
+    # fills: a witness or input key renamed, missing or extra is refused, not
+    # written under another key
     (run,) = certify_form(schoen_form, [11])
-    cert = run.irreducible
-    assert json.loads(certify._cert_json(cert, "")) == json.loads(canonical_json(cert))
-    witness = dict(cert.witness)
-    witness["symbol"] = witness.pop("legendre")
-    inputs = {key: value for key, value in cert.inputs.items() if key != "assumed_odd"}
-    for bad in (replaced(cert, witness=witness), replaced(cert, inputs=inputs),
-                replaced(cert, witness=cert.witness | {"extra": 1})):
+    cert = run.trace_tests[0]
+    assert certify._trace_test_json(cert) == canonical_json(cert)[:-1].replace("\n", "\n" + " " * 8)
+
+    def renamed(values, key):
+        return {"renamed" if k == key else k: v for k, v in values.items()}
+
+    def dropped(values, key):
+        return {k: v for k, v in values.items() if k != key}
+
+    witness, inputs = cert.witness, cert.inputs
+    for bad in (replaced(cert, witness=renamed(witness, "trace")),
+                replaced(cert, witness=dropped(witness, "p")),
+                replaced(cert, witness=witness | {"extra": 1}),
+                replaced(cert, inputs=renamed(inputs, "extended")),
+                replaced(cert, inputs=dropped(inputs, "form")),
+                replaced(cert, inputs=inputs | {"extra": 1})):
         with pytest.raises(TypeError):
-            certify._cert_json(bad, "")
+            certify._trace_test_json(bad)

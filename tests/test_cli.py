@@ -201,6 +201,16 @@ def test_forked_certify_report_bytes_pinned_to_1e5(form, fmt, sha256, witness):
     assert hashlib.sha256(proc.stdout).hexdigest() == sha256
 
 
+def test_verify_paper_json_bytes_pinned_to_1e5(capsys):
+    # sha256 of verify-paper's JSON at the same size, 9,589 per-ell entries,
+    # taken while each entry's certificates were still written through one
+    # template per method: the trace-only writer and json.dumps must not move it
+    code, out, err = run(capsys, "verify-paper", "--ell-max", "100000", "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d2fac6694a8f7945c734a4fcb1f3e28d10b355495638a99a58c39ab4805d0c2e")
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_certify_range_writes_a_report_without_building_a_record(monkeypatch, fmt):
     # Both formats write each run from the values the pipeline decides:
