@@ -14,16 +14,11 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from itertools import compress, count
 
 # Pollard's rho takes about n**(1/4) steps: below 2**64 that is at most a
 # fraction of a second, so refuse a larger n before the first.
 TRIAL_DIVISION_LIMIT = 2**64
-# Entries kept by the is_prime and trial_factor caches. Their hits come from
-# one ell, one level or one M asked about again and again, so a few thousand
-# entries keep them while a caller looping over 10^5 integers stays small.
-CACHE_SIZE = 4096
 
 
 # The first 13 primes: trial divisors, then Miller-Rabin bases.
@@ -60,8 +55,6 @@ def _strong_probable_prime(n: int, base: int, d: int, s: int) -> bool:
     return False
 
 
-# typed: 7.0 and True must not hit the cache entries of 7 and 1
-@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic primality: trial division by the first 13 primes, then
     Miller-Rabin with the smallest proven base set for n.
@@ -213,13 +206,11 @@ def _euler_criterion(a: int, ell: int) -> int:
     return 1 if r == 1 else -1
 
 
-@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def trial_factor(n: int) -> Factorization:
     """Complete factorization of n >= 1 (1 is the empty product): division by
     the first 13 primes, then each cofactor is either proved prime by is_prime
-    or split by Pollard's rho. Cached, typed as is_prime is: a level, an M or
-    a discriminant is factored once per process. Raises ValueError for n < 1
-    and past TRIAL_DIVISION_LIMIT = 2**64, where rho could take minutes.
+    or split by Pollard's rho. Raises ValueError for n < 1 and past
+    TRIAL_DIVISION_LIMIT = 2**64, where rho could take minutes.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")

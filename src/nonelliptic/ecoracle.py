@@ -2,27 +2,25 @@
 census and a falsifier pitting concrete curves over Q against a certified
 representation.
 
-General Weierstrass coefficients (a1, a2, a3, a4, a6) are used throughout so
-p = 2 and p = 3 need no special casing. Point counts enumerate (x, y)
-directly. The trace census is exhaustive over the invariants (b2, b4, b6)
-(Silverman, AEC III.1): for odd p every curve has trace
--sum_x chi(4x^3 + b2*x^2 + 2*b4*x + b6) and a discriminant that is a
-polynomial in b2, b4, b6, so the p^3 triples give the same trace set as the
-p^5 coefficient tuples.
+Curves over Q and point counts use general Weierstrass coefficients
+(a1, a2, a3, a4, a6), and point counts enumerate (x, y) directly. The trace
+census runs over the short models y^2 = x^3 + A*x + B for p >= 5, in O(p^3):
+for p not dividing 6 every curve over F_p is isomorphic to one of them
+(Silverman, AEC III.1), and an isomorphism keeps #E(F_p). For p <= 3, where
+there is no short model, it enumerates all p^5 coefficient tuples.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .arith import Record, is_prime, legendre, require_odd_prime
+from .arith import Record, _euler_criterion, is_prime, require_odd_prime
 
 if TYPE_CHECKING:  # an annotation only: the census needs no form
     from .repmodel import NewformData
 
-# The census costs O(p^4); beyond this it is not a reasonable oracle.
+# The census costs O(p^3); beyond this it is not a reasonable oracle.
 ENUMERATION_BUDGET = 50
 # A point count costs O(p^2): all primes below 500 take about 1 s together.
 POINT_COUNT_BUDGET = 500
@@ -84,27 +82,17 @@ def trace_of_frobenius(curve: CurveQ, p: int) -> int:
     return p - count_affine(p, *(c % p for c in a))
 
 
-def _disc_times_4(b2: int, b4: int, b6: int) -> int:
-    """4 * discriminant in terms of b2, b4, b6, using 4*b8 = b2*b6 - b4^2.
-
-    Exact over Z: it equals 4 * weierstrass_discriminant(a) whenever the b's
-    come from the tuple a.
-    """
-    return b2 * b2 * b4 * b4 - b2**3 * b6 - 32 * b4**3 - 108 * b6 * b6 + 36 * b2 * b4 * b6
-
-
 def trace_set(p: int) -> set[int]:
     """Set of Frobenius traces over ALL nonsingular general-Weierstrass curves
     over F_p.
 
-    For odd p the census runs over every triple (b2, b4, b6) in F_p^3
-    (Silverman, AEC III.1). Completing the square,
-    4*(y^2 + a1*x*y + a3*y - x^3 - a2*x^2 - a4*x - a6)
-    = (2y + a1*x + a3)^2 - (4x^3 + b2*x^2 + 2*b4*x + b6), so a curve's trace
-    is -sum_x chi(4x^3 + b2*x^2 + 2*b4*x + b6) with chi the Legendre symbol,
-    and the curve is singular exactly when 4*disc(b2, b4, b6) = 0 mod p.
-    Every triple comes from a1 = a3 = 0, so the triples give the same trace
-    set as all p^5 tuples, at O(p^4) cost. p = 2 enumerates its 32 tuples.
+    For p >= 5 the census runs over every short model y^2 = x^3 + A*x + B
+    with 4*A^3 + 27*B^2 != 0 mod p, at O(p^3) cost. Every curve over F_p is
+    isomorphic to y^2 = x^3 - 27*c4*x - 54*c6 (Silverman, AEC III.1), and an
+    isomorphism keeps the point count, so the pairs (A, B) give the same
+    trace set as all p^5 tuples. A short model's trace is -sum_x chi(x^3 + A*x + B), with chi
+    the Legendre symbol. p <= 3 has no short model: it enumerates its p^5
+    tuples.
     """
     if p > ENUMERATION_BUDGET:
         raise ValueError(
@@ -112,22 +100,19 @@ def trace_set(p: int) -> set[int]:
         )
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p == 2:
+    if p <= 3:
         return {
-            2 - count_affine(2, *a)
-            for a in product(range(2), repeat=5)
-            if weierstrass_discriminant(*a) % 2
+            p - count_affine(p, *a)
+            for a in product(range(p), repeat=5)
+            if weierstrass_discriminant(*a) % p
         }
-    chi = [legendre(v, p) for v in range(p)]
-    # shifted[b6][v] = chi(v + b6), so adding b6 costs no reduction mod p
-    shifted = [chi[b6:] + chi[:b6] for b6 in range(p)]
+    chi = [_euler_criterion(v, p) for v in range(p)]
     traces = set()
-    for b2, b4 in product(range(p), repeat=2):
-        # base(row) picks row[4x^3 + b2*x^2 + 2*b4*x mod p] for every x
-        base = itemgetter(*[(4 * x**3 + b2 * x * x + 2 * b4 * x) % p for x in range(p)])
-        for b6 in range(p):
-            if _disc_times_4(b2, b4, b6) % p:
-                traces.add(-sum(base(shifted[b6])))
+    for a in range(p):
+        cubic = [(x * x * x + a * x) % p for x in range(p)]
+        for b in range(p):
+            if (4 * a**3 + 27 * b * b) % p:
+                traces.add(-sum([chi[(c + b) % p] for c in cubic]))
     return traces
 
 

@@ -14,7 +14,6 @@ from conftest import hasse_interval
 from nonelliptic import arith
 from nonelliptic.arith import (
     _NARROW,
-    CACHE_SIZE,
     MILLER_RABIN_LIMIT,
     Factorization,
     is_prime,
@@ -147,10 +146,8 @@ def test_is_prime_equals_the_sieve_below_one_million():
     limit = 10**6
     primes = set(primes_in_range(2, limit - 1))
     assert len(primes) == 78498
-    # the uncached function: a million cache entries would hold ~100 MB
-    uncached = is_prime.__wrapped__
     for n in range(-2, limit):
-        assert uncached(n) == (n in primes), n
+        assert is_prime(n) == (n in primes), n
 
 
 @pytest.mark.parametrize("n,factors", STRONG_PSEUDOPRIMES)
@@ -180,18 +177,10 @@ def test_is_prime_on_large_primes():
 
 @pytest.mark.parametrize("n", [7.0, 26.5, True])
 def test_is_prime_rejects_non_ints(n):
-    # cached first: a float or bool equal to a cached int must not hit its entry
+    # a float or bool equal to a prime or non-prime int is still refused
     assert is_prime(7) and not is_prime(1)
     with pytest.raises(TypeError):
         is_prime(n)
-
-
-@pytest.mark.parametrize("fn", [is_prime, trial_factor], ids=["is_prime", "trial_factor"])
-def test_arithmetic_caches_are_bounded(fn):
-    assert fn.cache_parameters() == {"maxsize": CACHE_SIZE, "typed": True}
-    for n in range(2, 2 + CACHE_SIZE + 100):
-        fn(n)
-    assert fn.cache_info().currsize <= CACHE_SIZE
 
 
 def test_is_prime_raises_above_the_proven_bound():

@@ -684,14 +684,30 @@ def test_conductor_and_serre_refuse_what_they_cannot_judge(call, message):
         call()
 
 
-def test_certify_form_factors_the_level_once():
-    trial_factor.cache_clear()
+def factorizations(monkeypatch):
+    """The integers trial_factor is asked to factor from here on, in order:
+    a spy in place of it in every module that calls it."""
+    import nonelliptic.repmodel as repmodel
+
+    asked = []
+
+    def spy(n):
+        asked.append(n)
+        return trial_factor(n)
+
+    for module in (certify, checker, repmodel):
+        monkeypatch.setattr(module, "trial_factor", spy)
+    return asked
+
+
+def test_certify_form_factors_the_level_once(monkeypatch):
+    asked = factorizations(monkeypatch)
     # no eigenvalues: every ell falls through to the conductor bound
     form = NewformData(form_id="bare", level=2560, weight=2, d=None, eigenvalues={},
                        claimed_conductor_equality=True)
     runs = certify_form(form, [7, 11, 13, 17, 19])
     assert [r.conductor.witness["conductor"] for r in runs] == [2560] * 5
-    assert trial_factor.cache_info().misses == 1
+    assert asked == [2560]
 
 
 @pytest.mark.parametrize("n", [512, 2560, 3**6, 7**3])
@@ -1067,14 +1083,13 @@ def test_check_accepts_every_genuine_trace_witness():
                 assert check(Certificate(INCONCLUSIVE, METHOD_TRACE, ell, witness)), (p, ell)
 
 
-def test_certify_proves_d_square_free_once():
+def test_certify_proves_d_square_free_once(monkeypatch):
     d = 10**9 + 7  # prime, so square-free
-    trial_factor.cache_clear()
+    asked = factorizations(monkeypatch)
     form = NewformData("t", 512, 2, d, {3: QuadInt(1, 1), 5: QuadInt(1)})
     runs = certify_form(form, [ell for ell in primes_in_range(7, 3000) if legendre(d, ell) == 1])
     assert len(runs) > 200
-    assert trial_factor.cache_info().misses == 1
-    assert trial_factor.cache_info().hits == 0  # no ell asks again
+    assert asked == [d]  # no ell asks again
 
 
 # --- full bundled verification --------------------------------------------------------

@@ -361,7 +361,6 @@ def test_a_sieved_range_proves_no_ell_again(monkeypatch, capsys):
     monkeypatch.setattr(arith, "_strong_probable_prime",
                         lambda n, *args: proofs.append(n) or strong(n, *args))
     monkeypatch.setattr(certify, "usable_cpus", lambda: 1)  # every run in this process
-    arith.is_prime.cache_clear()
     for path in (SQRT2, SCHOEN):
         code, _, err = run(capsys, "certify", "-i", path, "--ell-min", "7", "--ell-max", "10000",
                            "--format", "json")
@@ -1000,6 +999,20 @@ def test_oracle_json(capsys):
     code, out, _ = run(capsys, "oracle", "3", "--format", "json")
     assert code == 0
     assert json.loads(out)["traces"] == list(range(-3, 4))
+
+
+@pytest.mark.parametrize("p", primes_in_range(2, 50))
+def test_oracle_lists_the_hasse_interval(capsys, p):
+    # every prime the budget admits, in both formats, byte for byte
+    bound = math.isqrt(4 * p)
+    traces = list(range(-bound, bound + 1))
+    code, out, err = run(capsys, "oracle", str(p))
+    listing = ", ".join(map(str, traces))
+    assert (code, err) == (0, "")
+    assert out == f"trace set over F_{p} (all nonsingular Weierstrass curves): {{{listing}}}\n"
+    code, out, err = run(capsys, "oracle", str(p), "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"cap": p, "p": p, "traces": traces}, indent=2) + "\n"
 
 
 def test_oracle_rejects_huge_p_quickly(capsys):
