@@ -286,27 +286,9 @@ class EllCertification(Record):
         self.proved_non_elliptic = (any(c.verdict == NON_ELLIPTIC for c in trace_tests)
                                     or conductor is not None and conductor.verdict == NON_ELLIPTIC)
 
-    @property
-    def proved(self) -> bool:
-        return self.proved_irreducible and self.proved_non_elliptic
-
     def certificates(self) -> list[Certificate]:
         out = [*self.trace_tests, self.irreducible, self.conductor]
         return [c for c in out if c is not None]
-
-    def to_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "embedding_root": self.embedding_root,
-            "irreducible": self.irreducible,
-            "irreducible_tried": self.irreducible_tried,
-            "proved_irreducible": self.proved_irreducible,
-            "twist_exponent": self.twist_exponent,
-            "trace_tests": self.trace_tests,
-            "conductor": self.conductor,
-            "proved_non_elliptic": self.proved_non_elliptic,
-            "notes": self.notes,
-        }
 
 
 def _certify_run(form: NewformData, ell: int, root: int | None, m: int, t: int | None,
@@ -394,10 +376,12 @@ def _record(form_id: str, ell: int, root: int | None, m: int, t: int | None, kep
 
 
 # A sorted ell list whose width plus the square root of its largest ell is
-# under this many times its length is proved by one sieve. is_prime takes 9-18
-# us on a prime from 10^5 to 10^9, the sieve and its set 40-65 ns per unit of
-# width plus isqrt(hi) (Python 3.11): so the sieve costs at most about a third
-# of proving the ells one by one.
+# under this many times its length is proved by one sieve. is_prime takes
+# 3.6-15 us on a prime from 10^5 to 10^9, the sieve and its set 19-180 ns per
+# unit of width plus isqrt(hi), the most on spans of a few thousand units
+# (Python 3.11.7): so at the bound the sieve costs 0.1-0.5 times proving the
+# ells one by one on a span of 10^4 units or more, and up to about 1.4 times
+# on a span of a few thousand units or less, where either takes under 0.5 ms.
 _SIEVE_DENSITY = 64
 
 

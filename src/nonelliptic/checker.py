@@ -46,15 +46,6 @@ class Certificate(Record):
         self.witness = witness
         self.inputs = {} if inputs is None else inputs
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "method": self.method,
-            "ell": self.ell,
-            "witness": self.witness,
-            "inputs": self.inputs,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
         return cls(

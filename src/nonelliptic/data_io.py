@@ -165,7 +165,8 @@ def load_expectations() -> dict:
 
 
 def _record(obj):
-    """json.dumps' `default`: a record (anything with to_dict) as its to_dict()."""
+    """json.dumps' `default`: a record (anything with to_dict) as its
+    to_dict(): an arith.Record's is its fields by name, ScanReport's its own."""
     if not hasattr(obj, "to_dict"):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     return obj.to_dict()

@@ -33,6 +33,9 @@ class ScanReport(Record):
         self.hold_residues = hold_residues
         self.fermat_ok = fermat_ok
 
+    # Its JSON keys are not its field names (membership_holds,
+    # fermat_crosscheck_ok, and hold_residues keyed by str), and renaming its
+    # public fields would change the library: it keeps its own to_dict.
     def to_dict(self) -> dict:
         return {
             "ell_min": self.ell_min,
@@ -109,7 +112,11 @@ def closed_form_scan(ell_min: int, ell_max: int) -> ScanReport:
 
 
 class VerificationReport(Record):
-    __slots__ = ("expectations_version", "ell_max", "sections", "mismatches")
+    """The bundled verification: its sections and their mismatches against
+    the expectations table. passed (no mismatches) is set once, when the
+    report is made."""
+
+    __slots__ = ("expectations_version", "ell_max", "sections", "mismatches", "passed")
 
     def __init__(self, expectations_version: int, ell_max: int, sections: dict,
                  mismatches: tuple[str, ...]) -> None:
@@ -117,19 +124,7 @@ class VerificationReport(Record):
         self.ell_max = ell_max
         self.sections = sections
         self.mismatches = mismatches
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches
-
-    def to_dict(self) -> dict:
-        return {
-            "expectations_version": self.expectations_version,
-            "ell_max": self.ell_max,
-            "passed": self.passed,
-            "mismatches": self.mismatches,
-            "sections": self.sections,
-        }
+        self.passed = not mismatches
 
     def write_json(self, out) -> None:
         """Write data_io.canonical_json(self) to the text stream out, about 8 times as

@@ -39,7 +39,7 @@ def certify_report(form, ells, runs, fmt: str) -> str:
     and not from the values the writer reads. JSON is json.dumps of the
     envelope with each run as its to_dict(); text is the header, each run's
     lines and the footer."""
-    proved = all(run.proved for run in runs)
+    proved = all(run.proved_irreducible and run.proved_non_elliptic for run in runs)
     if fmt == "json":
         envelope = {"all_proved": proved, "ells": sorted(set(ells)), "form": form.form_id,
                     "runs": runs}
@@ -79,7 +79,8 @@ def _run_lines(run) -> list[str]:
     else:
         lines.append("    non-elliptic: not established (all tests inconclusive)")
     lines += [f"    note: {note}" for note in run.notes]
-    lines.append(f"    overall: {'proved' if run.proved else 'inconclusive'}")
+    proved = run.proved_irreducible and run.proved_non_elliptic
+    lines.append(f"    overall: {'proved' if proved else 'inconclusive'}")
     return lines
 
 

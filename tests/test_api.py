@@ -2,10 +2,12 @@
 `nonelliptic.__all__` must change this list too."""
 
 import importlib
+import json
 
 import pytest
 
 import nonelliptic
+from nonelliptic.data_io import canonical_json
 
 PUBLIC_API = [
     "Certificate",
@@ -182,3 +184,20 @@ def test_records_compare_hash_and_print_by_field():
     assert cert == nonelliptic.Certificate("Irreducible", "M", 7, {"p": 2}, {})
     with pytest.raises(TypeError):
         hash(cert)  # its witness is a dict, as it was
+
+
+# One record of each kind that writes its fields as its JSON keys, made from
+# the bundled forms: a certificate, a certify run and the verify-paper report.
+REPORT_RECORDS = {
+    "Certificate": lambda form: nonelliptic.reducibility_obstruction(form, 11),
+    "EllCertification": lambda form: nonelliptic.certify_form(form, [11])[0],
+    "VerificationReport": lambda form: nonelliptic.full_paper_verification(ell_max=50),
+}
+
+
+@pytest.mark.parametrize("make", REPORT_RECORDS.values(), ids=REPORT_RECORDS)
+def test_a_report_record_writes_exactly_its_fields(schoen_form, make):
+    # a record's dict is its slots: a field added to __slots__ is written too
+    record = make(schoen_form)
+    assert record.to_dict() == {name: getattr(record, name) for name in record.__slots__}
+    assert sorted(json.loads(canonical_json(record))) == sorted(record.__slots__)

@@ -1236,14 +1236,15 @@ def test_verify_paper_json_is_what_the_standard_library_writes(make_report):
 
 def test_certify_form_pipeline(schoen_form, sqrt2_form):
     runs = certify_form(schoen_form, [13, 11, 13])  # sorted, each ell once
-    assert all(r.proved for r in runs)
+    assert all(r.proved_irreducible and r.proved_non_elliptic for r in runs)
     assert [r.ell for r in runs] == [11, 13]
     assert all(check(c) for r in runs for c in r.certificates())
 
-    assert not certify_form(schoen_form, [7])[0].proved
+    (run,) = certify_form(schoen_form, [7])
+    assert not (run.proved_irreducible and run.proved_non_elliptic)
 
     runs = certify_form(sqrt2_form, [7])  # both embeddings
-    assert all(r.proved for r in runs)
+    assert all(r.proved_irreducible and r.proved_non_elliptic for r in runs)
     assert [r.embedding_root for r in runs] == [3, 4]
     # non-ellipticity comes through the conductor route at ell = 7
     assert all(r.conductor.verdict == NON_ELLIPTIC for r in runs)
@@ -1253,7 +1254,7 @@ def test_certify_form_with_empty_eigenvalue_map():
     # a valid but empty record: everything comes back unproved, not an error
     form = NewformData("empty", 25, 4, None, {})
     (run,) = certify_form(form, [11])
-    assert not run.proved
+    assert not (run.proved_irreducible and run.proved_non_elliptic)
     assert run.irreducible is None
     assert run.trace_tests == ()
 
@@ -1325,7 +1326,7 @@ def test_certify_range_json_is_what_the_standard_library_writes(case):
     runs = certify_form(form, ells, root, witness_prime)
     out = io.StringIO()
     proved = certify_range(form, ells, root, witness_prime, "json", out)
-    assert proved == all(run.proved for run in runs)
+    assert proved == all(run.proved_irreducible and run.proved_non_elliptic for run in runs)
     assert out.getvalue() == certify_report(form, ells, runs, "json")
 
 

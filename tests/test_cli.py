@@ -6,7 +6,9 @@ import os
 import subprocess
 import sys
 import time
+import tomllib
 from importlib import resources
+from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_console_script_runs_main():
+    # the installed `nonelliptic` command is pyproject's entry point, loaded
+    # the way an installer's wrapper loads it
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    entry = EntryPoint("nonelliptic", scripts["nonelliptic"], "console_scripts")
+    assert entry.load() is main
 
 
 def test_verify_paper_default(capsys):

@@ -89,6 +89,28 @@ def _same_as_in_process(capsys, chunked, cpus, *argv):
     return serial, cuts
 
 
+def _hold_children(monkeypatch, tmp_path) -> list:
+    """Make each forked worker wait until the parent has rendered a batch,
+    so the parent always takes one. Returns the list of the parent's
+    batches, each recorded as it starts."""
+    mark = tmp_path / "mark"
+    parent = os.getpid()
+    mine = []
+    render = certify.render_runs
+
+    def render_runs(form, root, witness_prime, fmt, ells):
+        if os.getpid() == parent:
+            mine.append(ells)
+            mark.touch()
+        else:
+            while not mark.exists():
+                time.sleep(0.002)
+        return render(form, root, witness_prime, fmt, ells)
+
+    monkeypatch.setattr(certify, "render_runs", render_runs)
+    return mine
+
+
 def _errors_in_both_formats(capsys, chunked, cpus, *argv):
     """Run argv in JSON and in text, in process, then chunked: each chunked
     run must agree with its in-process one, and both formats must exit 1
@@ -123,15 +145,20 @@ def _odd_weight_claimed(tmp_path):
     (SQRT2, (), 2),
     (SQRT2, ("--witness-prime", "3"), 2),
 ], ids=["schoen_s4_25", "odd-weight-claimed", "s2_512_sqrt2", "witness-prime"])
-def test_chunked_report_equals_the_in_process_one(tmp_path, capsys, chunked, fmt, form,
-                                                   flags, code):
+def test_chunked_report_equals_the_in_process_one(tmp_path, capsys, chunked, monkeypatch,
+                                                   fmt, form, flags, code):
     if form == "odd-weight":
         form = _odd_weight_claimed(tmp_path)
-    (got, out, err), cuts = _same_as_in_process(
-        capsys, chunked, 3, "certify", "-i", form, "--ell-min", "7", "--ell-max", "300",
-        "--format", fmt, *flags)
+    argv = ("certify", "-i", form, "--ell-min", "7", "--ell-max", "300", "--format", fmt,
+            *flags)
+    got, out, err = run(capsys, *argv)
+    cuts = chunked(3)
+    mine = _hold_children(monkeypatch, tmp_path)
+    assert run(capsys, *argv) == (got, out, err)
+    assert _children() == []
     assert (got, err) == (code, "")
     assert len(cuts) == 1 and len(cuts[0]) in (6, 9)  # 2 or 3 batches for each of 3 workers
+    assert mine  # the parent took a batch, as a worker
     if fmt == "json":
         assert len(json.loads(out)["runs"]) > 6
 
@@ -142,19 +169,8 @@ def test_the_parents_batches_come_back_through_its_spool(tmp_path, capsys, chunk
     # every worker spools its batches, the parent too: each batch's text is
     # read back from a spool once, as the report is written. A child waits
     # until the parent has rendered a batch, so the parent always takes one.
-    mark = tmp_path / "mark"
-    parent = os.getpid()
-    mine, reads = [], []
-    render, read = certify.render_runs, certify._read
-
-    def render_runs(form, root, witness_prime, fmt, ells):
-        if os.getpid() == parent:
-            mine.append(ells)
-            mark.touch()
-        else:
-            while not mark.exists():
-                time.sleep(0.002)
-        return render(form, root, witness_prime, fmt, ells)
+    reads = []
+    read = certify._read
 
     def spy(fd, length, at):
         reads.append(at)
@@ -163,7 +179,7 @@ def test_the_parents_batches_come_back_through_its_spool(tmp_path, capsys, chunk
     argv = ("certify", "-i", SCHOEN, "--ell-min", "7", "--ell-max", "300", "--format", fmt)
     serial = run(capsys, *argv)
     cuts = chunked(2)
-    monkeypatch.setattr(certify, "render_runs", render_runs)
+    mine = _hold_children(monkeypatch, tmp_path)
     monkeypatch.setattr(certify, "_read", spy)
     assert run(capsys, *argv) == serial
     assert _children() == []
@@ -538,7 +554,8 @@ def test_one_cpu_certifies_and_renders_in_batches_too(monkeypatch, fmt, batch):
         whole = certify_form(form, ells)
         rendered.clear()
         assert _ranged(form, ells, fmt) == (certify_report(form, ells, whole, fmt),
-                                            all(run.proved for run in whole))
+                                            all(run.proved_irreducible and run.proved_non_elliptic
+                                                for run in whole))
         assert rendered == certify.batches(ells, 1)
         assert len(rendered) == -(-len(ells) // batch)
 
