@@ -23,6 +23,7 @@ TRIAL_DIVISION_LIMIT = 2**64
 
 # The first 13 primes: trial divisors, then Miller-Rabin bases.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
 # (psi_t, t): psi_t is the least strong pseudoprime to all of the first t
 # prime bases, so those t bases decide every n < psi_t (Jaeschke, Math. Comp.
@@ -56,8 +57,8 @@ def _strong_probable_prime(n: int, base: int, d: int, s: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality: trial division by the first 13 primes, then
-    Miller-Rabin with the smallest proven base set for n.
+    """Deterministic primality: one gcd with the product of the first 13
+    primes, then Miller-Rabin with the smallest proven base set for n.
 
     Raises TypeError unless n is exactly an int, and ValueError for
     n >= MILLER_RABIN_LIMIT with no prime factor <= 41: no base set is
@@ -67,19 +68,17 @@ def is_prime(n: int) -> bool:
         raise TypeError(f"is_prime needs an int, not {type(n).__name__}")
     if n < 2:
         return False
-    for q in _SMALL_PRIMES:
-        if n % q == 0:
-            return n == q
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
+        return n <= _SMALL_PRIMES[-1] and n in _SMALL_PRIMES
     if n < _SMALL_PRIMES[-1] ** 2:
         return True
     if n >= MILLER_RABIN_LIMIT:
         raise ValueError(
             f"{n} exceeds the proven Miller-Rabin range (< {MILLER_RABIN_LIMIT})"
         )
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    # n - 1 = d * 2**s with d odd: s is the index of its lowest set bit
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
     # plain loops: next() and all() over generators cost a fifth of a call
     for bound, t in _MILLER_RABIN_BASES:
         if n < bound:  # met: n < MILLER_RABIN_LIMIT, the last bound
@@ -95,40 +94,48 @@ def require_odd_prime(ell: int) -> None:
         raise ValueError(f"modulus {ell} is not an odd prime")
 
 
-# is_prime takes 3-24 us on an odd candidate (hi from 10^8 to 10^24), the
-# sieve's base primes 30-45 ns per unit of isqrt(hi) (hi from 10^8 to 10^14;
-# Python 3.11): the two tie near a width of isqrt(hi) / 64.
-_NARROW = 64
+# A sieve of [lo, hi] costs about a unit per number of its width and of
+# isqrt(hi); is_prime costs about _PROOF_UNITS units a candidate. Over widths
+# 10^2..10^6 and hi 10^5..10^12 (Python 3.11; BENCH_sieve.json) the two tie at
+# 2.5-194 units an odd candidate and 14-1244 an ell of a list of primes; at 64
+# the rule's pick costs at most 5.3 times the other side there, the least.
+_PROOF_UNITS = 64
+
+
+def _sieve_pays(lo: int, hi: int, n: int) -> bool:
+    """The sieve-or-prove rule: does one sieve of [lo, hi] beat is_prime on n candidates?"""
+    return hi - lo + math.isqrt(max(hi, 0)) < _PROOF_UNITS * n
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi. A window narrow next to isqrt(hi),
-    (hi - lo) * _NARROW < isqrt(hi), has each odd candidate proved by
-    is_prime; a wider one is sieved over the odd numbers of [lo, hi] alone,
+    """All primes p with lo <= p <= hi. Where `_sieve_pays` for its odd
+    candidates, the window is sieved over the odd numbers of [lo, hi] alone,
     one byte each, with the odd base primes up to isqrt(hi) sieved in
-    segments no wider than the window, so memory grows with the width, not
-    with hi. Raises ValueError for hi >= MILLER_RABIN_LIMIT, as is_prime
-    does, and for a sieve wider than the index size."""
+    segments as wide as the window (_PROOF_UNITS at least), so memory grows
+    with the width, not with hi; elsewhere is_prime proves each odd candidate.
+    Raises ValueError for hi >= MILLER_RABIN_LIMIT, as is_prime does, and
+    for a sieve wider than the index size."""
     lo = max(lo, 2)
     if hi < lo:
         return []
     if hi >= MILLER_RABIN_LIMIT:
         raise ValueError(f"{hi} exceeds the proven Miller-Rabin range (< {MILLER_RABIN_LIMIT})")
-    if (hi - lo) * _NARROW < math.isqrt(hi):
-        odd = [n for n in range(lo | 1, hi + 1, 2) if is_prime(n)]
+    # index i stands for the odd number lo1 + 2i
+    lo1 = lo | 1
+    size = (hi - lo1) // 2 + 1
+    if not _sieve_pays(lo, hi, size):
+        odd = [n for n in range(lo1, hi + 1, 2) if is_prime(n)]
         return [2, *odd] if lo == 2 else odd
     if hi - lo >= sys.maxsize:
         raise ValueError(f"[{lo}, {hi}] is too wide to sieve: its width passes the "
                          f"index size {sys.maxsize} (narrow the range)")
-    # index i stands for the odd number lo1 + 2i
-    lo1 = lo | 1
-    size = (hi - lo1) // 2 + 1
     # From bytes: a failed bytearray repeat makes CPython print a stray
     # SystemError to stderr next to the MemoryError.
     sieve = bytearray(b"\x01" * size)
     root = math.isqrt(hi)
-    for base in range(2, root + 1, hi - lo + 1):
-        for p in primes_in_range(base, min(base + hi - lo, root)):
+    step = max(hi - lo + 1, _PROOF_UNITS)  # [4093, 4093] in one-wide pieces: 0.35 ms
+    for base in range(2, root + 1, step):
+        for p in primes_in_range(base, min(base + step - 1, root)):
             if p == 2:  # no odd multiple
                 continue
             # the first odd multiple of p at or past both lo1 and p*p: the

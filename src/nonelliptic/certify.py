@@ -28,6 +28,7 @@ from .arith import (
     Record,
     _euler_criterion,
     _primes,
+    _sieve_pays,
     is_prime,
     primes_in_range,
     require_odd_prime,
@@ -375,23 +376,13 @@ def _record(form_id: str, ell: int, root: int | None, m: int, t: int | None, kep
     return EllCertification(ell, root, irreducible, tried, t, trace_tests, conductor, notes)
 
 
-# A sorted ell list whose width plus the square root of its largest ell is
-# under this many times its length is proved by one sieve. is_prime takes
-# 3.6-15 us on a prime from 10^5 to 10^9, the sieve and its set 19-180 ns per
-# unit of width plus isqrt(hi), the most on spans of a few thousand units
-# (Python 3.11.7): so at the bound the sieve costs 0.1-0.5 times proving the
-# ells one by one on a span of 10^4 units or more, and up to about 1.4 times
-# on a span of a few thousand units or less, where either takes under 0.5 ms.
-_SIEVE_DENSITY = 64
-
-
 def _sieved_primes(ells: list[int]) -> set[int]:
-    """The odd primes of the sorted list `ells` when one primes_in_range over
-    its span proves them sooner than is_prime would one by one, else the
-    empty set: an ell outside it is still to be proved."""
+    """The odd primes of the sorted list `ells` when one sieve of its span
+    pays for proving them (`arith._sieve_pays`, one candidate an ell), else
+    the empty set: an ell outside it is still to be proved."""
     if ells and all(type(ell) is int for ell in ells):
         lo, hi = ells[0], ells[-1]
-        if hi - lo + math.isqrt(max(hi, 0)) < _SIEVE_DENSITY * len(ells):
+        if _sieve_pays(lo, hi, len(ells)):
             return set(primes_in_range(max(lo, 3), hi))
     return set()
 
@@ -417,11 +408,12 @@ def certify_form(form: NewformData, ells: list[int], root: int | None = None,
     unless `root` picks one. certify_range writes the report of the same runs.
 
     The first ell, in sorted order, that is not an odd prime raises
-    ValueError; the first the rule refuses raises its refusal. Each ell is
-    proved once, the whole list by one sieve when it is dense, and the rule
-    is asked once per ell; the runs share one conductor witness. A run is the
-    record of the values `_certify_run` decides; render_runs writes those
-    values in either format without building it."""
+    ValueError; the first the admissibility rule refuses raises its refusal.
+    Each ell is proved once, the whole list by one sieve where the
+    sieve-or-prove rule (arith._sieve_pays) finds that it pays, and the
+    admissibility rule is asked once per ell; the runs share one conductor
+    witness. A run is the record of the values `_certify_run` decides;
+    render_runs writes those values in either format without building it."""
     return tuple(_record(form.form_id, *run) for run in _runs(form, ells, root, witness_prime))
 
 

@@ -1,3 +1,4 @@
+import bisect
 import math
 import os
 import random
@@ -13,7 +14,6 @@ import nonelliptic
 from conftest import hasse_interval
 from nonelliptic import arith
 from nonelliptic.arith import (
-    _NARROW,
     MILLER_RABIN_LIMIT,
     Factorization,
     is_prime,
@@ -361,6 +361,13 @@ def test_hasse_interval_symmetric_contains_zero(p):
     assert (bound + 1) ** 2 > 4 * p
 
 
+def sieve_edge(hi):
+    """The least width w at which the sieve-or-prove rule sieves [hi - w, hi]
+    for its odd candidates."""
+    return bisect.bisect_left(range(hi), True, key=lambda w: arith._sieve_pays(
+        hi - w, hi, len(range((hi - w) | 1, hi + 1, 2))))
+
+
 def test_primes_in_range(monkeypatch):
     assert primes_in_range(6, 20) == [7, 11, 13, 17, 19]
     assert primes_in_range(2, 2) == [2]
@@ -370,12 +377,15 @@ def test_primes_in_range(monkeypatch):
     for lo, hi in [(-5, 1), (0, 3), (3, 4), (4, 4), (24, 50), (25, 49), (49, 49),
                    (97, 97), (1000, 1100), (9409, 9999), (999_000, 1_000_100)]:
         assert primes_in_range(lo, hi) == [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
-    # a window narrower than isqrt(hi) / _NARROW is proved by is_prime, a
-    # wider one sieved: both sides of the rule, each ending at a prime
+    # a window narrower than the rule's edge is proved by is_prime, one at
+    # least that wide sieved: both sides of the rule, each ending at a prime,
+    # and the windows about isqrt(hi) / 64 wide on either side
     windows = [(MILLER_RABIN_LIMIT - 1168, MILLER_RABIN_LIMIT - 168, True)]
     for hi in (10**8 + 7, 10**12 + 39):
-        edge = math.isqrt(hi) // _NARROW
-        windows += [(hi - edge + 1, hi, True), (hi - edge - 1, hi, False)]
+        edge = sieve_edge(hi)
+        windows += [(hi - edge + 1, hi, True), (hi - edge, hi, False)]
+        old_edge = math.isqrt(hi) // 64
+        windows += [(hi - old_edge + 1, hi, True), (hi - old_edge - 1, hi, True)]
     calls = []
     monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
     for lo, hi, narrow in windows:
@@ -394,7 +404,7 @@ def test_primes_in_range(monkeypatch):
 
 def test_the_odd_only_sieve_equals_is_prime_on_random_windows():
     # seeded: lo and hi of both parities, widths 0..5000, so both the
-    # is_prime and the sieve side of _NARROW run
+    # is_prime and the sieve side of the rule run
     rng = random.Random(20041)
     windows = []
     for _ in range(500):
@@ -404,11 +414,12 @@ def test_the_odd_only_sieve_equals_is_prime_on_random_windows():
     windows += [(p * p + e, p * p + e + w) for p in (3, 5, 7, 97) for e in (-1, 0, 1)
                 for w in (0, 1, 2, 3, 50, 1001)]
     assert {lo % 2 for lo, _ in windows} == {hi % 2 for _, hi in windows} == {0, 1}
-    # past 10^12, just wider than its _NARROW edge: the sieve side
+    # past 10^12, at the rule's edge: the sieve side; and the window just
+    # wider than isqrt(hi) / 64, now on the is_prime side
     hi = 10**12 + 10**4
-    lo = hi - math.isqrt(hi) // _NARROW - 1
-    assert (hi - lo) * _NARROW >= math.isqrt(hi)
-    windows.append((lo, hi))
+    lo = hi - sieve_edge(hi)
+    assert arith._sieve_pays(lo, hi, len(range(lo | 1, hi + 1, 2)))
+    windows += [(lo, hi), (hi - math.isqrt(hi) // 64 - 1, hi)]
     for lo, hi in windows:
         assert primes_in_range(lo, hi) == [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
 

@@ -1406,8 +1406,11 @@ def _assert_certificates_from_the_eigenvalues(form, run):
     ([7, 10**12 + 40], False, "modulus 1000000000040 is not an odd prime"),
     ([7, 10**12 + 39, 10**12 + 61, 10**12 + 93], False, "modulus 1000000000093 is not an odd prime"),
     ([7, 11.0, 13], False, "is_prime needs an int, not float"),
+    # one ell is sieved below the rule's edge, isqrt(ell) < arith._PROOF_UNITS = 64
+    ([4093], True, None),
+    ([4099], False, None),
 ], ids=["composite", "two", "first-of-two", "refused-first", "sparse", "sparse-last",
-        "not-an-int"])
+        "not-an-int", "one-below-the-edge", "one-at-the-edge"])
 def test_a_library_ell_list_is_proved_and_its_first_error_wins(monkeypatch, schoen_form, ells,
                                                               sieved, error):
     # certify_form takes any list: a dense one is proved by one sieve, a sparse
@@ -1416,12 +1419,16 @@ def test_a_library_ell_list_is_proved_and_its_first_error_wins(monkeypatch, scho
     sieves = []
     monkeypatch.setattr(certify, "primes_in_range", lambda lo, hi: sieves.append((lo, hi))
                         or primes_in_range(lo, hi))
-    with pytest.raises((ValueError, TypeError)) as exc:
-        certify_form(schoen_form, ells)
-    assert str(exc.value) == error
+    if error is None:
+        runs = certify_form(schoen_form, ells)
+        assert [run.ell for run in runs] == ells
+    else:
+        with pytest.raises((ValueError, TypeError)) as exc:
+            certify_form(schoen_form, ells)
+        assert str(exc.value) == error
     assert bool(sieves) == sieved
     assert _outcome(_runs_one_by_one, schoen_form, ells, None, None) == (
-        "error", type(exc.value), error)
+        ("runs", runs) if error is None else ("error", type(exc.value), error))
 
 
 @pytest.mark.parametrize("form_id,n_runs,n_certs", [("schoen_s4_25", 427, 856),
